@@ -18,25 +18,29 @@ import tempfile
 import numpy as np
 
 from . import SCHEMA_VERSION, __version__
-from .chaining import SituationNode, chain
+from .chaining import chain
 from .dataset_io import (
     DatasetError,
     compute_stats,
     frame_to_json,
+    load_boxes,
+    load_chain_nodes,
     load_dataset,
+    load_detection_sets,
+    load_object_detections,
     load_predictions,
+    load_situations as _load_situations,  # the name perfbench/tracer.py times
+    parse_dataset,
     parse_lexicon,
     parse_vocabulary,
     _read_json,
 )
-from .frame_model import BoundingBox, FrameModelError, GroundedFrame, validate_frame
-from .fusion import DEFAULT_FUSION_THRESHOLD, DetectionSet, assign_groundings
+from .frame_model import FrameModelError
+from .fusion import DEFAULT_FUSION_THRESHOLD, assign_groundings
 from .geometry import cluster_aspect_ratios
 from .loss_kernels import FocalParams, SmoothingParams, focal_loss, l1_reg, smoothed_ce
 from .metrics import ValueAllMode, VerbSetting, evaluate, format_table
 from .retrieval import (
-    DetectionList,
-    SituationPrediction,
     gr_sit_sim,
     l2_similarity,
     obj_sim,
@@ -53,8 +57,11 @@ def write_output(payload, out: str):
         return
     directory = os.path.dirname(os.path.abspath(out))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    umask = os.umask(0)  # reading the umask means setting it, so set it back
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as f:
+            os.fchmod(f.fileno(), 0o666 & ~umask)  # mkstemp creates the file 0600
             f.write(text + "\n")
         os.replace(tmp, out)
     except BaseException:
@@ -63,39 +70,18 @@ def write_output(payload, out: str):
         raise
 
 
-def _parse_optional_box(raw):
-    if raw is None or raw == [-1, -1, -1, -1]:
-        return None
-    return BoundingBox(*(float(c) for c in raw))
-
-
 def cmd_validate(args) -> int:
     lexicon = parse_lexicon(_read_json(args.lexicon))
     vocabulary = parse_vocabulary(_read_json(args.vocab))
     failures = 0
     for path in args.files:
-        records = _read_json(path)
-        for rec in records:
-            image_id = rec.get("id", "<missing id>")
-            verb = rec.get("verb", "")
-            if verb not in lexicon:
-                print(f"{path}: image {image_id!r}: unknown-verb {verb!r}")
-                failures += 1
-                continue
-            roles = lexicon.roles(verb)
-            boxes = {
-                role: _parse_optional_box(rec.get("boxes", {}).get(role)) for role in roles
-            }
-            for ann, raw_frame in enumerate(rec.get("frames", [])):
-                values = tuple((role, raw_frame.get(role, "")) for role in roles)
-                frame = GroundedFrame(verb, values, tuple(boxes[r] for r in roles))
-                for v in validate_frame(frame, lexicon):
-                    print(f"{path}: image {image_id!r} annotator {ann}: {v.rule} ({v.detail})")
-                    failures += 1
-            for role, noun in ((r, raw_frame.get(r, "")) for raw_frame in rec.get("frames", []) for r in roles):
-                if noun and noun not in vocabulary:
-                    print(f"{path}: image {image_id!r}: unknown-noun {noun!r} at {role}")
-                    failures += 1
+        warnings = []
+        _, violations = parse_dataset(_read_json(path), lexicon, vocabulary, warnings)
+        for w in warnings:
+            print(f"warning: {path}: {w}", file=sys.stderr)
+        for v in violations:
+            print(f"{path}: {v}")
+        failures += len(violations)
     if failures:
         print(f"{failures} violation(s)")
         return 1
@@ -128,14 +114,7 @@ def cmd_eval(args) -> int:
 def cmd_fuse(args) -> int:
     lexicon = parse_lexicon(_read_json(args.lexicon))
     predictions = load_predictions(args.frames, lexicon)
-    detections = {}
-    for rec in _read_json(args.detections):
-        nouns = rec["nouns"]
-        detections[rec["id"]] = DetectionSet(
-            tuple(BoundingBox(*map(float, b)) for b in rec["boxes"]),
-            np.asarray(rec["noun_scores"], dtype=np.float64),
-            {n: i for i, n in enumerate(nouns)},
-        )
+    detections = load_detection_sets(args.detections)
     out = []
     for pred in predictions:
         if pred.image_id not in detections:
@@ -158,17 +137,6 @@ def cmd_fuse(args) -> int:
     return 0
 
 
-def _load_situations(path) -> dict:
-    sits = {}
-    for rec in _read_json(path):
-        sits[rec["id"]] = SituationPrediction(
-            tuple(rec["verbs"]),
-            tuple(tuple(e) for e in rec["entities"]),
-            tuple(tuple(_parse_optional_box(b) for b in row) for row in rec["boxes"]),
-        )
-    return sits
-
-
 def cmd_retrieve(args) -> int:
     with open(args.query, "r", encoding="utf-8") as f:
         query_ids = [line for line in f.read().splitlines() if line]
@@ -180,12 +148,7 @@ def cmd_retrieve(args) -> int:
         index = {i: matrix[row] for row, i in enumerate(ids)}
         sim = lambda q, s: l2_similarity(index[q], index[s])
     elif args.mode == "obj":
-        dets = {}
-        for rec in _read_json(args.detections):
-            dets[rec["id"]] = DetectionList(
-                tuple(rec["classes"]),
-                tuple(BoundingBox(*map(float, b)) for b in rec["boxes"]),
-            )
+        dets = load_object_detections(args.detections)
         sim = lambda q, s: obj_sim(dets[q], dets[s])
     else:
         sits = _load_situations(args.situations)
@@ -204,25 +167,13 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_chain(args) -> int:
-    nodes = []
-    for rec in _read_json(args.situations):
-        roles = list(rec["nouns"].keys())
-        values = tuple((r, rec["nouns"][r]) for r in roles)
-        boxes = tuple(_parse_optional_box(rec.get("boxes", {}).get(r)) for r in roles)
-        nodes.append(
-            SituationNode(
-                GroundedFrame(rec["verb"], values, boxes),
-                _parse_optional_box(rec.get("query_box")),
-            )
-        )
-    graph = chain(nodes, spatial_iou=args.iou)
+    graph = chain(load_chain_nodes(args.situations), spatial_iou=args.iou)
     write_output(graph.to_dict(), args.out)
     return 0
 
 
 def cmd_anchors(args) -> int:
-    boxes = [BoundingBox(*map(float, b)) for b in _read_json(args.boxes)]
-    ratios = cluster_aspect_ratios(boxes, args.k, args.seed)
+    ratios = cluster_aspect_ratios(load_boxes(args.boxes), args.k, args.seed)
     write_output({"aspect_ratios": ratios}, args.out)
     return 0
 
@@ -289,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
         version=f"swig-toolkit {__version__} (schema {SCHEMA_VERSION})",
     )
     parser.add_argument("--threads", type=int, default=os.cpu_count(),
-                        help="worker pool size; results are independent of it")
+                        help="accepted and ignored; every subcommand runs in one thread")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check dataset files for structural violations")

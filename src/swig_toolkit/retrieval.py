@@ -15,8 +15,9 @@ from typing import Optional
 
 import numpy as np
 
+from . import geometry
 from .frame_model import BoundingBox
-from .geometry import iou
+from .geometry import ScoredBox, iou
 
 EMBEDDING_MAGIC = b"SWGE"
 DETECTION_LOGIT_THRESHOLD = -1.0  # minimum max-class logit for a valid detection
@@ -144,9 +145,6 @@ def extract_detections(boxes, class_logits, noun_ids,
                        logit_threshold: float = DETECTION_LOGIT_THRESHOLD,
                        nms_iou: float = 0.5) -> DetectionList:
     """Build a DetectionList: max-class labeling, logit cutoff, per-class NMS."""
-    from .geometry import nms as _nms
-    from .geometry import ScoredBox
-
     logits = np.asarray(class_logits, dtype=np.float64)
     picked = []  # (class, box, score)
     for row, box in zip(logits, boxes):
@@ -157,7 +155,8 @@ def extract_detections(boxes, class_logits, noun_ids,
     for cls in sorted({c for c, _, _ in picked}):
         group = [(b, s) for c, b, s in picked if c == cls]
         scored = [ScoredBox(b, s) for b, s in group]
-        for idx in _nms(scored, nms_iou, keep=len(scored)):
+        # called through the module, so perfbench/tracer.py's wrapper of geometry.nms times it
+        for idx in geometry.nms(scored, nms_iou, keep=len(scored)):
             kept.append((cls, group[idx][0]))
     return DetectionList(tuple(c for c, _ in kept), tuple(b for _, b in kept))
 

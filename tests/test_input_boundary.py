@@ -1,0 +1,369 @@
+"""The input boundary: every file a subcommand reads goes through one parser
+in `dataset_io`, so any JSON value ends in a result or in exit status 1
+with a one-line error naming the record and field, and `swig validate`
+accepts exactly the datasets the loaders accept."""
+
+import contextlib
+import copy
+import io
+import json
+import os
+import stat
+import tempfile
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from swig_toolkit.cli import main, write_output
+from swig_toolkit.dataset_io import (
+    DatasetError,
+    load_boxes,
+    load_chain_nodes,
+    load_dataset,
+    load_detection_sets,
+    load_object_detections,
+    load_predictions,
+    load_situations,
+    parse_lexicon,
+)
+
+LEXICON = {"kneading": ["Agent", "Item", "Place"], "jumping": ["Agent", "Place"]}
+VOCAB = ["man", "woman", "dough", "kitchen", "street"]
+
+
+def valid_files():
+    record = {
+        "id": "img1.jpg", "width": 100, "height": 100, "verb": "kneading",
+        "frames": [
+            {"Agent": "man", "Item": "dough", "Place": "kitchen"},
+            {"Agent": "man", "Item": "dough", "Place": ""},
+            {"Agent": "woman", "Item": "dough", "Place": "kitchen"},
+        ],
+        "boxes": {"Agent": [0, 0, 50, 80], "Item": [20, 30, 40, 50], "Place": None},
+    }
+    return {
+        "lexicon.json": LEXICON,
+        "vocab.json": VOCAB,
+        "dataset.json": [record],
+        "preds.json": [{
+            "id": "img1.jpg", "verbs": ["kneading"],
+            "frames": {"kneading": {
+                "nouns": {"Agent": "man", "Item": "dough", "Place": "kitchen"},
+                "boxes": {"Agent": [0, 0, 50, 80], "Item": None, "Place": None},
+            }},
+        }],
+        "dets.json": [{
+            "id": "img1.jpg", "boxes": [[0, 0, 50, 80]], "nouns": ["man", "dough"],
+            "noun_scores": [[3.0, -9.0]],
+        }],
+        "sits.json": [{
+            "id": f"img{i}", "verbs": ["kneading", "a", "b", "c", "d"],
+            "entities": [["man", "dough", "kitchen"], ["x"], ["x"], ["x"], ["x"]],
+            "boxes": [[[0, 0, 10, 10], None, None], [None], [None], [None], [None]],
+        } for i in range(2)],
+        "chain.json": [{"verb": "jumping", "nouns": {"Agent": "man", "Place": "street"},
+                        "boxes": {"Agent": [0, 0, 10, 10], "Place": None}}],
+        "boxes.json": [[0, 0, 20, 10], [0, 0, 10, 20]],
+    }
+
+
+def command(name, d):
+    lex, voc = ["--lexicon", f"{d}/lexicon.json"], ["--vocab", f"{d}/vocab.json"]
+    return {
+        "validate": ["validate", f"{d}/dataset.json", *lex, *voc],
+        "stats": ["stats", f"{d}/dataset.json", *lex, *voc, "--out", "-"],
+        "fuse": ["fuse", "--frames", f"{d}/preds.json", "--detections", f"{d}/dets.json",
+                 *lex, "--out", "-"],
+        "retrieve": ["retrieve", "--mode", "sit", "--query", f"{d}/query.txt",
+                     "--search", f"{d}/query.txt", "--situations", f"{d}/sits.json",
+                     "--out", "-"],
+        "chain": ["chain", "--situations", f"{d}/chain.json", "--out", "-"],
+        "anchors": ["anchors", "--boxes", f"{d}/boxes.json", "--k", "1", "--out", "-"],
+    }[name]
+
+
+def write_files(d, files):
+    for name, value in files.items():
+        with open(os.path.join(d, name), "w", encoding="utf-8") as f:
+            json.dump(value, f)
+    with open(os.path.join(d, "query.txt"), "w", encoding="utf-8") as f:
+        f.write("img0\n")
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(argv)
+    return status, out.getvalue(), err.getvalue()
+
+
+def _at(files, path):
+    *keys, last = path
+    for key in keys:
+        files = files[key]
+    return files, last
+
+
+def _set(path, value):
+    def mutate(files):
+        parent, key = _at(files, path)
+        parent[key] = value
+    return mutate
+
+
+def _delete(path):
+    def mutate(files):
+        parent, key = _at(files, path)
+        del parent[key]
+    return mutate
+
+
+DATASET = ("dataset.json", 0)
+
+# (probe, mutation, subcommands, substrings the error must contain)
+PROBES = [
+    ("box-outside-image", _set((*DATASET, "boxes", "Agent"), [200, 200, 300, 300]),
+     ("validate", "stats"), ("image 'img1.jpg'", "boxes['Agent']")),
+    ("width-zero", _set((*DATASET, "width"), 0),
+     ("validate", "stats"), ("image 'img1.jpg'", "width")),
+    ("width-string", _set((*DATASET, "width"), "100"),
+     ("validate", "stats"), ("image 'img1.jpg'", "width")),
+    ("missing-role", _delete((*DATASET, "frames", 1, "Place")),
+     ("validate", "stats"), ("image 'img1.jpg'", "frames[1]", "'Place'")),
+    ("two-frames", _delete((*DATASET, "frames", 2)),
+     ("validate", "stats"), ("image 'img1.jpg'", "frames")),
+    ("duplicate-id", lambda f: f["dataset.json"].append(dict(f["dataset.json"][0])),
+     ("validate", "stats"), ("image 'img1.jpg'", "duplicate")),
+    ("record-not-object", lambda f: f["dataset.json"].append("oops"),
+     ("validate", "stats"), ("record #1",)),
+    ("boxes-as-list", _set((*DATASET, "boxes"), [[0, 0, 50, 80]]),
+     ("validate", "stats"), ("image 'img1.jpg'", "boxes")),
+    ("frames-as-strings", _set((*DATASET, "frames"), ["man", "man", "woman"]),
+     ("validate", "stats"), ("image 'img1.jpg'", "frames[0]")),
+    ("non-string-noun", _set((*DATASET, "frames", 0, "Agent"), 5),
+     ("validate", "stats"), ("image 'img1.jpg'", "frames[0]['Agent']")),
+    ("fuse-without-nouns", _delete(("dets.json", 0, "nouns")),
+     ("fuse",), ("detections 'img1.jpg'", "nouns")),
+    ("situations-without-entities", _delete(("sits.json", 0, "entities")),
+     ("retrieve",), ("situation 'img0'", "entities")),
+    ("chain-nouns-string", _set(("chain.json", 0, "nouns"), "man"),
+     ("chain",), ("situation #0", "nouns")),
+    ("anchor-box-3-coordinates", _set(("boxes.json", 0), [0, 0, 20]),
+     ("anchors",), ("boxes[0]",)),
+]
+
+
+@pytest.mark.parametrize("mutate,subcommands,names", [p[1:] for p in PROBES],
+                         ids=[p[0] for p in PROBES])
+def test_probed_input_fails_with_one_named_error(tmp_path, mutate, subcommands, names):
+    files = valid_files()
+    write_files(tmp_path, files)
+    for name in subcommands:  # the unmodified files are accepted
+        assert run(command(name, tmp_path))[0] == 0, name
+    mutate(files)
+    write_files(tmp_path, files)
+    for name in subcommands:
+        status, out, err = run(command(name, tmp_path))
+        assert status == 1, name
+        if name == "validate":
+            *violations, summary = out.splitlines()
+            assert violations and summary == f"{len(violations)} violation(s)"
+            reported = "\n".join(violations)
+        else:
+            assert out == "" and err.count("\n") == 1 and err.startswith("error: "), err
+            reported = err
+        for fragment in names:
+            assert fragment in reported, (name, fragment, reported)
+
+
+def test_validate_reports_every_violation_stats_reports_the_first(tmp_path):
+    files = valid_files()
+    rec = files["dataset.json"][0]
+    rec["width"] = 0
+    rec["frames"][0]["Agent"] = "astronaut"
+    rec["boxes"]["Place"] = [0, 0, 5, 5]
+    write_files(tmp_path, files)
+    status, out, _ = run(command("validate", tmp_path))
+    assert status == 1 and out.splitlines()[-1] == "3 violation(s)"
+    status, _, err = run(command("stats", tmp_path))
+    assert status == 1 and "(and 2 more)" in err
+
+
+def test_validate_accepts_gt_box_on_a_role_an_annotator_left_null(tmp_path):
+    files = valid_files()
+    files["dataset.json"][0]["frames"][1]["Agent"] = ""
+    write_files(tmp_path, files)
+    assert run(command("validate", tmp_path))[:2] == (0, "ok\n")
+    assert run(command("stats", tmp_path))[0] == 0
+
+
+def test_duplicate_prediction_id_is_an_error():
+    preds = valid_files()["preds.json"] * 2
+    with pytest.raises(DatasetError, match="prediction 'img1.jpg': duplicate id"):
+        load_predictions(preds, parse_lexicon(LEXICON))
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+def test_write_output_uses_the_umask_default_mode(tmp_path, umask):
+    out = tmp_path / "report.json"
+    previous = os.umask(umask)
+    try:
+        write_output({"a": 1}, str(out))
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+    assert json.loads(out.read_text()) == {"a": 1}
+    assert os.listdir(tmp_path) == ["report.json"]
+
+
+# ---- property tests over arbitrary JSON ------------------------------------
+#
+# Each file is drawn well-formed, and half the time one value in it is
+# replaced by an arbitrary JSON value or deleted: the whole file, a record,
+# a field or a value deeper down, shallow ones more often. Fully random
+# JSON almost never reaches the inner checks.
+
+SCALARS = (st.none() | st.booleans() | st.integers(-3, 10**20) | st.floats()
+           | st.text(max_size=4))
+ANY = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=8)
+IDS = st.sampled_from(["img0", "img1", "img2"])
+VERBS = st.sampled_from(sorted(LEXICON))
+NOUNS = st.sampled_from(VOCAB + [""])
+COORD = st.integers(0, 110) | st.floats(0, 110)
+SIDE = st.integers(1, 40) | st.floats(0.5, 40)
+SIZE = st.integers(60, 160) | st.floats(60, 160)  # some boxes fall outside the image
+BOX = st.builds(lambda x, y, w, h: [x, y, x + w, y + h], COORD, COORD, SIDE, SIDE)
+OPTIONAL_BOX = st.none() | st.just([-1, -1, -1, -1]) | BOX
+
+
+@st.composite
+def corrupted(draw, well_formed):
+    value = copy.deepcopy(draw(well_formed))
+    if draw(st.booleans()):
+        return value
+    parent, key, node = None, None, value
+    while isinstance(node, (dict, list)) and node and draw(st.integers(0, 3)):
+        parent = node
+        key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        node = node[key]
+    if parent is None:
+        return draw(ANY)
+    if draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = draw(ANY)
+    return value
+
+
+@st.composite
+def image(draw, image_id):
+    verb = draw(VERBS)
+    roles = LEXICON[verb]
+    ground = [r for r in roles if r != "Place"]
+    rec = {"id": image_id, "width": draw(SIZE), "height": draw(SIZE),
+           "verb": verb,
+           "frames": [{r: draw(NOUNS) for r in roles} for _ in range(3)]}
+    if draw(st.booleans()):
+        rec["boxes"] = {r: draw(OPTIONAL_BOX) for r in ground}
+    else:
+        rec["worker_boxes"] = {r: draw(st.none() | st.lists(BOX, min_size=3, max_size=3))
+                               for r in ground}
+    return rec
+
+
+@st.composite
+def prediction(draw, image_id):
+    verbs = draw(st.lists(VERBS, min_size=1, max_size=2, unique=True))
+    frames = {v: {"nouns": {r: draw(NOUNS) for r in LEXICON[v]},
+                  "boxes": {r: draw(OPTIONAL_BOX) for r in LEXICON[v]}} for v in verbs}
+    if draw(st.booleans()):
+        for v in verbs:
+            frames[v]["grounded"] = {r: draw(st.booleans()) for r in LEXICON[v]}
+    return {"id": image_id, "verbs": verbs, "frames": frames}
+
+
+@st.composite
+def fuse_detections(draw, image_id):
+    boxes = draw(st.lists(BOX, max_size=3))
+    nouns = draw(st.lists(NOUNS, max_size=3, unique=True))
+    scores = [[draw(st.floats(-9, 9)) for _ in nouns] for _ in boxes]
+    return {"id": image_id, "boxes": boxes, "nouns": nouns, "noun_scores": scores}
+
+
+@st.composite
+def object_detections(draw, image_id):
+    boxes = draw(st.lists(BOX, max_size=3))
+    return {"id": image_id, "classes": [draw(NOUNS) for _ in boxes], "boxes": boxes}
+
+
+@st.composite
+def situation(draw, image_id):
+    verbs = [draw(VERBS) for _ in range(5)]
+    entities = [[draw(NOUNS) for _ in LEXICON[v]] for v in verbs]
+    boxes = [[draw(OPTIONAL_BOX) for _ in row] for row in entities]
+    return {"id": image_id, "verbs": verbs, "entities": entities, "boxes": boxes}
+
+
+@st.composite
+def chain_node(draw):
+    verb = draw(VERBS)
+    roles = LEXICON[verb]
+    return {"verb": verb, "nouns": {r: draw(NOUNS) for r in roles},
+            "boxes": {r: draw(OPTIONAL_BOX) for r in roles}, "query_box": draw(OPTIONAL_BOX)}
+
+
+def records(make):
+    """A file of up to three records with distinct ids."""
+    return st.lists(IDS, max_size=3, unique=True).flatmap(
+        lambda ids: st.tuples(*(make(i) for i in ids)).map(list))
+
+
+DATASET_FILE = corrupted(records(image))
+VOCAB_FILE = corrupted(st.just(VOCAB) | st.just({n: None for n in VOCAB}))
+LEXICON_FILE = corrupted(st.just(LEXICON))
+PREDICTIONS_FILE = corrupted(records(prediction))
+FUSE_FILE = corrupted(records(fuse_detections))
+OBJECTS_FILE = corrupted(records(object_detections))
+SITUATIONS_FILE = corrupted(records(situation))
+CHAIN_FILE = corrupted(st.lists(chain_node(), max_size=3))
+BOXES_FILE = corrupted(st.lists(BOX, max_size=4))
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def loads_or_dataset_error(load, value, *args):
+    try:
+        load(io.StringIO(json.dumps(value)), *args)
+    except DatasetError:
+        pass
+
+
+@PROPERTY
+@given(dataset=DATASET_FILE, lexicon=LEXICON_FILE, vocab=VOCAB_FILE)
+def test_validate_and_stats_agree_on_any_json(dataset, lexicon, vocab):
+    loads_or_dataset_error(load_dataset, dataset, io.StringIO(json.dumps(lexicon)),
+                           io.StringIO(json.dumps(vocab)))
+    with tempfile.TemporaryDirectory() as d:
+        write_files(d, {"dataset.json": dataset, "lexicon.json": lexicon, "vocab.json": vocab})
+        v_status, v_out, _ = run(command("validate", d))
+        s_status, s_out, s_err = run(command("stats", d))
+    assert v_status in (0, 1) and s_status in (0, 1)
+    assert (v_status == 0) == (s_status == 0), (v_out, s_err)
+    if s_status:
+        assert s_out == "" and s_err.count("\n") == 1 and s_err.startswith("error: ")
+
+
+@PROPERTY
+@given(preds=PREDICTIONS_FILE, fuse=FUSE_FILE, objects=OBJECTS_FILE,
+       situations=SITUATIONS_FILE, nodes=CHAIN_FILE, boxes=BOXES_FILE)
+def test_other_loaders_return_or_raise_dataset_error(preds, fuse, objects, situations,
+                                                     nodes, boxes):
+    loads_or_dataset_error(load_predictions, preds, parse_lexicon(LEXICON))
+    loads_or_dataset_error(load_detection_sets, fuse)
+    loads_or_dataset_error(load_object_detections, objects)
+    loads_or_dataset_error(load_situations, situations)
+    loads_or_dataset_error(load_chain_nodes, nodes)
+    loads_or_dataset_error(load_boxes, boxes)
