@@ -34,6 +34,7 @@ from .geometry import (  # noqa: F401
     ScoredBox,
     cluster_aspect_ratios,
     iou,
+    iou_row,
     match_anchors,
     nms,
 )

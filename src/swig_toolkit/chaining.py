@@ -11,8 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .frame_model import NULL_NOUN, BoundingBox, GroundedFrame
-from .geometry import iou
+from .geometry import iou_row
 
 DEFAULT_SPATIAL_IOU = 0.4  # below the 0.5 metric threshold: boxes for the
 # same entity can come from different conditional passes
@@ -76,21 +78,38 @@ def chain(nodes: list, spatial_iou: float = DEFAULT_SPATIAL_IOU,
     """
     if not nodes:
         raise ValueError("chain requires at least one node")
+    # one row per role slot, nodes in order: owner node, role, noun code, box
+    slots = [
+        (i, role, noun, box)
+        for i, node in enumerate(nodes)
+        for (role, noun), box in zip(node.frame.role_values, node.frame.groundings)
+    ]
+    owner = np.array([s[0] for s in slots], dtype=np.int64)
+    codes = {}
+    noun = np.array([-1 if s[2] == NULL_NOUN else codes.setdefault(s[2], len(codes))
+                     for s in slots], dtype=np.int64)
+    boxes = np.array([s[3].as_list() if s[3] is not None else [np.nan] * 4 for s in slots],
+                     dtype=np.float64).reshape(-1, 4)
+    grounded = ~np.isnan(boxes[:, 0])
+    bounds = np.searchsorted(owner, np.arange(len(nodes) + 1))
+
     edges = []
     for i in range(len(nodes)):
-        for j in range(i + 1, len(nodes)):
-            fi, fj = nodes[i].frame, nodes[j].frame
-            for ai, (role_a, noun_a) in enumerate(fi.role_values):
-                for bj, (role_b, noun_b) in enumerate(fj.role_values):
-                    box_a, box_b = fi.groundings[ai], fj.groundings[bj]
-                    nouns_equal = noun_a == noun_b and noun_a != NULL_NOUN
-                    if box_a is not None and box_b is not None:
-                        if not require_noun_match or nouns_equal:
-                            overlap = iou(box_a, box_b)
-                            if overlap >= spatial_iou:
-                                edges.append(
-                                    ChainEdge(i, role_a, j, role_b, "spatial", 1.0 + overlap)
-                                )
-                    if nouns_equal:
-                        edges.append(ChainEdge(i, role_a, j, role_b, "semantic", 1.0))
+        lo, hi = bounds[i], bounds[i + 1]
+        # slots of node i (rows) against the slots of every later node (columns)
+        same = (noun[lo:hi, None] == noun[None, hi:]) & (noun[lo:hi, None] >= 0)
+        overlap = np.full((hi - lo, len(slots) - hi), np.nan)  # NaN where either is ungrounded
+        for a in np.flatnonzero(grounded[lo:hi]):
+            overlap[a] = iou_row(boxes[lo + a], boxes[hi:])
+        spatial = overlap >= spatial_iou
+        if require_noun_match:
+            spatial &= same
+        rows, cols = np.nonzero(spatial | same)
+        order = np.lexsort((cols, rows, owner[hi + cols]))  # (node_j, role_a, role_b)
+        for a, b in zip(rows[order].tolist(), cols[order].tolist()):
+            role_a, j, role_b = slots[lo + a][1], slots[hi + b][0], slots[hi + b][1]
+            if spatial[a, b]:
+                edges.append(ChainEdge(i, role_a, j, role_b, "spatial", 1.0 + overlap.item(a, b)))
+            if same[a, b]:
+                edges.append(ChainEdge(i, role_a, j, role_b, "semantic", 1.0))
     return ChainGraph(tuple(nodes), tuple(edges))

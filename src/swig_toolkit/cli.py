@@ -2,9 +2,9 @@
 anchors, gradcheck.
 
 Machine output is JSON; human-facing tables only ever go to stdout.
-`--out -` streams JSON to stdout, any other path is written atomically
-(temp file then rename). Exit status: 0 success, 1 validation failure,
-2 usage error.
+`--out -` streams JSON to stdout, a regular file path is written atomically
+(temp file then rename), and an existing FIFO or device is written in
+place. Exit status: 0 success, 1 validation failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .dataset_io import (
     _read_json,
 )
 from .frame_model import FrameModelError
-from .fusion import DEFAULT_FUSION_THRESHOLD, assign_groundings
+from .fusion import DEFAULT_FUSION_THRESHOLD, FusionError, assign_groundings
 from .geometry import cluster_aspect_ratios
 from .loss_kernels import FocalParams, SmoothingParams, focal_loss, l1_reg, smoothed_ce
 from .metrics import ValueAllMode, VerbSetting, evaluate, format_table
@@ -54,6 +54,11 @@ def write_output(payload, out: str):
     text = json.dumps(payload, indent=2, sort_keys=True)
     if out == "-":
         sys.stdout.write(text + "\n")
+        return
+    if os.path.exists(out) and not os.path.isfile(out):
+        # a FIFO or device: renaming over it would replace it with a regular file
+        with open(out, "w", encoding="utf-8") as f:
+            f.write(text + "\n")
         return
     directory = os.path.dirname(os.path.abspath(out))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -119,10 +124,13 @@ def cmd_fuse(args) -> int:
     for pred in predictions:
         if pred.image_id not in detections:
             raise DatasetError(f"no detections for image {pred.image_id!r}")
-        fused = {
-            verb: assign_groundings(frame, detections[pred.image_id], args.fusion_threshold)
-            for verb, frame in sorted(pred.frames.items())
-        }
+        try:
+            fused = {
+                verb: assign_groundings(frame, detections[pred.image_id], args.fusion_threshold)
+                for verb, frame in sorted(pred.frames.items())
+            }
+        except FusionError as e:
+            raise DatasetError(f"image {pred.image_id!r}, {e}") from e
         out.append(
             {
                 "id": pred.image_id,

@@ -56,7 +56,8 @@ def assign_groundings(frame: GroundedFrame, detections: DetectionSet,
             groundings.append(None)
             continue
         if noun not in detections.noun_index:
-            raise FusionError(f"noun {noun!r} absent from detection vocabulary")
+            raise FusionError(f"verb {frame.verb!r}, role {role!r}: noun {noun!r} absent "
+                              "from detection vocabulary")
         col = detections.noun_scores[:, detections.noun_index[noun]]
         best = int(np.argmax(col))  # np.argmax returns the first maximum
         groundings.append(detections.boxes[best] if col[best] >= threshold else None)

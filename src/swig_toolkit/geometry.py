@@ -67,6 +67,26 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return inter / (a.area + b.area - inter)
 
 
+def box_array(boxes) -> np.ndarray:
+    """(M, 4) float64 array of [x1, y1, x2, y2] rows, one per BoundingBox."""
+    return np.array([b.as_list() for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
+def iou_row(box, boxes: np.ndarray) -> np.ndarray:
+    """IoU of one box [x1, y1, x2, y2] against each row of an (M, 4) float64 array.
+
+    Uses the float operations of `iou` in the same order, so entry k equals
+    iou(box, boxes[k]) bit for bit: clamping a non-positive overlap side to
+    +0.0 makes a disjoint pair's IoU 0.0 / union = 0.0. A NaN row gives NaN.
+    """
+    x1, y1, x2, y2 = map(float, box)
+    bx1, by1, bx2, by2 = boxes.T
+    ix = np.minimum(x2, bx2) - np.maximum(x1, bx1)
+    iy = np.minimum(y2, by2) - np.maximum(y1, by1)
+    inter = np.maximum(0.0, ix) * np.maximum(0.0, iy)
+    return inter / ((x2 - x1) * (y2 - y1) + (bx2 - bx1) * (by2 - by1) - inter)
+
+
 def nms(candidates: list, iou_threshold: float, keep: int) -> list:
     """Greedy score-descending non-maximum suppression.
 
@@ -78,12 +98,15 @@ def nms(candidates: list, iou_threshold: float, keep: int) -> list:
     if not 0 <= iou_threshold <= 1:
         raise ValueError(f"iou_threshold must be in [0,1], got {iou_threshold}")
     order = sorted(range(len(candidates)), key=lambda i: (-candidates[i].score, i))
+    boxes = box_array([candidates[i].box for i in order])
+    alive = np.ones(len(order), dtype=bool)
     kept = []
-    for i in order:
+    for pos, i in enumerate(order):
         if len(kept) >= keep:
             break
-        if all(iou(candidates[i].box, candidates[j].box) <= iou_threshold for j in kept):
+        if alive[pos]:
             kept.append(i)
+            alive[pos + 1:] &= iou_row(boxes[pos], boxes[pos + 1:]) <= iou_threshold
     return kept
 
 
@@ -142,4 +165,4 @@ def _lloyd(values: np.ndarray, centroids: np.ndarray, max_iter: int = 100):
 
 def match_anchors(anchors: list, gt: BoundingBox, positive_iou: float = 0.5) -> list:
     """Label each anchor positive iff IoU with gt reaches positive_iou."""
-    return [iou(a, gt) >= positive_iou for a in anchors]
+    return (iou_row(gt.as_list(), box_array(anchors)) >= positive_iou).tolist()

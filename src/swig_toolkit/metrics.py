@@ -108,12 +108,17 @@ def evaluate(dataset: Dataset, predictions: list, setting: VerbSetting,
 
     Per-verb value = passed role slots / total role slots over that verb's
     images; the *_all metrics count whole images. Every dataset image must
-    have a prediction.
+    have a prediction, and every prediction must name a dataset image.
     """
     by_id = {p.image_id: p for p in predictions}
     missing = [img.image_id for img in dataset.images if img.image_id not in by_id]
     if missing:
         raise EvaluationError(f"missing predictions for images: {missing}")
+    known = {img.image_id for img in dataset.images}
+    stray = [p.image_id for p in predictions if p.image_id not in known]
+    if stray:
+        more = f" (and {len(stray) - 1} more)" if len(stray) > 1 else ""
+        raise EvaluationError(f"prediction {stray[0]!r}: no such image in the dataset{more}")
 
     acc = {}  # verb -> accumulator dict
     for image in dataset.images:

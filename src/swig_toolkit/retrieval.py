@@ -210,11 +210,17 @@ def read_embeddings(path):
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != EMBEDDING_MAGIC:
-            raise RetrievalError(f"bad embedding file magic: {magic!r}")
-        count, dim = struct.unpack("<II", f.read(8))
-        data = np.frombuffer(f.read(count * dim * 4), dtype="<f4")
-    if data.size != count * dim:
-        raise RetrievalError("embedding file truncated")
+            raise RetrievalError(f"{path}: bad embedding file magic: {magic!r}")
+        header = f.read(8)
+        if len(header) != 8:
+            raise RetrievalError(f"{path}: embedding file header truncated "
+                                 f"({4 + len(header)} of 12 bytes)")
+        count, dim = struct.unpack("<II", header)
+        payload = f.read()  # not f.read(count * dim * 4): a corrupt header may declare exabytes
+    if len(payload) < count * dim * 4:
+        raise RetrievalError(f"{path}: embedding file truncated: the header declares "
+                             f"{count}x{dim} float32 values, {len(payload)} bytes follow")
+    data = np.frombuffer(payload, dtype="<f4", count=count * dim)
     with open(str(path) + ".ids", "r", encoding="utf-8") as f:
         ids = [line for line in f.read().splitlines() if line]
     if len(ids) != count:

@@ -169,3 +169,26 @@ def topk_naive(query, search_ids, similarity, k):
         key=lambda t: (-t[1], t[0]),
     )
     return pairs[:k]
+
+
+def chain_naive(nodes, spatial_iou, require_noun_match=False):
+    """Brute-force scan of every role pair across distinct nodes.
+
+    Returns (node_i, role_a, node_j, role_b, type, strength) tuples in the
+    order i < j, then role position in i, then role position in j, with a
+    pair's spatial edge before its semantic one.
+    """
+    edges = []
+    for i, j in itertools.combinations(range(len(nodes)), 2):
+        frame_i, frame_j = nodes[i].frame, nodes[j].frame
+        for (role_a, noun_a), box_a in zip(frame_i.role_values, frame_i.groundings):
+            for (role_b, noun_b), box_b in zip(frame_j.role_values, frame_j.groundings):
+                same_noun = noun_a != "" and noun_a == noun_b
+                both_grounded = box_a is not None and box_b is not None
+                if both_grounded and (same_noun or not require_noun_match):
+                    overlap = iou_exact(box_a, box_b)
+                    if overlap >= spatial_iou:
+                        edges.append((i, role_a, j, role_b, "spatial", 1.0 + overlap))
+                if same_noun:
+                    edges.append((i, role_a, j, role_b, "semantic", 1.0))
+    return edges

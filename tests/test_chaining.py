@@ -1,7 +1,11 @@
+import random
+
 import pytest
 
 from swig_toolkit import BoundingBox, GroundedFrame, SituationNode, chain
 from swig_toolkit.geometry import iou
+from conftest import make_box
+from oracles import chain_naive
 
 
 def node(verb, role_nouns, role_boxes):
@@ -98,3 +102,28 @@ class TestChain:
         b = BoundingBox(0, 0, 10, 10)
         graph = chain([simple_node("man", b), simple_node("man", b)], spatial_iou=0.0)
         assert all(0 < e.strength <= 2 for e in graph.edges)
+
+
+def random_nodes(rng, count):
+    """Nodes of 1-6 roles over few nouns and a small canvas, so shared nouns,
+    null nouns, ungrounded roles and overlapping boxes are all common."""
+    nodes = []
+    for _ in range(count):
+        roles = [(f"R{k}", rng.choice(["man", "dog", "bread", ""])) for k in range(rng.randint(1, 6))]
+        boxes = [rng.choice([make_box(rng, 40.0), make_box(rng, 40.0), None]) for _ in roles]
+        if boxes[0] is not None and rng.random() < 0.3:
+            boxes[-1] = boxes[0]  # identical groundings: IoU exactly 1
+        nodes.append(node("v", roles, boxes))
+    return nodes
+
+
+@pytest.mark.parametrize("require_noun_match", [False, True])
+def test_edges_equal_the_brute_force_scan_in_order(require_noun_match):
+    rng = random.Random(31 + require_noun_match)
+    for trial in range(40):
+        nodes = random_nodes(rng, rng.randint(1, 12))
+        spatial_iou = rng.choice([0.0, 0.4, 1.0, rng.random()])
+        graph = chain(nodes, spatial_iou, require_noun_match)
+        got = [(e.node_i, e.role_a, e.node_j, e.role_b, e.link_type, e.strength) for e in graph.edges]
+        assert got == chain_naive(nodes, spatial_iou, require_noun_match), trial
+        assert all(type(e.node_j) is int and type(e.strength) is float for e in graph.edges)

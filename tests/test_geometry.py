@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swig_toolkit import AnchorConfig, BoundingBox, ScoredBox, cluster_aspect_ratios, iou, match_anchors, nms
+from swig_toolkit.geometry import box_array, iou_row
 from conftest import make_box
 from oracles import clustering_cost, iou_raster, kmeans_1d_optimal_cost, nms_naive
 import numpy as np
@@ -40,7 +43,70 @@ class TestIou:
                 assert iou(a, b) < 1.0
 
 
+COORD = st.integers(0, 50) | st.floats(0, 50)
+SIDE = st.integers(1, 30) | st.floats(1e-3, 30)
+
+
+@st.composite
+def box_and_relatives(draw):
+    """A box and a list mixing arbitrary boxes with ones identical to it,
+    contained in it, touching it along an edge and disjoint from it."""
+    x, y, w, h = draw(COORD), draw(COORD), draw(SIDE), draw(SIDE)
+    a = BoundingBox(x, y, x + w, y + h)
+    relatives = [
+        a,
+        BoundingBox(x + w / 4, y + h / 4, x + w / 2, y + h / 2),
+        BoundingBox(x + w, y, x + 2 * w, y + h),
+        BoundingBox(x, y + h, x + w, y + 2 * h),
+        BoundingBox(x + 2 * w, y + 2 * h, x + 3 * w, y + 3 * h),
+    ]
+    others = draw(st.lists(st.builds(lambda x, y, w, h: BoundingBox(x, y, x + w, y + h),
+                                     COORD, COORD, SIDE, SIDE), max_size=6))
+    return a, draw(st.permutations(relatives + others))
+
+
+class TestIouRow:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(box_and_relatives())
+    def test_equals_scalar_iou_bit_for_bit(self, case):
+        a, boxes = case
+        row = iou_row(a.as_list(), box_array(boxes))
+        expected = np.array([iou(a, b) for b in boxes], dtype=np.float64)
+        assert row.dtype == np.float64 and row.shape == (len(boxes),)
+        assert np.array_equal(row.view(np.uint64), expected.view(np.uint64))
+
+    def test_empty_array(self):
+        assert iou_row([0, 0, 1, 1], box_array([])).shape == (0,)
+
+
+def scored_boxes(rng, n, canvas, side, clusters):
+    """n boxes with two-decimal scores (so many ties), spread uniformly over
+    the canvas or jittered around `clusters` centres."""
+    centres = [(rng.uniform(0, canvas), rng.uniform(0, canvas)) for _ in range(clusters)]
+    out = []
+    for _ in range(n):
+        w, h = rng.uniform(*side), rng.uniform(*side)
+        if centres:
+            cx, cy = rng.choice(centres)
+            x, y = max(0.0, cx + rng.gauss(0, side[0] / 4)), max(0.0, cy + rng.gauss(0, side[0] / 4))
+        else:
+            x, y = rng.uniform(0, canvas), rng.uniform(0, canvas)
+        out.append(ScoredBox(BoundingBox(x, y, x + w, y + h), round(rng.random(), 2)))
+    return out
+
+
 class TestNms:
+    @pytest.mark.parametrize("canvas,side,clusters,keep", [
+        (4000, (10, 60), 0, 150),      # sparse: nearly every box survives, so the limit binds
+        (1000, (40, 120), 60, 2000),   # clustered: suppression ends the walk
+    ], ids=["sparse", "clustered"])
+    def test_matches_naive_reference_on_2000_boxes(self, canvas, side, clusters, keep):
+        rng = random.Random(clusters)
+        candidates = scored_boxes(rng, 2000, canvas, side, clusters)
+        kept = nms(candidates, 0.5, keep)
+        assert kept == nms_naive(candidates, 0.5, keep)
+        assert len(kept) == keep if not clusters else len(kept) < 2000
+
     def test_single_box(self):
         assert nms([ScoredBox(BoundingBox(0, 0, 1, 1), 0.5)], 0.5, 100) == [0]
 

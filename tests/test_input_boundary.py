@@ -9,7 +9,9 @@ import io
 import json
 import os
 import stat
+import struct
 import tempfile
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -72,6 +74,8 @@ def command(name, d):
     lex, voc = ["--lexicon", f"{d}/lexicon.json"], ["--vocab", f"{d}/vocab.json"]
     return {
         "validate": ["validate", f"{d}/dataset.json", *lex, *voc],
+        "eval": ["eval", "--dataset", f"{d}/dataset.json", "--preds", f"{d}/preds.json",
+                 *lex, *voc, "--out", "-"],
         "stats": ["stats", f"{d}/dataset.json", *lex, *voc, "--out", "-"],
         "fuse": ["fuse", "--frames", f"{d}/preds.json", "--detections", f"{d}/dets.json",
                  *lex, "--out", "-"],
@@ -145,6 +149,11 @@ PROBES = [
      ("validate", "stats"), ("image 'img1.jpg'", "frames[0]['Agent']")),
     ("fuse-without-nouns", _delete(("dets.json", 0, "nouns")),
      ("fuse",), ("detections 'img1.jpg'", "nouns")),
+    ("fuse-noun-not-detected", lambda f: f["dets.json"][0].update(nouns=["man"], noun_scores=[[3.0]]),
+     ("fuse",), ("image 'img1.jpg'", "verb 'kneading'", "role 'Item'", "'dough'")),
+    ("stray-prediction-ids",
+     lambda f: f["preds.json"].extend(dict(f["preds.json"][0], id=i) for i in ("ghost.jpg", "x.jpg")),
+     ("eval",), ("prediction 'ghost.jpg'", "(and 1 more)")),
     ("situations-without-entities", _delete(("sits.json", 0, "entities")),
      ("retrieve",), ("situation 'img0'", "entities")),
     ("chain-nouns-string", _set(("chain.json", 0, "nouns"), "man"),
@@ -215,6 +224,41 @@ def test_write_output_uses_the_umask_default_mode(tmp_path, umask):
     assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
     assert json.loads(out.read_text()) == {"a": 1}
     assert os.listdir(tmp_path) == ["report.json"]
+
+
+@pytest.mark.parametrize("content", [
+    b"SWGE\x01\x00",                                        # the count/dim header is cut
+    b"SWGE" + struct.pack("<II", 2**32 - 1, 2**32 - 1),       # declares about 7e19 bytes
+    b"SWGE" + struct.pack("<II", 1, 4) + b"\x00" * 12,        # one float32 short
+], ids=["short-header", "huge-count", "short-payload"])
+def test_bad_embedding_file_is_one_named_error(tmp_path, content):
+    (tmp_path / "emb.swge").write_bytes(content)
+    (tmp_path / "emb.swge.ids").write_text("img0\n")
+    (tmp_path / "ids.txt").write_text("img0\n")
+    status, out, err = run(["retrieve", "--mode", "l2", "--query", f"{tmp_path}/ids.txt",
+                            "--search", f"{tmp_path}/ids.txt",
+                            "--embeddings", f"{tmp_path}/emb.swge", "--out", "-"])
+    assert status == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "emb.swge" in err, err
+
+
+def test_write_output_writes_a_fifo_in_place(tmp_path):
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    try:
+        write_output({"a": 1}, str(fifo))
+    finally:
+        if reader.is_alive():  # unblock the reader if the write never opened the FIFO
+            with open(fifo, "w"):
+                pass
+        reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert json.loads(received[0]) == {"a": 1}
+    assert os.listdir(tmp_path) == ["out.fifo"]
 
 
 # ---- property tests over arbitrary JSON ------------------------------------
