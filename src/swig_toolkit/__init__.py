@@ -18,7 +18,6 @@ from .frame_model import (  # noqa: F401
     PredictionRecord,
     VerbEntry,
     VerbLexicon,
-    validate_frame,
 )
 from .dataset_io import (  # noqa: F401
     Dataset,
@@ -30,12 +29,10 @@ from .dataset_io import (  # noqa: F401
     merge_worker_boxes,
 )
 from .geometry import (  # noqa: F401
-    AnchorConfig,
     ScoredBox,
     cluster_aspect_ratios,
     iou,
     iou_row,
-    match_anchors,
     nms,
 )
 from .fusion import DetectionSet, assign_groundings  # noqa: F401
@@ -63,7 +60,6 @@ from .retrieval import (  # noqa: F401
     gr_sit_sim,
     l2_similarity,
     obj_sim,
-    obj_sim_symmetric,
     retrieve_topk,
     sit_sim,
     split_query_search,

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .frame_model import NULL_NOUN, BoundingBox, GroundedFrame
+from .frame_model import NULL_NOUN, BoundingBox, GroundedFrame, frame_to_json
 from .geometry import iou_row
 
 DEFAULT_SPATIAL_IOU = 0.4  # below the 0.5 metric threshold: boxes for the
@@ -44,15 +44,8 @@ class ChainGraph:
     def to_dict(self) -> dict:
         return {
             "nodes": [
-                {
-                    "verb": n.frame.verb,
-                    "nouns": dict(n.frame.role_values),
-                    "boxes": {
-                        role: (box.as_list() if box else None)
-                        for (role, _), box in zip(n.frame.role_values, n.frame.groundings)
-                    },
-                    "query_box": n.query_box.as_list() if n.query_box else None,
-                }
+                {**frame_to_json(n.frame),
+                 "query_box": n.query_box.as_list() if n.query_box else None}
                 for n in self.nodes
             ],
             "edges": [

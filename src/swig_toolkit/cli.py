@@ -22,7 +22,6 @@ from .chaining import chain
 from .dataset_io import (
     DatasetError,
     compute_stats,
-    frame_to_json,
     load_boxes,
     load_chain_nodes,
     load_dataset,
@@ -35,7 +34,7 @@ from .dataset_io import (
     parse_vocabulary,
     _read_json,
 )
-from .frame_model import FrameModelError
+from .frame_model import FrameModelError, frame_to_json
 from .fusion import DEFAULT_FUSION_THRESHOLD, FusionError, assign_groundings
 from .geometry import cluster_aspect_ratios
 from .loss_kernels import FocalParams, SmoothingParams, focal_loss, l1_reg, smoothed_ce
@@ -55,13 +54,13 @@ def write_output(payload, out: str):
     if out == "-":
         sys.stdout.write(text + "\n")
         return
+    out = os.path.realpath(out)  # a symlink stays a link: its target gets the JSON
     if os.path.exists(out) and not os.path.isfile(out):
         # a FIFO or device: renaming over it would replace it with a regular file
         with open(out, "w", encoding="utf-8") as f:
             f.write(text + "\n")
         return
-    directory = os.path.dirname(os.path.abspath(out))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(out), suffix=".tmp")
     umask = os.umask(0)  # reading the umask means setting it, so set it back
     os.umask(umask)
     try:

@@ -7,7 +7,7 @@ the record and the field it comes from.
 Canonical file formats (UTF-8 JSON):
 
   lexicon:     {verb: [role, ...], ...}
-  vocabulary:  {noun_id: gloss_or_null, ...} or [noun_id, ...]
+  vocabulary:  {noun_id: gloss_or_null, ...} (values are not read) or [noun_id, ...]
   dataset:     [{"id", "width", "height", "verb",
                  "frames": [{role: noun_or_""} x3],
                  "boxes": {role: [x1,y1,x2,y2] or null}}, ...]
@@ -70,7 +70,6 @@ class Dataset:
     lexicon: VerbLexicon
     vocabulary: NounVocabulary
     images: tuple  # of AnnotatedImage
-    split: str = "unspecified"
 
 
 @dataclass
@@ -125,9 +124,7 @@ def parse_lexicon(obj: dict) -> VerbLexicon:
 
 def parse_vocabulary(obj) -> NounVocabulary:
     if isinstance(obj, dict):
-        ids = frozenset(obj.keys()) - {NULL_NOUN}
-        glosses = {k: v for k, v in obj.items() if isinstance(v, str)}
-        return NounVocabulary(ids, glosses)
+        return NounVocabulary(frozenset(obj.keys()) - {NULL_NOUN})
     if isinstance(obj, list):
         if not all(isinstance(n, str) for n in obj):
             raise DatasetError("vocabulary array must hold only noun id strings")
@@ -196,20 +193,15 @@ def _box_list(raw, where: str) -> tuple:
     return boxes
 
 
-def merge_worker_boxes(boxes: list, allow_any_count: bool = False) -> BoundingBox:
-    """Merge worker annotations by coordinate-wise arithmetic mean.
-
-    Exactly 3 boxes are required unless allow_any_count relaxes the rule
-    for fixtures.
-    """
-    if len(boxes) != 3 and not (allow_any_count and boxes):
+def merge_worker_boxes(boxes: list) -> BoundingBox:
+    """Merge exactly 3 worker annotations by coordinate-wise arithmetic mean."""
+    if len(boxes) != 3:
         raise DatasetError(f"expected exactly 3 worker boxes, got {len(boxes)}")
-    n = len(boxes)
     return BoundingBox(
-        sum(b.x1 for b in boxes) / n,
-        sum(b.y1 for b in boxes) / n,
-        sum(b.x2 for b in boxes) / n,
-        sum(b.y2 for b in boxes) / n,
+        sum(b.x1 for b in boxes) / 3,
+        sum(b.y1 for b in boxes) / 3,
+        sum(b.x2 for b in boxes) / 3,
+        sum(b.y2 for b in boxes) / 3,
     )
 
 
@@ -332,7 +324,7 @@ def _parse_image(rec: dict, image_id, label: str, lexicon: VerbLexicon,
 
 
 def load_dataset(annotation_source, lexicon_source, vocabulary_source,
-                 split: str = "unspecified", warnings: Optional[list] = None) -> Dataset:
+                 warnings: Optional[list] = None) -> Dataset:
     """Parse and validate a dataset from JSON sources (paths or parsed objects).
 
     Raises DatasetError with the first violation `parse_dataset` finds,
@@ -345,7 +337,7 @@ def load_dataset(annotation_source, lexicon_source, vocabulary_source,
     if violations:
         more = f" (and {len(violations) - 1} more)" if len(violations) > 1 else ""
         raise DatasetError(violations[0] + more)
-    return Dataset(lexicon, vocabulary, tuple(images), split)
+    return Dataset(lexicon, vocabulary, tuple(images))
 
 
 def _records(source, kind: str):
@@ -377,7 +369,6 @@ def load_predictions(source, lexicon: VerbLexicon) -> list:
         if not verbs:
             raise DatasetError(f"{where}, verbs: must be a non-empty list")
         frames = {}
-        flags = {}
         for verb, raw in _get(rec, "frames", dict, where, {}).items():
             if verb not in lexicon:
                 raise DatasetError(f"{where}: unknown verb {verb!r}")
@@ -386,7 +377,7 @@ def load_predictions(source, lexicon: VerbLexicon) -> list:
             nouns = _get(raw, "nouns", dict, at, {})
             boxes = _get(raw, "boxes", dict, at, {})
             grounded = _get(raw, "grounded", dict, at, {})
-            values, groundings, role_flags = [], [], []
+            values, groundings = [], []
             for role in lexicon.roles(verb):
                 if role not in nouns:
                     raise DatasetError(f"{at}, nouns: missing noun for role {role!r}")
@@ -399,11 +390,9 @@ def load_predictions(source, lexicon: VerbLexicon) -> list:
                     box = parse_box(box, f"{at}, boxes[{role!r}]")
                 flag = grounded[role] if role in grounded else box is not None
                 groundings.append(box if flag else None)
-                role_flags.append(bool(flag) and box is not None)
             frames[verb] = GroundedFrame(verb, tuple(values), tuple(groundings))
-            flags[verb] = tuple(role_flags)
         try:
-            out[image_id] = PredictionRecord(image_id, verbs, frames, flags)
+            out[image_id] = PredictionRecord(image_id, verbs, frames)
         except FrameModelError as e:
             raise DatasetError(str(e)) from e
     return list(out.values())
@@ -551,14 +540,3 @@ def _read_json(source):
         return json.load(source)
     with open(source, "r", encoding="utf-8") as f:
         return json.load(f)
-
-
-def frame_to_json(frame: GroundedFrame) -> dict:
-    return {
-        "verb": frame.verb,
-        "nouns": {role: noun for role, noun in frame.role_values},
-        "boxes": {
-            role: (box.as_list() if box is not None else None)
-            for (role, _), box in zip(frame.role_values, frame.groundings)
-        },
-    }

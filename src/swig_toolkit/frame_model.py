@@ -8,7 +8,7 @@ structural error, not a null value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 NULL_NOUN = ""
@@ -98,10 +98,9 @@ class VerbLexicon:
 
 @dataclass(frozen=True)
 class NounVocabulary:
-    """Set of noun ids with optional glosses. The null value "" is not a member."""
+    """Set of noun ids. The null value "" is not a member."""
 
     ids: frozenset
-    glosses: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if NULL_NOUN in self.ids:
@@ -186,7 +185,6 @@ class PredictionRecord:
     image_id: str
     verb_ranking: tuple  # of verb ids, best first
     frames: dict  # verb -> GroundedFrame
-    grounded_flags: dict  # verb -> tuple of bool, parallel to frame roles
 
     def __post_init__(self):
         if not self.verb_ranking:
@@ -198,37 +196,13 @@ class PredictionRecord:
                 )
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One structural rule violation; role_index is -1 for frame-level rules."""
-
-    rule: str
-    role_index: int
-    detail: str = ""
-
-
-def validate_frame(frame: GroundedFrame, lexicon: VerbLexicon) -> list:
-    """Check a frame against the lexicon; returns a list of Violations.
-
-    A valid frame yields an empty list. Violations are data, not
-    exceptions: every broken invariant is reported with its role index.
-    """
-    report = []
-    if frame.verb not in lexicon:
-        report.append(Violation("unknown-verb", -1, frame.verb))
-        return report
-    expected = lexicon.roles(frame.verb)
-    if frame.roles != expected:
-        report.append(
-            Violation(
-                "role-mismatch",
-                -1,
-                f"expected {list(expected)}, got {list(frame.roles)}",
-            )
-        )
-    for i, ((role, noun), box) in enumerate(zip(frame.role_values, frame.groundings)):
-        if noun == NULL_NOUN and box is not None:
-            report.append(Violation("null-noun-grounded", i, role))
-        if role == PLACE_ROLE and box is not None:
-            report.append(Violation("place-grounded", i, role))
-    return report
+def frame_to_json(frame: GroundedFrame) -> dict:
+    """The file form of a frame: {"verb", "nouns": {role: noun}, "boxes": {role: box_or_null}}."""
+    return {
+        "verb": frame.verb,
+        "nouns": dict(frame.role_values),
+        "boxes": {
+            role: (box.as_list() if box is not None else None)
+            for (role, _), box in zip(frame.role_values, frame.groundings)
+        },
+    }

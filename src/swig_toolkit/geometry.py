@@ -1,4 +1,4 @@
-"""Detection-geometry kernels: IoU, NMS, aspect-ratio clustering, anchor matching.
+"""Detection-geometry kernels: IoU, NMS, aspect-ratio clustering.
 
 Boxes are closed real rectangles with continuous areas, not pixel sets.
 All functions are pure and deterministic.
@@ -21,40 +21,6 @@ class ScoredBox:
     def __post_init__(self):
         if not np.isfinite(self.score):
             raise ValueError(f"score must be finite, got {self.score}")
-
-
-@dataclass(frozen=True)
-class AnchorConfig:
-    """Anchor grid configuration for a feature pyramid.
-
-    drop_finest_level removes the first (finest) pyramid level; no feature
-    maps exist here, the option only affects the level list and the region
-    budget arithmetic.
-    """
-
-    pyramid_levels: tuple  # of (grid_w, grid_h)
-    aspect_ratios: tuple  # h/w ratios
-    scales: tuple
-    top_regions: int = 100
-    drop_finest_level: bool = False
-
-    def __post_init__(self):
-        if self.top_regions < 1:
-            raise ValueError("top_regions must be >= 1")
-        if not self.aspect_ratios or not self.scales:
-            raise ValueError("aspect_ratios and scales must be non-empty")
-
-    @property
-    def levels(self) -> tuple:
-        return self.pyramid_levels[1:] if self.drop_finest_level else self.pyramid_levels
-
-    @property
-    def anchors_per_cell(self) -> int:
-        return len(self.aspect_ratios) * len(self.scales)
-
-    @property
-    def total_anchors(self) -> int:
-        return sum(w * h * self.anchors_per_cell for w, h in self.levels)
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
@@ -161,8 +127,3 @@ def _lloyd(values: np.ndarray, centroids: np.ndarray, max_iter: int = 100):
                 centroids[c] = members.mean()
     cost = float(np.sum((values - centroids[assign]) ** 2))
     return centroids, cost
-
-
-def match_anchors(anchors: list, gt: BoundingBox, positive_iou: float = 0.5) -> list:
-    """Label each anchor positive iff IoU with gt reaches positive_iou."""
-    return (iou_row(gt.as_list(), box_array(anchors)) >= positive_iou).tolist()

@@ -84,19 +84,16 @@ def _score_image(image, frame: Optional[GroundedFrame], value_all_mode: ValueAll
     n = len(roles)
     if frame is None or frame.roles != roles:
         return [False] * n, [False] * n, False
+    predicted = frame.nouns
+    annotated = [f.nouns for f in image.annotator_frames]
     noun_ok, both_ok = [], []
     for i, role in enumerate(roles):
-        predicted = frame.nouns[i]
-        annotators = [f.nouns[i] for f in image.annotator_frames]
-        ok = score_noun(predicted, annotators)
+        ok = score_noun(predicted[i], [nouns[i] for nouns in annotated])
         grounded_ok = ok and score_grounding(frame.groundings[i], image.gt_groundings.get(role))
         noun_ok.append(ok)
         both_ok.append(grounded_ok)
     if value_all_mode is ValueAllMode.SINGLE_ANNOTATOR:
-        value_all = any(
-            all(frame.nouns[i] == f.nouns[i] for i in range(n))
-            for f in image.annotator_frames
-        )
+        value_all = predicted in annotated
     else:
         value_all = all(noun_ok)
     return noun_ok, both_ok, value_all

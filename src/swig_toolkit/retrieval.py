@@ -89,11 +89,6 @@ def obj_sim(i: DetectionList, j: DetectionList) -> float:
     return total / n
 
 
-def obj_sim_symmetric(i: DetectionList, j: DetectionList) -> float:
-    """Mean of obj_sim in both directions."""
-    return 0.5 * (obj_sim(i, j) + obj_sim(j, i))
-
-
 def sit_sim(i: SituationPrediction, j: SituationPrediction) -> float:
     """Best shared-verb entity agreement, discounted by the verb ranks.
 
@@ -183,8 +178,10 @@ def retrieve_topk(query_id: str, search_ids: list, similarity, k: int = 5) -> li
     """Exhaustive ranking of `search_ids` by similarity(query_id, id).
 
     Returns up to k (id, score) pairs, descending score, ties broken by
-    ascending id.
+    ascending id; k must be at least 1.
     """
+    if k < 1:
+        raise RetrievalError(f"k must be >= 1, got {k}")
     scored = []
     for sid in search_ids:
         scored.append((sid, float(similarity(query_id, sid))))

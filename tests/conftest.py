@@ -71,7 +71,7 @@ def random_dataset(rng, lexicon, vocabulary, n_verbs=3, images_per_verb=4):
     for verb in verbs:
         for i in range(images_per_verb):
             images.append(random_image(rng, lexicon, f"{verb}_{i}.jpg", verb))
-    return Dataset(lexicon, vocabulary, tuple(images), "fixture")
+    return Dataset(lexicon, vocabulary, tuple(images))
 
 
 def random_prediction(rng, lexicon, image, quality=0.5):
@@ -84,7 +84,7 @@ def random_prediction(rng, lexicon, image, quality=0.5):
         rng.shuffle(others)
         insert_at = rng.randrange(1, len(others) + 1)
         ranking = others[:insert_at] + [image.verb] + others[insert_at:]
-    frames, flags = {}, {}
+    frames = {}
     for verb in ranking[:2] + [image.verb]:
         roles = lexicon.roles(verb)
         values, boxes = [], []
@@ -101,8 +101,7 @@ def random_prediction(rng, lexicon, image, quality=0.5):
             values.append((role, noun))
             boxes.append(box)
         frames[verb] = GroundedFrame(verb, tuple(values), tuple(boxes))
-        flags[verb] = tuple(b is not None for b in boxes)
-    return PredictionRecord(image.image_id, tuple(ranking), frames, flags)
+    return PredictionRecord(image.image_id, tuple(ranking), frames)
 
 
 def perfect_prediction(image):
@@ -117,14 +116,8 @@ def perfect_prediction(image):
             noun = annot[0]
         values.append((role, noun))
         boxes.append(gt_box if noun != "" else None)
-    boxes = tuple(boxes)
-    perfect = GroundedFrame(image.verb, tuple(values), boxes)
-    return PredictionRecord(
-        image.image_id,
-        (image.verb,),
-        {image.verb: perfect},
-        {image.verb: tuple(b is not None for b in boxes)},
-    )
+    perfect = GroundedFrame(image.verb, tuple(values), tuple(boxes))
+    return PredictionRecord(image.image_id, (image.verb,), {image.verb: perfect})
 
 
 @pytest.fixture

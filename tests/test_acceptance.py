@@ -107,8 +107,7 @@ def test_criterion_2_metric_fixpoints_and_dominance(lexicon, vocabulary):
         values = tuple((role, "never-a-real-noun") for role in roles)
         frame = GroundedFrame(img.verb, values, (None,) * len(roles))
         adversarial.append(
-            PredictionRecord(img.image_id, (img.verb,), {img.verb: frame},
-                             {img.verb: (False,) * len(roles)})
+            PredictionRecord(img.image_id, (img.verb,), {img.verb: frame})
         )
     for setting in VerbSetting:
         rep = evaluate(dataset, adversarial, setting)

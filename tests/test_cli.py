@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from swig_toolkit.cli import main
+from swig_toolkit.dataset_io import load_chain_nodes
 
 LEXICON = {"kneading": ["Agent", "Item", "Place"], "jumping": ["Agent", "Place"]}
 VOCAB = ["man", "woman", "dough", "kitchen", "street"]
@@ -169,7 +170,8 @@ class TestChainCommand:
              "boxes": {"Agent": [0, 0, 10, 10], "Item": None, "Place": None}},
             {"verb": "jumping",
              "nouns": {"Agent": "man", "Place": "street"},
-             "boxes": {"Agent": [0, 0, 10, 10], "Place": None}},
+             "boxes": {"Agent": [0, 0, 10, 10], "Place": None},
+             "query_box": [1, 2, 30, 40]},
         ]
         (workspace / "sits.json").write_text(json.dumps(sits))
         out = workspace / "graph.json"
@@ -178,6 +180,18 @@ class TestChainCommand:
         graph = json.loads(out.read_text())
         types = {e["type"] for e in graph["edges"]}
         assert types == {"spatial", "semantic"}
+        assert graph["nodes"] == [
+            {"verb": "kneading",
+             "nouns": {"Agent": "man", "Item": "dough", "Place": "kitchen"},
+             "boxes": {"Agent": [0.0, 0.0, 10.0, 10.0], "Item": None, "Place": None},
+             "query_box": None},
+            {"verb": "jumping",
+             "nouns": {"Agent": "man", "Place": "street"},
+             "boxes": {"Agent": [0.0, 0.0, 10.0, 10.0], "Place": None},
+             "query_box": [1.0, 2.0, 30.0, 40.0]},
+        ]
+        # the output nodes are themselves a valid chain input describing the same nodes
+        assert load_chain_nodes(graph["nodes"]) == load_chain_nodes(sits)
 
 
 class TestAnchors:

@@ -47,7 +47,6 @@ class TestMergeWorkerBoxes:
         b = BoundingBox(0, 0, 1, 1)
         with pytest.raises(DatasetError):
             merge_worker_boxes([b, b])
-        assert merge_worker_boxes([b, b], allow_any_count=True) == b
 
 
 class TestLoadDataset:
@@ -172,7 +171,7 @@ class TestLoadPredictions:
         assert p.verb_ranking == ("kneading", "jumping")
         frame = p.frames["kneading"]
         assert frame.grounding_of("Agent") == BoundingBox(0, 0, 10, 10)
-        assert p.grounded_flags["kneading"] == (True, False, False)
+        assert frame.groundings[1:] == (None, None)
 
     def test_grounded_flag_overrides_box(self):
         lexicon = parse_lexicon(LEXICON_JSON)
@@ -196,7 +195,7 @@ class TestLoadPredictions:
 
     def test_frame_serialization_round_trip(self, rng, lexicon, vocabulary):
         from conftest import random_dataset, random_prediction
-        from swig_toolkit.dataset_io import frame_to_json
+        from swig_toolkit.frame_model import frame_to_json
 
         ds = random_dataset(rng, lexicon, vocabulary)
         for img in ds.images:

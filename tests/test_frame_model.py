@@ -1,7 +1,7 @@
 import pytest
 
-from swig_toolkit import BoundingBox, GroundedFrame, NounVocabulary, validate_frame
-from swig_toolkit.frame_model import FrameModelError, Violation
+from swig_toolkit import BoundingBox, GroundedFrame, NounVocabulary
+from swig_toolkit.frame_model import FrameModelError
 
 
 class TestBoundingBox:
@@ -31,51 +31,7 @@ class TestNounVocabulary:
             NounVocabulary(frozenset({"man", ""}))
 
 
-class TestValidateFrame:
-    def test_valid_kneading_frame(self, lexicon):
-        frame = GroundedFrame(
-            "kneading",
-            (("Agent", "man"), ("Item", "dough"), ("Place", "kitchen")),
-            (BoundingBox(0, 0, 10, 10), BoundingBox(5, 5, 8, 8), None),
-        )
-        assert validate_frame(frame, lexicon) == []
-
-    def test_place_grounded(self, lexicon):
-        frame = GroundedFrame(
-            "kneading",
-            (("Agent", "man"), ("Item", "dough"), ("Place", "kitchen")),
-            (None, None, BoundingBox(0, 0, 10, 10)),
-        )
-        report = validate_frame(frame, lexicon)
-        assert [v.rule for v in report] == ["place-grounded"]
-        assert report[0].role_index == 2
-
-    def test_null_noun_grounded(self, lexicon):
-        frame = GroundedFrame(
-            "kneading",
-            (("Agent", "man"), ("Item", ""), ("Place", "kitchen")),
-            (None, BoundingBox(0, 0, 10, 10), None),
-        )
-        assert [v.rule for v in validate_frame(frame, lexicon)] == ["null-noun-grounded"]
-
-    def test_unknown_verb(self, lexicon):
-        frame = GroundedFrame("flying", (("Agent", "man"),), (None,))
-        assert validate_frame(frame, lexicon) == [Violation("unknown-verb", -1, "flying")]
-
-    def test_role_order_is_authoritative(self, lexicon):
-        frame = GroundedFrame(
-            "kneading",
-            (("Item", "dough"), ("Agent", "man"), ("Place", "kitchen")),
-            (None, None, None),
-        )
-        assert [v.rule for v in validate_frame(frame, lexicon)] == ["role-mismatch"]
-
-    def test_idempotent(self, lexicon):
-        frame = GroundedFrame(
-            "jumping", (("Agent", "man"), ("Place", "")), (None, None)
-        )
-        assert validate_frame(frame, lexicon) == validate_frame(frame, lexicon)
-
+class TestGroundedFrame:
     def test_parallel_lists_enforced(self):
         with pytest.raises(FrameModelError):
             GroundedFrame("jumping", (("Agent", "man"),), (None, None))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swig_toolkit import AnchorConfig, BoundingBox, ScoredBox, cluster_aspect_ratios, iou, match_anchors, nms
+from swig_toolkit import BoundingBox, ScoredBox, cluster_aspect_ratios, iou, nms
 from swig_toolkit.geometry import box_array, iou_row
 from conftest import make_box
 from oracles import clustering_cost, iou_raster, kmeans_1d_optimal_cost, nms_naive
@@ -177,35 +177,3 @@ class TestClusterAspectRatios:
             ratios = cluster_aspect_ratios(boxes, k, seed=trial)
             cost = clustering_cost(values, np.log(ratios))
             assert cost <= kmeans_1d_optimal_cost(values, k) + 1e-9
-
-
-class TestMatchAnchors:
-    def test_exact_match_positive(self):
-        gt = BoundingBox(0, 0, 10, 10)
-        assert match_anchors([gt], gt) == [True]
-
-    def test_disjoint_negative(self):
-        assert match_anchors([BoundingBox(50, 50, 60, 60)], BoundingBox(0, 0, 10, 10)) == [False]
-
-    def test_below_threshold(self):
-        # IoU 1/7 < 0.5
-        assert match_anchors([BoundingBox(0, 0, 2, 2)], BoundingBox(1, 1, 3, 3)) == [False]
-
-    def test_custom_threshold(self):
-        anchors = [BoundingBox(0, 0, 2, 2)]
-        assert match_anchors(anchors, BoundingBox(1, 1, 3, 3), positive_iou=0.1) == [True]
-
-
-class TestAnchorConfig:
-    def test_anchor_arithmetic(self):
-        cfg = AnchorConfig(((64, 64), (32, 32)), (0.5, 1.0, 2.0), (1.0, 1.26), top_regions=100)
-        assert cfg.anchors_per_cell == 6
-        assert cfg.total_anchors == (64 * 64 + 32 * 32) * 6
-
-    def test_drop_finest_level(self):
-        cfg = AnchorConfig(((64, 64), (32, 32)), (1.0,), (1.0,), drop_finest_level=True)
-        assert cfg.levels == ((32, 32),)
-
-    def test_invalid_top_regions(self):
-        with pytest.raises(ValueError):
-            AnchorConfig(((8, 8),), (1.0,), (1.0,), top_regions=0)

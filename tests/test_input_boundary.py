@@ -261,6 +261,24 @@ def test_write_output_writes_a_fifo_in_place(tmp_path):
     assert os.listdir(tmp_path) == ["out.fifo"]
 
 
+def test_write_output_writes_through_a_symlink(tmp_path):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("{}")
+    link.symlink_to(target)
+    write_output({"a": 1}, str(link))
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert json.loads(target.read_text()) == {"a": 1}
+    assert sorted(os.listdir(tmp_path)) == ["link.json", "target.json"]
+
+
+@pytest.mark.parametrize("k", ["-1", "0"])
+def test_retrieve_k_below_one_is_one_error(tmp_path, k):
+    write_files(tmp_path, valid_files())
+    status, out, err = run(command("retrieve", tmp_path) + ["--k", k])
+    assert status == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and f"got {k}" in err, err
+
+
 # ---- property tests over arbitrary JSON ------------------------------------
 #
 # Each file is drawn well-formed, and half the time one value in it is

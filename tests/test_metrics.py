@@ -75,10 +75,10 @@ def two_image_fixture(lexicon, vocabulary):
         (off_box, box, None),
     )
     preds = [
-        PredictionRecord("a.jpg", (verb,), {verb: frame_a}, {verb: (True, True, False)}),
-        PredictionRecord("b.jpg", (verb,), {verb: frame_b}, {verb: (True, True, False)}),
+        PredictionRecord("a.jpg", (verb,), {verb: frame_a}),
+        PredictionRecord("b.jpg", (verb,), {verb: frame_b}),
     ]
-    return Dataset(lexicon, vocabulary, (img_a, img_b), "fixture"), preds
+    return Dataset(lexicon, vocabulary, (img_a, img_b)), preds
 
 
 class TestEvaluate:
@@ -103,7 +103,7 @@ class TestEvaluate:
     def test_wrong_top_verb_zeroes_everything(self, lexicon, vocabulary):
         dataset, preds = two_image_fixture(lexicon, vocabulary)
         wrong = [
-            PredictionRecord(p.image_id, ("jumping", "kneading"), p.frames, p.grounded_flags)
+            PredictionRecord(p.image_id, ("jumping", "kneading"), p.frames)
             for p in preds
         ]
         report = evaluate(dataset, wrong, VerbSetting.TOP1)
@@ -134,7 +134,7 @@ class TestEvaluate:
         preds = [random_prediction(rng, lexicon, img) for img in dataset.images]
         shuffled_images = list(dataset.images)
         rng.shuffle(shuffled_images)
-        shuffled = Dataset(lexicon, vocabulary, tuple(shuffled_images), "fixture")
+        shuffled = Dataset(lexicon, vocabulary, tuple(shuffled_images))
         for setting in VerbSetting:
             a = evaluate(dataset, preds, setting)
             b = evaluate(shuffled, preds, setting)

@@ -10,7 +10,6 @@ from swig_toolkit import (
     gr_sit_sim,
     l2_similarity,
     obj_sim,
-    obj_sim_symmetric,
     retrieve_topk,
     sit_sim,
     split_query_search,
@@ -81,18 +80,6 @@ class TestObjSim:
         d = DetectionList(("cat",), (BoundingBox(0, 0, 1, 1),))
         assert obj_sim(empty, d) == 0.0
         assert obj_sim(d, empty) == 0.0
-
-    def test_symmetrized_variant(self, rng):
-        for _ in range(20):
-            i = DetectionList(
-                tuple(rng.choice(("cat", "dog")) for _ in range(3)),
-                tuple(make_box(rng) for _ in range(3)),
-            )
-            j = DetectionList(
-                tuple(rng.choice(("cat", "dog")) for _ in range(2)),
-                tuple(make_box(rng) for _ in range(2)),
-            )
-            assert obj_sim_symmetric(i, j) == pytest.approx(obj_sim_symmetric(j, i))
 
 
 class TestSitSim:
