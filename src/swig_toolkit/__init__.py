@@ -56,6 +56,10 @@ from .loss_kernels import (  # noqa: F401
 )
 from .retrieval import (  # noqa: F401
     DetectionList,
+    L2Scorer,
+    ObjScorer,
+    Scorer,
+    SitScorer,
     SituationPrediction,
     gr_sit_sim,
     l2_similarity,

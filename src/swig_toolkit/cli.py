@@ -40,12 +40,12 @@ from .geometry import cluster_aspect_ratios
 from .loss_kernels import FocalParams, SmoothingParams, focal_loss, l1_reg, smoothed_ce
 from .metrics import ValueAllMode, VerbSetting, evaluate, format_table
 from .retrieval import (
-    gr_sit_sim,
-    l2_similarity,
-    obj_sim,
+    L2Scorer,
+    ObjScorer,
+    RetrievalError,
+    SitScorer,
     read_embeddings,
     retrieve_topk,
-    sit_sim,
 )
 
 
@@ -145,6 +145,8 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
+    if args.k < 1:
+        raise RetrievalError(f"k must be >= 1, got {args.k}")
     with open(args.query, "r", encoding="utf-8") as f:
         query_ids = [line for line in f.read().splitlines() if line]
     with open(args.search, "r", encoding="utf-8") as f:
@@ -152,23 +154,17 @@ def cmd_retrieve(args) -> int:
 
     if args.mode == "l2":
         ids, matrix = read_embeddings(args.embeddings)
-        index = {i: matrix[row] for row, i in enumerate(ids)}
-        sim = lambda q, s: l2_similarity(index[q], index[s])
+        scorer = L2Scorer(ids, matrix, search_ids)
     elif args.mode == "obj":
-        dets = load_object_detections(args.detections)
-        sim = lambda q, s: obj_sim(dets[q], dets[s])
+        scorer = ObjScorer(load_object_detections(args.detections), search_ids)
     else:
-        sits = _load_situations(args.situations)
-        fn = sit_sim if args.mode == "sit" else gr_sit_sim
-        sim = lambda q, s: fn(sits[q], sits[s])
+        scorer = SitScorer(_load_situations(args.situations), search_ids,
+                           grounded=args.mode == "grsit")
 
-    try:
-        results = {
-            q: [{"id": i, "score": s} for i, s in retrieve_topk(q, search_ids, sim, args.k)]
-            for q in query_ids
-        }
-    except KeyError as e:
-        raise DatasetError(f"missing features for image {e.args[0]!r}") from e
+    results = {
+        q: [{"id": i, "score": s} for i, s in retrieve_topk(q, search_ids, scorer, args.k)]
+        for q in query_ids
+    }
     write_output(results, args.out)
     return 0
 

@@ -1,5 +1,5 @@
-"""Grounded-semantic image retrieval: four similarity functions plus split
-and exhaustive top-k search.
+"""Grounded-semantic image retrieval: four similarity functions, their
+batched scorers, the query/search split and exact top-k search.
 
 Embedding files are binary: magic "SWGE", u32 count, u32 dim, then
 count*dim little-endian float32 values row-major. Row ids come from a
@@ -174,19 +174,227 @@ def split_query_search(ids_by_verb: dict, per_verb_query: int = 2,
     return query, search
 
 
-def retrieve_topk(query_id: str, search_ids: list, similarity, k: int = 5) -> list:
-    """Exhaustive ranking of `search_ids` by similarity(query_id, id).
+def _lookup(features: dict, image_id: str):
+    try:
+        return features[image_id]
+    except KeyError:
+        raise RetrievalError(f"missing features for image {image_id!r}") from None
 
-    Returns up to k (id, score) pairs, descending score, ties broken by
-    ascending id; k must be at least 1.
+
+class Scorer:
+    """Scores one query against the search list it was built for.
+
+    `scorer(query_id)` returns a float64 vector with one score per search
+    id, in search-list order. The defaults of `floor` and `rescore` are for
+    scores that equal the scalar similarity bit for bit; a scorer whose
+    batched sums may differ in the last bits overrides both, and
+    `retrieve_topk` uses them to keep its top k exact.
+    """
+
+    def __call__(self, query_id: str) -> np.ndarray:
+        raise NotImplementedError
+
+    def floor(self, kth: float) -> float:
+        """Given the k-th best batched score, a score that every row of the
+        exact top k (ties at the k-th place included) reaches in batch."""
+        return kth
+
+    def rescore(self, query_id: str, rows: np.ndarray, scores: np.ndarray) -> np.ndarray:
+        """The exact scores of the search rows `rows`, given their batched `scores`."""
+        return scores
+
+
+class L2Scorer(Scorer):
+    """Batched `l2_similarity` over the embedding rows of the search ids.
+
+    The search rows are gathered once, as float32, and each query turns
+    them into float64 differences a chunk at a time, so no float64 copy of
+    the search set is made.
+    """
+
+    CHUNK = 256  # rows per float64 block
+
+    def __init__(self, ids: list, matrix: np.ndarray, search_ids: list):
+        self._index = {image_id: row for row, image_id in enumerate(ids)}
+        self._matrix = matrix
+        self._search = matrix[[_lookup(self._index, s) for s in search_ids]]
+        # Both paths compute the same differences d_i = fl(q_i - s_i) in float64;
+        # l2_similarity takes np.linalg.norm, which for a 1-D vector is
+        # sqrt(dot(d, d)), and the batched path sums d*d in another order.
+        # Every term is non-negative, and the square of a finite float32
+        # difference neither underflows (>= 2**-298) nor overflows, so each
+        # computed sum of squares is S(1 + t) with |t| <= gamma_dim, where
+        # gamma_n = n*u / (1 - n*u) and u = 2**-53, whatever the order or use
+        # of fused multiply-adds (Higham, "Accuracy and Stability of Numerical
+        # Algorithms", 3.1). The square root adds one rounding, so each
+        # computed distance is sqrt(S)(1 + e) with |e| <= g = gamma_(dim+1),
+        # and an exact distance is at most r = (1 + g) / (1 - g) times its
+        # batched one, and the other way round. g is doubled below to cover
+        # the rounding of r itself and of the product in `floor`.
+        n = matrix.shape[1] + 1
+        g = 2 * n * 2.0**-53 / (1 - n * 2.0**-53)
+        self._ratio = (1 + g) / (1 - g)
+
+    def __call__(self, query_id: str) -> np.ndarray:
+        query = self._matrix[_lookup(self._index, query_id)].astype(np.float64)
+        dist = np.empty(len(self._search))
+        block = np.empty((min(self.CHUNK, len(self._search)), self._search.shape[1]))
+        for start in range(0, len(self._search), self.CHUNK):
+            chunk = self._search[start:start + self.CHUNK]
+            diff = np.subtract(query, chunk, out=block[:len(chunk)])  # float64, as in l2_similarity
+            dist[start:start + len(chunk)] = np.einsum("ij,ij->i", diff, diff)
+        return -np.sqrt(dist)
+
+    def floor(self, kth: float) -> float:
+        # At least k batched distances are <= T = -kth, so the k-th exact
+        # distance is <= T*r, and a row among the exact top k (ties included)
+        # has a batched distance <= T*r*r.
+        return kth * self._ratio * self._ratio
+
+    def rescore(self, query_id: str, rows: np.ndarray, scores: np.ndarray) -> np.ndarray:
+        query = self._matrix[self._index[query_id]]
+        return np.array([l2_similarity(query, self._search[r]) for r in rows], dtype=np.float64)
+
+
+class SitScorer(Scorer):
+    """Batched `sit_sim` (or `gr_sit_sim` when `grounded`) over the search ids.
+
+    Each search situation is encoded once as 5 verb codes, 5 role counts,
+    5x6 entity codes (padded with -1, which no noun has) and 5x6 indices
+    into one array of its grounded boxes; index -1 is that array's last
+    row, all NaN, meaning "no box". Grounded boxes are few, so this takes
+    less memory than a 5x6x4 box array per situation. The float operations
+    per (row, rank pair) are those of `_sit_max` in the same order, so
+    scores equal the scalar ones bit for bit.
+    """
+
+    def __init__(self, situations: dict, search_ids: list, grounded: bool):
+        self._situations = situations
+        self._grounded = grounded
+        self._codes = {}  # verb and noun ids -> int codes, extended by queries
+        sits = [_lookup(situations, s) for s in search_ids]
+        width = max((len(ents) for sit in sits for ents in sit.entities), default=0)
+        self._width = max(width, 1)
+        self._verbs = np.array([[self._code(v) for v in sit.verbs] for sit in sits],
+                               dtype=np.int32).reshape(-1, 5)
+        counts = np.array([len(ents) for sit in sits for ents in sit.entities], dtype=np.intp)
+        self._n_roles = counts.reshape(-1, 5)
+        # flat (row, rank, role) index of every entity, in situation order
+        starts = np.cumsum(counts) - counts
+        slots = np.repeat(np.arange(counts.size) * self._width - starts, counts) + np.arange(counts.sum())
+        self._entities = np.full((len(sits), 5, self._width), -1, dtype=np.int32)
+        self._entities.reshape(-1)[slots] = np.fromiter(
+            (self._code(noun) for sit in sits for ents in sit.entities for noun in ents),
+            dtype=np.int32, count=len(slots))
+        boxes = [box for sit in sits for row in sit.boxes for box in row if box is not None]
+        has_box = np.fromiter((box is not None for sit in sits for row in sit.boxes for box in row),
+                              dtype=bool, count=len(slots))
+        self._box_rows = np.vstack([geometry.box_array(boxes), np.full((1, 4), np.nan)])
+        self._box_of = np.full((len(sits), 5, self._width), -1, dtype=np.int32)
+        self._box_of.reshape(-1)[slots[has_box]] = np.arange(len(boxes))
+
+    def _code(self, name: str) -> int:
+        return self._codes.setdefault(name, len(self._codes))
+
+    def __call__(self, query_id: str) -> np.ndarray:
+        sit = _lookup(self._situations, query_id)
+        best = np.zeros(len(self._verbs))
+        for a in range(5):
+            ents, n_v = sit.entities[a], len(sit.entities[a])
+            if n_v == 0 or n_v > self._width:
+                continue
+            rows, ranks = np.nonzero((self._verbs == self._code(sit.verbs[a]))
+                                     & (self._n_roles == n_v))
+            if rows.size == 0:
+                continue
+            total = np.zeros(rows.size)
+            for k in range(n_v):
+                match = self._entities[rows, ranks, k] == self._code(ents[k])
+                if self._grounded:
+                    term = self._box_term(sit.boxes[a][k], rows, ranks, k)
+                    total += np.where(match, 1.0 + term, 0.0)
+                else:
+                    total += match
+            np.maximum.at(best, rows, total / ((a + 1) * (ranks + 1) * n_v))
+        return best
+
+    def _box_term(self, box: Optional[BoundingBox], rows, ranks, k) -> np.ndarray:
+        boxes = self._box_rows[self._box_of[rows, ranks, k]]
+        absent = np.isnan(boxes[:, 0])
+        if box is None:
+            return np.where(absent, 1.0, 0.0)
+        return np.where(absent, 0.0, geometry.iou_row(box.as_list(), boxes))
+
+
+class ObjScorer(Scorer):
+    """Batched `obj_sim` over the search ids.
+
+    The search detections are flattened into owner-row and box arrays and
+    grouped by class. Per query detection, one `iou_row` over its class
+    group and a per-owner maximum give the best (1 + IoU) of every search
+    row; the sums over query detections run in their order, so scores
+    equal `obj_sim` bit for bit.
+    """
+
+    def __init__(self, detections: dict, search_ids: list):
+        self._detections = detections
+        self._n = len(search_ids)
+        members = {}  # class -> ([owner row], [box])
+        for row, sid in enumerate(search_ids):
+            dets = _lookup(detections, sid)
+            for cls, box in zip(dets.classes, dets.boxes):
+                owners, boxes = members.setdefault(cls, ([], []))
+                owners.append(row)
+                boxes.append(box)
+        self._groups = {cls: (np.array(owners, dtype=np.intp), geometry.box_array(boxes))
+                        for cls, (owners, boxes) in members.items()}
+
+    def __call__(self, query_id: str) -> np.ndarray:
+        dets = _lookup(self._detections, query_id)
+        total = np.zeros(self._n)
+        if not dets.classes:
+            return total
+        for cls, box in zip(dets.classes, dets.boxes):
+            best = np.zeros(self._n)
+            if cls in self._groups:
+                owners, boxes = self._groups[cls]
+                np.maximum.at(best, owners, 1.0 + geometry.iou_row(box.as_list(), boxes))
+            total += best
+        return total / len(dets.classes)
+
+
+def retrieve_topk(query_id: str, search_ids: list, similarity: Scorer, k: int = 5) -> list:
+    """Exact top k of `search_ids` for one query.
+
+    `similarity` is a Scorer built for `search_ids`. Returns up to k
+    (id, score) pairs, descending score, ties broken by ascending id; k
+    must be at least 1.
     """
     if k < 1:
         raise RetrievalError(f"k must be >= 1, got {k}")
-    scored = []
-    for sid in search_ids:
-        scored.append((sid, float(similarity(query_id, sid))))
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return scored[: min(k, len(scored))]
+    scores = similarity(query_id)
+    if len(scores) != len(search_ids):
+        raise RetrievalError(f"{len(scores)} scores for {len(search_ids)} search ids")
+    if not len(scores):
+        return []
+    rows = np.flatnonzero(scores >= similarity.floor(_kth_best(scores, k)))
+    exact = similarity.rescore(query_id, rows, scores[rows])
+    kth = _kth_best(exact, k)
+    above, tied = exact > kth, exact == kth
+    ranked = list(zip([search_ids[r] for r in rows[above].tolist()], exact[above].tolist()))
+    # Without a shared verb most of a search set ties at 0: sort that tie by
+    # id alone and keep only the ids that reach the top k.
+    tie = sorted(zip([search_ids[r] for r in rows[tied].tolist()], exact[tied].tolist()),
+                 key=lambda pair: pair[0])
+    ranked += tie[:k - len(ranked)]
+    ranked.sort(key=lambda pair: (-pair[1], pair[0]))
+    return ranked
+
+
+def _kth_best(scores: np.ndarray, k: int):
+    """The k-th highest of `scores`, or the lowest when there are fewer than k."""
+    cut = max(len(scores) - k, 0)
+    return np.partition(scores, cut)[cut]
 
 
 def write_embeddings(path, ids: list, matrix: np.ndarray):
@@ -217,9 +425,14 @@ def read_embeddings(path):
     if len(payload) < count * dim * 4:
         raise RetrievalError(f"{path}: embedding file truncated: the header declares "
                              f"{count}x{dim} float32 values, {len(payload)} bytes follow")
-    data = np.frombuffer(payload, dtype="<f4", count=count * dim)
+    matrix = np.frombuffer(payload, dtype="<f4", count=count * dim).reshape(count, dim)
     with open(str(path) + ".ids", "r", encoding="utf-8") as f:
         ids = [line for line in f.read().splitlines() if line]
     if len(ids) != count:
         raise RetrievalError(f"manifest has {len(ids)} ids for {count} rows")
-    return ids, data.reshape(count, dim)
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if bad.size:
+        # a NaN distance would rank by the order of the search file, and is not JSON
+        raise RetrievalError(f"{path}: embedding of image {ids[bad[0]]!r} (row {bad[0]}) "
+                             f"holds a non-finite value")
+    return ids, matrix

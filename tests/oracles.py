@@ -91,11 +91,15 @@ def clustering_cost(values, centroids):
                      for i in set(assign)))
 
 
-def evaluate_naive(dataset, predictions, setting_name, grounding_iou=0.5):
+def evaluate_naive(dataset, predictions, setting_name, grounding_iou=0.5,
+                   value_all_mode="any-per-role"):
     """Brute-force slot enumeration of the five metrics.
 
     Returns {verb: {metric: value}} plus the macro row under key "_macro".
     Re-derives everything from scratch: no shared scoring helpers.
+    value_all_mode "any-per-role" credits value_all when every role matches
+    some annotator; "single-annotator" when one annotator frame matches on
+    every role. grounded_value_all also needs every grounding correct.
     """
     preds = {p.image_id: p for p in predictions}
     rows = {}
@@ -142,8 +146,14 @@ def evaluate_naive(dataset, predictions, setting_name, grounding_iou=0.5):
         r["slots"] += len(roles)
         r["value"] += sum(slot_noun)
         r["gvalue"] += sum(slot_both)
-        r["vall"] += int(all(slot_noun))
-        r["gvall"] += int(all(slot_both))
+        if value_all_mode == "single-annotator":
+            vall = credit and frame is not None and any(
+                all(dict(frame.role_values)[role] == dict(f.role_values)[role] for role in roles)
+                for f in img.annotator_frames)
+        else:
+            vall = all(slot_noun)
+        r["vall"] += int(vall)
+        r["gvall"] += int(vall and all(slot_both))
 
     out = {}
     for verb, r in rows.items():

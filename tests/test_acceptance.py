@@ -59,7 +59,7 @@ from oracles import (
     nms_naive,
     topk_naive,
 )
-from test_retrieval import random_situation
+from test_retrieval import PairwiseScorer, random_situation
 
 
 def report(criterion, name):
@@ -253,7 +253,8 @@ def test_criterion_6_retrieval_bounds_and_split():
         sits = {f"img{i:02d}": random_situation(rng) for i in range(15)}
         query = rng.choice(sorted(sits))
         sim = lambda q, s: gr_sit_sim(sits[q], sits[s])
-        assert retrieve_topk(query, sorted(sits), sim, 5) == topk_naive(query, sorted(sits), sim, 5)
+        assert (retrieve_topk(query, sorted(sits), PairwiseScorer(sim, sorted(sits)), 5)
+                == topk_naive(query, sorted(sits), sim, 5))
 
     ids_by_verb = {f"verb{v:03d}": [f"verb{v:03d}_img{i}" for i in range(55)] for v in range(504)}
     query, search = split_query_search(ids_by_verb, seed=17)

@@ -13,6 +13,7 @@ import struct
 import tempfile
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -29,6 +30,7 @@ from swig_toolkit.dataset_io import (
     load_situations,
     parse_lexicon,
 )
+from swig_toolkit.retrieval import write_embeddings
 
 LEXICON = {"kneading": ["Agent", "Item", "Place"], "jumping": ["Agent", "Place"]}
 VOCAB = ["man", "woman", "dough", "kitchen", "street"]
@@ -226,12 +228,18 @@ def test_write_output_uses_the_umask_default_mode(tmp_path, umask):
     assert os.listdir(tmp_path) == ["report.json"]
 
 
-@pytest.mark.parametrize("content", [
-    b"SWGE\x01\x00",                                        # the count/dim header is cut
-    b"SWGE" + struct.pack("<II", 2**32 - 1, 2**32 - 1),       # declares about 7e19 bytes
-    b"SWGE" + struct.pack("<II", 1, 4) + b"\x00" * 12,        # one float32 short
-], ids=["short-header", "huge-count", "short-payload"])
-def test_bad_embedding_file_is_one_named_error(tmp_path, content):
+def _one_row(value):
+    return b"SWGE" + struct.pack("<II", 1, 2) + struct.pack("<2f", 0.5, value)
+
+
+@pytest.mark.parametrize("content,names", [
+    (b"SWGE\x01\x00", ()),                                       # the count/dim header is cut
+    (b"SWGE" + struct.pack("<II", 2**32 - 1, 2**32 - 1), ()),      # declares about 7e19 bytes
+    (b"SWGE" + struct.pack("<II", 1, 4) + b"\x00" * 12, ()),       # one float32 short
+    (_one_row(float("nan")), ("'img0'", "non-finite")),
+    (_one_row(float("-inf")), ("'img0'", "non-finite")),
+], ids=["short-header", "huge-count", "short-payload", "nan", "inf"])
+def test_bad_embedding_file_is_one_named_error(tmp_path, content, names):
     (tmp_path / "emb.swge").write_bytes(content)
     (tmp_path / "emb.swge.ids").write_text("img0\n")
     (tmp_path / "ids.txt").write_text("img0\n")
@@ -240,6 +248,30 @@ def test_bad_embedding_file_is_one_named_error(tmp_path, content):
                             "--embeddings", f"{tmp_path}/emb.swge", "--out", "-"])
     assert status == 1 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: ") and "emb.swge" in err, err
+    assert all(name in err for name in names), err
+
+
+RETRIEVE_FEATURES = {"l2": ("--embeddings", "emb.swge"), "obj": ("--detections", "objs.json"),
+                     "sit": ("--situations", "sits.json"), "grsit": ("--situations", "sits.json")}
+
+
+@pytest.mark.parametrize("side", ["query", "search"])
+@pytest.mark.parametrize("mode", sorted(RETRIEVE_FEATURES))
+def test_retrieve_id_without_features_is_one_named_error(tmp_path, mode, side):
+    write_files(tmp_path, valid_files())
+    with open(tmp_path / "objs.json", "w", encoding="utf-8") as f:
+        json.dump([{"id": f"img{i}", "classes": ["man"], "boxes": [[0, 0, 10, 10]]}
+                   for i in range(2)], f)
+    write_embeddings(tmp_path / "emb.swge", ["img0", "img1"], np.eye(2, 3))
+    (tmp_path / "query.txt").write_text("ghost\n" if side == "query" else "img0\n")
+    (tmp_path / "search.txt").write_text("img0\nghost\nimg1\n" if side == "search"
+                                         else "img0\nimg1\n")
+    flag, name = RETRIEVE_FEATURES[mode]
+    status, out, err = run(["retrieve", "--mode", mode, "--query", f"{tmp_path}/query.txt",
+                            "--search", f"{tmp_path}/search.txt", flag, f"{tmp_path}/{name}",
+                            "--out", "-"])
+    assert status == 1 and out == ""
+    assert err == "error: missing features for image 'ghost'\n", err
 
 
 def test_write_output_writes_a_fifo_in_place(tmp_path):
@@ -271,9 +303,12 @@ def test_write_output_writes_through_a_symlink(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["link.json", "target.json"]
 
 
-@pytest.mark.parametrize("k", ["-1", "0"])
-def test_retrieve_k_below_one_is_one_error(tmp_path, k):
+@pytest.mark.parametrize("k,query", [pytest.param("-1", "img0\n", id="-1"),
+                                     pytest.param("0", "img0\n", id="0"),
+                                     pytest.param("0", "", id="0-no-queries")])
+def test_retrieve_k_below_one_is_one_error(tmp_path, k, query):
     write_files(tmp_path, valid_files())
+    (tmp_path / "query.txt").write_text(query)
     status, out, err = run(command("retrieve", tmp_path) + ["--k", k])
     assert status == 1 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: ") and f"got {k}" in err, err

@@ -161,6 +161,26 @@ class TestEvaluate:
                           ValueAllMode.SINGLE_ANNOTATOR)
         assert report.per_verb["kneading"]["value_all"] == pytest.approx(1 / 2)
 
+    def test_single_annotator_matches_brute_force_oracle(self, lexicon, vocabulary):
+        rng = random.Random(202)  # the random splits of acceptance criterion 3
+        credited = differs = False
+        for _ in range(50):
+            dataset = random_dataset(
+                rng, lexicon, vocabulary,
+                n_verbs=rng.randint(1, 5), images_per_verb=rng.randint(1, 2),
+            )
+            preds = [random_prediction(rng, lexicon, img) for img in dataset.images]
+            for setting in VerbSetting:
+                report = evaluate(dataset, preds, setting, ValueAllMode.SINGLE_ANNOTATOR)
+                expected = evaluate_naive(dataset, preds, setting.value,
+                                          value_all_mode="single-annotator")
+                macro = expected.pop("_macro")
+                assert report.per_verb == expected
+                assert report.macro == macro
+                credited |= macro["value_all"] > 0
+                differs |= macro != evaluate(dataset, preds, setting).macro
+        assert credited and differs  # the splits tell the two modes apart
+
 
 class TestMacroAverage:
     def test_singleton(self):

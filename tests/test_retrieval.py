@@ -2,10 +2,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swig_toolkit import (
     BoundingBox,
     DetectionList,
+    L2Scorer,
+    ObjScorer,
+    SitScorer,
     SituationPrediction,
     gr_sit_sim,
     l2_similarity,
@@ -16,6 +21,7 @@ from swig_toolkit import (
 )
 from swig_toolkit.retrieval import (
     RetrievalError,
+    Scorer,
     extract_detections,
     read_embeddings,
     write_embeddings,
@@ -187,20 +193,30 @@ class TestSplitQuerySearch:
             split_query_search({"tiny": ["only_one"]})
 
 
+class PairwiseScorer(Scorer):
+    """The batched scorer contract over a pairwise similarity function."""
+
+    def __init__(self, sim, search_ids):
+        self.sim, self.search_ids = sim, search_ids
+
+    def __call__(self, query_id):
+        return np.array([self.sim(query_id, s) for s in self.search_ids], dtype=np.float64)
+
+
 class TestRetrieveTopk:
     def test_self_query_ranks_first(self, rng):
         sits = {f"img{i}": random_situation(rng) for i in range(10)}
         sim = lambda q, s: gr_sit_sim(sits[q], sits[s])
-        results = retrieve_topk("img3", sorted(sits), sim, k=5)
+        results = retrieve_topk("img3", sorted(sits), PairwiseScorer(sim, sorted(sits)), k=5)
         assert results[0] == ("img3", 2.0)
 
     def test_k_clamped(self):
         sim = lambda q, s: 1.0
-        assert len(retrieve_topk("q", ["a", "b"], sim, k=10)) == 2
+        assert len(retrieve_topk("q", ["a", "b"], PairwiseScorer(sim, ["a", "b"]), k=10)) == 2
 
     def test_tie_break_by_id(self):
         sim = lambda q, s: 1.0
-        results = retrieve_topk("q", ["b", "a", "c"], sim, k=3)
+        results = retrieve_topk("q", ["b", "a", "c"], PairwiseScorer(sim, ["b", "a", "c"]), k=3)
         assert [r[0] for r in results] == ["a", "b", "c"]
 
     def test_matches_exhaustive_oracle(self, rng):
@@ -208,7 +224,96 @@ class TestRetrieveTopk:
             sits = {f"img{i:02d}": random_situation(rng) for i in range(20)}
             query = rng.choice(sorted(sits))
             sim = lambda q, s: sit_sim(sits[q], sits[s])
-            assert retrieve_topk(query, sorted(sits), sim, 5) == topk_naive(query, sorted(sits), sim, 5)
+            assert (retrieve_topk(query, sorted(sits), PairwiseScorer(sim, sorted(sits)), 5)
+                    == topk_naive(query, sorted(sits), sim, 5))
+
+
+# ---- batched scorers against the scalar similarities ----------------------
+
+# identical, touching (shares an edge with the first), overlapping and disjoint boxes
+BOX_PALETTE = (BoundingBox(0, 0, 10, 10), BoundingBox(10, 0, 20, 10),
+               BoundingBox(5, 5, 15, 15), BoundingBox(30, 30, 40, 40))
+some_box = st.one_of(
+    st.sampled_from(BOX_PALETTE),
+    st.tuples(st.floats(0, 50), st.floats(0, 50), st.floats(0.5, 30), st.floats(0.5, 30))
+    .map(lambda t: BoundingBox(t[0], t[1], t[0] + t[2], t[1] + t[3])))
+
+
+NOUN = st.sampled_from(("", "man", "dog"))
+
+
+@st.composite
+def situations(draw, template=None):
+    """Verbs may repeat within a top 5 and have 0 roles; entities may be ''.
+
+    A rank of a variant of `template` keeps its verb and role count half
+    the time, so many pairs share a verb, and their sums have several terms.
+    """
+    verbs, entities, boxes = [], [], []
+    for a in range(5):
+        if template is not None and draw(st.booleans()):
+            verbs.append(template.verbs[a])
+            entities.append(tuple(e if draw(st.booleans()) else draw(NOUN)
+                                  for e in template.entities[a]))
+        else:
+            verbs.append(draw(st.sampled_from(("v0", "v1", "v2"))))
+            entities.append(tuple(draw(NOUN) for _ in range(draw(st.integers(0, 6)))))
+        if draw(st.integers(0, 3)) == 0:
+            boxes.append((None,) * len(entities[-1]))
+        else:
+            boxes.append(tuple(draw(st.none() | some_box | some_box) for _ in entities[-1]))
+    return SituationPrediction(tuple(verbs), tuple(entities), tuple(boxes))
+
+
+@st.composite
+def situation_sets(draw):
+    template = draw(situations())
+    return [template] + draw(st.lists(situations(template), max_size=7))
+
+
+detections = st.lists(st.tuples(st.sampled_from(("man", "dog")), some_box), max_size=8).map(
+    lambda d: DetectionList(tuple(c for c, _ in d), tuple(b for _, b in d)))
+
+
+class TestBatchedScorers:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(situation_sets())
+    def test_sit_scorers_equal_the_scalar_functions(self, sits):
+        features = {f"img{i}": sit for i, sit in enumerate(sits)}
+        ids = sorted(features)
+        for grounded, fn in ((False, sit_sim), (True, gr_sit_sim)):
+            scorer = SitScorer(features, ids, grounded=grounded)
+            for q in ids:
+                assert scorer(q).tolist() == [fn(features[q], features[s]) for s in ids]
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.lists(detections, min_size=1, max_size=8))
+    def test_obj_scorer_equals_obj_sim(self, dets):
+        features = {f"img{i}": d for i, d in enumerate(dets)}
+        ids = sorted(features)
+        scorer = ObjScorer(features, ids)
+        for q in ids:
+            assert scorer(q).tolist() == [obj_sim(features[q], features[s]) for s in ids]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(1, 64), st.lists(st.tuples(st.integers(0, 3), st.booleans()), min_size=1,
+                                        max_size=24), st.integers(0, 2**32 - 1))
+    def test_l2_topk_equals_topk_naive(self, dim, layout, seed):
+        # Rows copy one of 4 base vectors, some permuted: copies tie exactly, and a
+        # permuted copy ties with its base in exact arithmetic from the zero query,
+        # while the float sums may round apart in either scoring path.
+        rng = np.random.default_rng(seed)
+        base = rng.normal(size=(4, dim)).astype(np.float32)
+        rows = [rng.permutation(base[b]) if permuted else base[b] for b, permuted in layout]
+        ids = ["zero"] + [f"img{i:02d}" for i in range(len(rows))]
+        matrix = np.vstack([np.zeros((1, dim), np.float32)] + rows)
+        search = ids[1:]
+        scorer = L2Scorer(ids, matrix, search)
+        features = dict(zip(ids, matrix))
+        sim = lambda q, s: l2_similarity(features[q], features[s])
+        for q in ("zero", search[0]):
+            for k in (1, 5, len(search)):
+                assert retrieve_topk(q, search, scorer, k) == topk_naive(q, search, sim, k)
 
 
 class TestEmbeddingFile:
