@@ -58,7 +58,6 @@ from .retrieval import (  # noqa: F401
     DetectionList,
     L2Scorer,
     ObjScorer,
-    Scorer,
     SitScorer,
     SituationPrediction,
     gr_sit_sim,

@@ -18,7 +18,7 @@ import tempfile
 import numpy as np
 
 from . import SCHEMA_VERSION, __version__
-from .chaining import chain
+from .chaining import DEFAULT_SPATIAL_IOU, chain
 from .dataset_io import (
     DatasetError,
     compute_stats,
@@ -45,6 +45,7 @@ from .retrieval import (
     RetrievalError,
     SitScorer,
     read_embeddings,
+    read_ids,
     retrieve_topk,
 )
 
@@ -144,13 +145,19 @@ def cmd_fuse(args) -> int:
     return 0
 
 
+FEATURE_FLAG = {"l2": "embeddings", "obj": "detections", "sit": "situations",
+                "grsit": "situations"}
+
+
 def cmd_retrieve(args) -> int:
+    flag = FEATURE_FLAG[args.mode]
+    if getattr(args, flag) is None:
+        print(f"error: --mode {args.mode} needs --{flag}", file=sys.stderr)
+        return 2
     if args.k < 1:
         raise RetrievalError(f"k must be >= 1, got {args.k}")
-    with open(args.query, "r", encoding="utf-8") as f:
-        query_ids = [line for line in f.read().splitlines() if line]
-    with open(args.search, "r", encoding="utf-8") as f:
-        search_ids = [line for line in f.read().splitlines() if line]
+    query_ids = read_ids(args.query)
+    search_ids = read_ids(args.search)
 
     if args.mode == "l2":
         ids, matrix = read_embeddings(args.embeddings)
@@ -291,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chain", help="link situations into a relation graph")
     p.add_argument("--situations", required=True)
-    p.add_argument("--iou", type=float, default=0.4)
+    p.add_argument("--iou", type=float, default=DEFAULT_SPATIAL_IOU)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_chain)
 

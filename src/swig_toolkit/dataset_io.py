@@ -500,12 +500,14 @@ def compute_stats(dataset: Dataset) -> StatsReport:
     for img in dataset.images:
         roles = dataset.lexicon.roles(img.verb)
         frame_length_sum += len(roles)
+        first_noun = {}  # role -> its noun in the first annotator frame that names one
         for frame in img.annotator_frames:
             for role, noun in frame.role_values:
                 report.total_noun_slots += 1
                 role_total[role] = role_total.get(role, 0) + 1
                 if noun == NULL_NOUN:
                     continue
+                first_noun.setdefault(role, noun)
                 report.non_null_slots += 1
                 box = img.gt_groundings.get(role)
                 if box is not None:
@@ -517,10 +519,7 @@ def compute_stats(dataset: Dataset) -> StatsReport:
         for role, box in img.gt_groundings.items():
             if box is None:
                 continue
-            noun = next(
-                (f.noun_of(role) for f in img.annotator_frames if f.noun_of(role) != NULL_NOUN),
-                NULL_NOUN,
-            )
+            noun = first_noun.get(role, NULL_NOUN)
             scale = max(box.width / img.width, box.height / img.height)
             aspect = box.height / box.width
             report.scale_aspect_samples.append((noun, img.verb, role, scale, aspect))

@@ -136,12 +136,6 @@ class GroundedFrame:
     def nouns(self) -> tuple:
         return tuple(n for _, n in self.role_values)
 
-    def noun_of(self, role: str) -> str:
-        for r, n in self.role_values:
-            if r == role:
-                return n
-        raise KeyError(role)
-
     def grounding_of(self, role: str) -> Optional[BoundingBox]:
         for i, (r, _) in enumerate(self.role_values):
             if r == role:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -181,35 +182,14 @@ def _lookup(features: dict, image_id: str):
         raise RetrievalError(f"missing features for image {image_id!r}") from None
 
 
-class Scorer:
-    """Scores one query against the search list it was built for.
-
-    `scorer(query_id)` returns a float64 vector with one score per search
-    id, in search-list order. The defaults of `floor` and `rescore` are for
-    scores that equal the scalar similarity bit for bit; a scorer whose
-    batched sums may differ in the last bits overrides both, and
-    `retrieve_topk` uses them to keep its top k exact.
-    """
-
-    def __call__(self, query_id: str) -> np.ndarray:
-        raise NotImplementedError
-
-    def floor(self, kth: float) -> float:
-        """Given the k-th best batched score, a score that every row of the
-        exact top k (ties at the k-th place included) reaches in batch."""
-        return kth
-
-    def rescore(self, query_id: str, rows: np.ndarray, scores: np.ndarray) -> np.ndarray:
-        """The exact scores of the search rows `rows`, given their batched `scores`."""
-        return scores
-
-
-class L2Scorer(Scorer):
+class L2Scorer:
     """Batched `l2_similarity` over the embedding rows of the search ids.
 
     The search rows are gathered once, as float32, and each query turns
     them into float64 differences a chunk at a time, so no float64 copy of
-    the search set is made.
+    the search set is made. Each distance is the square root of one row's
+    `dot(d, d)`, as `np.linalg.norm` takes it for a 1-D vector, over the
+    same differences, so scores equal `l2_similarity` bit for bit.
     """
 
     CHUNK = 256  # rows per float64 block
@@ -218,22 +198,6 @@ class L2Scorer(Scorer):
         self._index = {image_id: row for row, image_id in enumerate(ids)}
         self._matrix = matrix
         self._search = matrix[[_lookup(self._index, s) for s in search_ids]]
-        # Both paths compute the same differences d_i = fl(q_i - s_i) in float64;
-        # l2_similarity takes np.linalg.norm, which for a 1-D vector is
-        # sqrt(dot(d, d)), and the batched path sums d*d in another order.
-        # Every term is non-negative, and the square of a finite float32
-        # difference neither underflows (>= 2**-298) nor overflows, so each
-        # computed sum of squares is S(1 + t) with |t| <= gamma_dim, where
-        # gamma_n = n*u / (1 - n*u) and u = 2**-53, whatever the order or use
-        # of fused multiply-adds (Higham, "Accuracy and Stability of Numerical
-        # Algorithms", 3.1). The square root adds one rounding, so each
-        # computed distance is sqrt(S)(1 + e) with |e| <= g = gamma_(dim+1),
-        # and an exact distance is at most r = (1 + g) / (1 - g) times its
-        # batched one, and the other way round. g is doubled below to cover
-        # the rounding of r itself and of the product in `floor`.
-        n = matrix.shape[1] + 1
-        g = 2 * n * 2.0**-53 / (1 - n * 2.0**-53)
-        self._ratio = (1 + g) / (1 - g)
 
     def __call__(self, query_id: str) -> np.ndarray:
         query = self._matrix[_lookup(self._index, query_id)].astype(np.float64)
@@ -242,21 +206,11 @@ class L2Scorer(Scorer):
         for start in range(0, len(self._search), self.CHUNK):
             chunk = self._search[start:start + self.CHUNK]
             diff = np.subtract(query, chunk, out=block[:len(chunk)])  # float64, as in l2_similarity
-            dist[start:start + len(chunk)] = np.einsum("ij,ij->i", diff, diff)
+            dist[start:start + len(chunk)] = np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]
         return -np.sqrt(dist)
 
-    def floor(self, kth: float) -> float:
-        # At least k batched distances are <= T = -kth, so the k-th exact
-        # distance is <= T*r, and a row among the exact top k (ties included)
-        # has a batched distance <= T*r*r.
-        return kth * self._ratio * self._ratio
 
-    def rescore(self, query_id: str, rows: np.ndarray, scores: np.ndarray) -> np.ndarray:
-        query = self._matrix[self._index[query_id]]
-        return np.array([l2_similarity(query, self._search[r]) for r in rows], dtype=np.float64)
-
-
-class SitScorer(Scorer):
+class SitScorer:
     """Batched `sit_sim` (or `gr_sit_sim` when `grounded`) over the search ids.
 
     Each search situation is encoded once as 5 verb codes, 5 role counts,
@@ -326,7 +280,7 @@ class SitScorer(Scorer):
         return np.where(absent, 0.0, geometry.iou_row(box.as_list(), boxes))
 
 
-class ObjScorer(Scorer):
+class ObjScorer:
     """Batched `obj_sim` over the search ids.
 
     The search detections are flattened into owner-row and box arrays and
@@ -363,12 +317,12 @@ class ObjScorer(Scorer):
         return total / len(dets.classes)
 
 
-def retrieve_topk(query_id: str, search_ids: list, similarity: Scorer, k: int = 5) -> list:
+def retrieve_topk(query_id: str, search_ids: list, similarity, k: int = 5) -> list:
     """Exact top k of `search_ids` for one query.
 
-    `similarity` is a Scorer built for `search_ids`. Returns up to k
-    (id, score) pairs, descending score, ties broken by ascending id; k
-    must be at least 1.
+    `similarity(query_id)` gives one float64 score per search id, in order,
+    as the scorers above do. Returns up to k (id, score) pairs, descending
+    score, ties broken by ascending id; k must be at least 1.
     """
     if k < 1:
         raise RetrievalError(f"k must be >= 1, got {k}")
@@ -377,15 +331,12 @@ def retrieve_topk(query_id: str, search_ids: list, similarity: Scorer, k: int = 
         raise RetrievalError(f"{len(scores)} scores for {len(search_ids)} search ids")
     if not len(scores):
         return []
-    rows = np.flatnonzero(scores >= similarity.floor(_kth_best(scores, k)))
-    exact = similarity.rescore(query_id, rows, scores[rows])
-    kth = _kth_best(exact, k)
-    above, tied = exact > kth, exact == kth
-    ranked = list(zip([search_ids[r] for r in rows[above].tolist()], exact[above].tolist()))
+    kth = _kth_best(scores, k)
+    above, tied = np.flatnonzero(scores > kth), np.flatnonzero(scores == kth)
+    ranked = [(search_ids[r], s) for r, s in zip(above.tolist(), scores[above].tolist())]
     # Without a shared verb most of a search set ties at 0: sort that tie by
-    # id alone and keep only the ids that reach the top k.
-    tie = sorted(zip([search_ids[r] for r in rows[tied].tolist()], exact[tied].tolist()),
-                 key=lambda pair: pair[0])
+    # id and keep only the ids that reach the top k.
+    tie = sorted(zip([search_ids[r] for r in tied.tolist()], scores[tied].tolist()))
     ranked += tie[:k - len(ranked)]
     ranked.sort(key=lambda pair: (-pair[1], pair[0]))
     return ranked
@@ -410,6 +361,16 @@ def write_embeddings(path, ids: list, matrix: np.ndarray):
         f.write("\n".join(ids) + "\n")
 
 
+def read_ids(path) -> list:
+    """Read a newline-separated id list, skipping blank lines; a repeated id is an error."""
+    with open(path, "r", encoding="utf-8") as f:
+        ids = [line for line in f.read().splitlines() if line]
+    repeated = [image_id for image_id, n in Counter(ids).items() if n > 1]
+    if repeated:
+        raise RetrievalError(f"{path}: image id {repeated[0]!r} is listed twice")
+    return ids
+
+
 def read_embeddings(path):
     """Read the binary embedding file; returns (ids, float32 matrix)."""
     with open(path, "rb") as f:
@@ -426,8 +387,7 @@ def read_embeddings(path):
         raise RetrievalError(f"{path}: embedding file truncated: the header declares "
                              f"{count}x{dim} float32 values, {len(payload)} bytes follow")
     matrix = np.frombuffer(payload, dtype="<f4", count=count * dim).reshape(count, dim)
-    with open(str(path) + ".ids", "r", encoding="utf-8") as f:
-        ids = [line for line in f.read().splitlines() if line]
+    ids = read_ids(str(path) + ".ids")
     if len(ids) != count:
         raise RetrievalError(f"manifest has {len(ids)} ids for {count} rows")
     bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))

@@ -274,6 +274,33 @@ def test_retrieve_id_without_features_is_one_named_error(tmp_path, mode, side):
     assert err == "error: missing features for image 'ghost'\n", err
 
 
+@pytest.mark.parametrize("mode", sorted(RETRIEVE_FEATURES))
+def test_retrieve_without_its_feature_file_is_a_usage_error(tmp_path, mode):
+    write_files(tmp_path, valid_files())
+    flag = RETRIEVE_FEATURES[mode][0]
+    others = [arg for other, name in RETRIEVE_FEATURES.values() if other != flag
+              for arg in (other, f"{tmp_path}/{name}")]
+    status, out, err = run(["retrieve", "--mode", mode, "--query", f"{tmp_path}/query.txt",
+                            "--search", f"{tmp_path}/query.txt", *others, "--out", "-"])
+    assert status == 2 and out == ""
+    assert err == f"error: --mode {mode} needs {flag}\n", err
+
+
+@pytest.mark.parametrize("kind", ["manifest", "query", "search"])
+def test_repeated_id_is_one_named_error(tmp_path, kind):
+    ids = {"manifest": ["img0", "img1"], "query": ["img0"], "search": ["img0", "img1"]}
+    ids[kind] = ids[kind][:1] + ids[kind]  # the first id is listed twice
+    write_embeddings(tmp_path / "emb.swge", ids["manifest"], np.eye(len(ids["manifest"]), 3))
+    (tmp_path / "query.txt").write_text("\n".join(ids["query"]) + "\n")
+    (tmp_path / "search.txt").write_text("\n".join(ids["search"]) + "\n")
+    status, out, err = run(["retrieve", "--mode", "l2", "--query", f"{tmp_path}/query.txt",
+                            "--search", f"{tmp_path}/search.txt",
+                            "--embeddings", f"{tmp_path}/emb.swge", "--out", "-"])
+    file = {"manifest": "emb.swge.ids", "query": "query.txt", "search": "search.txt"}[kind]
+    assert status == 1 and out == ""
+    assert err == f"error: {tmp_path}/{file}: image id 'img0' is listed twice\n", err
+
+
 def test_write_output_writes_a_fifo_in_place(tmp_path):
     fifo = tmp_path / "out.fifo"
     os.mkfifo(fifo)

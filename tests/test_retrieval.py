@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swig_toolkit import (
@@ -21,7 +21,6 @@ from swig_toolkit import (
 )
 from swig_toolkit.retrieval import (
     RetrievalError,
-    Scorer,
     extract_detections,
     read_embeddings,
     write_embeddings,
@@ -193,8 +192,8 @@ class TestSplitQuerySearch:
             split_query_search({"tiny": ["only_one"]})
 
 
-class PairwiseScorer(Scorer):
-    """The batched scorer contract over a pairwise similarity function."""
+class PairwiseScorer:
+    """A query's scores, in search-list order, from a pairwise similarity function."""
 
     def __init__(self, sim, search_ids):
         self.sim, self.search_ids = sim, search_ids
@@ -294,6 +293,23 @@ class TestBatchedScorers:
         scorer = ObjScorer(features, ids)
         for q in ids:
             assert scorer(q).tolist() == [obj_sim(features[q], features[s]) for s in ids]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from((1, 2, 3, 17, 255, 511, 512, 513, 699)),
+           st.sampled_from((1, 2, 7, 255, 256, 257, 513, 600)), st.integers(0, 2**32 - 1))
+    @example(1, 600, 0)
+    @example(513, 2 * L2Scorer.CHUNK + 1, 1)
+    @example(699, L2Scorer.CHUNK + 1, 2)
+    def test_l2_scorer_equals_l2_similarity(self, dim, n, seed):
+        # Row scales from 1e-30 to 1e30 put the squares at both ends of the range
+        # a float32 difference reaches; more than CHUNK rows cross block edges.
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-30, 30, size=(n, 1))
+        matrix = (rng.normal(size=(n, dim)) * scale).astype(np.float32)
+        ids = [f"img{i}" for i in range(n)]
+        scorer = L2Scorer(ids, matrix, ids)
+        for q in sorted({0, n - 1, int(rng.integers(n))}):
+            assert scorer(ids[q]).tolist() == [l2_similarity(matrix[q], matrix[s]) for s in range(n)]
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.integers(1, 64), st.lists(st.tuples(st.integers(0, 3), st.booleans()), min_size=1,
