@@ -22,7 +22,6 @@ from .frame_model import (  # noqa: F401
 from .dataset_io import (  # noqa: F401
     Dataset,
     DatasetError,
-    StatsReport,
     compute_stats,
     load_dataset,
     load_predictions,
@@ -37,7 +36,6 @@ from .geometry import (  # noqa: F401
 )
 from .fusion import DetectionSet, assign_groundings  # noqa: F401
 from .metrics import (  # noqa: F401
-    MetricReport,
     ValueAllMode,
     VerbSetting,
     evaluate,
@@ -67,4 +65,4 @@ from .retrieval import (  # noqa: F401
     sit_sim,
     split_query_search,
 )
-from .chaining import ChainEdge, ChainGraph, SituationNode, chain  # noqa: F401
+from .chaining import SituationNode, chain  # noqa: F401

@@ -26,51 +26,22 @@ class SituationNode:
     query_box: Optional[BoundingBox] = None
 
 
-@dataclass(frozen=True)
-class ChainEdge:
-    node_i: int
-    role_a: str
-    node_j: int
-    role_b: str
-    link_type: str  # "spatial" or "semantic"
-    strength: float  # 1 + IoU for spatial, 1 for semantic
-
-
-@dataclass(frozen=True)
-class ChainGraph:
-    nodes: tuple  # of SituationNode
-    edges: tuple  # of ChainEdge, deterministic order
-
-    def to_dict(self) -> dict:
-        return {
-            "nodes": [
-                {**frame_to_json(n.frame),
-                 "query_box": n.query_box.as_list() if n.query_box else None}
-                for n in self.nodes
-            ],
-            "edges": [
-                {
-                    "node_i": e.node_i, "role_a": e.role_a,
-                    "node_j": e.node_j, "role_b": e.role_b,
-                    "type": e.link_type, "strength": e.strength,
-                }
-                for e in self.edges
-            ],
-        }
-
-
-def chain(nodes: list, spatial_iou: float = DEFAULT_SPATIAL_IOU,
-          require_noun_match: bool = False) -> ChainGraph:
+def chain(nodes: list, spatial_iou: float = DEFAULT_SPATIAL_IOU) -> dict:
     """Build the undirected relation graph over a list of SituationNodes.
 
     For every role pair across distinct nodes: a spatial edge when both
     are grounded with IoU >= spatial_iou (strength 1 + IoU), a semantic
     edge when the nouns are equal and non-null (strength 1). Each
     unordered pair appears once, ordered by (node_i, role position).
-    require_noun_match additionally gates spatial edges on noun equality.
+
+    Returns the graph as it is written: {"nodes": [each node's frame JSON
+    plus "query_box"], "edges": [{"node_i", "role_a", "node_j", "role_b",
+    "type": "spatial" | "semantic", "strength"}]}.
     """
     if not nodes:
         raise ValueError("chain requires at least one node")
+    if not 0 <= spatial_iou <= 1:
+        raise ValueError(f"spatial_iou must be in [0,1], got {spatial_iou}")
     # one row per role slot, nodes in order: owner node, role, noun code, box
     slots = [
         (i, role, noun, box)
@@ -95,14 +66,18 @@ def chain(nodes: list, spatial_iou: float = DEFAULT_SPATIAL_IOU,
         for a in np.flatnonzero(grounded[lo:hi]):
             overlap[a] = iou_row(boxes[lo + a], boxes[hi:])
         spatial = overlap >= spatial_iou
-        if require_noun_match:
-            spatial &= same
         rows, cols = np.nonzero(spatial | same)
         order = np.lexsort((cols, rows, owner[hi + cols]))  # (node_j, role_a, role_b)
         for a, b in zip(rows[order].tolist(), cols[order].tolist()):
-            role_a, j, role_b = slots[lo + a][1], slots[hi + b][0], slots[hi + b][1]
+            pair = {"node_i": i, "role_a": slots[lo + a][1],
+                    "node_j": slots[hi + b][0], "role_b": slots[hi + b][1]}
             if spatial[a, b]:
-                edges.append(ChainEdge(i, role_a, j, role_b, "spatial", 1.0 + overlap.item(a, b)))
+                edges.append({**pair, "type": "spatial", "strength": 1.0 + overlap.item(a, b)})
             if same[a, b]:
-                edges.append(ChainEdge(i, role_a, j, role_b, "semantic", 1.0))
-    return ChainGraph(tuple(nodes), tuple(edges))
+                edges.append({**pair, "type": "semantic", "strength": 1.0})
+    return {
+        "nodes": [{**frame_to_json(n.frame),
+                   "query_box": n.query_box.as_list() if n.query_box else None}
+                  for n in nodes],
+        "edges": edges,
+    }

@@ -34,7 +34,7 @@ from .dataset_io import (
     parse_vocabulary,
     _read_json,
 )
-from .frame_model import FrameModelError, frame_to_json
+from .frame_model import frame_to_json
 from .fusion import DEFAULT_FUSION_THRESHOLD, FusionError, assign_groundings
 from .geometry import cluster_aspect_ratios
 from .loss_kernels import FocalParams, SmoothingParams, focal_loss, l1_reg, smoothed_ce
@@ -100,7 +100,7 @@ def cmd_stats(args) -> int:
     report = compute_stats(dataset)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    write_output(report.to_dict(), args.out)
+    write_output(report, args.out)
     return 0
 
 
@@ -112,11 +112,13 @@ def cmd_eval(args) -> int:
     report = evaluate(dataset, predictions, setting, mode)
     if args.out != "-":
         print(format_table(report, setting))
-    write_output(report.to_dict(), args.out)
+    write_output(report, args.out)
     return 0
 
 
 def cmd_fuse(args) -> int:
+    if not np.isfinite(args.fusion_threshold):
+        raise ValueError(f"--fusion-threshold must be finite, got {args.fusion_threshold}")
     lexicon = parse_lexicon(_read_json(args.lexicon))
     predictions = load_predictions(args.frames, lexicon)
     detections = load_detection_sets(args.detections)
@@ -177,8 +179,7 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_chain(args) -> int:
-    graph = chain(load_chain_nodes(args.situations), spatial_iou=args.iou)
-    write_output(graph.to_dict(), args.out)
+    write_output(chain(load_chain_nodes(args.situations), spatial_iou=args.iou), args.out)
     return 0
 
 
@@ -323,7 +324,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DatasetError, FrameModelError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 import json
 import reprlib
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -70,42 +70,6 @@ class Dataset:
     lexicon: VerbLexicon
     vocabulary: NounVocabulary
     images: tuple  # of AnnotatedImage
-
-
-@dataclass
-class StatsReport:
-    """Corpus statistics over all annotator frames of a dataset."""
-
-    total_images: int = 0
-    total_verbs: int = 0
-    total_noun_slots: int = 0
-    non_null_slots: int = 0
-    grounded_slots: int = 0
-    mean_frame_length: float = 0.0
-    groundings_per_noun: dict = field(default_factory=dict)
-    role_grounding_rate: dict = field(default_factory=dict)
-    scale_aspect_samples: list = field(default_factory=list)
-
-    @property
-    def grounded_fraction(self) -> float:
-        return self.grounded_slots / self.non_null_slots if self.non_null_slots else 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "total_images": self.total_images,
-            "total_verbs": self.total_verbs,
-            "total_noun_slots": self.total_noun_slots,
-            "non_null_slots": self.non_null_slots,
-            "grounded_slots": self.grounded_slots,
-            "grounded_fraction": round(self.grounded_fraction, 4),
-            "mean_frame_length": self.mean_frame_length,
-            "groundings_per_noun": self.groundings_per_noun,
-            "role_grounding_rate": self.role_grounding_rate,
-            "scale_aspect_samples": [
-                {"noun": n, "verb": v, "role": r, "scale": s, "aspect": a}
-                for n, v, r, s, a in self.scale_aspect_samples
-            ],
-        }
 
 
 def parse_lexicon(obj: dict) -> VerbLexicon:
@@ -484,51 +448,53 @@ def load_boxes(source) -> list:
     return list(_box_list(_read_json(source), "boxes"))
 
 
-def compute_stats(dataset: Dataset) -> StatsReport:
+def compute_stats(dataset: Dataset) -> dict:
     """Corpus statistics: noun-slot counts, grounding rates, scale/aspect samples.
 
     A noun slot is one (image, annotator, role) triple; a slot is grounded
     when its noun is non-null and the merged gt box for its role exists.
-    scale = max(box_w/img_w, box_h/img_h); aspect = box_h/box_w.
+    grounded_fraction = grounded / non-null slots, rounded to 4 places;
+    scale = max(box_w/img_w, box_h/img_h); aspect = box_h/box_w. Returns
+    the report as it is written.
     """
-    report = StatsReport()
-    report.total_images = len(dataset.images)
-    report.total_verbs = len({img.verb for img in dataset.images})
-    role_total = {}
-    role_grounded = {}
-    frame_length_sum = 0
+    noun_slots = non_null_slots = grounded_slots = frame_length_sum = 0
+    role_total, role_grounded, groundings_per_noun, samples = {}, {}, {}, []
     for img in dataset.images:
-        roles = dataset.lexicon.roles(img.verb)
-        frame_length_sum += len(roles)
+        frame_length_sum += len(dataset.lexicon.roles(img.verb))
         first_noun = {}  # role -> its noun in the first annotator frame that names one
         for frame in img.annotator_frames:
             for role, noun in frame.role_values:
-                report.total_noun_slots += 1
+                noun_slots += 1
                 role_total[role] = role_total.get(role, 0) + 1
                 if noun == NULL_NOUN:
                     continue
                 first_noun.setdefault(role, noun)
-                report.non_null_slots += 1
-                box = img.gt_groundings.get(role)
-                if box is not None:
-                    report.grounded_slots += 1
+                non_null_slots += 1
+                if img.gt_groundings.get(role) is not None:
+                    grounded_slots += 1
                     role_grounded[role] = role_grounded.get(role, 0) + 1
-                    report.groundings_per_noun[noun] = (
-                        report.groundings_per_noun.get(noun, 0) + 1
-                    )
+                    groundings_per_noun[noun] = groundings_per_noun.get(noun, 0) + 1
         for role, box in img.gt_groundings.items():
-            if box is None:
-                continue
-            noun = first_noun.get(role, NULL_NOUN)
-            scale = max(box.width / img.width, box.height / img.height)
-            aspect = box.height / box.width
-            report.scale_aspect_samples.append((noun, img.verb, role, scale, aspect))
-    report.role_grounding_rate = {
-        role: role_grounded.get(role, 0) / total for role, total in sorted(role_total.items())
+            if box is not None:
+                samples.append({"noun": first_noun.get(role, NULL_NOUN), "verb": img.verb,
+                                "role": role,
+                                "scale": max(box.width / img.width, box.height / img.height),
+                                "aspect": box.height / box.width})
+    n_images = len(dataset.images)
+    return {
+        "total_images": n_images,
+        "total_verbs": len({img.verb for img in dataset.images}),
+        "total_noun_slots": noun_slots,
+        "non_null_slots": non_null_slots,
+        "grounded_slots": grounded_slots,
+        "grounded_fraction": round(grounded_slots / non_null_slots, 4) if non_null_slots else 0.0,
+        "mean_frame_length": frame_length_sum / n_images if n_images else 0.0,
+        "groundings_per_noun": groundings_per_noun,
+        "role_grounding_rate": {
+            role: role_grounded.get(role, 0) / total for role, total in sorted(role_total.items())
+        },
+        "scale_aspect_samples": samples,
     }
-    if dataset.images:
-        report.mean_frame_length = frame_length_sum / len(dataset.images)
-    return report
 
 
 def _read_json(source):
@@ -537,5 +503,8 @@ def _read_json(source):
         return source
     if hasattr(source, "read"):
         return json.load(source)
-    with open(source, "r", encoding="utf-8") as f:
-        return json.load(f)
+    try:
+        with open(source, "r", encoding="utf-8") as f:
+            return json.load(f)
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
+        raise DatasetError(f"{source}: {e}") from e

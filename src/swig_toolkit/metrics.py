@@ -9,11 +9,10 @@ extra weight.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Optional
 
 from .dataset_io import Dataset
-from .frame_model import NULL_NOUN, BoundingBox, GroundedFrame, PredictionRecord
+from .frame_model import BoundingBox, GroundedFrame
 from .geometry import iou
 
 GROUNDING_IOU = 0.5
@@ -43,16 +42,6 @@ class EvaluationError(ValueError):
     pass
 
 
-@dataclass
-class MetricReport:
-    per_verb: dict  # verb -> {metric: fraction}
-    macro: dict  # metric -> fraction
-    counts: dict  # verb -> {"images": n, "role_slots": n}
-
-    def to_dict(self) -> dict:
-        return {"macro": self.macro, "per_verb": self.per_verb, "counts": self.counts}
-
-
 def score_noun(predicted: str, annotators) -> bool:
     """Noun is correct when it equals at least one annotator's value."""
     return any(predicted == a for a in annotators)
@@ -63,19 +52,6 @@ def score_grounding(pred_box: Optional[BoundingBox], gt_box: Optional[BoundingBo
     if pred_box is None or gt_box is None:
         return pred_box is None and gt_box is None
     return iou(pred_box, gt_box) >= GROUNDING_IOU
-
-
-def _select_frame(record: PredictionRecord, gt_verb: str, setting: VerbSetting):
-    """Returns (verb_correct, frame used for noun/grounding credit or None)."""
-    if setting is VerbSetting.TOP1:
-        verb_correct = record.verb_ranking[0] == gt_verb
-        frame = record.frames.get(record.verb_ranking[0]) if verb_correct else None
-        return verb_correct, frame
-    if setting is VerbSetting.TOP5:
-        verb_correct = gt_verb in record.verb_ranking[:5]
-        frame = record.frames.get(gt_verb) if verb_correct else None
-        return verb_correct, frame
-    return True, record.frames.get(gt_verb)
 
 
 def _score_image(image, frame: Optional[GroundedFrame], value_all_mode: ValueAllMode):
@@ -100,12 +76,16 @@ def _score_image(image, frame: Optional[GroundedFrame], value_all_mode: ValueAll
 
 
 def evaluate(dataset: Dataset, predictions: list, setting: VerbSetting,
-             value_all_mode: ValueAllMode = ValueAllMode.ANY_PER_ROLE) -> MetricReport:
+             value_all_mode: ValueAllMode = ValueAllMode.ANY_PER_ROLE) -> dict:
     """Score predictions against the dataset under one verb setting.
 
     Per-verb value = passed role slots / total role slots over that verb's
     images; the *_all metrics count whole images. Every dataset image must
     have a prediction, and every prediction must name a dataset image.
+
+    Returns the report as it is written: {"macro": {metric: fraction},
+    "per_verb": {verb: {metric: fraction}}, "counts": {verb: {"images": n,
+    "role_slots": n}}}.
     """
     by_id = {p.image_id: p for p in predictions}
     missing = [img.image_id for img in dataset.images if img.image_id not in by_id]
@@ -117,15 +97,14 @@ def evaluate(dataset: Dataset, predictions: list, setting: VerbSetting,
         more = f" (and {len(stray) - 1} more)" if len(stray) > 1 else ""
         raise EvaluationError(f"prediction {stray[0]!r}: no such image in the dataset{more}")
 
+    ranks = {VerbSetting.TOP1: 1, VerbSetting.TOP5: 5}.get(setting)  # None: the verb is given
     acc = {}  # verb -> accumulator dict
     for image in dataset.images:
         record = by_id[image.image_id]
-        verb_correct, frame = _select_frame(record, image.verb, setting)
+        verb_correct = ranks is None or image.verb in record.verb_ranking[:ranks]
+        # only a correct verb earns noun and grounding credit, through the gt verb's frame
+        frame = record.frames.get(image.verb) if verb_correct else None
         noun_ok, both_ok, value_all = _score_image(image, frame, value_all_mode)
-        if setting is not VerbSetting.GROUND_TRUTH_VERB and not verb_correct:
-            noun_ok = [False] * len(noun_ok)
-            both_ok = [False] * len(both_ok)
-            value_all = False
         a = acc.setdefault(
             image.verb,
             {"images": 0, "verb_correct": 0, "role_slots": 0, "value": 0,
@@ -150,7 +129,7 @@ def evaluate(dataset: Dataset, predictions: list, setting: VerbSetting,
             "grounded_value_all": a["grounded_value_all"] / a["images"],
         }
         counts[verb] = {"images": a["images"], "role_slots": a["role_slots"]}
-    return MetricReport(per_verb, macro_average(per_verb), counts)
+    return {"macro": macro_average(per_verb), "per_verb": per_verb, "counts": counts}
 
 
 def macro_average(per_verb: dict) -> dict:
@@ -163,8 +142,8 @@ def macro_average(per_verb: dict) -> dict:
     }
 
 
-def format_table(report: MetricReport, setting: VerbSetting) -> str:
+def format_table(report: dict, setting: VerbSetting) -> str:
     """Fixed-width summary table for standard output."""
     header = f"{'setting':<8}" + "".join(f"{m:>20}" for m in METRIC_NAMES)
-    row = f"{setting.value:<8}" + "".join(f"{report.macro[m]:>20.4f}" for m in METRIC_NAMES)
+    row = f"{setting.value:<8}" + "".join(f"{report['macro'][m]:>20.4f}" for m in METRIC_NAMES)
     return header + "\n" + row

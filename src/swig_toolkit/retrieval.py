@@ -137,15 +137,13 @@ def _sit_max(i: SituationPrediction, j: SituationPrediction, grounded: bool) -> 
     return best
 
 
-def extract_detections(boxes, class_logits, noun_ids,
-                       logit_threshold: float = DETECTION_LOGIT_THRESHOLD,
-                       nms_iou: float = 0.5) -> DetectionList:
+def extract_detections(boxes, class_logits, noun_ids, nms_iou: float = 0.5) -> DetectionList:
     """Build a DetectionList: max-class labeling, logit cutoff, per-class NMS."""
     logits = np.asarray(class_logits, dtype=np.float64)
     picked = []  # (class, box, score)
     for row, box in zip(logits, boxes):
         c = int(np.argmax(row))
-        if row[c] > logit_threshold:
+        if row[c] > DETECTION_LOGIT_THRESHOLD:
             picked.append((noun_ids[c], box, float(row[c])))
     kept = []
     for cls in sorted({c for c, _, _ in picked}):
@@ -363,8 +361,11 @@ def write_embeddings(path, ids: list, matrix: np.ndarray):
 
 def read_ids(path) -> list:
     """Read a newline-separated id list, skipping blank lines; a repeated id is an error."""
-    with open(path, "r", encoding="utf-8") as f:
-        ids = [line for line in f.read().splitlines() if line]
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            ids = [line for line in f.read().splitlines() if line]
+    except UnicodeDecodeError as e:
+        raise RetrievalError(f"{path}: {e}") from e
     repeated = [image_id for image_id, n in Counter(ids).items() if n > 1]
     if repeated:
         raise RetrievalError(f"{path}: image id {repeated[0]!r} is listed twice")

@@ -181,7 +181,7 @@ def topk_naive(query, search_ids, similarity, k):
     return pairs[:k]
 
 
-def chain_naive(nodes, spatial_iou, require_noun_match=False):
+def chain_naive(nodes, spatial_iou):
     """Brute-force scan of every role pair across distinct nodes.
 
     Returns (node_i, role_a, node_j, role_b, type, strength) tuples in the
@@ -195,7 +195,7 @@ def chain_naive(nodes, spatial_iou, require_noun_match=False):
             for (role_b, noun_b), box_b in zip(frame_j.role_values, frame_j.groundings):
                 same_noun = noun_a != "" and noun_a == noun_b
                 both_grounded = box_a is not None and box_b is not None
-                if both_grounded and (same_noun or not require_noun_match):
+                if both_grounded:
                     overlap = iou_exact(box_a, box_b)
                     if overlap >= spatial_iou:
                         edges.append((i, role_a, j, role_b, "spatial", 1.0 + overlap))

@@ -79,13 +79,13 @@ def test_criterion_1_full_dataset_statistics():
         os.path.join(data_dir, "vocab.json"),
     )
     stats = compute_stats(ds)
-    assert stats.total_images == 126_102
-    assert stats.total_verbs == 504
-    assert stats.total_noun_slots == 451_916
-    assert stats.non_null_slots == 435_566
-    assert stats.grounded_slots == 278_336
-    assert abs(stats.grounded_fraction - 0.639) <= 0.001
-    assert abs(stats.mean_frame_length - 3.55) <= 0.01
+    assert stats["total_images"] == 126_102
+    assert stats["total_verbs"] == 504
+    assert stats["total_noun_slots"] == 451_916
+    assert stats["non_null_slots"] == 435_566
+    assert stats["grounded_slots"] == 278_336
+    assert abs(stats["grounded_fraction"] - 0.639) <= 0.001
+    assert abs(stats["mean_frame_length"] - 3.55) <= 0.01
     assert len(ds.vocabulary) == 11_538
     report(1, "full dataset statistics")
 
@@ -98,7 +98,7 @@ def test_criterion_2_metric_fixpoints_and_dominance(lexicon, vocabulary):
     perfect = [perfect_prediction(img) for img in dataset.images]
     for setting in VerbSetting:
         rep = evaluate(dataset, perfect, setting)
-        assert all(v == 1.0 for v in rep.macro.values()), setting
+        assert all(v == 1.0 for v in rep["macro"].values()), setting
 
     # adversarial predictions: nouns never match any annotator
     adversarial = []
@@ -111,15 +111,15 @@ def test_criterion_2_metric_fixpoints_and_dominance(lexicon, vocabulary):
         )
     for setting in VerbSetting:
         rep = evaluate(dataset, adversarial, setting)
-        assert rep.macro["value"] == 0.0
-        assert rep.macro["value_all"] == 0.0
+        assert rep["macro"]["value"] == 0.0
+        assert rep["macro"]["value_all"] == 0.0
 
     # dominance chains on 1000 randomized fixtures
     for _ in range(1000):
         ds = random_dataset(rng, lexicon, vocabulary, n_verbs=1, images_per_verb=2)
         preds = [random_prediction(rng, lexicon, img) for img in ds.images]
         for setting in VerbSetting:
-            row = evaluate(ds, preds, setting).macro
+            row = evaluate(ds, preds, setting)["macro"]
             assert row["grounded_value"] <= row["value"] + 1e-12
             assert row["grounded_value_all"] <= row["value_all"] + 1e-12
             assert row["value_all"] <= row["value"] + 1e-12
@@ -138,8 +138,8 @@ def test_criterion_3_metric_oracle_equivalence(lexicon, vocabulary):
             rep = evaluate(ds, preds, setting)
             expected = evaluate_naive(ds, preds, setting.value)
             macro = expected.pop("_macro")
-            assert rep.per_verb == expected
-            assert rep.macro == macro
+            assert rep["per_verb"] == expected
+            assert rep["macro"] == macro
     report(3, "metric oracle equivalence")
 
 

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from swig_toolkit.chaining import chain
 from swig_toolkit.cli import main
-from swig_toolkit.dataset_io import load_chain_nodes
+from swig_toolkit.dataset_io import compute_stats, load_chain_nodes, load_dataset, load_predictions
+from swig_toolkit.metrics import VerbSetting, evaluate
 
 LEXICON = {"kneading": ["Agent", "Item", "Place"], "jumping": ["Agent", "Place"]}
 VOCAB = ["man", "woman", "dough", "kitchen", "street"]
@@ -192,6 +194,37 @@ class TestChainCommand:
         ]
         # the output nodes are themselves a valid chain input describing the same nodes
         assert load_chain_nodes(graph["nodes"]) == load_chain_nodes(sits)
+
+
+class TestWrittenJsonIsTheLibraryResult:
+    """`--out -` prints the library's result itself, so each schema has one form."""
+
+    def check(self, argv, result, capsys):
+        assert run([*argv, "--out", "-"]) == 0
+        assert json.loads(capsys.readouterr().out) == json.loads(json.dumps(result))
+
+    def test_eval(self, workspace, capsys):
+        files = [str(workspace / f) for f in ("dataset.json", "lexicon.json", "vocab.json")]
+        dataset = load_dataset(*files)
+        preds = load_predictions(str(workspace / "preds.json"), dataset.lexicon)
+        self.check(["eval", "--dataset", files[0], "--preds", workspace / "preds.json",
+                    "--lexicon", files[1], "--vocab", files[2], "--setting", "top5"],
+                   evaluate(dataset, preds, VerbSetting.TOP5), capsys)
+
+    def test_stats(self, workspace, capsys):
+        files = [str(workspace / f) for f in ("dataset.json", "lexicon.json", "vocab.json")]
+        self.check(["stats", files[0], "--lexicon", files[1], "--vocab", files[2]],
+                   compute_stats(load_dataset(*files)), capsys)
+
+    def test_chain(self, workspace, capsys):
+        sits = [{"verb": "jumping", "nouns": {"Agent": "man", "Place": "street"},
+                 "boxes": {"Agent": [0, 0, 10, 10], "Place": None}, "query_box": [1, 2, 30, 40]},
+                {"verb": "kneading", "nouns": {"Agent": "man", "Item": "dough", "Place": ""},
+                 "boxes": {"Agent": [0, 1, 10, 10], "Item": [5, 5, 8, 8]}}]
+        (workspace / "sits.json").write_text(json.dumps(sits))
+        graph = chain(load_chain_nodes(sits))
+        assert {e["type"] for e in graph["edges"]} == {"spatial", "semantic"}
+        self.check(["chain", "--situations", workspace / "sits.json"], graph, capsys)
 
 
 class TestAnchors:

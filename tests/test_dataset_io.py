@@ -122,31 +122,31 @@ class TestComputeStats:
         # 3 roles x 3 annotators = 9 slots; one Place null among them
         ds = load_dataset([image_record()], LEXICON_JSON, VOCAB_JSON)
         stats = compute_stats(ds)
-        assert stats.total_noun_slots == 9
-        assert stats.non_null_slots == 8
+        assert stats["total_noun_slots"] == 9
+        assert stats["non_null_slots"] == 8
         # Agent and Item have boxes: annotators with non-null nouns there all count
-        assert stats.grounded_slots == 6
-        assert stats.mean_frame_length == 3.0
+        assert stats["grounded_slots"] == 6
+        assert stats["mean_frame_length"] == 3.0
 
     def test_place_never_grounded(self, rng, lexicon, vocabulary):
         from conftest import random_dataset
 
         ds = random_dataset(rng, lexicon, vocabulary, n_verbs=4, images_per_verb=5)
         stats = compute_stats(ds)
-        assert stats.role_grounding_rate["Place"] == 0.0
-        assert stats.grounded_slots <= stats.non_null_slots <= stats.total_noun_slots
+        assert stats["role_grounding_rate"]["Place"] == 0.0
+        assert stats["grounded_slots"] <= stats["non_null_slots"] <= stats["total_noun_slots"]
 
     def test_scale_and_aspect(self):
         rec = image_record(boxes={"Agent": [0, 0, 50, 50], "Item": None, "Place": None})
         ds = load_dataset([rec], LEXICON_JSON, VOCAB_JSON)
         stats = compute_stats(ds)
-        (noun, verb, role, scale, aspect) = stats.scale_aspect_samples[0]
-        assert (role, scale, aspect) == ("Agent", 0.5, 1.0)
+        sample = stats["scale_aspect_samples"][0]
+        assert (sample["role"], sample["scale"], sample["aspect"]) == ("Agent", 0.5, 1.0)
 
     def test_grounded_fraction(self):
         ds = load_dataset([image_record()], LEXICON_JSON, VOCAB_JSON)
         stats = compute_stats(ds)
-        assert stats.grounded_fraction == pytest.approx(6 / 8)
+        assert stats["grounded_fraction"] == pytest.approx(6 / 8)
 
 
 class TestLoadPredictions:

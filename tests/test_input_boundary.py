@@ -341,6 +341,47 @@ def test_retrieve_k_below_one_is_one_error(tmp_path, k, query):
     assert err.count("\n") == 1 and err.startswith("error: ") and f"got {k}" in err, err
 
 
+@pytest.mark.parametrize("content", [b"not json", b"\xff\xfe", b"[" * 10**5 + b"]" * 10**5],
+                         ids=["not-json", "not-utf-8", "nested-too-deep"])
+@pytest.mark.parametrize("name", ["dataset.json", "preds.json", "lexicon.json", "vocab.json"])
+def test_unreadable_json_file_is_one_error_naming_it(tmp_path, name, content):
+    write_files(tmp_path, valid_files())
+    (tmp_path / name).write_bytes(content)
+    status, out, err = run(command("eval", tmp_path))
+    assert status == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: {tmp_path}/{name}: "), err
+
+
+def test_non_utf8_id_list_is_one_error_naming_it(tmp_path):
+    write_files(tmp_path, valid_files())
+    (tmp_path / "query.txt").write_bytes(b"\xff\xfe")
+    status, out, err = run(command("retrieve", tmp_path))
+    assert status == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: {tmp_path}/query.txt: "), err
+
+
+@pytest.mark.parametrize("iou", ["-1", "2", "nan"])
+def test_chain_iou_outside_the_unit_interval_is_one_error(tmp_path, iou):
+    write_files(tmp_path, valid_files())
+    status, out, err = run(command("chain", tmp_path) + ["--iou", iou])
+    assert status == 1 and out == ""
+    assert err == f"error: spatial_iou must be in [0,1], got {float(iou)}\n", err
+
+
+@pytest.mark.parametrize("iou", ["0", "1"])
+def test_chain_iou_at_the_bounds_is_accepted(tmp_path, iou):
+    write_files(tmp_path, valid_files())
+    assert run(command("chain", tmp_path) + ["--iou", iou])[0] == 0
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+def test_fuse_non_finite_threshold_is_one_error(tmp_path, threshold):
+    write_files(tmp_path, valid_files())
+    status, out, err = run(command("fuse", tmp_path) + [f"--fusion-threshold={threshold}"])
+    assert status == 1 and out == ""
+    assert err == f"error: --fusion-threshold must be finite, got {float(threshold)}\n", err
+
+
 # ---- property tests over arbitrary JSON ------------------------------------
 #
 # Each file is drawn well-formed, and half the time one value in it is

@@ -85,7 +85,7 @@ class TestEvaluate:
     def test_hand_computed_slot_accounting(self, lexicon, vocabulary):
         dataset, preds = two_image_fixture(lexicon, vocabulary)
         report = evaluate(dataset, preds, VerbSetting.GROUND_TRUTH_VERB)
-        row = report.per_verb["kneading"]
+        row = report["per_verb"]["kneading"]
         assert row["value"] == pytest.approx(5 / 6)
         assert row["grounded_value"] == pytest.approx(4 / 6)
         assert row["value_all"] == pytest.approx(1 / 2)
@@ -97,7 +97,7 @@ class TestEvaluate:
         preds = [perfect_prediction(img) for img in dataset.images]
         for setting in VerbSetting:
             report = evaluate(dataset, preds, setting)
-            for metric, value in report.macro.items():
+            for metric, value in report["macro"].items():
                 assert value == 1.0, (setting, metric)
 
     def test_wrong_top_verb_zeroes_everything(self, lexicon, vocabulary):
@@ -107,11 +107,11 @@ class TestEvaluate:
             for p in preds
         ]
         report = evaluate(dataset, wrong, VerbSetting.TOP1)
-        assert all(v == 0.0 for v in report.per_verb["kneading"].values())
+        assert all(v == 0.0 for v in report["per_verb"]["kneading"].values())
         # under top-5 the gt verb is in the ranking, so credit returns
         report5 = evaluate(dataset, wrong, VerbSetting.TOP5)
-        assert report5.per_verb["kneading"]["verb_acc"] == 1.0
-        assert report5.per_verb["kneading"]["value"] > 0
+        assert report5["per_verb"]["kneading"]["verb_acc"] == 1.0
+        assert report5["per_verb"]["kneading"]["value"] > 0
 
     def test_missing_prediction_errors(self, lexicon, vocabulary):
         dataset, preds = two_image_fixture(lexicon, vocabulary)
@@ -124,7 +124,7 @@ class TestEvaluate:
             preds = [random_prediction(rng, lexicon, img) for img in dataset.images]
             for setting in VerbSetting:
                 report = evaluate(dataset, preds, setting)
-                for row in report.per_verb.values():
+                for row in report["per_verb"].values():
                     assert row["grounded_value"] <= row["value"] + 1e-12
                     assert row["grounded_value_all"] <= row["value_all"] + 1e-12
                     assert row["value_all"] <= row["value"] + 1e-12
@@ -138,7 +138,7 @@ class TestEvaluate:
         for setting in VerbSetting:
             a = evaluate(dataset, preds, setting)
             b = evaluate(shuffled, preds, setting)
-            assert a.per_verb == b.per_verb and a.macro == b.macro
+            assert a["per_verb"] == b["per_verb"] and a["macro"] == b["macro"]
 
     def test_matches_brute_force_oracle(self, rng, lexicon, vocabulary):
         for trial in range(25):
@@ -151,15 +151,15 @@ class TestEvaluate:
                 report = evaluate(dataset, preds, setting)
                 expected = evaluate_naive(dataset, preds, setting.value)
                 macro = expected.pop("_macro")
-                assert report.per_verb == expected
-                assert report.macro == macro
+                assert report["per_verb"] == expected
+                assert report["macro"] == macro
 
     def test_single_annotator_value_all_mode(self, lexicon, vocabulary):
         dataset, preds = two_image_fixture(lexicon, vocabulary)
         # image A's frame matches annotator frames exactly, so both modes agree here
         report = evaluate(dataset, preds, VerbSetting.GROUND_TRUTH_VERB,
                           ValueAllMode.SINGLE_ANNOTATOR)
-        assert report.per_verb["kneading"]["value_all"] == pytest.approx(1 / 2)
+        assert report["per_verb"]["kneading"]["value_all"] == pytest.approx(1 / 2)
 
     def test_single_annotator_matches_brute_force_oracle(self, lexicon, vocabulary):
         rng = random.Random(202)  # the random splits of acceptance criterion 3
@@ -175,10 +175,10 @@ class TestEvaluate:
                 expected = evaluate_naive(dataset, preds, setting.value,
                                           value_all_mode="single-annotator")
                 macro = expected.pop("_macro")
-                assert report.per_verb == expected
-                assert report.macro == macro
+                assert report["per_verb"] == expected
+                assert report["macro"] == macro
                 credited |= macro["value_all"] > 0
-                differs |= macro != evaluate(dataset, preds, setting).macro
+                differs |= macro != evaluate(dataset, preds, setting)["macro"]
         assert credited and differs  # the splits tell the two modes apart
 
 
