@@ -35,8 +35,8 @@ def chain(nodes: list, spatial_iou: float = DEFAULT_SPATIAL_IOU) -> dict:
     unordered pair appears once, ordered by (node_i, role position).
 
     Returns the graph as it is written: {"nodes": [each node's frame JSON
-    plus "query_box"], "edges": [{"node_i", "role_a", "node_j", "role_b",
-    "type": "spatial" | "semantic", "strength"}]}.
+    plus "verb" and "query_box"], "edges": [{"node_i", "role_a", "node_j",
+    "role_b", "type": "spatial" | "semantic", "strength"}]}.
     """
     if not nodes:
         raise ValueError("chain requires at least one node")
@@ -76,7 +76,7 @@ def chain(nodes: list, spatial_iou: float = DEFAULT_SPATIAL_IOU) -> dict:
             if same[a, b]:
                 edges.append({**pair, "type": "semantic", "strength": 1.0})
     return {
-        "nodes": [{**frame_to_json(n.frame),
+        "nodes": [{"verb": n.frame.verb, **frame_to_json(n.frame),
                    "query_box": n.query_box.as_list() if n.query_box else None}
                   for n in nodes],
         "edges": edges,

@@ -32,7 +32,6 @@ from .dataset_io import (
     parse_dataset,
     parse_lexicon,
     parse_vocabulary,
-    _read_json,
 )
 from .frame_model import frame_to_json
 from .fusion import DEFAULT_FUSION_THRESHOLD, FusionError, assign_groundings
@@ -76,12 +75,12 @@ def write_output(payload, out: str):
 
 
 def cmd_validate(args) -> int:
-    lexicon = parse_lexicon(_read_json(args.lexicon))
-    vocabulary = parse_vocabulary(_read_json(args.vocab))
+    lexicon = parse_lexicon(args.lexicon)
+    vocabulary = parse_vocabulary(args.vocab)
     failures = 0
     for path in args.files:
         warnings = []
-        _, violations = parse_dataset(_read_json(path), lexicon, vocabulary, warnings)
+        _, violations = parse_dataset(path, lexicon, vocabulary, warnings)
         for w in warnings:
             print(f"warning: {path}: {w}", file=sys.stderr)
         for v in violations:
@@ -119,7 +118,7 @@ def cmd_eval(args) -> int:
 def cmd_fuse(args) -> int:
     if not np.isfinite(args.fusion_threshold):
         raise ValueError(f"--fusion-threshold must be finite, got {args.fusion_threshold}")
-    lexicon = parse_lexicon(_read_json(args.lexicon))
+    lexicon = parse_lexicon(args.lexicon)
     predictions = load_predictions(args.frames, lexicon)
     detections = load_detection_sets(args.detections)
     out = []
@@ -127,22 +126,14 @@ def cmd_fuse(args) -> int:
         if pred.image_id not in detections:
             raise DatasetError(f"no detections for image {pred.image_id!r}")
         try:
-            fused = {
-                verb: assign_groundings(frame, detections[pred.image_id], args.fusion_threshold)
+            frames = {
+                verb: frame_to_json(assign_groundings(frame, detections[pred.image_id],
+                                                      args.fusion_threshold))
                 for verb, frame in sorted(pred.frames.items())
             }
         except FusionError as e:
             raise DatasetError(f"image {pred.image_id!r}, {e}") from e
-        out.append(
-            {
-                "id": pred.image_id,
-                "verbs": list(pred.verb_ranking),
-                "frames": {
-                    verb: {k: v for k, v in frame_to_json(frame).items() if k != "verb"}
-                    for verb, frame in fused.items()
-                },
-            }
-        )
+        out.append({"id": pred.image_id, "verbs": list(pred.verb_ranking), "frames": frames})
     write_output(out, args.out)
     return 0
 
@@ -190,6 +181,8 @@ def cmd_anchors(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     rng = np.random.default_rng(args.seed)
     step = 1e-5
     results = {}

@@ -1,8 +1,9 @@
 """Parsing of every input file format, worker-box merging, corpus statistics.
 
-This module is the only code that turns JSON records into model objects.
-Every box of every format goes through `parse_box`, and every error names
-the record and the field it comes from.
+This module is the only code that reads JSON input; every reader takes a
+path, a file object or an already-parsed JSON value. Every box goes
+through `parse_box`, every frame through `frame_from_json`, and every
+error names the record and the field it comes from.
 
 Canonical file formats (UTF-8 JSON):
 
@@ -13,19 +14,20 @@ Canonical file formats (UTF-8 JSON):
                  "boxes": {role: [x1,y1,x2,y2] or null}}, ...]
                A record may carry "worker_boxes": {role: [box x3]} instead of
                "boxes"; the three worker boxes are merged by coordinate mean.
-  predictions: [{"id", "verbs": [verb, ...],
-                 "frames": {verb: {"nouns": {role: noun},
-                                   "boxes": {role: box_or_null},
-                                   "grounded": {role: bool}  # optional
-                                  }}}, ...]
+  frame:       {"nouns": {role: noun}, "boxes": {role: box_or_null},
+                "grounded": {role: true|false}}  ("grounded" optional)
+               The verb sits outside the frame; read by `frame_from_json`,
+               written by `frame_model.frame_to_json`.
+  predictions: [{"id", "verbs": [verb, ...], "frames": {verb: frame}}, ...]
+               (also the `fuse` output)
   detections:  [{"id", "boxes": [box, ...], "nouns": [noun, ...],
                  "noun_scores": [[logit per noun] per box]}, ...]  (fusion)
                [{"id", "classes": [noun, ...], "boxes": [box, ...]}, ...]
                (object retrieval)
   situations:  [{"id", "verbs": [verb x5], "entities": [[noun per role] x5],
                  "boxes": [[box_or_null per role] x5]}, ...]  (retrieval)
-               [{"verb", "nouns": {role: noun}, "boxes": {role: box_or_null},
-                 "query_box": box_or_null}, ...]  (chaining)
+               [{"verb", **frame, "query_box": box_or_null}, ...]  (chaining;
+               the node's roles are the keys of its "nouns")
   boxes:       [[x1,y1,x2,y2], ...]  (anchor clustering)
 
 The adapter sentinel box [-1,-1,-1,-1] is read as "no grounding". An
@@ -72,7 +74,8 @@ class Dataset:
     images: tuple  # of AnnotatedImage
 
 
-def parse_lexicon(obj: dict) -> VerbLexicon:
+def parse_lexicon(source) -> VerbLexicon:
+    obj = _read_json(source)
     if not isinstance(obj, dict) or not obj:
         raise DatasetError("lexicon must be a non-empty JSON object {verb: [roles]}")
     entries = {}
@@ -86,7 +89,8 @@ def parse_lexicon(obj: dict) -> VerbLexicon:
     return VerbLexicon(entries)
 
 
-def parse_vocabulary(obj) -> NounVocabulary:
+def parse_vocabulary(source) -> NounVocabulary:
+    obj = _read_json(source)
     if isinstance(obj, dict):
         return NounVocabulary(frozenset(obj.keys()) - {NULL_NOUN})
     if isinstance(obj, list):
@@ -96,7 +100,7 @@ def parse_vocabulary(obj) -> NounVocabulary:
     raise DatasetError("vocabulary must be a JSON object or array of noun ids")
 
 
-_JSON_TYPE = {dict: "object", list: "array", str: "string"}
+_JSON_TYPE = {dict: "object", list: "array", str: "string", bool: "boolean"}
 _REQUIRED = object()
 
 
@@ -169,7 +173,7 @@ def merge_worker_boxes(boxes: list) -> BoundingBox:
     )
 
 
-def parse_dataset(records, lexicon: VerbLexicon, vocabulary: NounVocabulary,
+def parse_dataset(source, lexicon: VerbLexicon, vocabulary: NounVocabulary,
                   warnings: list) -> tuple:
     """Walk dataset records; returns (images, violations).
 
@@ -179,6 +183,7 @@ def parse_dataset(records, lexicon: VerbLexicon, vocabulary: NounVocabulary,
     the field; a record with any violation yields no image. Boxes clamped
     to the image bounds are reported in `warnings`.
     """
+    records = _read_json(source)
     if not isinstance(records, list):
         return [], ["dataset file must be a JSON array of image records"]
     images, violations, seen = [], [], set()
@@ -289,14 +294,14 @@ def _parse_image(rec: dict, image_id, label: str, lexicon: VerbLexicon,
 
 def load_dataset(annotation_source, lexicon_source, vocabulary_source,
                  warnings: Optional[list] = None) -> Dataset:
-    """Parse and validate a dataset from JSON sources (paths or parsed objects).
+    """Parse and validate a dataset from its three JSON sources.
 
     Raises DatasetError with the first violation `parse_dataset` finds,
     which names the record and field, and the number of others.
     """
-    lexicon = parse_lexicon(_read_json(lexicon_source))
-    vocabulary = parse_vocabulary(_read_json(vocabulary_source))
-    images, violations = parse_dataset(_read_json(annotation_source), lexicon, vocabulary,
+    lexicon = parse_lexicon(lexicon_source)
+    vocabulary = parse_vocabulary(vocabulary_source)
+    images, violations = parse_dataset(annotation_source, lexicon, vocabulary,
                                        [] if warnings is None else warnings)
     if violations:
         more = f" (and {len(violations) - 1} more)" if len(violations) > 1 else ""
@@ -313,22 +318,51 @@ def _records(source, kind: str):
         yield index, _check(rec, dict, f"{kind} record #{index}")
 
 
-def _record_id(rec: dict, index: int, kind: str, seen) -> str:
-    """The record's "id", which must be a string not already in `seen`."""
-    image_id = rec.get("id")
-    if not isinstance(image_id, str):
-        raise DatasetError(f"{kind} record #{index}: missing or non-string 'id'")
-    if image_id in seen:
-        raise DatasetError(f"{kind} {image_id!r}: duplicate id (record #{index})")
-    return image_id
+def _by_id(source, kind: str, parse) -> dict:
+    """{id: parse(rec, where)} over records whose "id" is a string, unique in
+    the file; `where` names the record, and so does every error."""
+    out = {}
+    for index, rec in _records(source, kind):
+        image_id = rec.get("id")
+        if not isinstance(image_id, str):
+            raise DatasetError(f"{kind} record #{index}: missing or non-string 'id'")
+        where = f"{kind} {image_id!r}"
+        if image_id in out:
+            raise DatasetError(f"{where}: duplicate id (record #{index})")
+        try:
+            out[image_id] = parse(rec, where)
+        except (FrameModelError, FusionError, RetrievalError) as e:
+            message = str(e)  # PredictionRecord's messages already start with `where`
+            raise DatasetError(message if message.startswith(where) else f"{where}: {e}") from e
+    return out
+
+
+def frame_from_json(raw, verb: str, roles, where: str) -> GroundedFrame:
+    """Read the file form of a frame, the inverse of `frame_to_json`. Each role
+    needs a string noun; a role with a box is grounded unless "grounded" gives it false."""
+    raw = _check(raw, dict, where)
+    nouns = _get(raw, "nouns", dict, where, {})
+    boxes = _get(raw, "boxes", dict, where, {})
+    grounded = _get(raw, "grounded", dict, where, {})
+    values, groundings = [], []
+    for role in roles:  # the location strings are built only on the error paths
+        if role not in nouns:
+            raise DatasetError(f"{where}, nouns: missing noun for role {role!r}")
+        noun, box, flag = nouns[role], boxes.get(role), grounded.get(role, True)
+        if not isinstance(noun, str):
+            raise _type_error(noun, str, f"{where}, nouns[{role!r}]")
+        if box is not None:
+            box = parse_box(box, f"{where}, boxes[{role!r}]")
+        if not isinstance(flag, bool):
+            raise _type_error(flag, bool, f"{where}, grounded[{role!r}]")
+        values.append((role, noun))
+        groundings.append(box if flag else None)
+    return GroundedFrame(verb, tuple(values), tuple(groundings))
 
 
 def load_predictions(source, lexicon: VerbLexicon) -> list:
     """Parse a prediction file into PredictionRecords."""
-    out = {}
-    for index, rec in _records(source, "prediction"):
-        image_id = _record_id(rec, index, "prediction", out)
-        where = f"prediction {image_id!r}"
+    def parse(rec, where):
         verbs = _strings(rec.get("verbs"), f"{where}, verbs")
         if not verbs:
             raise DatasetError(f"{where}, verbs: must be a non-empty list")
@@ -336,91 +370,55 @@ def load_predictions(source, lexicon: VerbLexicon) -> list:
         for verb, raw in _get(rec, "frames", dict, where, {}).items():
             if verb not in lexicon:
                 raise DatasetError(f"{where}: unknown verb {verb!r}")
-            at = f"{where}, frames[{verb!r}]"
-            raw = _check(raw, dict, at)
-            nouns = _get(raw, "nouns", dict, at, {})
-            boxes = _get(raw, "boxes", dict, at, {})
-            grounded = _get(raw, "grounded", dict, at, {})
-            values, groundings = [], []
-            for role in lexicon.roles(verb):
-                if role not in nouns:
-                    raise DatasetError(f"{at}, nouns: missing noun for role {role!r}")
-                noun = nouns[role]
-                if not isinstance(noun, str):
-                    raise _type_error(noun, str, f"{at}, nouns[{role!r}]")
-                values.append((role, noun))
-                box = boxes.get(role)
-                if box is not None:  # a null box needs no location string
-                    box = parse_box(box, f"{at}, boxes[{role!r}]")
-                flag = grounded[role] if role in grounded else box is not None
-                groundings.append(box if flag else None)
-            frames[verb] = GroundedFrame(verb, tuple(values), tuple(groundings))
-        try:
-            out[image_id] = PredictionRecord(image_id, verbs, frames)
-        except FrameModelError as e:
-            raise DatasetError(str(e)) from e
-    return list(out.values())
+            frames[verb] = frame_from_json(raw, verb, lexicon.roles(verb),
+                                           f"{where}, frames[{verb!r}]")
+        return PredictionRecord(rec["id"], verbs, frames)
+    return list(_by_id(source, "prediction", parse).values())
+
+
+def _detection_set(rec: dict, where: str) -> DetectionSet:
+    boxes = _box_list(rec.get("boxes"), f"{where}, boxes")
+    nouns = _strings(rec.get("nouns"), f"{where}, nouns")
+    raw_scores = _get(rec, "noun_scores", list, where)
+    shape = (len(boxes), len(nouns))
+    try:
+        scores = np.asarray(raw_scores, dtype=np.float64)
+        if scores.size == 0:
+            scores = scores.reshape(shape)
+    except (TypeError, ValueError, OverflowError):
+        scores = None
+    if scores is None or scores.shape != shape:
+        raise DatasetError(f"{where}, noun_scores: must be a {shape[0]}x{shape[1]} array "
+                           "of numbers, one row per box and one column per noun")
+    return DetectionSet(boxes, scores, {n: i for i, n in enumerate(nouns)})
 
 
 def load_detection_sets(source) -> dict:
     """Parse late-fusion detector output into {image id: DetectionSet}."""
-    out = {}
-    for index, rec in _records(source, "detections"):
-        image_id = _record_id(rec, index, "detections", out)
-        where = f"detections {image_id!r}"
-        boxes = _box_list(rec.get("boxes"), f"{where}, boxes")
-        nouns = _strings(rec.get("nouns"), f"{where}, nouns")
-        raw_scores = _get(rec, "noun_scores", list, where)
-        shape = (len(boxes), len(nouns))
-        try:
-            scores = np.asarray(raw_scores, dtype=np.float64)
-            if scores.size == 0:
-                scores = scores.reshape(shape)
-        except (TypeError, ValueError, OverflowError):
-            scores = None
-        if scores is None or scores.shape != shape:
-            raise DatasetError(f"{where}, noun_scores: must be a {shape[0]}x{shape[1]} array "
-                               "of numbers, one row per box and one column per noun")
-        try:
-            out[image_id] = DetectionSet(boxes, scores, {n: i for i, n in enumerate(nouns)})
-        except FusionError as e:
-            raise DatasetError(f"{where}: {e}") from e
-    return out
+    return _by_id(source, "detections", _detection_set)
 
 
 def load_object_detections(source) -> dict:
     """Parse labelled detections (object retrieval) into {image id: DetectionList}."""
-    out = {}
-    for index, rec in _records(source, "detections"):
-        image_id = _record_id(rec, index, "detections", out)
-        where = f"detections {image_id!r}"
-        classes = _strings(rec.get("classes"), f"{where}, classes")
-        boxes = _box_list(rec.get("boxes"), f"{where}, boxes")
-        try:
-            out[image_id] = DetectionList(classes, boxes)
-        except RetrievalError as e:
-            raise DatasetError(f"{where}: {e}") from e
-    return out
+    return _by_id(source, "detections", lambda rec, where: DetectionList(
+        _strings(rec.get("classes"), f"{where}, classes"),
+        _box_list(rec.get("boxes"), f"{where}, boxes")))
+
+
+def _situation(rec: dict, where: str) -> SituationPrediction:
+    verbs = _strings(rec.get("verbs"), f"{where}, verbs")
+    entities = tuple(_strings(row, f"{where}, entities[{a}]")
+                     for a, row in enumerate(_get(rec, "entities", list, where)))
+    boxes = []
+    for a, row in enumerate(_get(rec, "boxes", list, where)):
+        row = _check(row, list, f"{where}, boxes[{a}]")
+        boxes.append(tuple(parse_box(b, f"{where}, boxes[{a}][{k}]") for k, b in enumerate(row)))
+    return SituationPrediction(verbs, entities, tuple(boxes))
 
 
 def load_situations(source) -> dict:
     """Parse top-5 situation predictions (retrieval) into {image id: SituationPrediction}."""
-    out = {}
-    for index, rec in _records(source, "situation"):
-        image_id = _record_id(rec, index, "situation", out)
-        where = f"situation {image_id!r}"
-        verbs = _strings(rec.get("verbs"), f"{where}, verbs")
-        entities = tuple(_strings(row, f"{where}, entities[{a}]")
-                         for a, row in enumerate(_get(rec, "entities", list, where)))
-        boxes = []
-        for a, row in enumerate(_get(rec, "boxes", list, where)):
-            row = _check(row, list, f"{where}, boxes[{a}]")
-            boxes.append(tuple(parse_box(b, f"{where}, boxes[{a}][{k}]") for k, b in enumerate(row)))
-        try:
-            out[image_id] = SituationPrediction(verbs, entities, tuple(boxes))
-        except RetrievalError as e:
-            raise DatasetError(f"{where}: {e}") from e
-    return out
+    return _by_id(source, "situation", _situation)
 
 
 def load_chain_nodes(source) -> list:
@@ -432,13 +430,8 @@ def load_chain_nodes(source) -> list:
     for index, rec in _records(source, "situation"):
         where = f"situation #{index}"
         verb = _get(rec, "verb", str, where)
-        nouns = _get(rec, "nouns", dict, where)
-        boxes = _get(rec, "boxes", dict, where, {})
-        values = tuple((role, _check(noun, str, f"{where}, nouns[{role!r}]"))
-                       for role, noun in nouns.items())
-        groundings = tuple(parse_box(boxes.get(role), f"{where}, boxes[{role!r}]")
-                           for role in nouns)
-        nodes.append(SituationNode(GroundedFrame(verb, values, groundings),
+        roles = tuple(_get(rec, "nouns", dict, where))
+        nodes.append(SituationNode(frame_from_json(rec, verb, roles, where),
                                    parse_box(rec.get("query_box"), f"{where}, query_box")))
     return nodes
 
@@ -501,10 +494,11 @@ def _read_json(source):
     """Accept a path, a file object, or an already-parsed JSON value."""
     if isinstance(source, (dict, list)):
         return source
-    if hasattr(source, "read"):
-        return json.load(source)
     try:
+        if hasattr(source, "read"):
+            return json.load(source)
         with open(source, "r", encoding="utf-8") as f:
             return json.load(f)
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
-        raise DatasetError(f"{source}: {e}") from e
+        name = getattr(source, "name", "<stream>") if hasattr(source, "read") else source
+        raise DatasetError(f"{name}: {e}") from e

@@ -191,9 +191,8 @@ class PredictionRecord:
 
 
 def frame_to_json(frame: GroundedFrame) -> dict:
-    """The file form of a frame: {"verb", "nouns": {role: noun}, "boxes": {role: box_or_null}}."""
+    """A frame's file form, verb apart: {"nouns": {role: noun}, "boxes": {role: box_or_null}}."""
     return {
-        "verb": frame.verb,
         "nouns": dict(frame.role_values),
         "boxes": {
             role: (box.as_list() if box is not None else None)

@@ -87,6 +87,8 @@ def evaluate(dataset: Dataset, predictions: list, setting: VerbSetting,
     "per_verb": {verb: {metric: fraction}}, "counts": {verb: {"images": n,
     "role_slots": n}}}.
     """
+    if not dataset.images:
+        raise EvaluationError("the dataset holds no images: there is nothing to evaluate")
     by_id = {p.image_id: p for p in predictions}
     missing = [img.image_id for img in dataset.images if img.image_id not in by_id]
     if missing:

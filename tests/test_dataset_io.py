@@ -3,7 +3,14 @@ import json
 import pytest
 
 from swig_toolkit import BoundingBox, compute_stats, load_dataset, merge_worker_boxes
-from swig_toolkit.dataset_io import DatasetError, load_predictions, parse_lexicon
+from swig_toolkit.dataset_io import (
+    DatasetError,
+    frame_from_json,
+    load_chain_nodes,
+    load_predictions,
+    parse_lexicon,
+)
+from swig_toolkit.frame_model import GroundedFrame, frame_to_json
 
 LEXICON_JSON = {
     "kneading": ["Agent", "Item", "Place"],
@@ -193,6 +200,36 @@ class TestLoadPredictions:
         )
         assert p.frames["jumping"].grounding_of("Agent") is None
 
+    @pytest.mark.parametrize("flag", ["no", [1], 0, 1, None])
+    def test_grounded_flag_must_be_a_boolean(self, flag):
+        frame = {"nouns": {"Agent": "man", "Place": "street"},
+                 "boxes": {"Agent": [0, 0, 10, 10], "Place": None}, "grounded": {"Agent": flag}}
+        with pytest.raises(DatasetError, match=r"^prediction 'x', frames\['jumping'\], "
+                                               r"grounded\['Agent'\]: must be a JSON boolean"):
+            load_predictions([{"id": "x", "verbs": ["jumping"], "frames": {"jumping": frame}}],
+                             parse_lexicon(LEXICON_JSON))
+
+    def test_chain_nodes_honour_the_grounded_flag(self):
+        (node,) = load_chain_nodes([{"verb": "jumping", "nouns": {"Agent": "man", "Place": "street"},
+                                     "boxes": {"Agent": [0, 0, 10, 10], "Place": None},
+                                     "grounded": {"Agent": False}}])
+        assert node.frame.groundings == (None, None)
+
+    def test_frame_from_json_inverts_frame_to_json(self, rng, lexicon, vocabulary):
+        from conftest import random_dataset, random_prediction
+
+        box = BoundingBox(1.0, 2.0, 30.0, 40.5)
+        frames = [GroundedFrame("kneading", (("Agent", "man"), ("Item", ""), ("Place", "kitchen")),
+                                (None, None, None)),
+                  GroundedFrame("kneading", (("Agent", "man"), ("Item", "dough"), ("Place", "")),
+                                (box, box, None))]
+        for img in random_dataset(rng, lexicon, vocabulary).images:
+            frames.extend(random_prediction(rng, lexicon, img).frames.values())
+        assert any(all(b is None for b in f.groundings) for f in frames)  # with no box
+        assert any(b is not None for f in frames for b in f.groundings)  # with boxes
+        for f in frames:
+            assert frame_from_json(frame_to_json(f), f.verb, f.roles, "frame") == f
+
     def test_frame_serialization_round_trip(self, rng, lexicon, vocabulary):
         from conftest import random_dataset, random_prediction
         from swig_toolkit.frame_model import frame_to_json
@@ -203,10 +240,7 @@ class TestLoadPredictions:
             payload = [{
                 "id": pred.image_id,
                 "verbs": list(pred.verb_ranking),
-                "frames": {
-                    verb: {k: v for k, v in frame_to_json(f).items() if k != "verb"}
-                    for verb, f in pred.frames.items()
-                },
+                "frames": {verb: frame_to_json(f) for verb, f in pred.frames.items()},
             }]
             (reloaded,) = load_predictions(payload, lexicon)
             assert reloaded.frames == pred.frames

@@ -28,7 +28,9 @@ from swig_toolkit.dataset_io import (
     load_object_detections,
     load_predictions,
     load_situations,
+    parse_dataset,
     parse_lexicon,
+    parse_vocabulary,
 )
 from swig_toolkit.retrieval import write_embeddings
 
@@ -158,6 +160,9 @@ PROBES = [
      ("eval",), ("prediction 'ghost.jpg'", "(and 1 more)")),
     ("situations-without-entities", _delete(("sits.json", 0, "entities")),
      ("retrieve",), ("situation 'img0'", "entities")),
+    ("grounded-not-boolean",
+     _set(("preds.json", 0, "frames", "kneading", "grounded"), {"Agent": True, "Item": "no"}),
+     ("eval", "fuse"), ("prediction 'img1.jpg'", "frames['kneading']", "grounded['Item']")),
     ("chain-nouns-string", _set(("chain.json", 0, "nouns"), "man"),
      ("chain",), ("situation #0", "nouns")),
     ("anchor-box-3-coordinates", _set(("boxes.json", 0), [0, 0, 20]),
@@ -360,6 +365,41 @@ def test_non_utf8_id_list_is_one_error_naming_it(tmp_path):
     assert err.count("\n") == 1 and err.startswith(f"error: {tmp_path}/query.txt: "), err
 
 
+@pytest.mark.parametrize("load", [
+    lambda s: load_dataset(s, LEXICON, VOCAB), lambda s: load_dataset([], s, VOCAB),
+    lambda s: load_dataset([], LEXICON, s), lambda s: load_predictions(s, parse_lexicon(LEXICON)),
+    load_detection_sets, load_object_detections, load_situations, load_chain_nodes, load_boxes,
+    parse_lexicon, parse_vocabulary,
+    lambda s: parse_dataset(s, parse_lexicon(LEXICON), parse_vocabulary(VOCAB), []),
+], ids=["dataset", "lexicon", "vocabulary", "predictions", "detection-sets", "object-detections",
+        "situations", "chain-nodes", "boxes", "parse-lexicon", "parse-vocabulary", "parse-dataset"])
+def test_undecodable_stream_is_a_dataset_error(tmp_path, load):
+    with pytest.raises(DatasetError, match=r"^<stream>: Expecting value"):
+        load(io.StringIO("["))
+    (tmp_path / "broken.json").write_text("[")
+    with open(tmp_path / "broken.json", encoding="utf-8") as f:
+        with pytest.raises(DatasetError) as error:
+            load(f)
+    assert str(error.value).startswith(f"{tmp_path}/broken.json: Expecting value"), error.value
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_gradcheck_trials_below_one_is_one_error(trials):
+    status, out, err = run(["gradcheck", "--trials", trials, "--out", "-"])
+    assert status == 1 and out == ""
+    assert err == f"error: --trials must be >= 1, got {trials}\n", err
+
+
+def test_eval_on_an_empty_dataset_is_one_error(tmp_path):
+    files = valid_files()
+    files["dataset.json"], files["preds.json"] = [], []
+    write_files(tmp_path, files)
+    status, out, err = run(command("eval", tmp_path))
+    assert status == 1 and out == ""
+    assert err == "error: the dataset holds no images: there is nothing to evaluate\n", err
+    assert run(command("stats", tmp_path))[0] == 0
+
+
 @pytest.mark.parametrize("iou", ["-1", "2", "nan"])
 def test_chain_iou_outside_the_unit_interval_is_one_error(tmp_path, iou):
     write_files(tmp_path, valid_files())
@@ -475,8 +515,11 @@ def situation(draw, image_id):
 def chain_node(draw):
     verb = draw(VERBS)
     roles = LEXICON[verb]
-    return {"verb": verb, "nouns": {r: draw(NOUNS) for r in roles},
+    node = {"verb": verb, "nouns": {r: draw(NOUNS) for r in roles},
             "boxes": {r: draw(OPTIONAL_BOX) for r in roles}, "query_box": draw(OPTIONAL_BOX)}
+    if draw(st.booleans()):
+        node["grounded"] = {r: draw(st.booleans()) for r in roles}
+    return node
 
 
 def records(make):
