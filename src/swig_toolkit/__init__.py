@@ -16,7 +16,6 @@ from .frame_model import (  # noqa: F401
     GroundedFrame,
     NounVocabulary,
     PredictionRecord,
-    VerbEntry,
     VerbLexicon,
 )
 from .dataset_io import (  # noqa: F401

@@ -22,6 +22,7 @@ DEFAULT_SPATIAL_IOU = 0.4  # below the 0.5 metric threshold: boxes for the
 
 @dataclass(frozen=True)
 class SituationNode:
+    verb: str
     frame: GroundedFrame
     query_box: Optional[BoundingBox] = None
 
@@ -76,7 +77,7 @@ def chain(nodes: list, spatial_iou: float = DEFAULT_SPATIAL_IOU) -> dict:
             if same[a, b]:
                 edges.append({**pair, "type": "semantic", "strength": 1.0})
     return {
-        "nodes": [{"verb": n.frame.verb, **frame_to_json(n.frame),
+        "nodes": [{"verb": n.verb, **frame_to_json(n.frame),
                    "query_box": n.query_box.as_list() if n.query_box else None}
                   for n in nodes],
         "edges": edges,

@@ -125,14 +125,13 @@ def cmd_fuse(args) -> int:
     for pred in predictions:
         if pred.image_id not in detections:
             raise DatasetError(f"no detections for image {pred.image_id!r}")
-        try:
-            frames = {
-                verb: frame_to_json(assign_groundings(frame, detections[pred.image_id],
-                                                      args.fusion_threshold))
-                for verb, frame in sorted(pred.frames.items())
-            }
-        except FusionError as e:
-            raise DatasetError(f"image {pred.image_id!r}, {e}") from e
+        frames = {}
+        for verb, frame in sorted(pred.frames.items()):
+            try:
+                fused = assign_groundings(frame, detections[pred.image_id], args.fusion_threshold)
+            except FusionError as e:
+                raise DatasetError(f"image {pred.image_id!r}, verb {verb!r}, {e}") from e
+            frames[verb] = frame_to_json(fused)
         out.append({"id": pred.image_id, "verbs": list(pred.verb_ranking), "frames": frames})
     write_output(out, args.out)
     return 0

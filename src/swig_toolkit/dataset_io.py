@@ -1,9 +1,10 @@
 """Parsing of every input file format, worker-box merging, corpus statistics.
 
 This module is the only code that reads JSON input; every reader takes a
-path, a file object or an already-parsed JSON value. Every box goes
-through `parse_box`, every frame through `frame_from_json`, and every
-error names the record and the field it comes from.
+path (str, bytes or os.PathLike), a file object or an already-parsed JSON
+value. Every box goes through `parse_box`, every frame through
+`frame_from_json`, and every error names the record and the field it
+comes from: "<record>, <field>: <rule>".
 
 Canonical file formats (UTF-8 JSON):
 
@@ -37,6 +38,7 @@ optional object or array field given as null counts as absent.
 from __future__ import annotations
 
 import json
+import os
 import reprlib
 import sys
 from dataclasses import dataclass
@@ -54,7 +56,6 @@ from .frame_model import (
     GroundedFrame,
     NounVocabulary,
     PredictionRecord,
-    VerbEntry,
     VerbLexicon,
 )
 from .fusion import DetectionSet, FusionError
@@ -78,15 +79,13 @@ def parse_lexicon(source) -> VerbLexicon:
     obj = _read_json(source)
     if not isinstance(obj, dict) or not obj:
         raise DatasetError("lexicon must be a non-empty JSON object {verb: [roles]}")
-    entries = {}
     for verb, roles in obj.items():
         if not isinstance(roles, list) or not all(isinstance(r, str) for r in roles):
             raise DatasetError(f"lexicon entry {verb!r}: roles must be a list of strings")
-        try:
-            entries[verb] = VerbEntry(verb, tuple(roles))
-        except FrameModelError as e:
-            raise DatasetError(str(e)) from e
-    return VerbLexicon(entries)
+    try:
+        return VerbLexicon({verb: tuple(roles) for verb, roles in obj.items()})
+    except FrameModelError as e:
+        raise DatasetError(str(e)) from e
 
 
 def parse_vocabulary(source) -> NounVocabulary:
@@ -251,7 +250,7 @@ def _parse_image(rec: dict, image_id, label: str, lexicon: VerbLexicon,
             elif noun != NULL_NOUN and noun not in vocabulary:
                 bad(f"frames[{ann}][{role!r}]", f"unknown noun {noun!r}")
             values.append((role, noun))
-        frames.append(GroundedFrame(verb, tuple(values), (None,) * len(roles)))
+        frames.append(GroundedFrame(tuple(values), (None,) * len(roles)))
 
     source = "worker_boxes" if "worker_boxes" in rec else "boxes"
     raw_boxes = collect(_get, rec, source, dict, label, {}, fallback={})
@@ -332,12 +331,11 @@ def _by_id(source, kind: str, parse) -> dict:
         try:
             out[image_id] = parse(rec, where)
         except (FrameModelError, FusionError, RetrievalError) as e:
-            message = str(e)  # PredictionRecord's messages already start with `where`
-            raise DatasetError(message if message.startswith(where) else f"{where}: {e}") from e
+            raise DatasetError(f"{where}, {e}") from e  # the type's message names the field
     return out
 
 
-def frame_from_json(raw, verb: str, roles, where: str) -> GroundedFrame:
+def frame_from_json(raw, roles, where: str) -> GroundedFrame:
     """Read the file form of a frame, the inverse of `frame_to_json`. Each role
     needs a string noun; a role with a box is grounded unless "grounded" gives it false."""
     raw = _check(raw, dict, where)
@@ -357,7 +355,7 @@ def frame_from_json(raw, verb: str, roles, where: str) -> GroundedFrame:
             raise _type_error(flag, bool, f"{where}, grounded[{role!r}]")
         values.append((role, noun))
         groundings.append(box if flag else None)
-    return GroundedFrame(verb, tuple(values), tuple(groundings))
+    return GroundedFrame(tuple(values), tuple(groundings))
 
 
 def load_predictions(source, lexicon: VerbLexicon) -> list:
@@ -370,8 +368,7 @@ def load_predictions(source, lexicon: VerbLexicon) -> list:
         for verb, raw in _get(rec, "frames", dict, where, {}).items():
             if verb not in lexicon:
                 raise DatasetError(f"{where}: unknown verb {verb!r}")
-            frames[verb] = frame_from_json(raw, verb, lexicon.roles(verb),
-                                           f"{where}, frames[{verb!r}]")
+            frames[verb] = frame_from_json(raw, lexicon.roles(verb), f"{where}, frames[{verb!r}]")
         return PredictionRecord(rec["id"], verbs, frames)
     return list(_by_id(source, "prediction", parse).values())
 
@@ -431,7 +428,7 @@ def load_chain_nodes(source) -> list:
         where = f"situation #{index}"
         verb = _get(rec, "verb", str, where)
         roles = tuple(_get(rec, "nouns", dict, where))
-        nodes.append(SituationNode(frame_from_json(rec, verb, roles, where),
+        nodes.append(SituationNode(verb, frame_from_json(rec, roles, where),
                                    parse_box(rec.get("query_box"), f"{where}, query_box")))
     return nodes
 
@@ -491,12 +488,13 @@ def compute_stats(dataset: Dataset) -> dict:
 
 
 def _read_json(source):
-    """Accept a path, a file object, or an already-parsed JSON value."""
-    if isinstance(source, (dict, list)):
-        return source
+    """Decode a file object or a path (str, bytes or os.PathLike); any other
+    value is already parsed, for the format's own type check to judge."""
     try:
         if hasattr(source, "read"):
             return json.load(source)
+        if not isinstance(source, (str, bytes, os.PathLike)):
+            return source
         with open(source, "r", encoding="utf-8") as f:
             return json.load(f)
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:

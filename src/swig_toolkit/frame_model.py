@@ -4,6 +4,10 @@ All types are immutable after construction and safe to share across
 threads. The null noun value is encoded as the empty string "" in files
 and in memory; a role that is absent from a record entirely is a
 structural error, not a null value.
+
+Each fact has one owner: a frame's verb belongs to the record that holds
+the frame, a verb's roles to the lexicon. A type's error names its field,
+and the loader that builds the type names the record.
 """
 
 from __future__ import annotations
@@ -63,37 +67,25 @@ class BoundingBox:
 
 
 @dataclass(frozen=True)
-class VerbEntry:
-    """One verb and its fixed, ordered role list (1 to 6 roles)."""
-
-    verb: str
-    roles: tuple
-
-    def __post_init__(self):
-        if not 1 <= len(self.roles) <= 6:
-            raise FrameModelError(f"verb {self.verb!r} must have 1..6 roles, got {len(self.roles)}")
-        if len(set(self.roles)) != len(self.roles):
-            raise FrameModelError(f"verb {self.verb!r} has duplicate role names")
-
-
-@dataclass(frozen=True)
 class VerbLexicon:
-    """Catalog mapping verb id to its VerbEntry. Role order is authoritative."""
+    """Catalog mapping verb id to its ordered tuple of 1 to 6 distinct roles."""
 
-    entries: dict
+    entries: dict  # verb -> tuple of role names
 
     def __post_init__(self):
         if not self.entries:
             raise FrameModelError("lexicon must contain at least one verb")
+        for verb, roles in self.entries.items():
+            if not 1 <= len(roles) <= 6:
+                raise FrameModelError(f"verb {verb!r} must have 1..6 roles, got {len(roles)}")
+            if len(set(roles)) != len(roles):
+                raise FrameModelError(f"verb {verb!r} has duplicate role names")
 
     def __contains__(self, verb: str) -> bool:
         return verb in self.entries
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def roles(self, verb: str) -> tuple:
-        return self.entries[verb].roles
+        return self.entries[verb]
 
 
 @dataclass(frozen=True)
@@ -115,18 +107,15 @@ class NounVocabulary:
 
 @dataclass(frozen=True)
 class GroundedFrame:
-    """One verb, ordered (role, noun) pairs, and parallel optional groundings."""
+    """Ordered (role, noun) pairs and parallel optional groundings, no verb."""
 
-    verb: str
     role_values: tuple  # of (role, noun) pairs; noun == "" means null
     groundings: tuple  # of Optional[BoundingBox], parallel to role_values
 
     def __post_init__(self):
         if len(self.role_values) != len(self.groundings):
-            raise FrameModelError(
-                f"frame for {self.verb!r}: {len(self.role_values)} roles but "
-                f"{len(self.groundings)} groundings"
-            )
+            raise FrameModelError(f"groundings: {len(self.groundings)} groundings for "
+                                  f"{len(self.role_values)} roles")
 
     @property
     def roles(self) -> tuple:
@@ -156,16 +145,7 @@ class AnnotatedImage:
 
     def __post_init__(self):
         if len(self.annotator_frames) != 3:
-            raise FrameModelError(
-                f"image {self.image_id!r}: expected 3 annotator frames, got "
-                f"{len(self.annotator_frames)}"
-            )
-        for f in self.annotator_frames:
-            if f.verb != self.verb:
-                raise FrameModelError(
-                    f"image {self.image_id!r}: annotator frame verb {f.verb!r} "
-                    f"differs from image verb {self.verb!r}"
-                )
+            raise FrameModelError(f"annotator_frames: {len(self.annotator_frames)} frames, not 3")
 
     @property
     def roles(self) -> tuple:
@@ -182,16 +162,14 @@ class PredictionRecord:
 
     def __post_init__(self):
         if not self.verb_ranking:
-            raise FrameModelError(f"prediction {self.image_id!r}: empty verb ranking")
+            raise FrameModelError("verb_ranking: must not be empty")
         for verb in self.frames:
             if verb not in self.verb_ranking:
-                raise FrameModelError(
-                    f"prediction {self.image_id!r}: frame verb {verb!r} not in ranking"
-                )
+                raise FrameModelError(f"frames[{verb!r}]: verb not in the ranking")
 
 
 def frame_to_json(frame: GroundedFrame) -> dict:
-    """A frame's file form, verb apart: {"nouns": {role: noun}, "boxes": {role: box_or_null}}."""
+    """A frame's file form: {"nouns": {role: noun}, "boxes": {role: box_or_null}}."""
     return {
         "nouns": dict(frame.role_values),
         "boxes": {

@@ -35,12 +35,10 @@ class DetectionSet:
 
     def __post_init__(self):
         if self.noun_scores.shape[0] != len(self.boxes):
-            raise FusionError(
-                f"score matrix has {self.noun_scores.shape[0]} rows for "
-                f"{len(self.boxes)} boxes"
-            )
+            raise FusionError(f"noun_scores: {self.noun_scores.shape[0]} rows for "
+                              f"{len(self.boxes)} boxes")
         if not np.all(np.isfinite(self.noun_scores)):
-            raise FusionError("noun scores must be finite")
+            raise FusionError("noun_scores: must be finite")
 
 
 def assign_groundings(frame: GroundedFrame, detections: DetectionSet,
@@ -56,9 +54,8 @@ def assign_groundings(frame: GroundedFrame, detections: DetectionSet,
             groundings.append(None)
             continue
         if noun not in detections.noun_index:
-            raise FusionError(f"verb {frame.verb!r}, role {role!r}: noun {noun!r} absent "
-                              "from detection vocabulary")
+            raise FusionError(f"role {role!r}: noun {noun!r} absent from detection vocabulary")
         col = detections.noun_scores[:, detections.noun_index[noun]]
         best = int(np.argmax(col))  # np.argmax returns the first maximum
         groundings.append(detections.boxes[best] if col[best] >= threshold else None)
-    return GroundedFrame(frame.verb, frame.role_values, tuple(groundings))
+    return GroundedFrame(frame.role_values, tuple(groundings))

@@ -8,6 +8,7 @@ separate newline-separated manifest file.
 
 from __future__ import annotations
 
+import os
 import random
 import struct
 from collections import Counter
@@ -37,7 +38,7 @@ class DetectionList:
 
     def __post_init__(self):
         if len(self.classes) != len(self.boxes):
-            raise RetrievalError("classes and boxes must be parallel lists")
+            raise RetrievalError(f"boxes: {len(self.boxes)} boxes for {len(self.classes)} classes")
 
 
 @dataclass(frozen=True)
@@ -54,12 +55,13 @@ class SituationPrediction:
 
     def __post_init__(self):
         if len(self.verbs) != 5:
-            raise RetrievalError(f"expected exactly 5 verb hypotheses, got {len(self.verbs)}")
-        if len(self.entities) != 5 or len(self.boxes) != 5:
-            raise RetrievalError("entities and boxes must have one entry per verb hypothesis")
-        for ent, box in zip(self.entities, self.boxes):
+            raise RetrievalError(f"verbs: expected exactly 5 verb hypotheses, got {len(self.verbs)}")
+        for name, lists in (("entities", self.entities), ("boxes", self.boxes)):
+            if len(lists) != 5:
+                raise RetrievalError(f"{name}: {len(lists)} lists for 5 verb hypotheses")
+        for a, (ent, box) in enumerate(zip(self.entities, self.boxes)):
             if len(ent) != len(box):
-                raise RetrievalError("entity and box lists must be parallel per verb")
+                raise RetrievalError(f"boxes[{a}]: {len(box)} boxes for {len(ent)} entities")
 
 
 def l2_similarity(a: np.ndarray, b: np.ndarray) -> float:
@@ -383,11 +385,11 @@ def read_embeddings(path):
             raise RetrievalError(f"{path}: embedding file header truncated "
                                  f"({4 + len(header)} of 12 bytes)")
         count, dim = struct.unpack("<II", header)
-        payload = f.read()  # not f.read(count * dim * 4): a corrupt header may declare exabytes
-    if len(payload) < count * dim * 4:
-        raise RetrievalError(f"{path}: embedding file truncated: the header declares "
-                             f"{count}x{dim} float32 values, {len(payload)} bytes follow")
-    matrix = np.frombuffer(payload, dtype="<f4", count=count * dim).reshape(count, dim)
+        size = os.fstat(f.fileno()).st_size - 12  # a corrupt header may declare exabytes
+        if size < count * dim * 4:
+            raise RetrievalError(f"{path}: embedding file truncated: the header declares "
+                                 f"{count}x{dim} float32 values, {size} bytes follow")
+        matrix = np.fromfile(f, dtype="<f4", count=count * dim).reshape(count, dim)
     ids = read_ids(str(path) + ".ids")
     if len(ids) != count:
         raise RetrievalError(f"manifest has {len(ids)} ids for {count} rows")

@@ -9,7 +9,6 @@ from swig_toolkit import (
     GroundedFrame,
     NounVocabulary,
     PredictionRecord,
-    VerbEntry,
     VerbLexicon,
 )
 
@@ -27,7 +26,7 @@ NOUNS = ("man", "woman", "dough", "bread", "sofa", "table", "dog", "cat",
 
 @pytest.fixture
 def lexicon():
-    return VerbLexicon({v: VerbEntry(v, r) for v, r in LEXICON_ROLES.items()})
+    return VerbLexicon(dict(LEXICON_ROLES))
 
 
 @pytest.fixture
@@ -54,7 +53,7 @@ def random_image(rng, lexicon, image_id, verb=None):
             (role, rng.choice(NOUNS) if rng.random() > 0.2 else "")
             for role in roles
         )
-        frames.append(GroundedFrame(verb, values, (None,) * len(roles)))
+        frames.append(GroundedFrame(values, (None,) * len(roles)))
     gt = {}
     for role in roles:
         has_non_null = any(dict(f.role_values)[role] != "" for f in frames)
@@ -100,7 +99,7 @@ def random_prediction(rng, lexicon, image, quality=0.5):
                 box = None
             values.append((role, noun))
             boxes.append(box)
-        frames[verb] = GroundedFrame(verb, tuple(values), tuple(boxes))
+        frames[verb] = GroundedFrame(tuple(values), tuple(boxes))
     return PredictionRecord(image.image_id, tuple(ranking), frames)
 
 
@@ -116,7 +115,7 @@ def perfect_prediction(image):
             noun = annot[0]
         values.append((role, noun))
         boxes.append(gt_box if noun != "" else None)
-    perfect = GroundedFrame(image.verb, tuple(values), tuple(boxes))
+    perfect = GroundedFrame(tuple(values), tuple(boxes))
     return PredictionRecord(image.image_id, (image.verb,), {image.verb: perfect})
 
 

@@ -105,7 +105,7 @@ def test_criterion_2_metric_fixpoints_and_dominance(lexicon, vocabulary):
     for img in dataset.images:
         roles = img.roles
         values = tuple((role, "never-a-real-noun") for role in roles)
-        frame = GroundedFrame(img.verb, values, (None,) * len(roles))
+        frame = GroundedFrame(values, (None,) * len(roles))
         adversarial.append(
             PredictionRecord(img.image_id, (img.verb,), {img.verb: frame})
         )
@@ -268,7 +268,6 @@ def test_criterion_7_fusion_behavior():
     rng = random.Random(606)
     noun_index = {"man": 0, "dough": 1, "sofa": 2}
     frame = GroundedFrame(
-        "kneading",
         (("Agent", "man"), ("Item", "dough"), ("Place", "sofa")),
         (None, None, None),
     )

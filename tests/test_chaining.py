@@ -10,7 +10,7 @@ from oracles import chain_naive
 
 def node(verb, role_nouns, role_boxes):
     values = tuple(role_nouns)
-    return SituationNode(GroundedFrame(verb, values, tuple(role_boxes)))
+    return SituationNode(verb, GroundedFrame(values, tuple(role_boxes)))
 
 
 def simple_node(noun="man", box=None, role="Agent", verb="jumping"):

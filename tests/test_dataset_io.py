@@ -219,16 +219,16 @@ class TestLoadPredictions:
         from conftest import random_dataset, random_prediction
 
         box = BoundingBox(1.0, 2.0, 30.0, 40.5)
-        frames = [GroundedFrame("kneading", (("Agent", "man"), ("Item", ""), ("Place", "kitchen")),
+        frames = [GroundedFrame((("Agent", "man"), ("Item", ""), ("Place", "kitchen")),
                                 (None, None, None)),
-                  GroundedFrame("kneading", (("Agent", "man"), ("Item", "dough"), ("Place", "")),
+                  GroundedFrame((("Agent", "man"), ("Item", "dough"), ("Place", "")),
                                 (box, box, None))]
         for img in random_dataset(rng, lexicon, vocabulary).images:
             frames.extend(random_prediction(rng, lexicon, img).frames.values())
         assert any(all(b is None for b in f.groundings) for f in frames)  # with no box
         assert any(b is not None for f in frames for b in f.groundings)  # with boxes
         for f in frames:
-            assert frame_from_json(frame_to_json(f), f.verb, f.roles, "frame") == f
+            assert frame_from_json(frame_to_json(f), f.roles, "frame") == f
 
     def test_frame_serialization_round_trip(self, rng, lexicon, vocabulary):
         from conftest import random_dataset, random_prediction

@@ -34,4 +34,4 @@ class TestNounVocabulary:
 class TestGroundedFrame:
     def test_parallel_lists_enforced(self):
         with pytest.raises(FrameModelError):
-            GroundedFrame("jumping", (("Agent", "man"),), (None, None))
+            GroundedFrame((("Agent", "man"),), (None, None))

@@ -19,7 +19,6 @@ def detection_set(scores, n_boxes=None):
 
 def kneading_frame(agent="man", item="dough", place="kitchen"):
     return GroundedFrame(
-        "kneading",
         (("Agent", agent), ("Item", item), ("Place", place)),
         (None, None, None),
     )
@@ -50,7 +49,6 @@ class TestAssignGroundings:
     def test_two_roles_share_one_box(self):
         det = detection_set([[5.0, 1.0, 0.0], [2.0, 0.5, 0.0]])
         frame = GroundedFrame(
-            "kneading",
             (("Agent", "man"), ("Item", "man"), ("Place", "kitchen")),
             (None, None, None),
         )

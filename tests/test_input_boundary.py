@@ -3,6 +3,7 @@ in `dataset_io`, so any JSON value ends in a result or in exit status 1
 with a one-line error naming the record and field, and `swig validate`
 accepts exactly the datasets the loaders accept."""
 
+import builtins
 import contextlib
 import copy
 import io
@@ -68,6 +69,8 @@ def valid_files():
             "entities": [["man", "dough", "kitchen"], ["x"], ["x"], ["x"], ["x"]],
             "boxes": [[[0, 0, 10, 10], None, None], [None], [None], [None], [None]],
         } for i in range(2)],
+        "objs.json": [{"id": f"img{i}", "classes": ["man"], "boxes": [[0, 0, 10, 10]]}
+                      for i in range(2)],
         "chain.json": [{"verb": "jumping", "nouns": {"Agent": "man", "Place": "street"},
                         "boxes": {"Agent": [0, 0, 10, 10], "Place": None}}],
         "boxes.json": [[0, 0, 20, 10], [0, 0, 10, 20]],
@@ -86,6 +89,9 @@ def command(name, d):
         "retrieve": ["retrieve", "--mode", "sit", "--query", f"{d}/query.txt",
                      "--search", f"{d}/query.txt", "--situations", f"{d}/sits.json",
                      "--out", "-"],
+        "retrieve-obj": ["retrieve", "--mode", "obj", "--query", f"{d}/query.txt",
+                         "--search", f"{d}/query.txt", "--detections", f"{d}/objs.json",
+                         "--out", "-"],
         "chain": ["chain", "--situations", f"{d}/chain.json", "--out", "-"],
         "anchors": ["anchors", "--boxes", f"{d}/boxes.json", "--k", "1", "--out", "-"],
     }[name]
@@ -163,6 +169,19 @@ PROBES = [
     ("grounded-not-boolean",
      _set(("preds.json", 0, "frames", "kneading", "grounded"), {"Agent": True, "Item": "no"}),
      ("eval", "fuse"), ("prediction 'img1.jpg'", "frames['kneading']", "grounded['Item']")),
+    ("situation-four-verbs", _delete(("sits.json", 0, "verbs", 4)),
+     ("retrieve",), ("situation 'img0', verbs",)),
+    ("situation-four-entity-lists", _delete(("sits.json", 0, "entities", 4)),
+     ("retrieve",), ("situation 'img0', entities",)),
+    ("situation-box-row-short", _delete(("sits.json", 0, "boxes", 0, 2)),
+     ("retrieve",), ("situation 'img0', boxes[0]",)),
+    ("object-class-without-box", lambda f: f["objs.json"][0]["classes"].append("dough"),
+     ("retrieve-obj",), ("detections 'img0', boxes",)),
+    ("frame-verb-not-ranked",
+     _set(("preds.json", 0, "frames", "jumping"), {"nouns": {"Agent": "man", "Place": "street"}}),
+     ("eval", "fuse"), ("prediction 'img1.jpg', frames['jumping']",)),
+    ("noun-score-overflow", _set(("dets.json", 0, "noun_scores", 0, 0), float("1e400")),
+     ("fuse",), ("detections 'img1.jpg', noun_scores",)),
     ("chain-nouns-string", _set(("chain.json", 0, "nouns"), "man"),
      ("chain",), ("situation #0", "nouns")),
     ("anchor-box-3-coordinates", _set(("boxes.json", 0), [0, 0, 20]),
@@ -218,6 +237,24 @@ def test_duplicate_prediction_id_is_an_error():
     preds = valid_files()["preds.json"] * 2
     with pytest.raises(DatasetError, match="prediction 'img1.jpg': duplicate id"):
         load_predictions(preds, parse_lexicon(LEXICON))
+
+
+@pytest.mark.parametrize("value", [0, True, None, 3.5], ids=["0", "True", "None", "3.5"])
+def test_a_source_that_is_no_path_or_stream_is_a_parsed_value(monkeypatch, value):
+    lexicon, vocabulary = parse_lexicon(LEXICON), parse_vocabulary(VOCAB)
+    opened = []
+
+    def no_open(*args, **kwargs):  # also keeps fd 0 and 1 of this process open
+        opened.append(args)
+        raise OSError("a parsed value is not opened")
+
+    monkeypatch.setattr(builtins, "open", no_open)
+    for load in (parse_lexicon, parse_vocabulary, lambda s: load_predictions(s, lexicon),
+                 load_boxes):
+        with pytest.raises(DatasetError):
+            load(value)
+    assert parse_dataset(value, lexicon, vocabulary, [])[1]
+    assert opened == []
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])

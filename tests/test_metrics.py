@@ -57,20 +57,18 @@ def two_image_fixture(lexicon, vocabulary):
 
     def image(image_id):
         values = (("Agent", "man"), ("Item", "dough"), ("Place", "kitchen"))
-        frames = tuple(GroundedFrame(verb, values, (None, None, None)) for _ in range(3))
+        frames = tuple(GroundedFrame(values, (None, None, None)) for _ in range(3))
         return AnnotatedImage(image_id, 100, 100, verb, frames,
                               {"Agent": box, "Item": box, "Place": None})
 
     img_a, img_b = image("a.jpg"), image("b.jpg")
     # A: all 3 roles correct and grounded
     frame_a = GroundedFrame(
-        verb,
         (("Agent", "man"), ("Item", "dough"), ("Place", "kitchen")),
         (box, box, None),
     )
     # B: Agent correct + grounding wrong; Item correct + grounded; Place noun wrong
     frame_b = GroundedFrame(
-        verb,
         (("Agent", "man"), ("Item", "dough"), ("Place", "street")),
         (off_box, box, None),
     )
