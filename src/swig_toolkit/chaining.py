@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .frame_model import NULL_NOUN, BoundingBox, GroundedFrame, frame_to_json
-from .geometry import iou_row
+from .geometry import box_array, iou_row
 
 DEFAULT_SPATIAL_IOU = 0.4  # below the 0.5 metric threshold: boxes for the
 # same entity can come from different conditional passes
@@ -53,8 +53,7 @@ def chain(nodes: list, spatial_iou: float = DEFAULT_SPATIAL_IOU) -> dict:
     codes = {}
     noun = np.array([-1 if s[2] == NULL_NOUN else codes.setdefault(s[2], len(codes))
                      for s in slots], dtype=np.int64)
-    boxes = np.array([s[3].as_list() if s[3] is not None else [np.nan] * 4 for s in slots],
-                     dtype=np.float64).reshape(-1, 4)
+    boxes = box_array([s[3] for s in slots])
     grounded = ~np.isnan(boxes[:, 0])
     bounds = np.searchsorted(owner, np.arange(len(nodes) + 1))
 

@@ -62,6 +62,7 @@ from .fusion import DetectionSet, FusionError
 from .retrieval import DetectionList, RetrievalError, SituationPrediction
 
 SENTINEL_BOX = [-1, -1, -1, -1]
+_JSON_NUMBER_TYPES = frozenset((int, float))  # what `json` decodes a number to; never bool
 
 
 class DatasetError(ValueError):
@@ -145,9 +146,11 @@ def parse_box(raw, where: str) -> Optional[BoundingBox]:
         return None
     if not (isinstance(raw, list) and len(raw) == 4):
         raise DatasetError(f"{where}: box must be [x1,y1,x2,y2] or null, got {reprlib.repr(raw)}")
+    if not _JSON_NUMBER_TYPES.issuperset(map(type, raw)):
+        raise DatasetError(f"{where}: box coordinates must be JSON numbers, got {reprlib.repr(raw)}")
     try:
         return BoundingBox(*map(float, raw))
-    except (FrameModelError, TypeError, ValueError, OverflowError) as e:
+    except (FrameModelError, OverflowError) as e:  # OverflowError: an int too big for a float
         raise DatasetError(f"{where}: {e}") from e
 
 
@@ -367,7 +370,7 @@ def load_predictions(source, lexicon: VerbLexicon) -> list:
         frames = {}
         for verb, raw in _get(rec, "frames", dict, where, {}).items():
             if verb not in lexicon:
-                raise DatasetError(f"{where}: unknown verb {verb!r}")
+                raise DatasetError(f"{where}, frames[{verb!r}]: unknown verb")
             frames[verb] = frame_from_json(raw, lexicon.roles(verb), f"{where}, frames[{verb!r}]")
         return PredictionRecord(rec["id"], verbs, frames)
     return list(_by_id(source, "prediction", parse).values())

@@ -19,6 +19,8 @@ class ScoredBox:
     score: float
 
     def __post_init__(self):
+        if not isinstance(self.box, BoundingBox):
+            raise ValueError(f"box must be a BoundingBox, got {self.box!r}")
         if not np.isfinite(self.score):
             raise ValueError(f"score must be finite, got {self.score}")
 
@@ -34,8 +36,9 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
 
 
 def box_array(boxes) -> np.ndarray:
-    """(M, 4) float64 array of [x1, y1, x2, y2] rows, one per BoundingBox."""
-    return np.array([b.as_list() for b in boxes], dtype=np.float64).reshape(-1, 4)
+    """(M, 4) float64 array of [x1, y1, x2, y2] rows, one per BoundingBox; None gives a NaN row."""
+    rows = [[np.nan] * 4 if b is None else b.as_list() for b in boxes]
+    return np.array(rows, dtype=np.float64).reshape(-1, 4)
 
 
 def iou_row(box, boxes: np.ndarray) -> np.ndarray:

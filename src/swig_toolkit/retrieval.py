@@ -142,19 +142,19 @@ def _sit_max(i: SituationPrediction, j: SituationPrediction, grounded: bool) -> 
 def extract_detections(boxes, class_logits, noun_ids, nms_iou: float = 0.5) -> DetectionList:
     """Build a DetectionList: max-class labeling, logit cutoff, per-class NMS."""
     logits = np.asarray(class_logits, dtype=np.float64)
-    picked = []  # (class, box, score)
+    groups = {}  # class -> [ScoredBox], in input order
     for row, box in zip(logits, boxes):
         c = int(np.argmax(row))
         if row[c] > DETECTION_LOGIT_THRESHOLD:
-            picked.append((noun_ids[c], box, float(row[c])))
-    kept = []
-    for cls in sorted({c for c, _, _ in picked}):
-        group = [(b, s) for c, b, s in picked if c == cls]
-        scored = [ScoredBox(b, s) for b, s in group]
+            groups.setdefault(noun_ids[c], []).append(ScoredBox(box, float(row[c])))
+    classes, kept = [], []
+    for cls in sorted(groups):
+        group = groups[cls]
         # called through the module, so perfbench/tracer.py's wrapper of geometry.nms times it
-        for idx in geometry.nms(scored, nms_iou, keep=len(scored)):
-            kept.append((cls, group[idx][0]))
-    return DetectionList(tuple(c for c, _ in kept), tuple(b for _, b in kept))
+        for idx in geometry.nms(group, nms_iou, keep=len(group)):
+            classes.append(cls)
+            kept.append(group[idx].box)
+    return DetectionList(tuple(classes), tuple(kept))
 
 
 def split_query_search(ids_by_verb: dict, per_verb_query: int = 2,
@@ -213,71 +213,54 @@ class L2Scorer:
 class SitScorer:
     """Batched `sit_sim` (or `gr_sit_sim` when `grounded`) over the search ids.
 
-    Each search situation is encoded once as 5 verb codes, 5 role counts,
-    5x6 entity codes (padded with -1, which no noun has) and 5x6 indices
-    into one array of its grounded boxes; index -1 is that array's last
-    row, all NaN, meaning "no box". Grounded boxes are few, so this takes
-    less memory than a 5x6x4 box array per situation. The float operations
-    per (row, rank pair) are those of `_sit_max` in the same order, so
-    scores equal the scalar ones bit for bit.
+    A rank pair can only score when both ranks have the same verb and role
+    count, so the ranks of the search situations are grouped once by that
+    key, as `ObjScorer` groups detections by class. Each group holds its
+    owner rows, 1-based ranks, an (m, n) array of nouns and an (m, n, 4)
+    array of boxes, NaN for "no box"; each query rank looks up its key.
+    The float operations per (row, rank pair) are those of `_sit_max` in
+    the same order, so scores equal the scalar ones bit for bit.
     """
 
     def __init__(self, situations: dict, search_ids: list, grounded: bool):
         self._situations = situations
         self._grounded = grounded
-        self._codes = {}  # verb and noun ids -> int codes, extended by queries
-        sits = [_lookup(situations, s) for s in search_ids]
-        width = max((len(ents) for sit in sits for ents in sit.entities), default=0)
-        self._width = max(width, 1)
-        self._verbs = np.array([[self._code(v) for v in sit.verbs] for sit in sits],
-                               dtype=np.int32).reshape(-1, 5)
-        counts = np.array([len(ents) for sit in sits for ents in sit.entities], dtype=np.intp)
-        self._n_roles = counts.reshape(-1, 5)
-        # flat (row, rank, role) index of every entity, in situation order
-        starts = np.cumsum(counts) - counts
-        slots = np.repeat(np.arange(counts.size) * self._width - starts, counts) + np.arange(counts.sum())
-        self._entities = np.full((len(sits), 5, self._width), -1, dtype=np.int32)
-        self._entities.reshape(-1)[slots] = np.fromiter(
-            (self._code(noun) for sit in sits for ents in sit.entities for noun in ents),
-            dtype=np.int32, count=len(slots))
-        boxes = [box for sit in sits for row in sit.boxes for box in row if box is not None]
-        has_box = np.fromiter((box is not None for sit in sits for row in sit.boxes for box in row),
-                              dtype=bool, count=len(slots))
-        self._box_rows = np.vstack([geometry.box_array(boxes), np.full((1, 4), np.nan)])
-        self._box_of = np.full((len(sits), 5, self._width), -1, dtype=np.int32)
-        self._box_of.reshape(-1)[slots[has_box]] = np.arange(len(boxes))
-
-    def _code(self, name: str) -> int:
-        return self._codes.setdefault(name, len(self._codes))
+        self._n = len(search_ids)
+        members = {}  # (verb, role count) -> ([owner row], [rank], [nouns], [box])
+        for row, sid in enumerate(search_ids):
+            sit = _lookup(situations, sid)
+            for rank, (verb, ents, boxes) in enumerate(zip(sit.verbs, sit.entities, sit.boxes), 1):
+                if ents:  # a rank without roles never scores, as in `_sit_max`
+                    rows, ranks, nouns, flat = members.setdefault((verb, len(ents)), ([], [], [], []))
+                    rows.append(row)
+                    ranks.append(rank)
+                    nouns.append(ents)
+                    flat.extend(boxes)
+        self._groups = {(verb, n): (np.array(rows, dtype=np.intp), np.array(ranks, dtype=np.intp),
+                                    np.array(nouns, dtype=object),
+                                    geometry.box_array(flat).reshape(-1, n, 4))
+                        for (verb, n), (rows, ranks, nouns, flat) in members.items()}
 
     def __call__(self, query_id: str) -> np.ndarray:
         sit = _lookup(self._situations, query_id)
-        best = np.zeros(len(self._verbs))
-        for a in range(5):
-            ents, n_v = sit.entities[a], len(sit.entities[a])
-            if n_v == 0 or n_v > self._width:
+        best = np.zeros(self._n)
+        for a, (verb, ents, boxes) in enumerate(zip(sit.verbs, sit.entities, sit.boxes)):
+            group = self._groups.get((verb, len(ents)))
+            if group is None:
                 continue
-            rows, ranks = np.nonzero((self._verbs == self._code(sit.verbs[a]))
-                                     & (self._n_roles == n_v))
-            if rows.size == 0:
-                continue
+            rows, ranks, nouns, search_boxes = group
             total = np.zeros(rows.size)
-            for k in range(n_v):
-                match = self._entities[rows, ranks, k] == self._code(ents[k])
-                if self._grounded:
-                    term = self._box_term(sit.boxes[a][k], rows, ranks, k)
+            for k, noun in enumerate(ents):
+                match = nouns[:, k] == noun
+                if self._grounded:  # `_box_term`: an absent box is a NaN row, fmax makes its IoU 0
+                    column, box = search_boxes[:, k], boxes[k]
+                    term = (np.isnan(column[:, 0]) if box is None
+                            else np.fmax(geometry.iou_row(box.as_list(), column), 0.0))
                     total += np.where(match, 1.0 + term, 0.0)
                 else:
                     total += match
-            np.maximum.at(best, rows, total / ((a + 1) * (ranks + 1) * n_v))
+            np.maximum.at(best, rows, total / ((a + 1) * ranks * len(ents)))
         return best
-
-    def _box_term(self, box: Optional[BoundingBox], rows, ranks, k) -> np.ndarray:
-        boxes = self._box_rows[self._box_of[rows, ranks, k]]
-        absent = np.isnan(boxes[:, 0])
-        if box is None:
-            return np.where(absent, 1.0, 0.0)
-        return np.where(absent, 0.0, geometry.iou_row(box.as_list(), boxes))
 
 
 class ObjScorer:

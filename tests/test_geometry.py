@@ -79,6 +79,14 @@ class TestIouRow:
         assert iou_row([0, 0, 1, 1], box_array([])).shape == (0,)
 
 
+class TestBoxArray:
+    def test_none_is_a_nan_row(self):
+        rows = box_array([BoundingBox(1, 2, 3, 4), None])
+        assert rows.shape == (2, 4)
+        assert rows[0].tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert np.isnan(rows[1]).all()
+
+
 def scored_boxes(rng, n, canvas, side, clusters):
     """n boxes with two-decimal scores (so many ties), spread uniformly over
     the canvas or jittered around `clusters` centres."""
@@ -106,6 +114,12 @@ class TestNms:
         kept = nms(candidates, 0.5, keep)
         assert kept == nms_naive(candidates, 0.5, keep)
         assert len(kept) == keep if not clusters else len(kept) < 2000
+
+    @pytest.mark.parametrize("box", [None, [0, 0, 1, 1]], ids=["None", "list"])
+    def test_scored_box_requires_a_bounding_box(self, box):
+        # a None box would become a NaN row in nms and suppress every later candidate
+        with pytest.raises(ValueError, match="BoundingBox"):
+            ScoredBox(box, 1.0)
 
     def test_single_box(self):
         assert nms([ScoredBox(BoundingBox(0, 0, 1, 1), 0.5)], 0.5, 100) == [0]

@@ -186,6 +186,15 @@ PROBES = [
      ("chain",), ("situation #0", "nouns")),
     ("anchor-box-3-coordinates", _set(("boxes.json", 0), [0, 0, 20]),
      ("anchors",), ("boxes[0]",)),
+    ("box-coordinate-string", _set((*DATASET, "boxes", "Agent"), ["0", "0", "50", "80"]),
+     ("validate", "stats"), ("image 'img1.jpg'", "boxes['Agent']", "JSON numbers")),
+    ("box-coordinate-true",
+     _set(("preds.json", 0, "frames", "kneading", "boxes", "Agent"), [0, 0, True, 80]),
+     ("eval", "fuse"),
+     ("prediction 'img1.jpg'", "frames['kneading'], boxes['Agent']", "JSON numbers")),
+    ("frame-verb-unknown",
+     _set(("preds.json", 0, "frames", "zz"), {"nouns": {"Agent": "man", "Place": "street"}}),
+     ("eval", "fuse"), ("prediction 'img1.jpg', frames['zz']", "unknown verb")),
 ]
 
 

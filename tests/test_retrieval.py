@@ -10,6 +10,7 @@ from swig_toolkit import (
     DetectionList,
     L2Scorer,
     ObjScorer,
+    ScoredBox,
     SitScorer,
     SituationPrediction,
     gr_sit_sim,
@@ -26,7 +27,7 @@ from swig_toolkit.retrieval import (
     write_embeddings,
 )
 from conftest import make_box
-from oracles import topk_naive
+from oracles import nms_naive, topk_naive
 
 VERBS = ("kneading", "jumping", "carrying", "teaching", "sitting")
 
@@ -361,6 +362,30 @@ class TestExtractDetections:
         det = extract_detections(boxes, logits, ["cat", "dog"])
         assert set(det.classes) == {"cat", "dog"}
         assert len(det.boxes) == 2
+
+    def test_equals_per_class_reference_in_sorted_class_order(self):
+        rng = random.Random(7)
+        nouns = ["sofa", "dog", "man", "cat"]  # given out of sorted order
+        for _ in range(20):
+            n = rng.randint(0, 40)
+            boxes = [make_box(rng, min_side=20.0) for _ in range(n)]  # large boxes overlap often
+            # scores on a coarse grid, so ties are common; some rows fall below the cutoff
+            logits = np.array([[rng.choice((-3.0, -2.0, -0.5, 0.0, 1.0)) for _ in nouns]
+                               for _ in range(n)]).reshape(n, len(nouns))
+            threshold = rng.choice((0.2, 0.5))
+            det = extract_detections(boxes, logits, nouns, nms_iou=threshold)
+
+            groups = {}  # class -> [ScoredBox], in input order
+            for box, row in zip(boxes, logits):
+                c = int(np.argmax(row))
+                if row[c] > -1.0:
+                    groups.setdefault(nouns[c], []).append(ScoredBox(box, float(row[c])))
+            classes, kept = [], []
+            for cls in sorted(groups):
+                for i in nms_naive(groups[cls], threshold, len(groups[cls])):
+                    classes.append(cls)
+                    kept.append(groups[cls][i].box)
+            assert det == DetectionList(tuple(classes), tuple(kept))
 
     def test_per_class_nms(self):
         b = BoundingBox(0, 0, 10, 10)
