@@ -1,7 +1,9 @@
 """`swig` command line: validate, stats, eval, fuse, retrieve, chain,
 anchors, gradcheck.
 
-Machine output is JSON; human-facing tables only ever go to stdout.
+Every subcommand writes its result as one line of compact, key-sorted
+JSON (`python -m json.tool` pretty-prints it); human-facing tables only
+ever go to stdout.
 `--out -` streams JSON to stdout, a regular file path is written atomically
 (temp file then rename), and an existing FIFO or device is written in
 place. Exit status: 0 success, 1 validation failure, 2 usage error.
@@ -50,15 +52,15 @@ from .retrieval import (
 
 
 def write_output(payload, out: str):
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     if out == "-":
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)
         return
     out = os.path.realpath(out)  # a symlink stays a link: its target gets the JSON
     if os.path.exists(out) and not os.path.isfile(out):
         # a FIFO or device: renaming over it would replace it with a regular file
         with open(out, "w", encoding="utf-8") as f:
-            f.write(text + "\n")
+            f.write(text)
         return
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(out), suffix=".tmp")
     umask = os.umask(0)  # reading the umask means setting it, so set it back
@@ -66,7 +68,7 @@ def write_output(payload, out: str):
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as f:
             os.fchmod(f.fileno(), 0o666 & ~umask)  # mkstemp creates the file 0600
-            f.write(text + "\n")
+            f.write(text)
         os.replace(tmp, out)
     except BaseException:
         if os.path.exists(tmp):
@@ -229,8 +231,9 @@ def cmd_gradcheck(args) -> int:
         worst = max(worst, max_rel_err(grad, central_diff(lambda v: l1_reg(v, t)[0], p)))
     results["l1_reg"] = worst
 
-    for kernel, err in results.items():
-        print(f"{kernel}: max relative gradient error {err:.3e}")
+    if args.out != "-":
+        for kernel, err in results.items():
+            print(f"{kernel}: max relative gradient error {err:.3e}")
     ok = all(err <= 1e-4 for err in results.values())
     write_output({"max_relative_error": results, "pass": ok}, args.out)
     return 0 if ok else 1

@@ -8,7 +8,7 @@ ungrounded. The same box may serve multiple roles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,12 +26,15 @@ class DetectionSet:
     """Post-NMS detector output: boxes and per-box noun logits.
 
     noun_scores has one row per box and one column per vocabulary noun;
-    noun_index maps noun id to its column.
+    noun_index maps noun id to its column. Construction reduces each
+    column once to its best row and that row's logit.
     """
 
     boxes: tuple  # of BoundingBox
     noun_scores: np.ndarray  # shape (len(boxes), |vocabulary|)
     noun_index: dict  # noun id -> column
+    best_row: list = field(init=False, repr=False, compare=False)  # column -> row
+    best_logit: list = field(init=False, repr=False, compare=False)  # column -> logit
 
     def __post_init__(self):
         if self.noun_scores.shape[0] != len(self.boxes):
@@ -39,6 +42,12 @@ class DetectionSet:
                               f"{len(self.boxes)} boxes")
         if not np.all(np.isfinite(self.noun_scores)):
             raise FusionError("noun_scores: must be finite")
+        rows = np.zeros(0, dtype=np.intp)
+        if self.boxes:  # argmax of an empty column raises; no boxes ground nothing
+            rows = self.noun_scores.argmax(axis=0)  # the first maximum, per column
+        logits = self.noun_scores[rows, np.arange(len(rows))]
+        object.__setattr__(self, "best_row", rows.tolist())
+        object.__setattr__(self, "best_logit", logits.tolist())
 
 
 def assign_groundings(frame: GroundedFrame, detections: DetectionSet,
@@ -48,14 +57,15 @@ def assign_groundings(frame: GroundedFrame, detections: DetectionSet,
     Null-noun roles and the Place role are always left ungrounded. Argmax
     ties break to the lowest box index.
     """
+    boxes, index = detections.boxes, detections.noun_index
+    rows, logits = detections.best_row, detections.best_logit
     groundings = []
     for role, noun in frame.role_values:
-        if noun == NULL_NOUN or role == PLACE_ROLE or len(detections.boxes) == 0:
+        if noun == NULL_NOUN or role == PLACE_ROLE or not boxes:
             groundings.append(None)
             continue
-        if noun not in detections.noun_index:
+        col = index.get(noun)
+        if col is None:
             raise FusionError(f"role {role!r}: noun {noun!r} absent from detection vocabulary")
-        col = detections.noun_scores[:, detections.noun_index[noun]]
-        best = int(np.argmax(col))  # np.argmax returns the first maximum
-        groundings.append(detections.boxes[best] if col[best] >= threshold else None)
+        groundings.append(boxes[rows[col]] if logits[col] >= threshold else None)
     return GroundedFrame(frame.role_values, tuple(groundings))

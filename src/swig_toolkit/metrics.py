@@ -55,10 +55,13 @@ def score_grounding(pred_box: Optional[BoundingBox], gt_box: Optional[BoundingBo
 
 
 def _score_image(image, frame: Optional[GroundedFrame], value_all_mode: ValueAllMode):
-    """Per-role pass vectors for one image; a None frame fails everything."""
+    """Per-role pass vectors for one image; a None frame fails everything.
+
+    A frame has the image's roles in the image's order (`evaluate` checks).
+    """
     roles = image.roles
     n = len(roles)
-    if frame is None or frame.roles != roles:
+    if frame is None:
         return [False] * n, [False] * n, False
     predicted = frame.nouns
     annotated = [f.nouns for f in image.annotator_frames]
@@ -81,7 +84,9 @@ def evaluate(dataset: Dataset, predictions: list, setting: VerbSetting,
 
     Per-verb value = passed role slots / total role slots over that verb's
     images; the *_all metrics count whole images. Every dataset image must
-    have a prediction, and every prediction must name a dataset image.
+    have a prediction, and every prediction must name a dataset image. A
+    predicted frame for the image's verb must list the verb's roles in the
+    lexicon's order.
 
     Returns the report as it is written: {"macro": {metric: fraction},
     "per_verb": {verb: {metric: fraction}}, "counts": {verb: {"images": n,
@@ -92,7 +97,8 @@ def evaluate(dataset: Dataset, predictions: list, setting: VerbSetting,
     by_id = {p.image_id: p for p in predictions}
     missing = [img.image_id for img in dataset.images if img.image_id not in by_id]
     if missing:
-        raise EvaluationError(f"missing predictions for images: {missing}")
+        more = f" (and {len(missing) - 1} more)" if len(missing) > 1 else ""
+        raise EvaluationError(f"image {missing[0]!r}: no prediction{more}")
     known = {img.image_id for img in dataset.images}
     stray = [p.image_id for p in predictions if p.image_id not in known]
     if stray:
@@ -104,9 +110,13 @@ def evaluate(dataset: Dataset, predictions: list, setting: VerbSetting,
     for image in dataset.images:
         record = by_id[image.image_id]
         verb_correct = ranks is None or image.verb in record.verb_ranking[:ranks]
+        frame = record.frames.get(image.verb)
+        if frame is not None and frame.roles != image.roles:
+            raise EvaluationError(f"prediction {record.image_id!r}, frames[{image.verb!r}]: "
+                                  f"roles {frame.roles} differ from the verb's {image.roles}")
         # only a correct verb earns noun and grounding credit, through the gt verb's frame
-        frame = record.frames.get(image.verb) if verb_correct else None
-        noun_ok, both_ok, value_all = _score_image(image, frame, value_all_mode)
+        noun_ok, both_ok, value_all = _score_image(image, frame if verb_correct else None,
+                                                   value_all_mode)
         a = acc.setdefault(
             image.verb,
             {"images": 0, "verb_correct": 0, "role_slots": 0, "value": 0,

@@ -252,3 +252,54 @@ class TestDeterminism:
                         "--lexicon", workspace / "lexicon.json",
                         "--vocab", workspace / "vocab.json", "--out", out]) == 0
         assert out1.read_bytes() == out8.read_bytes()
+
+
+class TestCanonicalForm:
+    """Every subcommand writes one line of compact, key-sorted JSON, the same
+    bytes to a file as to stdout."""
+
+    @pytest.fixture
+    def argv(self, workspace):
+        w = workspace
+        (w / "dets.json").write_text(json.dumps([{
+            "id": "img1.jpg", "boxes": [[0, 0, 50, 80], [20, 30, 40, 50]],
+            "nouns": ["man", "dough", "kitchen"],
+            "noun_scores": [[3.0, -9.0, 0.0], [-9.0, 5.0, 0.0]],
+        }]))
+        (w / "sits.json").write_text(json.dumps([{
+            "id": f"img{i}", "verbs": ["kneading", "a", "b", "c", "d"],
+            "entities": [["man", "dough", "kitchen"], ["x"], ["x"], ["x"], ["x"]],
+            "boxes": [[[0, 0, 10 + i, 10], None, None], [None], [None], [None], [None]],
+        } for i in range(3)]))
+        (w / "chain.json").write_text(json.dumps([
+            {"verb": "kneading", "nouns": {"Agent": "man", "Item": "dough", "Place": "kitchen"},
+             "boxes": {"Agent": [0, 0, 10, 10], "Item": None, "Place": None}},
+            {"verb": "jumping", "nouns": {"Agent": "man", "Place": "street"},
+             "boxes": {"Agent": [0, 0, 10, 10], "Place": None}, "query_box": [1, 2, 30, 40]},
+        ]))
+        (w / "boxes.json").write_text(json.dumps([[0, 0, 20, 10]] * 5 + [[0, 0, 10, 20]] * 5))
+        (w / "ids.txt").write_text("img0\nimg1\nimg2\n")
+        data = ["--lexicon", w / "lexicon.json", "--vocab", w / "vocab.json"]
+        return {
+            "eval": ["eval", "--dataset", w / "dataset.json", "--preds", w / "preds.json", *data],
+            "stats": ["stats", w / "dataset.json", *data],
+            "fuse": ["fuse", "--frames", w / "preds.json", "--detections", w / "dets.json",
+                     "--lexicon", w / "lexicon.json"],
+            "chain": ["chain", "--situations", w / "chain.json"],
+            "anchors": ["anchors", "--boxes", w / "boxes.json", "--k", "2"],
+            "retrieve": ["retrieve", "--mode", "grsit", "--query", w / "ids.txt",
+                         "--search", w / "ids.txt", "--situations", w / "sits.json"],
+            "gradcheck": ["gradcheck", "--trials", "3"],
+        }
+
+    @pytest.mark.parametrize("name", ["eval", "stats", "fuse", "chain", "anchors", "retrieve",
+                                      "gradcheck"])
+    def test_file_and_stdout_hold_the_same_canonical_line(self, workspace, argv, capsys, name):
+        out = workspace / f"{name}-out.json"
+        assert run([*argv[name], "--out", out]) == 0
+        capsys.readouterr()
+        assert run([*argv[name], "--out", "-"]) == 0
+        text = capsys.readouterr().out
+        assert out.read_bytes() == text.encode()
+        assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+        assert text.count("\n") == 1

@@ -96,3 +96,33 @@ class TestAssignGroundings:
         det = DetectionSet((), np.zeros((0, 3)), NOUN_INDEX)
         fused = assign_groundings(kneading_frame(), det)
         assert all(b is None for b in fused.groundings)
+
+
+def test_equals_the_per_role_first_maximum_reference():
+    """Logits and thresholds on a five-value grid make ties and logits equal
+    to the threshold common; the reference grounds each role with the first
+    box of maximal logit for its noun, kept when that logit is >= threshold."""
+    rng = random.Random(11)
+    grid = (-6.0, -4.0, -2.0, 0.0, 2.0)
+    nouns = ("man", "dough", "sofa", "")
+    ties = 0
+    for trial in range(300):
+        n_boxes = trial % 5  # 0 and 1 boxes included
+        scores = np.array([[rng.choice(grid) for _ in NOUN_INDEX] for _ in range(n_boxes)])
+        det = detection_set(scores.reshape(n_boxes, len(NOUN_INDEX)), n_boxes)
+        frame = GroundedFrame(
+            tuple((role, rng.choice(nouns)) for role in ("Agent", "Item", "Tool", "Place")),
+            (None,) * 4,
+        )
+        threshold = rng.choice(grid)
+        expected = []
+        for role, noun in frame.role_values:
+            if noun == "" or role == "Place" or n_boxes == 0:
+                expected.append(None)
+                continue
+            col = [row[NOUN_INDEX[noun]] for row in scores]
+            first = col.index(max(col))
+            ties += col.count(max(col)) > 1
+            expected.append(det.boxes[first] if col[first] >= threshold else None)
+        assert assign_groundings(frame, det, threshold).groundings == tuple(expected), trial
+    assert ties > 100

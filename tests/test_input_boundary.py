@@ -446,6 +446,19 @@ def test_eval_on_an_empty_dataset_is_one_error(tmp_path):
     assert run(command("stats", tmp_path))[0] == 0
 
 
+def test_missing_predictions_are_one_short_error(tmp_path):
+    files = valid_files()
+    record = files["dataset.json"][0]
+    files["dataset.json"] = [dict(record, id=f"img{i:04d}.jpg") for i in range(500)]
+    files["preds.json"] = [dict(files["preds.json"][0], id=f"img{i:04d}.jpg")
+                           for i in range(490, 500)]
+    write_files(tmp_path, files)
+    status, out, err = run(command("eval", tmp_path))
+    assert status == 1 and out == ""
+    assert err == "error: image 'img0000.jpg': no prediction (and 489 more)\n", err
+    assert len(err) < 200
+
+
 @pytest.mark.parametrize("iou", ["-1", "2", "nan"])
 def test_chain_iou_outside_the_unit_interval_is_one_error(tmp_path, iou):
     write_files(tmp_path, valid_files())

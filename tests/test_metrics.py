@@ -116,6 +116,20 @@ class TestEvaluate:
         with pytest.raises(EvaluationError, match="b.jpg"):
             evaluate(dataset, preds[:1], VerbSetting.TOP1)
 
+    @pytest.mark.parametrize("setting", list(VerbSetting))
+    def test_role_list_mismatch_errors(self, lexicon, vocabulary, setting):
+        dataset, preds = two_image_fixture(lexicon, vocabulary)
+        frame = preds[1].frames["kneading"]
+        reordered = GroundedFrame(frame.role_values[::-1], frame.groundings[::-1])
+        preds[1] = PredictionRecord("b.jpg", ("jumping", "kneading"), {"kneading": reordered})
+        # the oracle looks roles up by name; the evaluator refuses rather than zeroing
+        assert evaluate_naive(dataset, preds, setting.value)
+        with pytest.raises(EvaluationError) as e:
+            evaluate(dataset, preds, setting)
+        assert str(e.value) == (
+            "prediction 'b.jpg', frames['kneading']: roles ('Place', 'Item', 'Agent') "
+            "differ from the verb's ('Agent', 'Item', 'Place')")
+
     def test_dominance_chain(self, rng, lexicon, vocabulary):
         for _ in range(20):
             dataset = random_dataset(rng, lexicon, vocabulary)
