@@ -42,6 +42,7 @@ import os
 import reprlib
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -346,7 +347,7 @@ def frame_from_json(raw, roles, where: str) -> GroundedFrame:
     boxes = _get(raw, "boxes", dict, where, {})
     grounded = _get(raw, "grounded", dict, where, {})
     values, groundings = [], []
-    for role in roles:  # the location strings are built only on the error paths
+    for role in roles:  # one location string per box, for parse_box; the rest only on error
         if role not in nouns:
             raise DatasetError(f"{where}, nouns: missing noun for role {role!r}")
         noun, box, flag = nouns[role], boxes.get(role), grounded.get(role, True)
@@ -379,17 +380,19 @@ def load_predictions(source, lexicon: VerbLexicon) -> list:
 def _detection_set(rec: dict, where: str) -> DetectionSet:
     boxes = _box_list(rec.get("boxes"), f"{where}, boxes")
     nouns = _strings(rec.get("nouns"), f"{where}, nouns")
-    raw_scores = _get(rec, "noun_scores", list, where)
-    shape = (len(boxes), len(nouns))
-    try:
-        scores = np.asarray(raw_scores, dtype=np.float64)
-        if scores.size == 0:
-            scores = scores.reshape(shape)
-    except (TypeError, ValueError, OverflowError):
-        scores = None
-    if scores is None or scores.shape != shape:
+    if len(set(nouns)) != len(nouns):
+        raise DatasetError(f"{where}, nouns: must be distinct, got {reprlib.repr(list(nouns))}")
+    rows, shape = _get(rec, "noun_scores", list, where), (len(boxes), len(nouns))
+    if not (len(rows) == shape[0] and {list}.issuperset(map(type, rows))
+            and {shape[1]}.issuperset(map(len, rows))):
         raise DatasetError(f"{where}, noun_scores: must be a {shape[0]}x{shape[1]} array "
                            "of numbers, one row per box and one column per noun")
+    if not _JSON_NUMBER_TYPES.issuperset(map(type, chain.from_iterable(rows))):
+        raise DatasetError(f"{where}, noun_scores: logits must be JSON numbers, got {reprlib.repr(rows)}")
+    try:
+        scores = np.array(rows, dtype=np.float64).reshape(shape)
+    except OverflowError as e:  # an int too big for a float
+        raise DatasetError(f"{where}, noun_scores: {e}") from e
     return DetectionSet(boxes, scores, {n: i for i, n in enumerate(nouns)})
 
 

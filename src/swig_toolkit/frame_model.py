@@ -101,9 +101,6 @@ class NounVocabulary:
     def __contains__(self, noun: str) -> bool:
         return noun in self.ids
 
-    def __len__(self) -> int:
-        return len(self.ids)
-
 
 @dataclass(frozen=True)
 class GroundedFrame:

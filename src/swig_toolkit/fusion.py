@@ -8,8 +8,6 @@ ungrounded. The same box may serve multiple roles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .frame_model import NULL_NOUN, PLACE_ROLE, GroundedFrame
@@ -21,33 +19,26 @@ class FusionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class DetectionSet:
-    """Post-NMS detector output: boxes and per-box noun logits.
+    """Post-NMS detector output, reduced once to what fusion reads.
 
-    noun_scores has one row per box and one column per vocabulary noun;
-    noun_index maps noun id to its column. Construction reduces each
-    column once to its best row and that row's logit.
+    noun_scores has one row per box and one column per noun; noun_index
+    maps noun id to its column. Neither is kept: `best` maps each noun to
+    its first box of highest logit and that logit.
     """
 
-    boxes: tuple  # of BoundingBox
-    noun_scores: np.ndarray  # shape (len(boxes), |vocabulary|)
-    noun_index: dict  # noun id -> column
-    best_row: list = field(init=False, repr=False, compare=False)  # column -> row
-    best_logit: list = field(init=False, repr=False, compare=False)  # column -> logit
+    __slots__ = ("boxes", "best")
 
-    def __post_init__(self):
-        if self.noun_scores.shape[0] != len(self.boxes):
-            raise FusionError(f"noun_scores: {self.noun_scores.shape[0]} rows for "
-                              f"{len(self.boxes)} boxes")
-        if not np.all(np.isfinite(self.noun_scores)):
+    def __init__(self, boxes: tuple, noun_scores: np.ndarray, noun_index: dict):
+        if noun_scores.shape[0] != len(boxes):
+            raise FusionError(f"noun_scores: {noun_scores.shape[0]} rows for {len(boxes)} boxes")
+        if not np.all(np.isfinite(noun_scores)):
             raise FusionError("noun_scores: must be finite")
-        rows = np.zeros(0, dtype=np.intp)
-        if self.boxes:  # argmax of an empty column raises; no boxes ground nothing
-            rows = self.noun_scores.argmax(axis=0)  # the first maximum, per column
-        logits = self.noun_scores[rows, np.arange(len(rows))]
-        object.__setattr__(self, "best_row", rows.tolist())
-        object.__setattr__(self, "best_logit", logits.tolist())
+        self.boxes = boxes  # of BoundingBox
+        self.best = {}  # noun id -> (its first box of highest logit, that logit)
+        if boxes:  # argmax of an empty column raises; no boxes ground nothing
+            rows, logits = noun_scores.argmax(axis=0).tolist(), noun_scores.max(axis=0).tolist()
+            self.best = {noun: (boxes[rows[col]], logits[col]) for noun, col in noun_index.items()}
 
 
 def assign_groundings(frame: GroundedFrame, detections: DetectionSet,
@@ -57,15 +48,14 @@ def assign_groundings(frame: GroundedFrame, detections: DetectionSet,
     Null-noun roles and the Place role are always left ungrounded. Argmax
     ties break to the lowest box index.
     """
-    boxes, index = detections.boxes, detections.noun_index
-    rows, logits = detections.best_row, detections.best_logit
     groundings = []
     for role, noun in frame.role_values:
-        if noun == NULL_NOUN or role == PLACE_ROLE or not boxes:
+        if noun == NULL_NOUN or role == PLACE_ROLE or not detections.boxes:
             groundings.append(None)
             continue
-        col = index.get(noun)
-        if col is None:
+        best = detections.best.get(noun)
+        if best is None:
             raise FusionError(f"role {role!r}: noun {noun!r} absent from detection vocabulary")
-        groundings.append(boxes[rows[col]] if logits[col] >= threshold else None)
+        box, logit = best
+        groundings.append(box if logit >= threshold else None)
     return GroundedFrame(frame.role_values, tuple(groundings))

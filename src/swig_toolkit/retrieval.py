@@ -375,7 +375,7 @@ def read_embeddings(path):
         matrix = np.fromfile(f, dtype="<f4", count=count * dim).reshape(count, dim)
     ids = read_ids(str(path) + ".ids")
     if len(ids) != count:
-        raise RetrievalError(f"manifest has {len(ids)} ids for {count} rows")
+        raise RetrievalError(f"{path}.ids: {len(ids)} ids for {count} rows")
     bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
     if bad.size:
         # a NaN distance would rank by the order of the search file, and is not JSON

@@ -1,6 +1,13 @@
 import pytest
 
-from swig_toolkit import BoundingBox, GroundedFrame, NounVocabulary
+from swig_toolkit import (
+    AnnotatedImage,
+    BoundingBox,
+    GroundedFrame,
+    NounVocabulary,
+    PredictionRecord,
+    VerbLexicon,
+)
 from swig_toolkit.frame_model import FrameModelError
 
 
@@ -35,3 +42,24 @@ class TestGroundedFrame:
     def test_parallel_lists_enforced(self):
         with pytest.raises(FrameModelError):
             GroundedFrame((("Agent", "man"),), (None, None))
+
+
+def test_an_empty_lexicon_is_an_error():
+    with pytest.raises(FrameModelError, match="at least one verb"):
+        VerbLexicon({})
+
+
+def test_grounding_of_a_role_the_frame_lacks_is_a_key_error():
+    with pytest.raises(KeyError, match="Tool"):
+        GroundedFrame((("Agent", "man"),), (None,)).grounding_of("Tool")
+
+
+def test_an_image_needs_three_annotator_frames():
+    frame = GroundedFrame((("Agent", "man"),), (None,))
+    with pytest.raises(FrameModelError, match="2 frames, not 3"):
+        AnnotatedImage("img", 10, 10, "jumping", (frame, frame), {"Agent": None})
+
+
+def test_a_prediction_needs_a_verb_ranking():
+    with pytest.raises(FrameModelError, match="verb_ranking"):
+        PredictionRecord("img", (), {})

@@ -126,3 +126,8 @@ def test_equals_the_per_role_first_maximum_reference():
             expected.append(det.boxes[first] if col[first] >= threshold else None)
         assert assign_groundings(frame, det, threshold).groundings == tuple(expected), trial
     assert ties > 100
+
+
+def test_fewer_score_rows_than_boxes_is_an_error():
+    with pytest.raises(FusionError, match="1 rows for 2 boxes"):
+        detection_set([[0.0, 1.0, 2.0]], n_boxes=2)

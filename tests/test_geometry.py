@@ -191,3 +191,19 @@ class TestClusterAspectRatios:
             ratios = cluster_aspect_ratios(boxes, k, seed=trial)
             cost = clustering_cost(values, np.log(ratios))
             assert cost <= kmeans_1d_optimal_cost(values, k) + 1e-9
+
+
+def test_scored_box_score_must_be_finite():
+    with pytest.raises(ValueError, match="score must be finite"):
+        ScoredBox(BoundingBox(0, 0, 1, 1), float("nan"))
+
+
+@pytest.mark.parametrize("threshold", [-0.1, 1.1])
+def test_nms_threshold_outside_the_unit_interval_is_an_error(threshold):
+    with pytest.raises(ValueError, match="iou_threshold must be in"):
+        nms([ScoredBox(BoundingBox(0, 0, 1, 1), 1.0)], threshold, keep=1)
+
+
+def test_cluster_aspect_ratios_needs_k_of_one_or_more():
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        cluster_aspect_ratios([BoundingBox(0, 0, 1, 1)], 0)

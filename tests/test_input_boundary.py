@@ -195,6 +195,44 @@ PROBES = [
     ("frame-verb-unknown",
      _set(("preds.json", 0, "frames", "zz"), {"nouns": {"Agent": "man", "Place": "street"}}),
      ("eval", "fuse"), ("prediction 'img1.jpg', frames['zz']", "unknown verb")),
+    ("fuse-noun-repeated",  # box 0 is best for the first 'man' column, box 1 for the second
+     lambda f: f["dets.json"][0].update(boxes=[[0, 0, 50, 80], [20, 30, 40, 50]],
+                                        nouns=["man", "dough", "man"],
+                                        noun_scores=[[9.0, 0.0, 0.0], [0.0, 0.0, 2.0]]),
+     ("fuse",), ("detections 'img1.jpg', nouns", "distinct")),
+    ("noun-score-string", _set(("dets.json", 0, "noun_scores", 0, 0), "3.0"),
+     ("fuse",), ("detections 'img1.jpg', noun_scores", "JSON numbers")),
+    ("noun-score-true", _set(("dets.json", 0, "noun_scores", 0, 1), True),
+     ("fuse",), ("detections 'img1.jpg', noun_scores", "JSON numbers")),
+    ("noun-score-row-short", _delete(("dets.json", 0, "noun_scores", 0, 1)),
+     ("fuse",), ("detections 'img1.jpg', noun_scores", "1x2")),
+    ("noun-score-int-overflow", _set(("dets.json", 0, "noun_scores", 0, 0), 10**400),
+     ("fuse",), ("detections 'img1.jpg', noun_scores",)),
+    ("fuse-box-null", _set(("dets.json", 0, "boxes", 0), None),
+     ("fuse",), ("detections 'img1.jpg', boxes[0]", "may not be null")),
+    ("fuse-image-without-detections", _set(("dets.json", 0, "id"), "img2.jpg"),
+     ("fuse",), ("no detections for image 'img1.jpg'",)),
+    ("anchor-box-null", _set(("boxes.json", 0), None),
+     ("anchors",), ("boxes[0]", "may not be null")),
+    ("lexicon-verb-seven-roles",  # a new lexicon: valid_files() shares LEXICON itself
+     lambda f: f.update({"lexicon.json": dict(LEXICON, kneading=[*"ABCDEFG"])}),
+     ("stats", "eval", "fuse"), ("verb 'kneading'", "1..6 roles")),
+    ("lexicon-role-repeated",
+     lambda f: f.update({"lexicon.json": dict(LEXICON, kneading=["Agent", "Item", "Agent"])}),
+     ("stats", "eval", "fuse"), ("verb 'kneading'", "duplicate role")),
+    ("box-coordinate-nan", _set((*DATASET, "boxes", "Agent"), [float("nan"), 0, 10, 10]),
+     ("validate", "stats"), ("image 'img1.jpg'", "boxes['Agent']", "finite")),
+    ("box-coordinate-negative", _set((*DATASET, "boxes", "Agent"), [-5, 0, 10, 10]),
+     ("validate", "stats"), ("image 'img1.jpg'", "boxes['Agent']", ">= 0")),
+    ("box-corners-swapped", _set((*DATASET, "boxes", "Agent"), [50, 0, 10, 10]),
+     ("validate", "stats"), ("image 'img1.jpg'", "boxes['Agent']", "x1 < x2")),
+    ("record-id-number", _set((*DATASET, "id"), 5),
+     ("validate", "stats"), ("record #0, id",)),
+    ("worker-boxes-two",
+     lambda f: f["dataset.json"][0].update(worker_boxes={"Agent": [[0, 0, 50, 80]] * 2}),
+     ("validate", "stats"), ("image 'img1.jpg'", "worker_boxes['Agent']", "3 worker boxes")),
+    ("prediction-verbs-empty", _set(("preds.json", 0, "verbs"), []),
+     ("eval", "fuse"), ("prediction 'img1.jpg', verbs", "non-empty")),
 ]
 
 
@@ -350,6 +388,16 @@ def test_repeated_id_is_one_named_error(tmp_path, kind):
     file = {"manifest": "emb.swge.ids", "query": "query.txt", "search": "search.txt"}[kind]
     assert status == 1 and out == ""
     assert err == f"error: {tmp_path}/{file}: image id 'img0' is listed twice\n", err
+
+
+def test_write_output_removes_its_temp_file_when_the_rename_fails(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        write_output({"a": 1}, str(tmp_path / "report.json"))
+    assert os.listdir(tmp_path) == []
 
 
 def test_write_output_writes_a_fifo_in_place(tmp_path):
@@ -634,3 +682,37 @@ def test_other_loaders_return_or_raise_dataset_error(preds, fuse, objects, situa
     loads_or_dataset_error(load_situations, situations)
     loads_or_dataset_error(load_chain_nodes, nodes)
     loads_or_dataset_error(load_boxes, boxes)
+
+
+@pytest.mark.parametrize("nouns", [[], ["man", "dough"]], ids=["no-nouns", "nouns"])
+def test_fuse_accepts_a_detection_record_without_boxes(tmp_path, nouns):
+    files = valid_files()
+    files["dets.json"][0].update(boxes=[], nouns=nouns, noun_scores=[])
+    write_files(tmp_path, files)
+    status, out, err = run(command("fuse", tmp_path))
+    assert (status, err) == (0, "")
+    [record] = json.loads(out)
+    assert record["frames"]["kneading"]["boxes"] == {"Agent": None, "Item": None, "Place": None}
+
+
+def test_a_clamped_box_is_one_warning_line_from_validate_and_stats(tmp_path):
+    files = valid_files()
+    files["dataset.json"][0]["boxes"]["Agent"] = [0, 0, 150, 80]  # the image is 100 wide
+    write_files(tmp_path, files)
+    warning = "image 'img1.jpg', role 'Agent': box clamped to image bounds"
+    status, out, err = run(command("validate", tmp_path))
+    assert (status, out, err) == (0, "ok\n", f"warning: {tmp_path}/dataset.json: {warning}\n")
+    status, out, err = run(command("stats", tmp_path))
+    assert (status, err) == (0, f"warning: {warning}\n")
+    assert json.loads(out)["scale_aspect_samples"][0]["scale"] == 1.0  # 1.5 before clamping
+
+
+def test_embedding_manifest_one_id_short_is_one_error_naming_it(tmp_path):
+    write_embeddings(tmp_path / "emb.swge", ["img0", "img1"], np.eye(2, 3))
+    (tmp_path / "emb.swge.ids").write_text("img0\n")
+    (tmp_path / "ids.txt").write_text("img0\n")
+    status, out, err = run(["retrieve", "--mode", "l2", "--query", f"{tmp_path}/ids.txt",
+                            "--search", f"{tmp_path}/ids.txt",
+                            "--embeddings", f"{tmp_path}/emb.swge", "--out", "-"])
+    assert status == 1 and out == ""
+    assert err == f"error: {tmp_path}/emb.swge.ids: 1 ids for 2 rows\n", err

@@ -198,3 +198,19 @@ class TestTotalLoss:
     def test_rejects_wrong_noun_count(self):
         with pytest.raises(LossError):
             LossParts(0, 0, 0, 0, (0, 0))
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: FocalParams(alpha=0.0), "alpha"),
+    (lambda: FocalParams(alpha=1.5), "alpha"),
+    (lambda: FocalParams(gamma=-1.0), "gamma"),
+    (lambda: SmoothingParams(epsilon=1.0), "epsilon"),
+    (lambda: SmoothingParams(epsilon=-0.1), "epsilon"),
+    (lambda: focal_loss([0.0], [1.0], reduction="max"), "unknown reduction 'max'"),
+    (lambda: smoothed_ce([0.0], 0), "at least 2 classes"),
+    (lambda: l1_reg([0.0, 1.0], [0.0]), "shape"),
+], ids=["alpha-0", "alpha-above-1", "gamma-negative", "epsilon-1", "epsilon-negative",
+        "reduction", "single-class", "l1-shape"])
+def test_invalid_loss_argument_is_a_loss_error(make, message):
+    with pytest.raises(LossError, match=message):
+        make()

@@ -392,3 +392,23 @@ class TestExtractDetections:
         logits = np.array([[3.0], [2.0]])
         det = extract_detections([b, b], logits, ["cat"])
         assert det.classes == ("cat",)
+
+
+def test_retrieve_topk_needs_k_of_one_or_more():
+    with pytest.raises(RetrievalError, match="k must be >= 1, got 0"):
+        retrieve_topk("q", ["a"], lambda q: np.zeros(1), k=0)
+
+
+def test_retrieve_topk_needs_one_score_per_search_id():
+    with pytest.raises(RetrievalError, match="1 scores for 2 search ids"):
+        retrieve_topk("q", ["a", "b"], lambda q: np.zeros(1))
+
+
+def test_retrieve_topk_over_an_empty_search_set_is_empty():
+    assert retrieve_topk("q", [], lambda q: np.zeros(0)) == []
+
+
+def test_write_embeddings_needs_a_matrix(tmp_path):
+    with pytest.raises(RetrievalError, match="2-D"):
+        write_embeddings(tmp_path / "emb.swge", ["a", "b"], np.zeros(2))
+    assert list(tmp_path.iterdir()) == []
