@@ -30,7 +30,6 @@ from .geometry import (  # noqa: F401
     ScoredBox,
     cluster_aspect_ratios,
     iou,
-    iou_row,
     nms,
 )
 from .fusion import DetectionSet, assign_groundings  # noqa: F401

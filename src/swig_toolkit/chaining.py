@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .frame_model import NULL_NOUN, BoundingBox, GroundedFrame, frame_to_json
-from .geometry import box_array, iou_row
+from .geometry import box_array, iou
 
 DEFAULT_SPATIAL_IOU = 0.4  # below the 0.5 metric threshold: boxes for the
 # same entity can come from different conditional passes
@@ -54,7 +54,6 @@ def chain(nodes: list, spatial_iou: float = DEFAULT_SPATIAL_IOU) -> dict:
     noun = np.array([-1 if s[2] == NULL_NOUN else codes.setdefault(s[2], len(codes))
                      for s in slots], dtype=np.int64)
     boxes = box_array([s[3] for s in slots])
-    grounded = ~np.isnan(boxes[:, 0])
     bounds = np.searchsorted(owner, np.arange(len(nodes) + 1))
 
     edges = []
@@ -62,9 +61,7 @@ def chain(nodes: list, spatial_iou: float = DEFAULT_SPATIAL_IOU) -> dict:
         lo, hi = bounds[i], bounds[i + 1]
         # slots of node i (rows) against the slots of every later node (columns)
         same = (noun[lo:hi, None] == noun[None, hi:]) & (noun[lo:hi, None] >= 0)
-        overlap = np.full((hi - lo, len(slots) - hi), np.nan)  # NaN where either is ungrounded
-        for a in np.flatnonzero(grounded[lo:hi]):
-            overlap[a] = iou_row(boxes[lo + a], boxes[hi:])
+        overlap = iou(boxes[lo:hi, None], boxes[None, hi:])  # NaN where either is ungrounded
         spatial = overlap >= spatial_iou
         rows, cols = np.nonzero(spatial | same)
         order = np.lexsort((cols, rows, owner[hi + cols]))  # (node_j, role_a, role_b)

@@ -272,7 +272,7 @@ def _parse_image(rec: dict, image_id, label: str, lexicon: VerbLexicon,
             workers = [b for b in workers if b is not None]
             try:
                 gt[role] = merge_worker_boxes(workers) if workers else None
-            except DatasetError as e:
+            except (DatasetError, FrameModelError) as e:
                 violations.append(f"{where}: {e}")
 
     sized = _positive_number(width) and _positive_number(height)
@@ -284,9 +284,8 @@ def _parse_image(rec: dict, image_id, label: str, lexicon: VerbLexicon,
         elif sized and (box.x2 > width or box.y2 > height):  # coordinates are >= 0
             try:
                 gt[role] = box.clamped(width, height)
-            except FrameModelError:
-                bad(f"{source}[{role!r}]",
-                    f"box {box.as_list()} has no area inside the {width}x{height} image")
+            except FrameModelError as e:
+                bad(f"{source}[{role!r}]", f"box {box.as_list()} clamped to the {width}x{height} image: {e}")
                 continue
             warnings.append(f"{label}, role {role!r}: box clamped to image bounds")
 

@@ -12,6 +12,7 @@ and the loader that builds the type names the record.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -40,6 +41,11 @@ class BoundingBox:
             raise FrameModelError(f"box coordinates must be >= 0: {coords}")
         if not (self.x1 < self.x2 and self.y1 < self.y2):
             raise FrameModelError(f"box must satisfy x1 < x2 and y1 < y2: {coords}")
+        # an IoU union adds two areas, so each must stay at or below half the largest float
+        w, h = self.x2 - self.x1, self.y2 - self.y1
+        if not (0 < w * h <= sys.float_info.max / 2 and 0 < h / w < float("inf")):
+            raise FrameModelError(f"box area must be positive and at most half the largest float, "
+                                  f"and its aspect ratio finite and non-zero: {coords}")
 
     @property
     def width(self) -> float:
@@ -100,6 +106,9 @@ class NounVocabulary:
 
     def __contains__(self, noun: str) -> bool:
         return noun in self.ids
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 @dataclass(frozen=True)

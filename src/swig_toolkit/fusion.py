@@ -30,10 +30,16 @@ class DetectionSet:
     __slots__ = ("boxes", "best")
 
     def __init__(self, boxes: tuple, noun_scores: np.ndarray, noun_index: dict):
+        if noun_scores.ndim != 2:
+            raise FusionError(f"noun_scores: must be 2-D (boxes x nouns), got shape {noun_scores.shape}")
         if noun_scores.shape[0] != len(boxes):
             raise FusionError(f"noun_scores: {noun_scores.shape[0]} rows for {len(boxes)} boxes")
         if not np.all(np.isfinite(noun_scores)):
             raise FusionError("noun_scores: must be finite")
+        for noun, col in noun_index.items():
+            if not 0 <= col < noun_scores.shape[1]:
+                raise FusionError(f"noun_index[{noun!r}]: column {col} outside the "
+                                  f"{noun_scores.shape[1]} noun_scores columns")
         self.boxes = boxes  # of BoundingBox
         self.best = {}  # noun id -> (its first box of highest logit, that logit)
         if boxes:  # argmax of an empty column raises; no boxes ground nothing

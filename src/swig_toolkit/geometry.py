@@ -25,35 +25,31 @@ class ScoredBox:
             raise ValueError(f"score must be finite, got {self.score}")
 
 
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union of two boxes; 0 when disjoint."""
-    ix = min(a.x2, b.x2) - max(a.x1, b.x1)
-    iy = min(a.y2, b.y2) - max(a.y1, b.y1)
-    if ix <= 0 or iy <= 0:
-        return 0.0
-    inter = ix * iy
-    return inter / (a.area + b.area - inter)
+def iou(a, b) -> np.ndarray:
+    """Intersection over union, broadcast over the leading axes; 0 when disjoint.
+
+    Each argument is a BoundingBox, an [x1, y1, x2, y2] list or a (..., 4)
+    float64 array as `box_array` builds it; two single boxes give a 0-d
+    float64. Clamping a non-positive overlap side to +0.0 makes a disjoint
+    pair's IoU 0.0 / union = 0.0. A NaN row (an absent box) gives NaN.
+    """
+    ax1, ay1, ax2, ay2 = _coords(a)
+    bx1, by1, bx2, by2 = _coords(b)
+    ix = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
+    iy = np.minimum(ay2, by2) - np.maximum(ay1, by1)
+    inter = np.maximum(0.0, ix) * np.maximum(0.0, iy)
+    return inter / ((ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter)
+
+
+def _coords(boxes) -> tuple:
+    rows = np.asarray(boxes.as_list() if isinstance(boxes, BoundingBox) else boxes, dtype=np.float64)
+    return rows[..., 0], rows[..., 1], rows[..., 2], rows[..., 3]
 
 
 def box_array(boxes) -> np.ndarray:
     """(M, 4) float64 array of [x1, y1, x2, y2] rows, one per BoundingBox; None gives a NaN row."""
     rows = [[np.nan] * 4 if b is None else b.as_list() for b in boxes]
     return np.array(rows, dtype=np.float64).reshape(-1, 4)
-
-
-def iou_row(box, boxes: np.ndarray) -> np.ndarray:
-    """IoU of one box [x1, y1, x2, y2] against each row of an (M, 4) float64 array.
-
-    Uses the float operations of `iou` in the same order, so entry k equals
-    iou(box, boxes[k]) bit for bit: clamping a non-positive overlap side to
-    +0.0 makes a disjoint pair's IoU 0.0 / union = 0.0. A NaN row gives NaN.
-    """
-    x1, y1, x2, y2 = map(float, box)
-    bx1, by1, bx2, by2 = boxes.T
-    ix = np.minimum(x2, bx2) - np.maximum(x1, bx1)
-    iy = np.minimum(y2, by2) - np.maximum(y1, by1)
-    inter = np.maximum(0.0, ix) * np.maximum(0.0, iy)
-    return inter / ((x2 - x1) * (y2 - y1) + (bx2 - bx1) * (by2 - by1) - inter)
 
 
 def nms(candidates: list, iou_threshold: float, keep: int) -> list:
@@ -75,7 +71,7 @@ def nms(candidates: list, iou_threshold: float, keep: int) -> list:
             break
         if alive[pos]:
             kept.append(i)
-            alive[pos + 1:] &= iou_row(boxes[pos], boxes[pos + 1:]) <= iou_threshold
+            alive[pos + 1:] &= iou(boxes[pos], boxes[pos + 1:]) <= iou_threshold
     return kept
 
 

@@ -51,7 +51,7 @@ def score_grounding(pred_box: Optional[BoundingBox], gt_box: Optional[BoundingBo
     """Grounding is correct at IoU >= 0.5, or when both sides are ungrounded."""
     if pred_box is None or gt_box is None:
         return pred_box is None and gt_box is None
-    return iou(pred_box, gt_box) >= GROUNDING_IOU
+    return bool(iou(pred_box, gt_box) >= GROUNDING_IOU)
 
 
 def _score_image(image, frame: Optional[GroundedFrame], value_all_mode: ValueAllMode):

@@ -87,7 +87,7 @@ def obj_sim(i: DetectionList, j: DetectionList) -> float:
         best = 0.0
         for cj, bj in zip(j.classes, j.boxes):
             if ci == cj:
-                best = max(best, 1.0 + iou(bi, bj))
+                best = max(best, 1.0 + float(iou(bi, bj)))
         total += best
     return total / n
 
@@ -114,7 +114,7 @@ def gr_sit_sim(i: SituationPrediction, j: SituationPrediction) -> float:
 def _box_term(a: Optional[BoundingBox], b: Optional[BoundingBox]) -> float:
     if a is None or b is None:
         return 1.0 if a is None and b is None else 0.0
-    return iou(a, b)
+    return float(iou(a, b))
 
 
 def _sit_max(i: SituationPrediction, j: SituationPrediction, grounded: bool) -> float:
@@ -255,7 +255,7 @@ class SitScorer:
                 if self._grounded:  # `_box_term`: an absent box is a NaN row, fmax makes its IoU 0
                     column, box = search_boxes[:, k], boxes[k]
                     term = (np.isnan(column[:, 0]) if box is None
-                            else np.fmax(geometry.iou_row(box.as_list(), column), 0.0))
+                            else np.fmax(geometry.iou(box, column), 0.0))
                     total += np.where(match, 1.0 + term, 0.0)
                 else:
                     total += match
@@ -267,7 +267,7 @@ class ObjScorer:
     """Batched `obj_sim` over the search ids.
 
     The search detections are flattened into owner-row and box arrays and
-    grouped by class. Per query detection, one `iou_row` over its class
+    grouped by class. Per query detection, one `iou` over its class
     group and a per-owner maximum give the best (1 + IoU) of every search
     row; the sums over query detections run in their order, so scores
     equal `obj_sim` bit for bit.
@@ -295,7 +295,7 @@ class ObjScorer:
             best = np.zeros(self._n)
             if cls in self._groups:
                 owners, boxes = self._groups[cls]
-                np.maximum.at(best, owners, 1.0 + geometry.iou_row(box.as_list(), boxes))
+                np.maximum.at(best, owners, 1.0 + geometry.iou(box, boxes))
             total += best
         return total / len(dets.classes)
 

@@ -9,6 +9,7 @@ from swig_toolkit.dataset_io import (
     load_chain_nodes,
     load_predictions,
     parse_lexicon,
+    parse_vocabulary,
 )
 from swig_toolkit.frame_model import GroundedFrame, frame_to_json
 
@@ -254,3 +255,8 @@ class TestLoadPredictions:
                   "frames": {"jumping": {"nouns": {"Agent": "man"}}}}],
                 lexicon,
             )
+
+
+def test_vocabulary_length_is_the_number_of_distinct_non_null_ids():
+    assert len(parse_vocabulary(["man", "dough", "man", ""])) == 2
+    assert len(parse_vocabulary({"man": {}, "": {}})) == 1

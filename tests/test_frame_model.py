@@ -32,6 +32,18 @@ class TestBoundingBox:
         assert b.clamped(100, 100) == BoundingBox(10, 10, 100, 90)
 
 
+@pytest.mark.parametrize("coords", [
+    (0, 0, 5e-324, 10),    # height / width overflows to infinity
+    (0, 0, 10, 5e-324),    # height / width underflows to 0
+    (0, 0, 5e-324, 0.4),   # the area underflows to 0
+    (0, 0, 1e308, 1e308),  # the area overflows
+    (0, 0, 1e154, 1e154),  # finite, but the sum of two such areas overflows
+], ids=["aspect-infinite", "aspect-zero", "area-zero", "area-infinite", "area-over-half"])
+def test_a_box_needs_a_finite_area_and_a_finite_non_zero_aspect_ratio(coords):
+    with pytest.raises(FrameModelError, match="area must be positive and at most half the .* aspect ratio"):
+        BoundingBox(*coords)
+
+
 class TestNounVocabulary:
     def test_null_not_a_member(self):
         with pytest.raises(FrameModelError):

@@ -131,3 +131,14 @@ def test_equals_the_per_role_first_maximum_reference():
 def test_fewer_score_rows_than_boxes_is_an_error():
     with pytest.raises(FusionError, match="1 rows for 2 boxes"):
         detection_set([[0.0, 1.0, 2.0]], n_boxes=2)
+
+
+def test_noun_scores_must_be_two_dimensional():
+    with pytest.raises(FusionError, match=r"noun_scores: must be 2-D .* got shape \(1,\)"):
+        DetectionSet((BoundingBox(0, 0, 1, 1),), np.zeros(1), NOUN_INDEX)
+
+
+@pytest.mark.parametrize("column", [1, -1])
+def test_a_noun_column_outside_the_scores_is_an_error(column):
+    with pytest.raises(FusionError, match=rf"noun_index\['man'\]: column {column} outside the 1"):
+        DetectionSet((BoundingBox(0, 0, 1, 1),), np.zeros((1, 1)), {"man": column})

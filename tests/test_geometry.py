@@ -1,13 +1,14 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swig_toolkit import BoundingBox, ScoredBox, cluster_aspect_ratios, iou, nms
-from swig_toolkit.geometry import box_array, iou_row
+from swig_toolkit.geometry import box_array
 from conftest import make_box
-from oracles import clustering_cost, iou_raster, kmeans_1d_optimal_cost, nms_naive
+from oracles import clustering_cost, iou_exact, iou_raster, kmeans_1d_optimal_cost, nms_naive
 import numpy as np
 
 
@@ -65,18 +66,31 @@ def box_and_relatives(draw):
     return a, draw(st.permutations(relatives + others))
 
 
-class TestIouRow:
+def assert_same_bits(got, expected):
+    got, expected = np.asarray(got), np.asarray(expected, dtype=np.float64)
+    assert got.dtype == np.float64 and got.shape == expected.shape
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+class TestIouBroadcast:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(box_and_relatives())
-    def test_equals_scalar_iou_bit_for_bit(self, case):
+    def test_equals_the_oracle_bit_for_bit(self, case):
         a, boxes = case
-        row = iou_row(a.as_list(), box_array(boxes))
-        expected = np.array([iou(a, b) for b in boxes], dtype=np.float64)
-        assert row.dtype == np.float64 and row.shape == (len(boxes),)
-        assert np.array_equal(row.view(np.uint64), expected.view(np.uint64))
+        rows = box_array(boxes)
+        row = [iou_exact(a, b) for b in boxes]
+        for b, expected in zip(boxes, row):  # two BoundingBoxes give a 0-d float64
+            assert_same_bits(iou(a, b), expected)
+        assert_same_bits(iou(a, rows), row)
+        assert_same_bits(iou(a.as_list(), rows), row)
+        table = [[iou_exact(b, c) for c in boxes] for b in boxes[:3]]
+        assert_same_bits(iou(rows[:3, None], rows[None, :]), table)  # (3, 1, 4) x (1, m, 4)
+        with_absent = iou(a, box_array([*boxes, None]))
+        assert_same_bits(with_absent[:-1], row)
+        assert np.isnan(with_absent[-1])
 
     def test_empty_array(self):
-        assert iou_row([0, 0, 1, 1], box_array([])).shape == (0,)
+        assert iou([0, 0, 1, 1], box_array([])).shape == (0,)
 
 
 class TestBoxArray:
@@ -207,3 +221,10 @@ def test_nms_threshold_outside_the_unit_interval_is_an_error(threshold):
 def test_cluster_aspect_ratios_needs_k_of_one_or_more():
     with pytest.raises(ValueError, match="k must be >= 1"):
         cluster_aspect_ratios([BoundingBox(0, 0, 1, 1)], 0)
+
+
+def test_identical_boxes_at_the_area_limit_have_iou_one():
+    # the union adds two areas of half the largest float, which stays finite
+    b = BoundingBox(0, 0, 2, sys.float_info.max / 4)
+    assert iou(b, b) == 1.0
+    assert iou(box_array([b]), box_array([b])).tolist() == [1.0]

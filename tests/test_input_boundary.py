@@ -233,6 +233,23 @@ PROBES = [
      ("validate", "stats"), ("image 'img1.jpg'", "worker_boxes['Agent']", "3 worker boxes")),
     ("prediction-verbs-empty", _set(("preds.json", 0, "verbs"), []),
      ("eval", "fuse"), ("prediction 'img1.jpg', verbs", "non-empty")),
+    ("box-aspect-infinite", _set((*DATASET, "boxes", "Agent"), [0, 0, 5e-324, 10]),
+     ("validate", "stats"), ("image 'img1.jpg'", "boxes['Agent']", "aspect ratio")),
+    ("box-area-overflow", _set((*DATASET, "boxes", "Agent"), [0, 0, 1e308, 1e308]),
+     ("validate", "stats"), ("image 'img1.jpg'", "boxes['Agent']", "area")),
+    ("worker-boxes-mean-area-overflow",  # each worker box is valid, their mean is not
+     lambda f: f["dataset.json"][0].update(
+         worker_boxes={"Agent": [[0, 0, 8e307, 1], [0, 0, 1, 8e307], [0, 0, 1, 1]]}),
+     ("validate", "stats"), ("image 'img1.jpg'", "worker_boxes['Agent']", "area")),
+    ("prediction-box-area-overflow",
+     _set(("preds.json", 0, "frames", "kneading", "boxes", "Agent"), [0, 0, 1e308, 1e308]),
+     ("eval", "fuse"), ("prediction 'img1.jpg'", "frames['kneading'], boxes['Agent']", "area")),
+    ("chain-box-area-overflow",  # two nodes with the same box
+     lambda f: f.update({"chain.json": 2 * [dict(f["chain.json"][0], boxes={
+         "Agent": [0, 0, 1e308, 1e308], "Place": None})]}),
+     ("chain",), ("situation #0", "boxes['Agent']", "area")),
+    ("anchor-box-aspect-infinite", _set(("boxes.json", 0), [0, 0, 5e-324, 1]),
+     ("anchors",), ("boxes[0]", "aspect ratio")),
 ]
 
 
