@@ -121,20 +121,21 @@ def cmd_fuse(args) -> int:
     if not np.isfinite(args.fusion_threshold):
         raise ValueError(f"--fusion-threshold must be finite, got {args.fusion_threshold}")
     lexicon = parse_lexicon(args.lexicon)
-    predictions = load_predictions(args.frames, lexicon)
+    table = load_predictions(args.frames, lexicon)
     detections = load_detection_sets(args.detections)
     out = []
-    for pred in predictions:
-        if pred.image_id not in detections:
-            raise DatasetError(f"no detections for image {pred.image_id!r}")
+    for image_id, ranking, rows in zip(table.ids, table.rankings, table.frames):
+        if image_id not in detections:
+            raise DatasetError(f"no detections for image {image_id!r}")
         frames = {}
-        for verb, frame in sorted(pred.frames.items()):
-            try:
-                fused = assign_groundings(frame, detections[pred.image_id], args.fusion_threshold)
+        for verb, row in sorted(rows.items()):
+            try:  # the predicted boxes are replaced, so they are never built
+                fused = assign_groundings(table.frame(row, grounded=False), detections[image_id],
+                                          args.fusion_threshold)
             except FusionError as e:
-                raise DatasetError(f"image {pred.image_id!r}, verb {verb!r}, {e}") from e
+                raise DatasetError(f"image {image_id!r}, verb {verb!r}, {e}") from e
             frames[verb] = frame_to_json(fused)
-        out.append({"id": pred.image_id, "verbs": list(pred.verb_ranking), "frames": frames})
+        out.append({"id": image_id, "verbs": list(ranking), "frames": frames})
     write_output(out, args.out)
     return 0
 

@@ -2,9 +2,10 @@
 
 This module is the only code that reads JSON input; every reader takes a
 path (str, bytes or os.PathLike), a file object or an already-parsed JSON
-value. Every box goes through `parse_box`, every frame through
-`frame_from_json`, and every error names the record and the field it
-comes from: "<record>, <field>: <rule>".
+value. Every box is judged by `parse_box`'s rules (a prediction file's
+boxes all at once, by `_box_rows`), every frame is read by `_frame_row`,
+and every error names the record and the field it comes from:
+"<record>, <field>: <rule>".
 
 Canonical file formats (UTF-8 JSON):
 
@@ -17,10 +18,10 @@ Canonical file formats (UTF-8 JSON):
                "boxes"; the three worker boxes are merged by coordinate mean.
   frame:       {"nouns": {role: noun}, "boxes": {role: box_or_null},
                 "grounded": {role: true|false}}  ("grounded" optional)
-               The verb sits outside the frame; read by `frame_from_json`,
+               The verb sits outside the frame; read by `_frame_row`,
                written by `frame_model.frame_to_json`.
   predictions: [{"id", "verbs": [verb, ...], "frames": {verb: frame}}, ...]
-               (also the `fuse` output)
+               (also the `fuse` output); read into a `PredictionTable`
   detections:  [{"id", "boxes": [box, ...], "nouns": [noun, ...],
                  "noun_scores": [[logit per noun] per box]}, ...]  (fusion)
                [{"id", "classes": [noun, ...], "boxes": [box, ...]}, ...]
@@ -41,8 +42,10 @@ import json
 import os
 import reprlib
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress, repeat
+from operator import is_not
 from typing import Optional
 
 import numpy as np
@@ -60,6 +63,7 @@ from .frame_model import (
     VerbLexicon,
 )
 from .fusion import DetectionSet, FusionError
+from .geometry import box_array
 from .retrieval import DetectionList, RetrievalError, SituationPrediction
 
 SENTINEL_BOX = [-1, -1, -1, -1]
@@ -75,6 +79,53 @@ class Dataset:
     lexicon: VerbLexicon
     vocabulary: NounVocabulary
     images: tuple  # of AnnotatedImage
+
+
+@dataclass(frozen=True, eq=False)
+class PredictionTable:
+    """Model outputs as columns: one entry per record, one row per frame.
+
+    Row `row` holds role slots `starts[row]:starts[row + 1]` of `boxes`.
+    Iterating yields one PredictionRecord per record, built on demand.
+    """
+
+    ids: list  # per record: its image id
+    rankings: list  # per record: a tuple of verbs, best first
+    frames: list  # per record: {verb: row}
+    roles: list  # per row: the frame's roles, a tuple
+    nouns: list  # per row: a tuple of nouns, parallel to its roles
+    starts: list  # per row: its first slot; one more entry closes the last row
+    boxes: np.ndarray  # (n_slots, 4) float64, a NaN row for an ungrounded slot
+
+    @classmethod
+    def from_records(cls, records) -> "PredictionTable":
+        """The table of PredictionRecords; each frame's row keeps the frame's role order."""
+        ids, rankings, frames, roles, nouns, starts, boxes = [], [], [], [], [], [0], []
+        for rec in records:
+            rows = {}
+            for verb, frame in rec.frames.items():
+                rows[verb] = len(roles)
+                roles.append(frame.roles)
+                nouns.append(frame.nouns)
+                boxes.extend(frame.groundings)
+                starts.append(len(boxes))
+            ids.append(rec.image_id)
+            rankings.append(tuple(rec.verb_ranking))
+            frames.append(rows)
+        return cls(ids, rankings, frames, roles, nouns, starts, box_array(boxes))
+
+    def __iter__(self):
+        for image_id, ranking, rows in zip(self.ids, self.rankings, self.frames):
+            yield PredictionRecord(image_id, ranking,
+                                   {verb: self.frame(row) for verb, row in rows.items()})
+
+    def frame(self, row: int, grounded: bool = True) -> GroundedFrame:
+        """Row `row` as a GroundedFrame; with `grounded` false, every role is ungrounded."""
+        role_values = tuple(zip(self.roles[row], self.nouns[row]))
+        if not grounded:
+            return GroundedFrame(role_values, (None,) * len(role_values))
+        rows = self.boxes[self.starts[row]:self.starts[row + 1]].tolist()
+        return GroundedFrame(role_values, tuple(None if b[0] != b[0] else BoundingBox(*b) for b in rows))
 
 
 def parse_lexicon(source) -> VerbLexicon:
@@ -153,6 +204,47 @@ def parse_box(raw, where: str) -> Optional[BoundingBox]:
         return BoundingBox(*map(float, raw))
     except (FrameModelError, OverflowError) as e:  # OverflowError: an int too big for a float
         raise DatasetError(f"{where}: {e}") from e
+
+
+def _valid_box_rows(rows: np.ndarray) -> np.ndarray:
+    """Which (n, 4) float64 rows `BoundingBox` accepts: its rules, in the same
+    float64 arithmetic, over every row at once."""
+    x1, y1, x2, y2 = rows.T
+    with np.errstate(all="ignore"):  # inf - inf, and an area or aspect out of range, only fail a rule
+        w, h = x2 - x1, y2 - y1
+        area, aspect = w * h, h / w
+        return (np.isfinite(rows).all(axis=1) & (rows.min(axis=1) >= 0) & (x1 < x2) & (y1 < y2)
+                & (0 < area) & (area <= sys.float_info.max / 2) & (0 < aspect) & (aspect < np.inf))
+
+
+def _box_rows(raws: list, where_of) -> np.ndarray:
+    """(len(raws), 4) float64 rows of raw boxes, a NaN row for null and the sentinel.
+
+    Lists of four JSON numbers are judged all at once by `_valid_box_rows`.
+    When any raw box fails that, every box is parsed again by `parse_box`,
+    in order, so the first bad one raises `parse_box`'s own error, and a box
+    that only the array path refuses is still read. `where_of(i)` names box i.
+    """
+    given = np.fromiter(map(is_not, raws, repeat(None)), dtype=bool, count=len(raws))
+    present = list(compress(raws, given))
+    block = None
+    if ({list}.issuperset(map(type, present)) and {4}.issuperset(map(len, present))
+            and _JSON_NUMBER_TYPES.issuperset(map(type, chain.from_iterable(present)))):
+        try:
+            block = np.array(present, dtype=np.float64).reshape(-1, 4)
+        except OverflowError:  # an int too big for a float
+            pass
+    if block is not None:
+        sentinel = (block == -1).all(axis=1)
+        if (sentinel | _valid_box_rows(block)).all():
+            block[sentinel] = np.nan
+        else:
+            block = None
+    if block is None:
+        block = box_array([parse_box(raws[i], where_of(i)) for i in np.flatnonzero(given).tolist()])
+    rows = np.full((len(raws), 4), np.nan)
+    rows[given] = block
+    return rows
 
 
 def _box_list(raw, where: str) -> tuple:
@@ -333,47 +425,99 @@ def _by_id(source, kind: str, parse) -> dict:
             raise DatasetError(f"{where}: duplicate id (record #{index})")
         try:
             out[image_id] = parse(rec, where)
-        except (FrameModelError, FusionError, RetrievalError) as e:
+        except (FusionError, RetrievalError) as e:
             raise DatasetError(f"{where}, {e}") from e  # the type's message names the field
     return out
+
+
+def _frame_row(raw, roles, where: str, boxes_out: list) -> tuple:
+    """Read the file form of a frame for `roles`: the one frame reader.
+
+    Returns the frame's nouns and "grounded" flags, parallel to `roles`, and
+    appends each role's raw box (None when it has none) to `boxes_out` for
+    `_box_rows` to judge. A role's faults come in file order: its noun, its
+    box, its flag. So a fault raised here comes first in the file only when
+    every box appended before it is good; callers check that before re-raising.
+    """
+    raw = _check(raw, dict, where)
+    nouns = _get(raw, "nouns", dict, where, {})
+    boxes = _get(raw, "boxes", dict, where, {})
+    grounded = _get(raw, "grounded", dict, where, {})
+    values = tuple(map(nouns.get, roles))
+    flags = tuple(map(grounded.get, roles, repeat(True)))
+    if {str}.issuperset(map(type, values)) and {bool}.issuperset(map(type, flags)):
+        boxes_out.extend(map(boxes.get, roles))
+        return values, flags
+    for role, noun, flag in zip(roles, values, flags):  # find the first fault, role by role
+        if role not in nouns:
+            raise DatasetError(f"{where}, nouns: missing noun for role {role!r}")
+        if not isinstance(noun, str):
+            raise _type_error(noun, str, f"{where}, nouns[{role!r}]")
+        boxes_out.append(boxes.get(role))
+        if not isinstance(flag, bool):
+            raise _type_error(flag, bool, f"{where}, grounded[{role!r}]")
+    return values, flags  # nouns of a str subclass, which only a parsed value can hold
 
 
 def frame_from_json(raw, roles, where: str) -> GroundedFrame:
     """Read the file form of a frame, the inverse of `frame_to_json`. Each role
     needs a string noun; a role with a box is grounded unless "grounded" gives it false."""
-    raw = _check(raw, dict, where)
-    nouns = _get(raw, "nouns", dict, where, {})
-    boxes = _get(raw, "boxes", dict, where, {})
-    grounded = _get(raw, "grounded", dict, where, {})
-    values, groundings = [], []
-    for role in roles:  # one location string per box, for parse_box; the rest only on error
-        if role not in nouns:
-            raise DatasetError(f"{where}, nouns: missing noun for role {role!r}")
-        noun, box, flag = nouns[role], boxes.get(role), grounded.get(role, True)
-        if not isinstance(noun, str):
-            raise _type_error(noun, str, f"{where}, nouns[{role!r}]")
-        if box is not None:
-            box = parse_box(box, f"{where}, boxes[{role!r}]")
-        if not isinstance(flag, bool):
-            raise _type_error(flag, bool, f"{where}, grounded[{role!r}]")
-        values.append((role, noun))
-        groundings.append(box if flag else None)
-    return GroundedFrame(tuple(values), tuple(groundings))
+    raws = []
+
+    def where_of(i):
+        return f"{where}, boxes[{roles[i]!r}]"
+
+    try:
+        nouns, flags = _frame_row(raw, roles, where, raws)
+    except DatasetError:
+        _box_rows(raws, where_of)  # a bad box read before the fault is the first fault
+        raise
+    rows = _box_rows(raws, where_of).tolist()
+    return GroundedFrame(tuple(zip(roles, nouns)), tuple(
+        BoundingBox(*b) if flag and b[0] == b[0] else None for b, flag in zip(rows, flags)))
 
 
-def load_predictions(source, lexicon: VerbLexicon) -> list:
-    """Parse a prediction file into PredictionRecords."""
+def load_predictions(source, lexicon: VerbLexicon) -> PredictionTable:
+    """Parse a prediction file into a PredictionTable; every frame is checked,
+    and an error names the first fault in file order."""
+    ids, rankings, frames, roles, nouns, starts, wheres, raws, unflagged = (
+        [], [], [], [], [], [0], [], [], [])
+
     def parse(rec, where):
         verbs = _strings(rec.get("verbs"), f"{where}, verbs")
         if not verbs:
             raise DatasetError(f"{where}, verbs: must be a non-empty list")
-        frames = {}
+        rows = {}
         for verb, raw in _get(rec, "frames", dict, where, {}).items():
             if verb not in lexicon:
                 raise DatasetError(f"{where}, frames[{verb!r}]: unknown verb")
-            frames[verb] = frame_from_json(raw, lexicon.roles(verb), f"{where}, frames[{verb!r}]")
-        return PredictionRecord(rec["id"], verbs, frames)
-    return list(_by_id(source, "prediction", parse).values())
+            rows[verb], start = len(roles), len(raws)
+            roles.append(lexicon.roles(verb))
+            wheres.append(f"{where}, frames[{verb!r}]")
+            row_nouns, flags = _frame_row(raw, roles[-1], wheres[-1], raws)
+            nouns.append(row_nouns)
+            starts.append(len(raws))
+            if False in flags:
+                unflagged.extend(i for i, flag in enumerate(flags, start) if not flag)
+        for verb in rows:
+            if verb not in verbs:
+                raise DatasetError(f"{where}, frames[{verb!r}]: verb not in the ranking")
+        ids.append(rec["id"])
+        rankings.append(verbs)
+        frames.append(rows)
+
+    def where_of(i):
+        row = bisect_right(starts, i) - 1
+        return f"{wheres[row]}, boxes[{roles[row][i - starts[row]]!r}]"
+
+    try:
+        _by_id(source, "prediction", parse)
+    except DatasetError:
+        _box_rows(raws, where_of)  # a bad box read before the fault is the first fault
+        raise
+    boxes = _box_rows(raws, where_of)
+    boxes[unflagged] = np.nan
+    return PredictionTable(ids, rankings, frames, roles, nouns, starts, boxes)
 
 
 def _detection_set(rec: dict, where: str) -> DetectionSet:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 NULL_NOUN = ""
@@ -125,11 +126,11 @@ class GroundedFrame:
 
     @property
     def roles(self) -> tuple:
-        return tuple(r for r, _ in self.role_values)
+        return tuple(map(itemgetter(0), self.role_values))
 
     @property
     def nouns(self) -> tuple:
-        return tuple(n for _, n in self.role_values)
+        return tuple(map(itemgetter(1), self.role_values))
 
     def grounding_of(self, role: str) -> Optional[BoundingBox]:
         for i, (r, _) in enumerate(self.role_values):

@@ -9,11 +9,12 @@ extra weight.
 from __future__ import annotations
 
 import enum
-from typing import Optional
 
-from .dataset_io import Dataset
-from .frame_model import BoundingBox, GroundedFrame
-from .geometry import iou
+import numpy as np
+
+from .dataset_io import Dataset, PredictionTable
+from .frame_model import BoundingBox
+from .geometry import box_array, iou
 
 GROUNDING_IOU = 0.5
 
@@ -44,49 +45,40 @@ class EvaluationError(ValueError):
 
 def score_noun(predicted: str, annotators) -> bool:
     """Noun is correct when it equals at least one annotator's value."""
-    return any(predicted == a for a in annotators)
+    return predicted in annotators
 
 
-def score_grounding(pred_box: Optional[BoundingBox], gt_box: Optional[BoundingBox]) -> bool:
-    """Grounding is correct at IoU >= 0.5, or when both sides are ungrounded."""
-    if pred_box is None or gt_box is None:
-        return pred_box is None and gt_box is None
-    return bool(iou(pred_box, gt_box) >= GROUNDING_IOU)
+def score_grounding(pred_box, gt_box):
+    """Grounding is correct at IoU >= 0.5, or when both sides are ungrounded.
 
-
-def _score_image(image, frame: Optional[GroundedFrame], value_all_mode: ValueAllMode):
-    """Per-role pass vectors for one image; a None frame fails everything.
-
-    A frame has the image's roles in the image's order (`evaluate` checks).
+    Each side is a BoundingBox, None (ungrounded) or a (..., 4) float64 array
+    whose NaN rows are ungrounded slots; arrays broadcast as in `geometry.iou`
+    and give a bool array, two single boxes give a bool.
     """
-    roles = image.roles
-    n = len(roles)
-    if frame is None:
-        return [False] * n, [False] * n, False
-    predicted = frame.nouns
-    annotated = [f.nouns for f in image.annotator_frames]
-    noun_ok, both_ok = [], []
-    for i, role in enumerate(roles):
-        ok = score_noun(predicted[i], [nouns[i] for nouns in annotated])
-        grounded_ok = ok and score_grounding(frame.groundings[i], image.gt_groundings.get(role))
-        noun_ok.append(ok)
-        both_ok.append(grounded_ok)
-    if value_all_mode is ValueAllMode.SINGLE_ANNOTATOR:
-        value_all = predicted in annotated
-    else:
-        value_all = all(noun_ok)
-    return noun_ok, both_ok, value_all
+    pred, gt = _rows(pred_box), _rows(gt_box)
+    pred_absent, gt_absent = np.isnan(pred[..., 0]), np.isnan(gt[..., 0])
+    with np.errstate(invalid="ignore"):  # an absent box gives NaN; np.where decides those slots
+        hit = iou(pred, gt) >= GROUNDING_IOU
+    ok = np.where(pred_absent | gt_absent, pred_absent & gt_absent, hit)
+    return ok if ok.ndim else bool(ok)
 
 
-def evaluate(dataset: Dataset, predictions: list, setting: VerbSetting,
+def _rows(boxes) -> np.ndarray:
+    if boxes is None or isinstance(boxes, BoundingBox):
+        return box_array([boxes])[0]
+    return np.asarray(boxes, dtype=np.float64)
+
+
+def evaluate(dataset: Dataset, predictions, setting: VerbSetting,
              value_all_mode: ValueAllMode = ValueAllMode.ANY_PER_ROLE) -> dict:
     """Score predictions against the dataset under one verb setting.
 
-    Per-verb value = passed role slots / total role slots over that verb's
-    images; the *_all metrics count whole images. Every dataset image must
-    have a prediction, and every prediction must name a dataset image. A
-    predicted frame for the image's verb must list the verb's roles in the
-    lexicon's order.
+    `predictions` is a PredictionTable, or PredictionRecords, which are put
+    into one first. Per-verb value = passed role slots / total role slots
+    over that verb's images; the *_all metrics count whole images. Every
+    dataset image must have a prediction, and every prediction must name a
+    dataset image. A predicted frame for the image's verb must list the
+    verb's roles in the lexicon's order.
 
     Returns the report as it is written: {"macro": {metric: fraction},
     "per_verb": {verb: {metric: fraction}}, "counts": {verb: {"images": n,
@@ -94,53 +86,71 @@ def evaluate(dataset: Dataset, predictions: list, setting: VerbSetting,
     """
     if not dataset.images:
         raise EvaluationError("the dataset holds no images: there is nothing to evaluate")
-    by_id = {p.image_id: p for p in predictions}
-    missing = [img.image_id for img in dataset.images if img.image_id not in by_id]
+    table = (predictions if isinstance(predictions, PredictionTable)
+             else PredictionTable.from_records(predictions))
+    record_of = {image_id: r for r, image_id in enumerate(table.ids)}
+    missing = [img.image_id for img in dataset.images if img.image_id not in record_of]
     if missing:
         more = f" (and {len(missing) - 1} more)" if len(missing) > 1 else ""
         raise EvaluationError(f"image {missing[0]!r}: no prediction{more}")
     known = {img.image_id for img in dataset.images}
-    stray = [p.image_id for p in predictions if p.image_id not in known]
+    stray = [image_id for image_id in table.ids if image_id not in known]
     if stray:
         more = f" (and {len(stray) - 1} more)" if len(stray) > 1 else ""
         raise EvaluationError(f"prediction {stray[0]!r}: no such image in the dataset{more}")
 
     ranks = {VerbSetting.TOP1: 1, VerbSetting.TOP5: 5}.get(setting)  # None: the verb is given
-    acc = {}  # verb -> accumulator dict
-    for image in dataset.images:
-        record = by_id[image.image_id]
-        verb_correct = ranks is None or image.verb in record.verb_ranking[:ranks]
-        frame = record.frames.get(image.verb)
-        if frame is not None and frame.roles != image.roles:
-            raise EvaluationError(f"prediction {record.image_id!r}, frames[{image.verb!r}]: "
-                                  f"roles {frame.roles} differ from the verb's {image.roles}")
+    single = value_all_mode is ValueAllMode.SINGLE_ANNOTATOR
+    code = {}  # verb -> its column in the per-verb counts
+    verbs, verb_ok, n_roles, value_all = [], [], [], []  # per image
+    owner, slots, gt, noun_ok = [], [], [], []  # per role slot that can earn credit
+    for k, image in enumerate(dataset.images):
+        r, roles = record_of[image.image_id], image.roles
+        row = table.frames[r].get(image.verb)
+        if row is not None and table.roles[row] != roles:
+            raise EvaluationError(f"prediction {image.image_id!r}, frames[{image.verb!r}]: "
+                                  f"roles {table.roles[row]} differ from the verb's {roles}")
+        correct = ranks is None or image.verb in table.rankings[r][:ranks]
+        verbs.append(code.setdefault(image.verb, len(code)))
+        verb_ok.append(correct)
+        n_roles.append(len(roles))
         # only a correct verb earns noun and grounding credit, through the gt verb's frame
-        noun_ok, both_ok, value_all = _score_image(image, frame if verb_correct else None,
-                                                   value_all_mode)
-        a = acc.setdefault(
-            image.verb,
-            {"images": 0, "verb_correct": 0, "role_slots": 0, "value": 0,
-             "grounded_value": 0, "value_all": 0, "grounded_value_all": 0},
-        )
-        a["images"] += 1
-        a["verb_correct"] += verb_correct
-        a["role_slots"] += len(noun_ok)
-        a["value"] += sum(noun_ok)
-        a["grounded_value"] += sum(both_ok)
-        a["value_all"] += value_all
-        a["grounded_value_all"] += value_all and all(both_ok)
+        if not correct or row is None:
+            value_all.append(False)
+            continue
+        predicted = table.nouns[row]
+        annotated = [f.nouns for f in image.annotator_frames]
+        hits = list(map(score_noun, predicted, zip(*annotated)))
+        value_all.append(predicted in annotated if single else all(hits))
+        noun_ok += hits
+        owner += [k] * len(roles)
+        slots += range(table.starts[row], table.starts[row + 1])
+        gt += map(image.gt_groundings.get, roles)
+
+    noun_ok = np.array(noun_ok, dtype=bool)
+    grounded = noun_ok & score_grounding(table.boxes[np.array(slots, dtype=np.intp)], box_array(gt))
+    owner, verbs = np.array(owner, dtype=np.intp), np.array(verbs, dtype=np.intp)
+    n_roles, value_all = np.array(n_roles, dtype=np.intp), np.array(value_all, dtype=bool)
+    all_grounded = value_all & (np.bincount(owner[grounded], minlength=len(verbs)) == n_roles)
+    # integer counts per verb column, each from the verb of every image or slot it counts
+    n = {name: np.bincount(of_verbs, minlength=len(code)).tolist() for name, of_verbs in (
+        ("images", verbs), ("verb_correct", verbs[np.array(verb_ok, dtype=bool)]),
+        ("role_slots", np.repeat(verbs, n_roles)), ("value", verbs[owner[noun_ok]]),
+        ("grounded_value", verbs[owner[grounded]]), ("value_all", verbs[value_all]),
+        ("grounded_value_all", verbs[all_grounded]))}
 
     per_verb, counts = {}, {}
-    for verb in sorted(acc):
-        a = acc[verb]
+    for verb in sorted(code):
+        c = code[verb]
+        images, role_slots = n["images"][c], n["role_slots"][c]
         per_verb[verb] = {
-            "verb_acc": a["verb_correct"] / a["images"],
-            "value": a["value"] / a["role_slots"],
-            "value_all": a["value_all"] / a["images"],
-            "grounded_value": a["grounded_value"] / a["role_slots"],
-            "grounded_value_all": a["grounded_value_all"] / a["images"],
+            "verb_acc": n["verb_correct"][c] / images,
+            "value": n["value"][c] / role_slots,
+            "value_all": n["value_all"][c] / images,
+            "grounded_value": n["grounded_value"][c] / role_slots,
+            "grounded_value_all": n["grounded_value_all"][c] / images,
         }
-        counts[verb] = {"images": a["images"], "role_slots": a["role_slots"]}
+        counts[verb] = {"images": images, "role_slots": role_slots}
     return {"macro": macro_average(per_verb), "per_verb": per_verb, "counts": counts}
 
 

@@ -256,6 +256,32 @@ class TestLoadPredictions:
                 lexicon,
             )
 
+    @pytest.mark.parametrize("records,error", [
+        ([{"id": "a", "verbs": ["jumping"],
+           "frames": {"jumping": {"nouns": {"Agent": "man", "Place": "street"},
+                                  "boxes": {"Agent": [5, 0, 1, 10]}}}},
+          {"id": "b", "verbs": ["jumping"],
+           "frames": {"jumping": {"nouns": {"Agent": 7, "Place": "street"}}}}],
+         "prediction 'a', frames['jumping'], boxes['Agent']: "
+         "box must satisfy x1 < x2 and y1 < y2: (5.0, 0.0, 1.0, 10.0)"),
+        ([{"id": "a", "verbs": ["kneading"],
+           "frames": {"kneading": {"nouns": {"Agent": "man", "Item": "dough"},
+                                   "boxes": {"Agent": [0, 0, True, 10]}}}}],
+         "prediction 'a', frames['kneading'], boxes['Agent']: "
+         "box coordinates must be JSON numbers, got [0, 0, True, 10]"),
+        ([{"id": "a", "verbs": ["kneading"],
+           "frames": {"jumping": {"nouns": {"Agent": "man", "Place": "street"}},
+                      "kneading": {"nouns": {"Agent": "man", "Item": "dough", "Place": ""},
+                                   "boxes": {"Item": [0, 0, 10, float("inf")]}}}}],
+         "prediction 'a', frames['kneading'], boxes['Item']: "
+         "box coordinates must be finite: (0.0, 0.0, 10.0, inf)"),
+    ], ids=["bad-box-then-next-record-noun", "bad-box-then-later-role-missing-noun",
+            "unranked-verb-then-later-frame-bad-box"])
+    def test_the_first_fault_in_file_order_is_the_error(self, records, error):
+        with pytest.raises(DatasetError) as e:
+            load_predictions(records, parse_lexicon(LEXICON_JSON))
+        assert str(e.value) == error
+
 
 def test_vocabulary_length_is_the_number_of_distinct_non_null_ids():
     assert len(parse_vocabulary(["man", "dough", "man", ""])) == 2

@@ -29,6 +29,7 @@ from swig_toolkit.dataset_io import (
     load_object_detections,
     load_predictions,
     load_situations,
+    parse_box,
     parse_dataset,
     parse_lexicon,
     parse_vocabulary,
@@ -699,6 +700,39 @@ def test_other_loaders_return_or_raise_dataset_error(preds, fuse, objects, situa
     loads_or_dataset_error(load_situations, situations)
     loads_or_dataset_error(load_chain_nodes, nodes)
     loads_or_dataset_error(load_boxes, boxes)
+
+
+EDGE_COORD = st.sampled_from([-0.0, 5e-324, 1e308, 10**400, True, "1", float("nan"),
+                              float("inf"), float("-inf"), -1, -1.0, 2**70])
+AGREEMENT_BOX = (st.none() | st.just([-1, -1, -1, -1]) | st.just([-1.0, -1, -1, -1]) | BOX
+                 | st.lists(EDGE_COORD | COORD, min_size=3, max_size=5)
+                 | st.tuples(BOX, st.integers(0, 3), EDGE_COORD).map(  # one edge coordinate
+                     lambda t: t[0][:t[1]] + [t[2]] + t[0][t[1] + 1:])
+                 | st.sampled_from([[0, 0, 1e308, 10], [0, 0, 5e-324, 10], [0, 0, 10, 5e-324],
+                                    [0, 0, 1e-300, 1e300], [0, 0, 1e300, 1e-300],
+                                    [0, 0, 1.3e154, 1.4e154], [0, 0, 1.3e154, 6e153],
+                                    [5e-324, 0, 1e-323, 1]]))  # area and aspect edges
+
+
+@settings(PROPERTY, max_examples=400)
+@given(box=AGREEMENT_BOX)
+def test_a_prediction_box_is_accepted_exactly_when_parse_box_accepts_it(box):
+    where = "prediction 'x', frames['jumping'], boxes['Agent']"
+    preds = [{"id": "x", "verbs": ["jumping"], "frames": {"jumping": {
+        "nouns": {"Agent": "man", "Place": "street"}, "boxes": {"Agent": box}}}}]
+    try:
+        expected = parse_box(box, where)
+    except DatasetError as e:
+        with pytest.raises(DatasetError) as got:
+            load_predictions(preds, parse_lexicon(LEXICON))
+        assert str(got.value) == str(e)
+        return
+    (record,) = load_predictions(preds, parse_lexicon(LEXICON))
+
+    def bits(box):  # -0.0 and 0.0 compare equal; their hex forms do not
+        return None if box is None else [c.hex() for c in box.as_list()]
+
+    assert bits(record.frames["jumping"].groundings[0]) == bits(expected)
 
 
 @pytest.mark.parametrize("nouns", [[], ["man", "dough"]], ids=["no-nouns", "nouns"])

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from swig_toolkit import (
     AnnotatedImage,
@@ -16,9 +18,12 @@ from swig_toolkit import (
     score_grounding,
     score_noun,
 )
+from swig_toolkit.dataset_io import load_predictions
+from swig_toolkit.frame_model import frame_to_json
+from swig_toolkit.geometry import box_array
 from swig_toolkit.metrics import EvaluationError
 from conftest import NOUNS, perfect_prediction, random_dataset, random_prediction
-from oracles import evaluate_naive
+from oracles import evaluate_naive, iou_exact
 
 
 class TestScoreNoun:
@@ -47,6 +52,28 @@ class TestScoreGrounding:
         b = BoundingBox(0, 0, 10, 10)
         assert not score_grounding(b, None)
         assert not score_grounding(None, b)
+
+
+# boxes on a small grid, so some pairs overlap; the example pins an IoU of exactly 0.5
+SIDE = st.integers(1, 2) | st.sampled_from([0.5, 1.5]) | st.floats(0.5, 4)
+GROUNDING = st.none() | st.builds(lambda x, y, w, h: BoundingBox(x, y, x + w, y + h),
+                                  st.integers(0, 2), st.integers(0, 2), SIDE, SIDE)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(pairs=st.lists(st.tuples(GROUNDING, GROUNDING), max_size=12))
+@example(pairs=[(BoundingBox(0, 0, 2, 1), BoundingBox(0, 0, 1, 1)), (None, None),
+                (BoundingBox(0, 0, 1, 1), None)])  # IoU exactly 0.5 is a hit
+def test_score_grounding_over_arrays_equals_it_on_each_pair(pairs):
+    preds, gts = [p for p, _ in pairs], [g for _, g in pairs]
+    scalar = [score_grounding(p, g) for p, g in pairs]
+    assert scalar == [p is g is None if p is None or g is None else iou_exact(p, g) >= 0.5
+                      for p, g in pairs]
+    assert all(type(ok) is bool for ok in scalar)
+    rows = score_grounding(box_array(preds), box_array(gts))
+    assert rows.dtype == bool and rows.tolist() == scalar
+    every_pair = score_grounding(box_array(preds)[:, None], box_array(gts)[None, :])
+    assert every_pair.tolist() == [[score_grounding(p, g) for g in gts] for p in preds]
 
 
 def two_image_fixture(lexicon, vocabulary):
@@ -230,3 +257,23 @@ class TestMacroAverage:
             for row in rows.values():
                 total += row[m]
             assert macro[m] == pytest.approx(total / 504, abs=1e-12)
+
+
+def test_loading_and_scoring_predictions_builds_no_box_or_frame(rng, lexicon, vocabulary,
+                                                                 monkeypatch):
+    dataset = random_dataset(rng, lexicon, vocabulary, n_verbs=5)
+    records = [random_prediction(rng, lexicon, img) for img in dataset.images]
+    payload = [{"id": p.image_id, "verbs": list(p.verb_ranking),
+                "frames": {verb: frame_to_json(f) for verb, f in p.frames.items()}} for p in records]
+    built = []
+    for cls in (BoundingBox, GroundedFrame):
+        monkeypatch.setattr(cls, "__post_init__",
+                            lambda self, check=cls.__post_init__: (built.append(self), check(self)))
+    table = load_predictions(payload, lexicon)
+    reports = [evaluate(dataset, table, setting, mode)
+               for setting in VerbSetting for mode in ValueAllMode]
+    assert built == []
+    assert list(table) and built  # building the records on demand is counted
+    monkeypatch.undo()
+    assert reports == [evaluate(dataset, records, setting, mode)
+                       for setting in VerbSetting for mode in ValueAllMode]
