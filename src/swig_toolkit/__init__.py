@@ -21,6 +21,7 @@ from .frame_model import (  # noqa: F401
 from .dataset_io import (  # noqa: F401
     Dataset,
     DatasetError,
+    DatasetTable,
     PredictionTable,
     compute_stats,
     load_dataset,

@@ -2,8 +2,8 @@
 
 This module is the only code that reads JSON input; every reader takes a
 path (str, bytes or os.PathLike), a file object or an already-parsed JSON
-value. Every box is judged by `parse_box`'s rules (a prediction file's
-boxes all at once, by `_box_rows`), every frame is read by `_frame_row`,
+value. Every box is judged by `parse_box`'s rules (the boxes of a prediction
+or dataset file all at once, by `_box_rows`), every frame is read by `_frame_row`,
 and every error names the record and the field it comes from:
 "<record>, <field>: <rule>".
 
@@ -16,6 +16,7 @@ Canonical file formats (UTF-8 JSON):
                  "boxes": {role: [x1,y1,x2,y2] or null}}, ...]
                A record may carry "worker_boxes": {role: [box x3]} instead of
                "boxes"; the three worker boxes are merged by coordinate mean.
+               Read into a `DatasetTable`.
   frame:       {"nouns": {role: noun}, "boxes": {role: box_or_null},
                 "grounded": {role: true|false}}  ("grounded" optional)
                The verb sits outside the frame; read by `_frame_row`,
@@ -38,14 +39,17 @@ optional object or array field given as null counts as absent.
 
 from __future__ import annotations
 
+import functools
+import gc
 import json
 import os
 import reprlib
 import sys
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
-from operator import is_not
+from itertools import accumulate, chain, compress, repeat
+from operator import and_, is_not
 from typing import Optional
 
 import numpy as np
@@ -74,11 +78,89 @@ class DatasetError(ValueError):
     """Raised when a dataset, lexicon, or prediction file is malformed."""
 
 
+class EvaluationError(ValueError):
+    """Raised when predictions cannot be scored against a dataset."""
+
+
+def _gc_paused(loader):
+    """Run `loader` with the cyclic garbage collector paused, restoring its
+    prior state after. A loader builds no reference cycles, so a collection
+    during the parse would only walk the growing heap and free nothing."""
+    @functools.wraps(loader)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return loader(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
+
+
 @dataclass(frozen=True)
 class Dataset:
+    """A dataset built by a library caller; `load_dataset` returns a DatasetTable."""
+
     lexicon: VerbLexicon
     vocabulary: NounVocabulary
     images: tuple  # of AnnotatedImage
+
+
+@dataclass(frozen=True, eq=False)
+class DatasetTable:
+    """Ground truth as columns: one entry per image, one gt box row per role slot.
+
+    Image `k` has the lexicon's roles for `verbs[k]`, in that order, and
+    slots `starts[k]:starts[k + 1]` of `boxes`. `images` builds the
+    AnnotatedImages when first read.
+    """
+
+    lexicon: VerbLexicon
+    vocabulary: NounVocabulary
+    ids: list  # per image: its id
+    verbs: list  # per image: its verb
+    sizes: list  # per image: (width, height) as the file gives them
+    annotations: list  # per image: the three annotators' noun tuples, parallel to its roles
+    starts: list  # per image: its first slot; one more entry closes the last image
+    boxes: np.ndarray  # (n_slots, 4) float64 merged gt boxes, a NaN row for an ungrounded role
+
+    @classmethod
+    def from_dataset(cls, dataset: Dataset) -> "DatasetTable":
+        """The table of a library-built Dataset. Image ids must be unique, and
+        each image must have the lexicon's roles for its verb."""
+        ids, verbs, sizes, annotations, starts, boxes, seen = [], [], [], [], [0], [], set()
+        for k, img in enumerate(dataset.images):
+            if img.image_id in seen:
+                raise EvaluationError(f"image {img.image_id!r}: duplicate image id (image #{k})")
+            seen.add(img.image_id)
+            roles = dataset.lexicon.entries.get(img.verb)
+            if img.roles != roles:
+                raise EvaluationError(f"image {img.image_id!r}: roles {img.roles} are not "
+                                      f"the lexicon's roles of {img.verb!r}")
+            ids.append(img.image_id)
+            verbs.append(img.verb)
+            sizes.append((img.width, img.height))
+            annotations.append(tuple(f.nouns for f in img.annotator_frames))
+            boxes.extend(map(img.gt_groundings.get, roles))
+            starts.append(len(boxes))
+        return cls(dataset.lexicon, dataset.vocabulary, ids, verbs, sizes, annotations, starts,
+                   box_array(boxes))
+
+    @functools.cached_property
+    def images(self) -> tuple:
+        """The AnnotatedImages, built on first use and kept."""
+        rows = self.boxes.tolist()
+        images = []
+        for k, (image_id, verb, (width, height), annotated) in enumerate(
+                zip(self.ids, self.verbs, self.sizes, self.annotations)):
+            roles = self.lexicon.roles(verb)
+            frames = tuple(GroundedFrame(tuple(zip(roles, nouns)), (None,) * len(roles))
+                           for nouns in annotated)
+            gt = {role: None if b[0] != b[0] else BoundingBox(*b)
+                  for role, b in zip(roles, rows[self.starts[k]:self.starts[k + 1]])}
+            images.append(AnnotatedImage(image_id, width, height, verb, frames, gt))
+        return tuple(images)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,9 +181,13 @@ class PredictionTable:
 
     @classmethod
     def from_records(cls, records) -> "PredictionTable":
-        """The table of PredictionRecords; each frame's row keeps the frame's role order."""
-        ids, rankings, frames, roles, nouns, starts, boxes = [], [], [], [], [], [0], []
-        for rec in records:
+        """The table of PredictionRecords, whose image ids must be unique; each
+        frame's row keeps the frame's role order."""
+        ids, rankings, frames, roles, nouns, starts, boxes, seen = [], [], [], [], [], [0], [], set()
+        for index, rec in enumerate(records):
+            if rec.image_id in seen:
+                raise EvaluationError(f"prediction {rec.image_id!r}: duplicate id (record #{index})")
+            seen.add(rec.image_id)
             rows = {}
             for verb, frame in rec.frames.items():
                 rows[verb] = len(roles)
@@ -268,19 +354,26 @@ def merge_worker_boxes(boxes: list) -> BoundingBox:
     )
 
 
+@_gc_paused
 def parse_dataset(source, lexicon: VerbLexicon, vocabulary: NounVocabulary,
                   warnings: list) -> tuple:
-    """Walk dataset records; returns (images, violations).
+    """Read dataset records; returns (table, violations).
 
     The one reading of the dataset format: `load_dataset` raises when
     `violations` is non-empty and `swig validate` prints it, so the two
-    agree on every file. Each violation is one line naming the record and
-    the field; a record with any violation yields no image. Boxes clamped
-    to the image bounds are reported in `warnings`.
+    agree on every file. The records are first judged a column at a time
+    (`_table_of`). When a check fails there, each record is walked on its
+    own (`_parse_image`): each violation is one line naming the record and
+    the field, and the table holds the records that broke no rule. Boxes
+    clamped to the image bounds are reported in `warnings`.
     """
     records = _read_json(source)
     if not isinstance(records, list):
-        return [], ["dataset file must be a JSON array of image records"]
+        return (DatasetTable.from_dataset(Dataset(lexicon, vocabulary, ())),
+                ["dataset file must be a JSON array of image records"])
+    table = _table_of(records, lexicon, vocabulary, warnings)
+    if table is not None:
+        return table, []
     images, violations, seen = [], [], set()
     for index, rec in enumerate(records):
         if not isinstance(rec, dict):
@@ -299,7 +392,77 @@ def parse_dataset(source, lexicon: VerbLexicon, vocabulary: NounVocabulary,
         image = _parse_image(rec, image_id, label, lexicon, vocabulary, warnings, violations)
         if len(violations) == start:
             images.append(image)
-    return images, violations
+    return DatasetTable.from_dataset(Dataset(lexicon, vocabulary, tuple(images))), violations
+
+
+def _table_of(records: list, lexicon: VerbLexicon, vocabulary: NounVocabulary,
+              warnings: list) -> Optional[DatasetTable]:
+    """The table of `records` when each keeps every rule, or None at the first
+    check that fails; warnings are added only with a table.
+
+    Each field is checked over its column with C-level type and set checks,
+    and the box rules, the Place rule and clamping run once over one array.
+    A check may refuse what the rules allow (worker boxes, a subclass of a
+    JSON type, an int size with no exact float); `parse_dataset` then walks
+    each record.
+    """
+    if not {dict}.issuperset(map(type, records)):
+        return None
+    ids, verbs, widths, heights, frames = (list(map(dict.get, records, repeat(key)))
+                                           for key in ("id", "verb", "width", "height", "frames"))
+    if not ({str}.issuperset(map(type, ids)) and len(set(ids)) == len(ids)
+            and {str}.issuperset(map(type, verbs)) and lexicon.entries.keys() >= set(verbs)
+            and _JSON_NUMBER_TYPES.issuperset(map(type, widths + heights))
+            and {list}.issuperset(map(type, frames)) and {3}.issuperset(map(len, frames))
+            and not any(map(dict.__contains__, records, repeat("worker_boxes")))):
+        return None
+    try:
+        sizes = np.array([widths, heights], dtype=np.float64).reshape(2, -1)
+    except OverflowError:  # an int too big for a float
+        return None
+    # a size equal to its float compares with a coordinate as the number itself does
+    if not (((0 < sizes) & (sizes <= sys.float_info.max)).all()
+            and sizes.tolist() == [widths, heights]):
+        return None
+
+    roles = list(map(lexicon.roles, verbs))
+    annotator_frames = list(chain.from_iterable(frames))
+    if not {dict}.issuperset(map(type, annotator_frames)):
+        return None
+    nouns = [tuple(map(frame.get, frame_roles)) for frame, frame_roles
+             in zip(annotator_frames, chain.from_iterable(zip(roles, roles, roles)))]
+    named = list(chain.from_iterable(nouns))  # a missing role reads None, which is no string
+    if not ({str}.issuperset(map(type, named)) and vocabulary.ids.issuperset(filter(None, named))):
+        return None
+
+    sources = list(map(dict.get, records, repeat("boxes")))
+    if not {dict, type(None)}.issuperset(map(type, sources)):
+        return None
+    raws = list(chain.from_iterable(map((source or {}).get, source_roles)
+                                    for source, source_roles in zip(sources, roles)))
+    try:
+        boxes = _box_rows(raws, lambda i: "box")  # a fault is named by the walk, not here
+    except DatasetError:
+        return None
+    slot_roles = list(chain.from_iterable(roles))
+    if PLACE_ROLE in compress(slot_roles, ~np.isnan(boxes[:, 0])):
+        return None
+
+    n_roles = list(map(len, roles))
+    width, height = np.repeat(sizes, n_roles, axis=1)  # per slot
+    outside = (boxes[:, 2] > width) | (boxes[:, 3] > height)  # coordinates are >= 0
+    if outside.any():
+        bounds = np.stack([width, height, width, height], axis=1)[outside]
+        clamped = np.minimum(boxes[outside], bounds)
+        if not _valid_box_rows(clamped).all():
+            return None
+        boxes[outside] = clamped
+        owner = np.repeat(np.arange(len(ids)), n_roles)
+        warnings.extend(f"image {ids[k]!r}, role {slot_roles[slot]!r}: box clamped to image bounds"
+                        for slot, k in zip(np.flatnonzero(outside).tolist(), owner[outside].tolist()))
+    rows = iter(nouns)
+    return DatasetTable(lexicon, vocabulary, ids, verbs, list(zip(widths, heights)),
+                        list(zip(rows, rows, rows)), [0, *accumulate(n_roles)], boxes)
 
 
 def _parse_image(rec: dict, image_id, label: str, lexicon: VerbLexicon,
@@ -386,21 +549,22 @@ def _parse_image(rec: dict, image_id, label: str, lexicon: VerbLexicon,
     return AnnotatedImage(image_id, width, height, verb, tuple(frames), gt)
 
 
+@_gc_paused
 def load_dataset(annotation_source, lexicon_source, vocabulary_source,
-                 warnings: Optional[list] = None) -> Dataset:
-    """Parse and validate a dataset from its three JSON sources.
+                 warnings: Optional[list] = None) -> DatasetTable:
+    """Parse and validate a dataset from its three JSON sources into a DatasetTable.
 
     Raises DatasetError with the first violation `parse_dataset` finds,
     which names the record and field, and the number of others.
     """
     lexicon = parse_lexicon(lexicon_source)
     vocabulary = parse_vocabulary(vocabulary_source)
-    images, violations = parse_dataset(annotation_source, lexicon, vocabulary,
-                                       [] if warnings is None else warnings)
+    table, violations = parse_dataset(annotation_source, lexicon, vocabulary,
+                                      [] if warnings is None else warnings)
     if violations:
         more = f" (and {len(violations) - 1} more)" if len(violations) > 1 else ""
         raise DatasetError(violations[0] + more)
-    return Dataset(lexicon, vocabulary, tuple(images))
+    return table
 
 
 def _records(source, kind: str):
@@ -477,6 +641,7 @@ def frame_from_json(raw, roles, where: str) -> GroundedFrame:
         BoundingBox(*b) if flag and b[0] == b[0] else None for b, flag in zip(rows, flags)))
 
 
+@_gc_paused
 def load_predictions(source, lexicon: VerbLexicon) -> PredictionTable:
     """Parse a prediction file into a PredictionTable; every frame is checked,
     and an error names the first fault in file order."""
@@ -539,11 +704,13 @@ def _detection_set(rec: dict, where: str) -> DetectionSet:
     return DetectionSet(boxes, scores, {n: i for i, n in enumerate(nouns)})
 
 
+@_gc_paused
 def load_detection_sets(source) -> dict:
     """Parse late-fusion detector output into {image id: DetectionSet}."""
     return _by_id(source, "detections", _detection_set)
 
 
+@_gc_paused
 def load_object_detections(source) -> dict:
     """Parse labelled detections (object retrieval) into {image id: DetectionList}."""
     return _by_id(source, "detections", lambda rec, where: DetectionList(
@@ -562,11 +729,13 @@ def _situation(rec: dict, where: str) -> SituationPrediction:
     return SituationPrediction(verbs, entities, tuple(boxes))
 
 
+@_gc_paused
 def load_situations(source) -> dict:
     """Parse top-5 situation predictions (retrieval) into {image id: SituationPrediction}."""
     return _by_id(source, "situation", _situation)
 
 
+@_gc_paused
 def load_chain_nodes(source) -> list:
     """Parse the situations of one image (chaining) into SituationNodes.
 
@@ -582,55 +751,58 @@ def load_chain_nodes(source) -> list:
     return nodes
 
 
+@_gc_paused
 def load_boxes(source) -> list:
     """Parse a JSON array of boxes (anchor clustering input)."""
     return list(_box_list(_read_json(source), "boxes"))
 
 
-def compute_stats(dataset: Dataset) -> dict:
+def compute_stats(dataset) -> dict:
     """Corpus statistics: noun-slot counts, grounding rates, scale/aspect samples.
 
+    `dataset` is a DatasetTable, or a Dataset, which is put into one first.
     A noun slot is one (image, annotator, role) triple; a slot is grounded
     when its noun is non-null and the merged gt box for its role exists.
     grounded_fraction = grounded / non-null slots, rounded to 4 places;
     scale = max(box_w/img_w, box_h/img_h); aspect = box_h/box_w. Returns
     the report as it is written.
     """
-    noun_slots = non_null_slots = grounded_slots = frame_length_sum = 0
-    role_total, role_grounded, groundings_per_noun, samples = {}, {}, {}, []
-    for img in dataset.images:
-        frame_length_sum += len(dataset.lexicon.roles(img.verb))
-        first_noun = {}  # role -> its noun in the first annotator frame that names one
-        for frame in img.annotator_frames:
-            for role, noun in frame.role_values:
-                noun_slots += 1
-                role_total[role] = role_total.get(role, 0) + 1
-                if noun == NULL_NOUN:
-                    continue
-                first_noun.setdefault(role, noun)
-                non_null_slots += 1
-                if img.gt_groundings.get(role) is not None:
-                    grounded_slots += 1
-                    role_grounded[role] = role_grounded.get(role, 0) + 1
-                    groundings_per_noun[noun] = groundings_per_noun.get(noun, 0) + 1
-        for role, box in img.gt_groundings.items():
-            if box is not None:
-                samples.append({"noun": first_noun.get(role, NULL_NOUN), "verb": img.verb,
-                                "role": role,
-                                "scale": max(box.width / img.width, box.height / img.height),
-                                "aspect": box.height / box.width})
-    n_images = len(dataset.images)
+    table = dataset if isinstance(dataset, DatasetTable) else DatasetTable.from_dataset(dataset)
+    roles = list(map(table.lexicon.roles, table.verbs))  # per image
+    n_roles = list(map(len, roles))
+    boxed = (~np.isnan(table.boxes[:, 0])).tolist()  # per role slot
+    # per noun slot, in (image, annotator, role) order
+    slot_roles = list(chain.from_iterable(r * 3 for r in roles))
+    slot_nouns = list(chain.from_iterable(chain.from_iterable(table.annotations)))
+    named = list(map(bool, slot_nouns))  # the null noun "" is falsy
+    grounded = list(map(and_, named, chain.from_iterable(
+        boxed[s:e] * 3 for s, e in zip(table.starts, table.starts[1:]))))
+    role_total, role_grounded = Counter(slot_roles), Counter(compress(slot_roles, grounded))
+    non_null_slots, grounded_slots = sum(named), sum(grounded)
+
+    # per grounded role slot: the first annotator noun that is not null, and the box's shape
+    first_nouns = [a or b or c for annotated in table.annotations for a, b, c in zip(*annotated)]
+    verbs = chain.from_iterable(map(repeat, table.verbs, n_roles))
+    box = table.boxes[boxed]
+    size = np.repeat(np.array(table.sizes, dtype=np.float64).reshape(-1, 2), n_roles, axis=0)[boxed]
+    w, h = box[:, 2] - box[:, 0], box[:, 3] - box[:, 1]
+    samples = [{"noun": noun, "verb": verb, "role": role, "scale": scale, "aspect": aspect}
+               for noun, verb, role, scale, aspect in zip(
+                   compress(first_nouns, boxed), compress(verbs, boxed),
+                   compress(chain.from_iterable(roles), boxed),
+                   np.maximum(w / size[:, 0], h / size[:, 1]).tolist(), (h / w).tolist())]
+    n_images = len(table.ids)
     return {
         "total_images": n_images,
-        "total_verbs": len({img.verb for img in dataset.images}),
-        "total_noun_slots": noun_slots,
+        "total_verbs": len(set(table.verbs)),
+        "total_noun_slots": len(slot_nouns),
         "non_null_slots": non_null_slots,
         "grounded_slots": grounded_slots,
         "grounded_fraction": round(grounded_slots / non_null_slots, 4) if non_null_slots else 0.0,
-        "mean_frame_length": frame_length_sum / n_images if n_images else 0.0,
-        "groundings_per_noun": groundings_per_noun,
+        "mean_frame_length": len(table.boxes) / n_images if n_images else 0.0,
+        "groundings_per_noun": dict(Counter(compress(slot_nouns, grounded))),
         "role_grounding_rate": {
-            role: role_grounded.get(role, 0) / total for role, total in sorted(role_total.items())
+            role: role_grounded[role] / total for role, total in sorted(role_total.items())
         },
         "scale_aspect_samples": samples,
     }

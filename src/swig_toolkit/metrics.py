@@ -12,7 +12,7 @@ import enum
 
 import numpy as np
 
-from .dataset_io import Dataset, PredictionTable
+from .dataset_io import DatasetTable, EvaluationError, PredictionTable
 from .frame_model import BoundingBox
 from .geometry import box_array, iou
 
@@ -37,10 +37,6 @@ class ValueAllMode(enum.Enum):
 
     ANY_PER_ROLE = "any-per-role"
     SINGLE_ANNOTATOR = "single-annotator"
-
-
-class EvaluationError(ValueError):
-    pass
 
 
 def score_noun(predicted: str, annotators) -> bool:
@@ -69,31 +65,33 @@ def _rows(boxes) -> np.ndarray:
     return np.asarray(boxes, dtype=np.float64)
 
 
-def evaluate(dataset: Dataset, predictions, setting: VerbSetting,
+def evaluate(dataset, predictions, setting: VerbSetting,
              value_all_mode: ValueAllMode = ValueAllMode.ANY_PER_ROLE) -> dict:
     """Score predictions against the dataset under one verb setting.
 
-    `predictions` is a PredictionTable, or PredictionRecords, which are put
-    into one first. Per-verb value = passed role slots / total role slots
-    over that verb's images; the *_all metrics count whole images. Every
-    dataset image must have a prediction, and every prediction must name a
-    dataset image. A predicted frame for the image's verb must list the
-    verb's roles in the lexicon's order.
+    `dataset` is a DatasetTable, or a Dataset, which is put into one first;
+    `predictions` is a PredictionTable, or PredictionRecords, likewise.
+    Per-verb value = passed role slots / total role slots over that verb's
+    images; the *_all metrics count whole images. Every dataset image must
+    have a prediction, and every prediction must name a dataset image. A
+    predicted frame for the image's verb must list the verb's roles in the
+    lexicon's order.
 
     Returns the report as it is written: {"macro": {metric: fraction},
     "per_verb": {verb: {metric: fraction}}, "counts": {verb: {"images": n,
     "role_slots": n}}}.
     """
-    if not dataset.images:
+    gt = dataset if isinstance(dataset, DatasetTable) else DatasetTable.from_dataset(dataset)
+    if not gt.ids:
         raise EvaluationError("the dataset holds no images: there is nothing to evaluate")
     table = (predictions if isinstance(predictions, PredictionTable)
              else PredictionTable.from_records(predictions))
     record_of = {image_id: r for r, image_id in enumerate(table.ids)}
-    missing = [img.image_id for img in dataset.images if img.image_id not in record_of]
+    missing = [image_id for image_id in gt.ids if image_id not in record_of]
     if missing:
         more = f" (and {len(missing) - 1} more)" if len(missing) > 1 else ""
         raise EvaluationError(f"image {missing[0]!r}: no prediction{more}")
-    known = {img.image_id for img in dataset.images}
+    known = set(gt.ids)
     stray = [image_id for image_id in table.ids if image_id not in known]
     if stray:
         more = f" (and {len(stray) - 1} more)" if len(stray) > 1 else ""
@@ -103,15 +101,15 @@ def evaluate(dataset: Dataset, predictions, setting: VerbSetting,
     single = value_all_mode is ValueAllMode.SINGLE_ANNOTATOR
     code = {}  # verb -> its column in the per-verb counts
     verbs, verb_ok, n_roles, value_all = [], [], [], []  # per image
-    owner, slots, gt, noun_ok = [], [], [], []  # per role slot that can earn credit
-    for k, image in enumerate(dataset.images):
-        r, roles = record_of[image.image_id], image.roles
-        row = table.frames[r].get(image.verb)
+    owner, slots, gt_slots, noun_ok = [], [], [], []  # per role slot that can earn credit
+    for k, (image_id, verb, annotated) in enumerate(zip(gt.ids, gt.verbs, gt.annotations)):
+        r, roles = record_of[image_id], gt.lexicon.roles(verb)
+        row = table.frames[r].get(verb)
         if row is not None and table.roles[row] != roles:
-            raise EvaluationError(f"prediction {image.image_id!r}, frames[{image.verb!r}]: "
+            raise EvaluationError(f"prediction {image_id!r}, frames[{verb!r}]: "
                                   f"roles {table.roles[row]} differ from the verb's {roles}")
-        correct = ranks is None or image.verb in table.rankings[r][:ranks]
-        verbs.append(code.setdefault(image.verb, len(code)))
+        correct = ranks is None or verb in table.rankings[r][:ranks]
+        verbs.append(code.setdefault(verb, len(code)))
         verb_ok.append(correct)
         n_roles.append(len(roles))
         # only a correct verb earns noun and grounding credit, through the gt verb's frame
@@ -119,16 +117,16 @@ def evaluate(dataset: Dataset, predictions, setting: VerbSetting,
             value_all.append(False)
             continue
         predicted = table.nouns[row]
-        annotated = [f.nouns for f in image.annotator_frames]
         hits = list(map(score_noun, predicted, zip(*annotated)))
         value_all.append(predicted in annotated if single else all(hits))
         noun_ok += hits
         owner += [k] * len(roles)
         slots += range(table.starts[row], table.starts[row + 1])
-        gt += map(image.gt_groundings.get, roles)
+        gt_slots += range(gt.starts[k], gt.starts[k + 1])
 
     noun_ok = np.array(noun_ok, dtype=bool)
-    grounded = noun_ok & score_grounding(table.boxes[np.array(slots, dtype=np.intp)], box_array(gt))
+    grounded = noun_ok & score_grounding(table.boxes[np.array(slots, dtype=np.intp)],
+                                         gt.boxes[np.array(gt_slots, dtype=np.intp)])
     owner, verbs = np.array(owner, dtype=np.intp), np.array(verbs, dtype=np.intp)
     n_roles, value_all = np.array(n_roles, dtype=np.intp), np.array(value_all, dtype=bool)
     all_grounded = value_all & (np.bincount(owner[grounded], minlength=len(verbs)) == n_roles)

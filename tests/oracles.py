@@ -6,6 +6,7 @@ under test.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -202,3 +203,151 @@ def chain_naive(nodes, spatial_iou):
                 if same_noun:
                     edges.append((i, role_a, j, role_b, "semantic", 1.0))
     return edges
+
+
+def load_dataset_naive(records, lexicon, vocabulary):
+    """Plain record-by-record reading of a dataset file's parsed JSON.
+
+    `lexicon` is {verb: [role, ...]} and `vocabulary` a list of noun ids.
+    Returns (images, warnings, faulty): each valid image as (id, width,
+    height, verb, the three annotators' noun tuples in the verb's role order,
+    {role: (x1, y1, x2, y2) or None}); the clamp warning lines of the valid
+    images; and the label ("image 'id'" or "record #i") of every record that
+    breaks a rule. Shares no code with the toolkit's readers.
+    """
+    largest = 1.7976931348623157e308
+
+    def number(v):
+        return type(v) in (int, float)
+
+    def check(x1, y1, x2, y2):
+        if not all(math.isfinite(c) and c >= 0 for c in (x1, y1, x2, y2)):
+            raise ValueError("coordinate")
+        if not (x1 < x2 and y1 < y2):
+            raise ValueError("corners")
+        w, h = x2 - x1, y2 - y1
+        if not (0 < w * h <= largest / 2 and 0 < h / w < math.inf):
+            raise ValueError("area or aspect")
+
+    def box(raw):
+        if raw is None or raw == [-1, -1, -1, -1]:
+            return None
+        if type(raw) is not list or len(raw) != 4 or not all(number(c) for c in raw):
+            raise ValueError("box")
+        coords = tuple(float(c) for c in raw)
+        check(*coords)
+        return coords
+
+    def read(rec, label):
+        width, height = rec.get("width"), rec.get("height")
+        if not all(number(v) and 0 < v <= largest for v in (width, height)):
+            raise ValueError("size")
+        verb = rec.get("verb")
+        if type(verb) is not str or verb not in lexicon:
+            raise ValueError("verb")
+        roles = lexicon[verb]
+        frames = rec.get("frames")
+        if type(frames) is not list or len(frames) != 3:
+            raise ValueError("frames")
+        nouns = []
+        for frame in frames:
+            if type(frame) is not dict:
+                raise ValueError("frame")
+            for role in roles:
+                noun = frame[role]
+                if type(noun) is not str or (noun != "" and noun not in vocabulary):
+                    raise ValueError("noun")
+            nouns.append(tuple(frame[role] for role in roles))
+        gt = {}
+        if "worker_boxes" in rec:
+            given = {} if rec["worker_boxes"] is None else rec["worker_boxes"]
+            if type(given) is not dict:
+                raise ValueError("worker_boxes")
+            for role in roles:
+                listed = [] if given.get(role) is None else given[role]
+                if type(listed) is not list:
+                    raise ValueError("worker list")
+                workers = [b for b in map(box, listed) if b is not None]
+                if workers and len(workers) != 3:
+                    raise ValueError("worker count")
+                gt[role] = tuple(sum(c) / 3 for c in zip(*workers)) if workers else None
+                if workers:
+                    check(*gt[role])
+        else:
+            given = {} if rec.get("boxes") is None else rec["boxes"]
+            if type(given) is not dict:
+                raise ValueError("boxes")
+            gt = {role: box(given.get(role)) for role in roles}
+        notes = []
+        for role, b in gt.items():
+            if b is None:
+                continue
+            if role == "Place":
+                raise ValueError("place")
+            if b[2] > width or b[3] > height:
+                b = (min(b[0], width), min(b[1], height), min(b[2], width), min(b[3], height))
+                check(*b)
+                gt[role] = b
+                notes.append(f"{label}, role {role!r}: box clamped to image bounds")
+        return (rec["id"], width, height, verb, tuple(nouns), gt), notes
+
+    images, warnings, faulty, seen = [], [], [], set()
+    for i, rec in enumerate(records):
+        if type(rec) is not dict:
+            faulty.append(f"record #{i}")
+            continue
+        image_id = rec.get("id")
+        label = f"image {image_id!r}" if type(image_id) is str else f"record #{i}"
+        try:
+            if type(image_id) is not str or image_id in seen:
+                raise ValueError("id")
+            image, notes = read(rec, label)
+        except (ValueError, KeyError, OverflowError):
+            faulty.append(label)
+        else:
+            images.append(image)
+            warnings += notes
+        if type(image_id) is str:
+            seen.add(image_id)
+    return images, warnings, faulty
+
+
+def compute_stats_naive(images, lexicon):
+    """The corpus statistics of images in `load_dataset_naive`'s form, one
+    noun slot (image, annotator, role) at a time."""
+    slots = named = grounded = role_slots = 0
+    per_role, per_role_grounded, per_noun, samples = {}, {}, {}, []
+    for _, width, height, verb, nouns, gt in images:
+        roles = lexicon[verb]
+        role_slots += len(roles)
+        for annotator in nouns:
+            for role, noun in zip(roles, annotator):
+                slots += 1
+                per_role[role] = per_role.get(role, 0) + 1
+                if noun != "":
+                    named += 1
+                    if gt[role] is not None:
+                        grounded += 1
+                        per_role_grounded[role] = per_role_grounded.get(role, 0) + 1
+                        per_noun[noun] = per_noun.get(noun, 0) + 1
+        for i, role in enumerate(roles):
+            if gt[role] is None:
+                continue
+            x1, y1, x2, y2 = gt[role]
+            first = [annotator[i] for annotator in nouns if annotator[i] != ""]
+            samples.append({"noun": first[0] if first else "", "verb": verb, "role": role,
+                            "scale": max((x2 - x1) / width, (y2 - y1) / height),
+                            "aspect": (y2 - y1) / (x2 - x1)})
+    return {
+        "total_images": len(images),
+        "total_verbs": len({image[3] for image in images}),
+        "total_noun_slots": slots,
+        "non_null_slots": named,
+        "grounded_slots": grounded,
+        "grounded_fraction": round(grounded / named, 4) if named else 0.0,
+        "mean_frame_length": role_slots / len(images) if images else 0.0,
+        "groundings_per_noun": per_noun,
+        "role_grounding_rate": {role: per_role_grounded.get(role, 0) / per_role[role]
+                                for role in sorted(per_role)},
+        "scale_aspect_samples": samples,
+    }

@@ -1,13 +1,26 @@
+import copy
+import gc
+import io
 import json
+import re
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from swig_toolkit import BoundingBox, compute_stats, load_dataset, merge_worker_boxes
+from oracles import compute_stats_naive, load_dataset_naive
+from swig_toolkit import BoundingBox, compute_stats, dataset_io, load_dataset, merge_worker_boxes
 from swig_toolkit.dataset_io import (
     DatasetError,
     frame_from_json,
+    load_boxes,
     load_chain_nodes,
+    load_detection_sets,
+    load_object_detections,
     load_predictions,
+    load_situations,
+    parse_dataset,
     parse_lexicon,
     parse_vocabulary,
 )
@@ -286,3 +299,221 @@ class TestLoadPredictions:
 def test_vocabulary_length_is_the_number_of_distinct_non_null_ids():
     assert len(parse_vocabulary(["man", "dough", "man", ""])) == 2
     assert len(parse_vocabulary({"man": {}, "": {}})) == 1
+
+
+# ---- the dataset table against a plain per-record reader --------------------
+
+NAIVE_LEXICON = {"kneading": ["Agent", "Item", "Place"], "jumping": ["Agent", "Place"],
+                 "resting": ["Agent"]}
+SIZE = st.integers(60, 120) | st.floats(60, 120)
+LOW = st.integers(0, 50) | st.floats(0, 50)  # below every image size, so only x2 and y2 clamp
+BOX = st.builds(lambda x, y, w, h: [x, y, x + w, y + h], LOW, LOW,
+                st.integers(1, 80) | st.floats(0.5, 80), st.integers(1, 80) | st.floats(0.5, 80))
+CROSSING = st.builds(lambda x, y, w: [x, y, x + w, y + 10], LOW, LOW,
+                     st.integers(70, 120) | st.floats(70, 120))  # often past the right edge
+OUTSIDE = [130, 0, 140, 10]  # right of every image: empty once clamped
+OPTIONAL_BOX = st.none() | st.just([-1, -1, -1, -1]) | st.just([-1.0, -1, -1, -1]) | BOX | CROSSING
+WORKERS = (st.none() | st.lists(BOX, min_size=3, max_size=3) | st.just([None, None, None])
+           | st.lists(OPTIONAL_BOX, max_size=4).filter(  # 0 or 3 boxes besides null and the sentinel
+               lambda boxes: sum(b is not None and -1 not in b for b in boxes) in (0, 3)))
+
+
+@st.composite
+def dataset_record(draw, image_id, forms):
+    verb = draw(st.sampled_from(sorted(NAIVE_LEXICON)))
+    roles = NAIVE_LEXICON[verb]
+    rec = {"id": image_id, "width": draw(SIZE), "height": draw(SIZE), "verb": verb,
+           "frames": [{r: draw(st.sampled_from(VOCAB_JSON + [""])) for r in roles}
+                      for _ in range(3)]}
+    form = draw(st.sampled_from(forms))
+    if form == "boxes":
+        rec["boxes"] = {r: None if r == "Place" else draw(OPTIONAL_BOX) for r in roles}
+    elif form == "worker_boxes":
+        rec["worker_boxes"] = {r: None if r == "Place" else draw(WORKERS) for r in roles}
+    elif form == "null":
+        rec["boxes"] = None
+    if draw(st.integers(0, 29)) == 29:
+        rec["width"] = 2**60 + 1  # a valid size with no exact float: the records are walked
+    return rec
+
+
+def _first_role(rec):
+    return NAIVE_LEXICON.get(rec["verb"], ["Agent"])[0]
+
+
+def _set_box(rec, role, box):
+    if "worker_boxes" in rec:
+        rec["worker_boxes"] = dict(rec["worker_boxes"] or {}, **{role: [box] * 3})
+    else:
+        rec["boxes"] = dict(rec.get("boxes") or {}, **{role: box})
+
+
+FAULTS = {
+    "unknown-noun": lambda recs, rec: rec["frames"][0].update({_first_role(rec): "astronaut"}),
+    "missing-role": lambda recs, rec: rec["frames"][2].pop(_first_role(rec)),
+    "noun-number": lambda recs, rec: rec["frames"][1].update({_first_role(rec): 5}),
+    "frames-null": lambda recs, rec: rec.update(frames=None),
+    "frame-string": lambda recs, rec: rec["frames"].__setitem__(0, "man"),
+    "two-frames": lambda recs, rec: rec["frames"].pop(),
+    "width-zero": lambda recs, rec: rec.update(width=0),
+    "width-nan": lambda recs, rec: rec.update(width=float("nan")),
+    "width-past-the-largest-float": lambda recs, rec: rec.update(width=2**1024 - 2**971 + 1),
+    "width-int-overflow": lambda recs, rec: rec.update(width=10**400),
+    "height-string": lambda recs, rec: rec.update(height="80"),
+    "unknown-verb": lambda recs, rec: rec.update(verb="flying"),
+    "place-grounded": lambda recs, rec: _set_box(rec, "Place", [0, 0, 5, 5]),
+    "corners-swapped": lambda recs, rec: _set_box(rec, "Agent", [50, 0, 10, 10]),
+    "three-coordinates": lambda recs, rec: _set_box(rec, "Agent", [0, 0, 10]),
+    "coordinate-true": lambda recs, rec: _set_box(rec, "Agent", [0, 0, True, 10]),
+    "empty-once-clamped": lambda recs, rec: _set_box(rec, "Agent", OUTSIDE),
+    "boxes-as-list": lambda recs, rec: (rec.pop("worker_boxes", None),
+                                        rec.update(boxes=[[0, 0, 1, 1]])),
+    "two-workers": lambda recs, rec: (rec.pop("boxes", None),
+                                      rec.update(worker_boxes={"Agent": [[0, 0, 5, 5]] * 2})),
+    "worker-mean-overflow": lambda recs, rec: (rec.pop("boxes", None), rec.update(worker_boxes={
+        "Agent": [[0, 0, 8e307, 1], [0, 0, 1, 8e307], [0, 0, 1, 1]]})),
+    "worker-list-string": lambda recs, rec: (rec.pop("boxes", None),
+                                             rec.update(worker_boxes={"Agent": "box"})),
+    "duplicate-id": lambda recs, rec: recs.append(copy.deepcopy(rec)),
+    "id-number": lambda recs, rec: rec.update(id=7),
+    "record-not-object": lambda recs, rec: recs.append("oops"),
+}
+
+
+@st.composite
+def dataset_file(draw):
+    """Up to four records with distinct ids and zero or one injected fault;
+    half the files hold no worker boxes, which the column checks refuse."""
+    forms = ["boxes", "absent", "null"] + draw(st.sampled_from([[], ["worker_boxes"]]))
+    ids = draw(st.lists(st.sampled_from(["a.jpg", "b.jpg", "c.jpg", "d.jpg"]), max_size=4,
+                        unique=True))
+    records = [draw(dataset_record(i, forms)) for i in ids]
+    fault = draw(st.sampled_from(sorted(FAULTS))) if draw(st.booleans()) else None
+    if fault is not None and records:
+        FAULTS[fault](records, records[draw(st.integers(0, len(records) - 1))])
+    elif fault is not None:
+        records.append("oops")
+    return records
+
+
+def plain(image):
+    """An AnnotatedImage in the naive reader's form, each coordinate by its bits."""
+    return (image.image_id, repr(image.width), repr(image.height), image.verb,
+            tuple(f.nouns for f in image.annotator_frames),
+            {r: None if b is None else tuple(float(c).hex() for c in b.as_list())
+             for r, b in image.gt_groundings.items()})
+
+
+def naive_plain(image):
+    image_id, width, height, verb, nouns, gt = image
+    return (image_id, repr(width), repr(height), verb, nouns,
+            {r: None if b is None else tuple(float(c).hex() for c in b) for r, b in gt.items()})
+
+
+def read(text, warnings):
+    return parse_dataset(io.StringIO(text), parse_lexicon(NAIVE_LEXICON),
+                         parse_vocabulary(VOCAB_JSON), warnings)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(records=dataset_file())
+def test_the_dataset_table_and_its_stats_equal_a_plain_per_record_reader(records):
+    text = json.dumps(records)
+    images, expected_warnings, faulty = load_dataset_naive(json.loads(text), NAIVE_LEXICON,
+                                                           VOCAB_JSON)
+    warnings = []
+    table, violations = read(text, warnings)
+    with mock.patch.object(dataset_io, "_table_of", return_value=None):  # the per-record walk
+        walked_warnings = []
+        walked, walked_violations = read(text, walked_warnings)
+    assert (violations, warnings) == (walked_violations, walked_warnings)
+    assert list(map(plain, table.images)) == list(map(plain, walked.images))
+    if not faulty:
+        assert violations == [] and warnings == expected_warnings
+        assert list(map(plain, table.images)) == list(map(naive_plain, images))
+        loaded = load_dataset(io.StringIO(text), NAIVE_LEXICON, VOCAB_JSON)
+        assert list(map(plain, loaded.images)) == list(map(naive_plain, images))
+        assert compute_stats(loaded) == compute_stats_naive(images, NAIVE_LEXICON)
+        return
+    # each violation names its record first; together they name exactly the faulty records
+    assert {re.match(r"image '[^']*'|record #\d+", v).group() for v in violations} == set(faulty)
+    with pytest.raises(DatasetError) as error:
+        load_dataset(io.StringIO(text), NAIVE_LEXICON, VOCAB_JSON)
+    more = f" (and {len(violations) - 1} more)" if len(violations) > 1 else ""
+    assert str(error.value) == violations[0] + more
+
+
+def test_a_file_with_every_merged_box_form_is_read_by_columns():
+    records = [
+        image_record("a.jpg", width=100.5, boxes={"Agent": [0, 0, 120, 80], "Item": [-1] * 4}),
+        image_record("b.jpg", boxes={"Agent": [0, 0, 10, 10], "Item": [-1.0, -1, -1, -1]}),
+        image_record("c.jpg", "jumping", frames=[{"Agent": "man", "Place": ""}] * 3,
+                     boxes={"Agent": [5, 90, 20, 130.5]}),
+        image_record("d.jpg", boxes=None),
+    ]
+    warnings = []
+    table = dataset_io._table_of(records, parse_lexicon(LEXICON_JSON),
+                                 parse_vocabulary(VOCAB_JSON), warnings)
+    images, expected_warnings, faulty = load_dataset_naive(records, LEXICON_JSON, VOCAB_JSON)
+    assert table is not None and faulty == []
+    assert list(map(plain, table.images)) == list(map(naive_plain, images))
+    assert warnings == expected_warnings == [
+        "image 'a.jpg', role 'Agent': box clamped to image bounds",
+        "image 'c.jpg', role 'Agent': box clamped to image bounds"]
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_each_fault_is_refused_by_the_columns_and_named_by_the_walk(fault):
+    records = [image_record("a.jpg"), image_record("b.jpg", "jumping", frames=[
+        {"Agent": "man", "Place": "street"}] * 3, boxes={"Agent": [0, 0, 120, 50]})]
+    FAULTS[fault](records, records[1])
+    lexicon, vocabulary = parse_lexicon(LEXICON_JSON), parse_vocabulary(VOCAB_JSON)
+    warnings = []
+    assert dataset_io._table_of(records, lexicon, vocabulary, warnings) is None and warnings == []
+    _, violations = parse_dataset(records, lexicon, vocabulary, warnings)
+    _, _, faulty = load_dataset_naive(records, LEXICON_JSON, VOCAB_JSON)
+    assert {re.match(r"image '[^']*'|record #\d+", v).group() for v in violations} == set(faulty)
+    assert faulty
+
+
+# ---- every loader pauses the cyclic collector and restores it ---------------
+
+SITUATION = {"id": "a", "verbs": ["jumping"] * 5, "entities": [["man", "street"]] * 5,
+             "boxes": [[[0, 0, 10, 10], None]] * 5}
+LEXICON, VOCABULARY = parse_lexicon(LEXICON_JSON), parse_vocabulary(VOCAB_JSON)
+LOADERS = {  # the only call in each entry is the loader's own
+    "load_dataset": (lambda s: load_dataset(s, LEXICON_JSON, VOCAB_JSON), [image_record()]),
+    "parse_dataset": (lambda s: parse_dataset(s, LEXICON, VOCABULARY, []), [image_record()]),
+    "load_predictions": (lambda s: load_predictions(s, LEXICON), [
+        {"id": "a", "verbs": ["jumping"], "frames": {"jumping": {
+            "nouns": {"Agent": "man", "Place": "street"}, "boxes": {"Agent": [0, 0, 5, 5]}}}}]),
+    "load_detection_sets": (load_detection_sets, [
+        {"id": "a", "boxes": [[0, 0, 5, 5]], "nouns": ["man"], "noun_scores": [[1.0]]}]),
+    "load_object_detections": (load_object_detections, [
+        {"id": "a", "classes": ["man"], "boxes": [[0, 0, 5, 5]]}]),
+    "load_situations": (load_situations, [SITUATION]),
+    "load_chain_nodes": (load_chain_nodes, [
+        {"verb": "jumping", "nouns": {"Agent": "man", "Place": "street"}}]),
+    "load_boxes": (load_boxes, [[0, 0, 5, 5]]),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
+@pytest.mark.parametrize("name", sorted(LOADERS))
+def test_every_loader_pauses_the_collector_and_restores_it(name, enabled, monkeypatch):
+    load, valid = LOADERS[name]
+    during = []
+    read_json = dataset_io._read_json
+    monkeypatch.setattr(dataset_io, "_read_json",
+                        lambda source: (during.append(gc.isenabled()), read_json(source))[1])
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        load(valid)
+        assert gc.isenabled() is enabled
+        with pytest.raises(DatasetError):
+            load(io.StringIO("["))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during and not any(during)

@@ -18,8 +18,8 @@ from swig_toolkit import (
     score_grounding,
     score_noun,
 )
-from swig_toolkit.dataset_io import load_predictions
-from swig_toolkit.frame_model import frame_to_json
+from swig_toolkit.dataset_io import compute_stats, load_dataset, load_predictions
+from swig_toolkit.frame_model import AnnotatedImage, frame_to_json
 from swig_toolkit.geometry import box_array
 from swig_toolkit.metrics import EvaluationError
 from conftest import NOUNS, perfect_prediction, random_dataset, random_prediction
@@ -277,3 +277,60 @@ def test_loading_and_scoring_predictions_builds_no_box_or_frame(rng, lexicon, vo
     monkeypatch.undo()
     assert reports == [evaluate(dataset, records, setting, mode)
                        for setting in VerbSetting for mode in ValueAllMode]
+
+
+def dataset_json(image):
+    """An AnnotatedImage in the dataset file form."""
+    return {"id": image.image_id, "width": image.width, "height": image.height,
+            "verb": image.verb, "frames": [dict(f.role_values) for f in image.annotator_frames],
+            "boxes": {role: None if box is None else box.as_list()
+                      for role, box in image.gt_groundings.items()}}
+
+
+def test_loading_and_scoring_the_dataset_builds_no_image_frame_or_box(rng, lexicon, vocabulary,
+                                                                     monkeypatch):
+    dataset = random_dataset(rng, lexicon, vocabulary, n_verbs=5)
+    records = [random_prediction(rng, lexicon, img) for img in dataset.images]
+    preds = [{"id": p.image_id, "verbs": list(p.verb_ranking),
+              "frames": {verb: frame_to_json(f) for verb, f in p.frames.items()}} for p in records]
+    built = []
+    for cls in (AnnotatedImage, BoundingBox, GroundedFrame):
+        monkeypatch.setattr(cls, "__post_init__",
+                            lambda self, check=cls.__post_init__: (built.append(self), check(self)))
+    table = load_dataset([dataset_json(img) for img in dataset.images],
+                         {verb: list(roles) for verb, roles in lexicon.entries.items()},
+                         sorted(vocabulary.ids))
+    reports = [evaluate(table, load_predictions(preds, table.lexicon), setting, mode)
+               for setting in VerbSetting for mode in ValueAllMode]
+    stats = compute_stats(table)
+    assert built == []
+    assert table.images == dataset.images and built  # building the images on demand is counted
+    monkeypatch.undo()
+    assert reports == [evaluate(dataset, records, setting, mode)
+                       for setting in VerbSetting for mode in ValueAllMode]
+    assert stats == compute_stats(dataset)
+
+
+def test_a_repeated_image_id_in_a_library_dataset_is_an_error(lexicon, vocabulary):
+    dataset, preds = two_image_fixture(lexicon, vocabulary)
+    repeated = Dataset(lexicon, vocabulary, dataset.images + dataset.images[:1])
+    with pytest.raises(EvaluationError, match=r"^image 'a.jpg': duplicate image id \(image #2\)$"):
+        evaluate(repeated, preds, VerbSetting.GROUND_TRUTH_VERB)
+
+
+def test_a_repeated_prediction_id_is_an_error(lexicon, vocabulary):
+    dataset, preds = two_image_fixture(lexicon, vocabulary)
+    with pytest.raises(EvaluationError, match=r"^prediction 'a.jpg': duplicate id \(record #2\)$"):
+        evaluate(dataset, preds + preds[:1], VerbSetting.GROUND_TRUTH_VERB)
+
+
+def test_an_image_without_its_verbs_lexicon_roles_is_an_error(lexicon, vocabulary):
+    dataset, preds = two_image_fixture(lexicon, vocabulary)
+    image = dataset.images[1]
+    frames = tuple(GroundedFrame(f.role_values[:2], f.groundings[:2])
+                   for f in image.annotator_frames)
+    short = AnnotatedImage(image.image_id, 100, 100, image.verb, frames, image.gt_groundings)
+    with pytest.raises(EvaluationError, match=r"^image 'b.jpg': roles \('Agent', 'Item'\) are not "
+                                              r"the lexicon's roles of 'kneading'$"):
+        evaluate(Dataset(lexicon, vocabulary, (dataset.images[0], short)), preds,
+                 VerbSetting.GROUND_TRUTH_VERB)
