@@ -476,6 +476,231 @@ def test_each_fault_is_refused_by_the_columns_and_named_by_the_walk(fault):
     assert faulty
 
 
+# ---- the exact lines of faulty files ----------------------------------------
+
+def two_records(form):
+    """Two valid records in one box form; b.jpg's Agent box clamps to its 100x100 image."""
+    records = [image_record("a.jpg"), image_record("b.jpg", "jumping", frames=[
+        {"Agent": "man", "Place": "street"}] * 3, boxes={"Agent": [0, 0, 120, 50]})]
+    if form == "worker_boxes":
+        for rec in records:
+            rec["worker_boxes"] = {role: None if box is None else [box] * 3
+                                   for role, box in rec.pop("boxes").items()}
+    return records
+
+
+PINNED_RECORDS = {
+    "everything-at-once": [{
+        "id": 7, "width": 0, "height": 100, "verb": "kneading",
+        "frames": [{"Agent": "man", "Item": "dough", "Place": ""}] * 2,
+        "boxes": {"Agent": [0, 0, 10], "Item": [20, 30, 40, 50], "Place": None}}],
+    "worker-role-with-one-malformed-box": [{
+        "id": "a.jpg", "width": 100, "height": 100, "verb": "kneading",
+        "frames": [{"Agent": "man", "Item": "dough", "Place": ""}] * 3,
+        "worker_boxes": {"Agent": [[0, 0, 10, 10], [0, 0, "10", 10], [2, 2, 12, 12]],
+                         "Item": [[20, 30, 40, 50]] * 3}}],
+    "worker-list-given-as-a-string": [{
+        "id": "a.jpg", "width": 100, "height": 100, "verb": "kneading",
+        "frames": [{"Agent": "man", "Item": "dough", "Place": ""}] * 3,
+        "worker_boxes": {"Agent": [[0, 0, 10, 10], [5, 5, 1, 1], None], "Item": "box",
+                         "Place": [[0, 0, 5, 5]] * 3}}],
+    "faulty-record-whose-other-box-clamps": [{
+        "id": "a.jpg", "width": 100, "height": 100, "verb": "kneading",
+        "frames": [{"Agent": "man", "Item": "astronaut", "Place": ""}] * 3,
+        "boxes": {"Agent": [0, 0, 150, 80], "Item": [20, 30, 40, 50]}}],
+}
+
+PINNED = [  # (case, box form or None for a record of PINNED_RECORDS, violations, warnings)
+    ("boxes-as-list", "boxes",
+     ["image 'b.jpg', boxes: must be a JSON object, got [[0, 0, 1, 1]]"],
+     []),
+    ("coordinate-true", "boxes",
+     ["image 'b.jpg', boxes['Agent']: box coordinates must be JSON numbers, got [0, 0, True, 10]"],
+     []),
+    ("coordinate-true", "worker_boxes",
+     ["image 'b.jpg', worker_boxes['Agent'][0]: box coordinates must be JSON numbers, got [0, 0, True, 10]",
+      "image 'b.jpg', worker_boxes['Agent'][1]: box coordinates must be JSON numbers, got [0, 0, True, 10]",
+      "image 'b.jpg', worker_boxes['Agent'][2]: box coordinates must be JSON numbers, got [0, 0, True, 10]"],
+     []),
+    ("corners-swapped", "boxes",
+     ["image 'b.jpg', boxes['Agent']: box must satisfy x1 < x2 and y1 < y2: (50.0, 0.0, 10.0, 10.0)"],
+     []),
+    ("corners-swapped", "worker_boxes",
+     ["image 'b.jpg', worker_boxes['Agent'][0]: box must satisfy x1 < x2 and y1 < y2: (50.0, 0.0, 10.0, 10.0)",
+      "image 'b.jpg', worker_boxes['Agent'][1]: box must satisfy x1 < x2 and y1 < y2: (50.0, 0.0, 10.0, 10.0)",
+      "image 'b.jpg', worker_boxes['Agent'][2]: box must satisfy x1 < x2 and y1 < y2: (50.0, 0.0, 10.0, 10.0)"],
+     []),
+    ("duplicate-id", "boxes",
+     ["image 'b.jpg': duplicate image id (record #2)"],
+     ["image 'b.jpg', role 'Agent': box clamped to image bounds",
+      "image 'b.jpg', role 'Agent': box clamped to image bounds"]),
+    ("duplicate-id", "worker_boxes",
+     ["image 'b.jpg': duplicate image id (record #2)"],
+     ["image 'b.jpg', role 'Agent': box clamped to image bounds",
+      "image 'b.jpg', role 'Agent': box clamped to image bounds"]),
+    ("empty-once-clamped", "boxes",
+     ["image 'b.jpg', boxes['Agent']: box [130.0, 0.0, 140.0, 10.0] clamped to the 100x100 image: box must satisfy x1 < x2 and y1 < y2: (100, 0.0, 100, 10.0)"],
+     []),
+    ("empty-once-clamped", "worker_boxes",
+     ["image 'b.jpg', worker_boxes['Agent']: box [130.0, 0.0, 140.0, 10.0] clamped to the 100x100 image: box must satisfy x1 < x2 and y1 < y2: (100, 0.0, 100, 10.0)"],
+     []),
+    ("frame-string", "boxes",
+     ["image 'b.jpg', frames[0]: must be a JSON object {role: noun}, got 'man'"],
+     ["image 'b.jpg', role 'Agent': box clamped to image bounds"]),
+    ("frame-string", "worker_boxes",
+     ["image 'b.jpg', frames[0]: must be a JSON object {role: noun}, got 'man'"],
+     ["image 'b.jpg', role 'Agent': box clamped to image bounds"]),
+    ("frames-null", "boxes",
+     ["image 'b.jpg', frames: must be a JSON array, got None"],
+     ["image 'b.jpg', role 'Agent': box clamped to image bounds"]),
+    ("frames-null", "worker_boxes",
+     ["image 'b.jpg', frames: must be a JSON array, got None"],
+     ["image 'b.jpg', role 'Agent': box clamped to image bounds"]),
+    ("height-string", "boxes",
+     ["image 'b.jpg', height: must be a positive number, got '80'"],
+     []),
+    ("height-string", "worker_boxes",
+     ["image 'b.jpg', height: must be a positive number, got '80'"],
+     []),
+    ("id-number", "boxes",
+     ["record #1, id: must be a string, got 7"],
+     ["record #1, role 'Agent': box clamped to image bounds"]),
+    ("id-number", "worker_boxes",
+     ["record #1, id: must be a string, got 7"],
+     ["record #1, role 'Agent': box clamped to image bounds"]),
+    ("missing-role", "boxes",
+     ["image 'b.jpg', frames[0]: missing role 'Agent'",
+      "image 'b.jpg', frames[1]: missing role 'Agent'",
+      "image 'b.jpg', frames[2]: missing role 'Agent'"],
+     ["image 'b.jpg', role 'Agent': box clamped to image bounds"]),
+    ("missing-role", "worker_boxes",
+     ["image 'b.jpg', frames[0]: missing role 'Agent'",
+      "image 'b.jpg', frames[1]: missing role 'Agent'",
+      "image 'b.jpg', frames[2]: missing role 'Agent'"],
+     ["image 'b.jpg', role 'Agent': box clamped to image bounds"]),
+    ("noun-number", "boxes",
+     ["image 'b.jpg', frames[0]['Agent']: noun must be a string, got 5",
+      "image 'b.jpg', frames[1]['Agent']: noun must be a string, got 5",
+      "image 'b.jpg', frames[2]['Agent']: noun must be a string, got 5"],
+     ["image 'b.jpg', role 'Agent': box clamped to image bounds"]),
+    ("noun-number", "worker_boxes",
+     ["image 'b.jpg', frames[0]['Agent']: noun must be a string, got 5",
+      "image 'b.jpg', frames[1]['Agent']: noun must be a string, got 5",
+      "image 'b.jpg', frames[2]['Agent']: noun must be a string, got 5"],
+     ["image 'b.jpg', role 'Agent': box clamped to image bounds"]),
+    ("place-grounded", "boxes",
+     ["image 'b.jpg', boxes['Place']: place-grounded: the Place role is never grounded"],
+     ["image 'b.jpg', role 'Agent': box clamped to image bounds"]),
+    ("place-grounded", "worker_boxes",
+     ["image 'b.jpg', worker_boxes['Place']: place-grounded: the Place role is never grounded"],
+     ["image 'b.jpg', role 'Agent': box clamped to image bounds"]),
+    ("record-not-object", "boxes",
+     ["record #2: must be a JSON object, got 'oops'"],
+     ["image 'b.jpg', role 'Agent': box clamped to image bounds"]),
+    ("record-not-object", "worker_boxes",
+     ["record #2: must be a JSON object, got 'oops'"],
+     ["image 'b.jpg', role 'Agent': box clamped to image bounds"]),
+    ("three-coordinates", "boxes",
+     ["image 'b.jpg', boxes['Agent']: box must be [x1,y1,x2,y2] or null, got [0, 0, 10]"],
+     []),
+    ("three-coordinates", "worker_boxes",
+     ["image 'b.jpg', worker_boxes['Agent'][0]: box must be [x1,y1,x2,y2] or null, got [0, 0, 10]",
+      "image 'b.jpg', worker_boxes['Agent'][1]: box must be [x1,y1,x2,y2] or null, got [0, 0, 10]",
+      "image 'b.jpg', worker_boxes['Agent'][2]: box must be [x1,y1,x2,y2] or null, got [0, 0, 10]"],
+     []),
+    ("two-frames", "boxes",
+     ["image 'b.jpg', frames: must list exactly 3 annotator frames, got 2"],
+     ["image 'b.jpg', role 'Agent': box clamped to image bounds"]),
+    ("two-frames", "worker_boxes",
+     ["image 'b.jpg', frames: must list exactly 3 annotator frames, got 2"],
+     ["image 'b.jpg', role 'Agent': box clamped to image bounds"]),
+    ("two-workers", "boxes",
+     ["image 'b.jpg', worker_boxes['Agent']: expected exactly 3 worker boxes, got 2"],
+     []),
+    ("unknown-noun", "boxes",
+     ["image 'b.jpg', frames[0]['Agent']: unknown noun 'astronaut'",
+      "image 'b.jpg', frames[1]['Agent']: unknown noun 'astronaut'",
+      "image 'b.jpg', frames[2]['Agent']: unknown noun 'astronaut'"],
+     ["image 'b.jpg', role 'Agent': box clamped to image bounds"]),
+    ("unknown-noun", "worker_boxes",
+     ["image 'b.jpg', frames[0]['Agent']: unknown noun 'astronaut'",
+      "image 'b.jpg', frames[1]['Agent']: unknown noun 'astronaut'",
+      "image 'b.jpg', frames[2]['Agent']: unknown noun 'astronaut'"],
+     ["image 'b.jpg', role 'Agent': box clamped to image bounds"]),
+    ("unknown-verb", "boxes",
+     ["image 'b.jpg', verb: unknown verb 'flying'"],
+     []),
+    ("unknown-verb", "worker_boxes",
+     ["image 'b.jpg', verb: unknown verb 'flying'"],
+     []),
+    ("width-int-overflow", "boxes",
+     ["image 'b.jpg', width: must be a positive number, got 100000000000000000...0000000000000000000"],
+     []),
+    ("width-int-overflow", "worker_boxes",
+     ["image 'b.jpg', width: must be a positive number, got 100000000000000000...0000000000000000000"],
+     []),
+    ("width-nan", "boxes",
+     ["image 'b.jpg', width: must be a positive number, got nan"],
+     []),
+    ("width-nan", "worker_boxes",
+     ["image 'b.jpg', width: must be a positive number, got nan"],
+     []),
+    ("width-past-the-largest-float", "boxes",
+     ["image 'b.jpg', width: must be a positive number, got 179769313486231570...0404026184124858369"],
+     []),
+    ("width-past-the-largest-float", "worker_boxes",
+     ["image 'b.jpg', width: must be a positive number, got 179769313486231570...0404026184124858369"],
+     []),
+    ("width-zero", "boxes",
+     ["image 'b.jpg', width: must be a positive number, got 0"],
+     []),
+    ("width-zero", "worker_boxes",
+     ["image 'b.jpg', width: must be a positive number, got 0"],
+     []),
+    ("worker-list-string", "boxes",
+     ["image 'b.jpg', worker_boxes['Agent']: must be a JSON array, got 'box'"],
+     []),
+    ("worker-mean-overflow", "boxes",
+     ["image 'b.jpg', worker_boxes['Agent']: box area must be positive and at most half the largest float, and its aspect ratio finite and non-zero: (0.0, 0.0, 2.6666666666666665e+307, 2.6666666666666665e+307)"],
+     []),
+    ("everything-at-once", None,
+     ["record #0, id: must be a string, got 7",
+      "record #0, width: must be a positive number, got 0",
+      "record #0, frames: must list exactly 3 annotator frames, got 2",
+      "record #0, boxes['Agent']: box must be [x1,y1,x2,y2] or null, got [0, 0, 10]"],
+     []),
+    ("worker-role-with-one-malformed-box", None,
+     ["image 'a.jpg', worker_boxes['Agent'][1]: box coordinates must be JSON numbers, got [0, 0, '10', 10]",
+      "image 'a.jpg', worker_boxes['Agent']: expected exactly 3 worker boxes, got 2"],
+     []),
+    ("worker-list-given-as-a-string", None,
+     ["image 'a.jpg', worker_boxes['Agent'][1]: box must satisfy x1 < x2 and y1 < y2: (5.0, 5.0, 1.0, 1.0)",
+      "image 'a.jpg', worker_boxes['Agent']: expected exactly 3 worker boxes, got 1",
+      "image 'a.jpg', worker_boxes['Item']: must be a JSON array, got 'box'",
+      "image 'a.jpg', worker_boxes['Place']: place-grounded: the Place role is never grounded"],
+     []),
+    ("faulty-record-whose-other-box-clamps", None,
+     ["image 'a.jpg', frames[0]['Item']: unknown noun 'astronaut'",
+      "image 'a.jpg', frames[1]['Item']: unknown noun 'astronaut'",
+      "image 'a.jpg', frames[2]['Item']: unknown noun 'astronaut'"],
+     ["image 'a.jpg', role 'Agent': box clamped to image bounds"]),
+]
+
+
+
+@pytest.mark.parametrize("case,form,violations,warnings", PINNED,
+                         ids=[case if form is None else f"{case}-{form}" for case, form, _, _ in PINNED])
+def test_a_faulty_file_gives_its_pinned_lines(case, form, violations, warnings):
+    if form is None:
+        records = copy.deepcopy(PINNED_RECORDS[case])
+    else:
+        records = two_records(form)
+        FAULTS[case](records, records[1])
+    got = []
+    _, lines = parse_dataset(records, parse_lexicon(LEXICON_JSON), parse_vocabulary(VOCAB_JSON), got)
+    assert (lines, got) == (violations, warnings)
+
+
 # ---- every loader pauses the cyclic collector and restores it ---------------
 
 SITUATION = {"id": "a", "verbs": ["jumping"] * 5, "entities": [["man", "street"]] * 5,
