@@ -2,10 +2,10 @@
 
 This module is the only code that reads JSON input; every reader takes a
 path (str, bytes or os.PathLike), a file object or an already-parsed JSON
-value. Every box is judged by `parse_box`'s rules (the boxes of a prediction
-or dataset file all at once, by `_box_rows`), every frame is read by `_frame_row`,
-and every error names the record and the field it comes from:
-"<record>, <field>: <rule>".
+value. Every box is judged by `parse_box`'s rules: a prediction or dataset
+file's boxes in one array pass, `_box_rows`, which hands `parse_box` only the
+boxes it refuses. Every frame is read by `_frame_row`, and every error names
+the record and the field it comes from: "<record>, <field>: <rule>".
 
 Canonical file formats (UTF-8 JSON):
 
@@ -16,7 +16,7 @@ Canonical file formats (UTF-8 JSON):
                  "boxes": {role: [x1,y1,x2,y2] or null}}, ...]
                A record may carry "worker_boxes": {role: [box x3]} instead of
                "boxes"; the three worker boxes are merged by coordinate mean.
-               Read into a `DatasetTable`.
+               Read into a `DatasetTable` by one walk of the records.
   frame:       {"nouns": {role: noun}, "boxes": {role: box_or_null},
                 "grounded": {role: true|false}}  ("grounded" optional)
                The verb sits outside the frame; read by `_frame_row`,
@@ -45,11 +45,11 @@ import json
 import os
 import reprlib
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, repeat
-from operator import and_, is_not
+from operator import and_, is_not, itemgetter
 from typing import Optional
 
 import numpy as np
@@ -303,13 +303,13 @@ def _valid_box_rows(rows: np.ndarray) -> np.ndarray:
                 & (0 < area) & (area <= sys.float_info.max / 2) & (0 < aspect) & (aspect < np.inf))
 
 
-def _box_rows(raws: list, where_of) -> np.ndarray:
+def _box_rows(raws: list, where_of, faults: Optional[list] = None) -> np.ndarray:
     """(len(raws), 4) float64 rows of raw boxes, a NaN row for null and the sentinel.
 
-    Lists of four JSON numbers are judged all at once by `_valid_box_rows`.
-    When any raw box fails that, every box is parsed again by `parse_box`,
-    in order, so the first bad one raises `parse_box`'s own error, and a box
-    that only the array path refuses is still read. `where_of(i)` names box i.
+    Lists of four JSON numbers are judged all at once by `_valid_box_rows`;
+    only a box refused there is read by `parse_box`, in order, whose error
+    names box i by `where_of(i)`. Given `faults`, a bad box appends (i, its
+    error's message) there and gets a NaN row; else the first one raises.
     """
     given = np.fromiter(map(is_not, raws, repeat(None)), dtype=bool, count=len(raws))
     present = list(compress(raws, given))
@@ -320,14 +320,23 @@ def _box_rows(raws: list, where_of) -> np.ndarray:
             block = np.array(present, dtype=np.float64).reshape(-1, 4)
         except OverflowError:  # an int too big for a float
             pass
-    if block is not None:
-        sentinel = (block == -1).all(axis=1)
-        if (sentinel | _valid_box_rows(block)).all():
-            block[sentinel] = np.nan
-        else:
-            block = None
-    if block is None:
-        block = box_array([parse_box(raws[i], where_of(i)) for i in np.flatnonzero(given).tolist()])
+    if block is None:  # only the lists of four numbers that fit a float go into the array
+        formed = [type(raw) is list and len(raw) == 4 and _JSON_NUMBER_TYPES.issuperset(map(type, raw))
+                  and max(map(abs, raw)) <= sys.float_info.max for raw in present]
+        block = np.full((len(present), 4), np.nan)
+        block[formed] = np.array(list(compress(present, formed)), dtype=np.float64).reshape(-1, 4)
+    sentinel = (block == -1).all(axis=1)
+    bad = ~(sentinel | _valid_box_rows(block))
+    block[sentinel | bad] = np.nan
+    for j, i in zip(np.flatnonzero(bad).tolist(), np.flatnonzero(given)[bad].tolist()):
+        try:
+            box = parse_box(present[j], where_of(i))
+        except DatasetError as e:
+            if faults is None:
+                raise
+            faults.append((i, str(e)))
+            continue
+        block[j] = np.nan if box is None else box.as_list()
     rows = np.full((len(raws), 4), np.nan)
     rows[given] = block
     return rows
@@ -361,192 +370,160 @@ def parse_dataset(source, lexicon: VerbLexicon, vocabulary: NounVocabulary,
 
     The one reading of the dataset format: `load_dataset` raises when
     `violations` is non-empty and `swig validate` prints it, so the two
-    agree on every file. The records are first judged a column at a time
-    (`_table_of`). When a check fails there, each record is walked on its
-    own (`_parse_image`): each violation is one line naming the record and
-    the field, and the table holds the records that broke no rule. Boxes
-    clamped to the image bounds are reported in `warnings`.
+    agree on every file. One walk puts each record's fields into columns;
+    a field's lines are written only when its C-level check fails. Then one
+    `_box_rows` pass reads every box, worker boxes included, and the worker
+    mean, the Place rule and clamping run once over the box array. A line
+    names the record and the field; a record's lines come in field order,
+    its box lines in role order, then its Place and clamp lines. The table
+    holds the records with no line. Every clamped box is a warning.
     """
     records = _read_json(source)
+    violations = []
     if not isinstance(records, list):
-        return (DatasetTable.from_dataset(Dataset(lexicon, vocabulary, ())),
-                ["dataset file must be a JSON array of image records"])
-    table = _table_of(records, lexicon, vocabulary, warnings)
-    if table is not None:
-        return table, []
-    images, violations, seen = [], [], set()
+        records, violations = [], ["dataset file must be a JSON array of image records"]
+    entries, nouns, largest = lexicon.entries, vocabulary.ids, sys.float_info.max
+    walked = []  # per record with a known verb: its columns
+    raws, worker_raws, worker_slots = [], [], []  # raws: one per role slot, None for a worker role
+    lines, seen = [], set()  # lines: (key, line); key (record index[, phase, slot, order]) orders them
     for index, rec in enumerate(records):
         if not isinstance(rec, dict):
-            violations.append(f"record #{index}: must be a JSON object, got {reprlib.repr(rec)}")
+            lines.append(((index,), f"record #{index}: must be a JSON object, got {reprlib.repr(rec)}"))
             continue
-        start = len(violations)
-        image_id = rec.get("id")
+        image_id, verb, width, height, frames = map(rec.get, ("id", "verb", "width", "height", "frames"))
+        label = f"image {image_id!r}" if isinstance(image_id, str) else f"record #{index}"
         if not isinstance(image_id, str):
-            label = f"record #{index}"
-            violations.append(f"{label}, id: must be a string, got {reprlib.repr(image_id)}")
+            lines.append(((index,), f"{label}, id: must be a string, got {reprlib.repr(image_id)}"))
+        elif image_id in seen:
+            lines.append(((index,), f"{label}: duplicate image id (record #{index})"))
         else:
-            label = f"image {image_id!r}"
-            if image_id in seen:
-                violations.append(f"{label}: duplicate image id (record #{index})")
             seen.add(image_id)
-        image = _parse_image(rec, image_id, label, lexicon, vocabulary, warnings, violations)
-        if len(violations) == start:
-            images.append(image)
-    return DatasetTable.from_dataset(Dataset(lexicon, vocabulary, tuple(images))), violations
-
-
-def _table_of(records: list, lexicon: VerbLexicon, vocabulary: NounVocabulary,
-              warnings: list) -> Optional[DatasetTable]:
-    """The table of `records` when each keeps every rule, or None at the first
-    check that fails; warnings are added only with a table.
-
-    Each field is checked over its column with C-level type and set checks,
-    and the box rules, the Place rule and clamping run once over one array.
-    A check may refuse what the rules allow (worker boxes, a subclass of a
-    JSON type, an int size with no exact float); `parse_dataset` then walks
-    each record.
-    """
-    if not {dict}.issuperset(map(type, records)):
-        return None
-    ids, verbs, widths, heights, frames = (list(map(dict.get, records, repeat(key)))
-                                           for key in ("id", "verb", "width", "height", "frames"))
-    if not ({str}.issuperset(map(type, ids)) and len(set(ids)) == len(ids)
-            and {str}.issuperset(map(type, verbs)) and lexicon.entries.keys() >= set(verbs)
-            and _JSON_NUMBER_TYPES.issuperset(map(type, widths + heights))
-            and {list}.issuperset(map(type, frames)) and {3}.issuperset(map(len, frames))
-            and not any(map(dict.__contains__, records, repeat("worker_boxes")))):
-        return None
-    try:
-        sizes = np.array([widths, heights], dtype=np.float64).reshape(2, -1)
-    except OverflowError:  # an int too big for a float
-        return None
-    # a size equal to its float compares with a coordinate as the number itself does
-    if not (((0 < sizes) & (sizes <= sys.float_info.max)).all()
-            and sizes.tolist() == [widths, heights]):
-        return None
-
-    roles = list(map(lexicon.roles, verbs))
-    annotator_frames = list(chain.from_iterable(frames))
-    if not {dict}.issuperset(map(type, annotator_frames)):
-        return None
-    nouns = [tuple(map(frame.get, frame_roles)) for frame, frame_roles
-             in zip(annotator_frames, chain.from_iterable(zip(roles, roles, roles)))]
-    named = list(chain.from_iterable(nouns))  # a missing role reads None, which is no string
-    if not ({str}.issuperset(map(type, named)) and vocabulary.ids.issuperset(filter(None, named))):
-        return None
-
-    sources = list(map(dict.get, records, repeat("boxes")))
-    if not {dict, type(None)}.issuperset(map(type, sources)):
-        return None
-    raws = list(chain.from_iterable(map((source or {}).get, source_roles)
-                                    for source, source_roles in zip(sources, roles)))
-    try:
-        boxes = _box_rows(raws, lambda i: "box")  # a fault is named by the walk, not here
-    except DatasetError:
-        return None
-    slot_roles = list(chain.from_iterable(roles))
-    if PLACE_ROLE in compress(slot_roles, ~np.isnan(boxes[:, 0])):
-        return None
-
+        if not (type(width) in _JSON_NUMBER_TYPES and type(height) in _JSON_NUMBER_TYPES
+                and 0 < width <= largest and 0 < height <= largest):
+            for fld, value in (("width", width), ("height", height)):
+                if not _positive_number(value):
+                    lines.append(((index,), f"{label}, {fld}: must be a positive number, "
+                                            f"got {reprlib.repr(value)}"))
+            if not (_positive_number(width) and _positive_number(height)):
+                width = height = np.inf  # nothing clamps to a size that breaks a rule
+        verb_roles = entries.get(verb) if isinstance(verb, str) else None
+        if verb_roles is None:
+            lines.append(((index,), f"{label}, verb: unknown verb {reprlib.repr(verb)}"))
+            continue
+        annotated = None
+        if type(frames) is list and len(frames) == 3 and {dict}.issuperset(map(type, frames)):
+            first, second, third = frames
+            annotated = (tuple(map(first.get, verb_roles)), tuple(map(second.get, verb_roles)),
+                         tuple(map(third.get, verb_roles)))
+            named = annotated[0] + annotated[1] + annotated[2]  # a missing role reads None, no string
+            if not ({str}.issuperset(map(type, named)) and nouns.issuperset(filter(None, named))):
+                annotated = None
+        if annotated is None:  # a frame broke a rule, or holds a subclass of a JSON type
+            annotated = _frame_lines(label, frames, verb_roles, nouns, (index,), lines)
+        field = "worker_boxes" if "worker_boxes" in rec else "boxes"
+        given = rec.get(field)
+        if given is not None and not isinstance(given, dict):
+            lines.append(((index,), str(_type_error(given, dict, f"{label}, {field}"))))
+        given = given if isinstance(given, dict) else {}
+        walked.append((index, label, image_id, verb, verb_roles, width, height, annotated, field))
+        if field == "worker_boxes":
+            for slot, role in enumerate(verb_roles, len(raws)):
+                listed = given.get(role)
+                if isinstance(listed, list):
+                    worker_raws.extend(listed)
+                    worker_slots.extend(repeat(slot, len(listed)))
+                elif listed is not None:
+                    lines.append(((index, 1, slot, 0), str(_type_error(
+                        listed, list, f"{label}, worker_boxes[{role!r}]"))))
+            given = {}
+        raws.extend(map(given.get, verb_roles))
+    indices, labels, ids, verbs, roles, widths, heights, annotations, fields = (
+        zip(*walked) if walked else [()] * 9)
     n_roles = list(map(len, roles))
-    width, height = np.repeat(sizes, n_roles, axis=1)  # per slot
-    outside = (boxes[:, 2] > width) | (boxes[:, 3] > height)  # coordinates are >= 0
-    if outside.any():
-        bounds = np.stack([width, height, width, height], axis=1)[outside]
-        clamped = np.minimum(boxes[outside], bounds)
-        if not _valid_box_rows(clamped).all():
-            return None
-        boxes[outside] = clamped
-        owner = np.repeat(np.arange(len(ids)), n_roles)
-        warnings.extend(f"image {ids[k]!r}, role {slot_roles[slot]!r}: box clamped to image bounds"
-                        for slot, k in zip(np.flatnonzero(outside).tolist(), owner[outside].tolist()))
-    rows = iter(nouns)
-    return DatasetTable(lexicon, vocabulary, ids, verbs, list(zip(widths, heights)),
-                        list(zip(rows, rows, rows)), [0, *accumulate(n_roles)], boxes)
+    starts = [0, *accumulate(n_roles)]
+
+    def locate(i):
+        """(record k, slot, name) of box i of `_box_rows`."""
+        slot = i if i < n_slots else worker_slots[i - n_slots]
+        k = bisect_right(starts, slot) - 1
+        where = f"{labels[k]}, {fields[k]}[{roles[k][slot - starts[k]]!r}]"
+        if i >= n_slots:  # a worker box: its place in the role's list
+            where += f"[{i - n_slots - bisect_left(worker_slots, slot)}]"
+        return k, slot, where
+
+    n_slots, faults = len(raws), []
+    boxes, workers = np.split(_box_rows(raws + worker_raws, lambda i: locate(i)[2], faults), [n_slots])
+    for i, message in faults:
+        k, slot, _ = locate(i)
+        lines.append(((indices[k], 1, slot, 0), message))
+    read = ~np.isnan(workers[:, 0])  # a role's worker boxes that were read: merged when 3
+    owners = np.array(worker_slots, dtype=np.intp)[read]
+    counts = np.bincount(owners, minlength=n_slots)
+    sums = np.zeros((n_slots, 4))
+    np.add.at(sums, owners, workers[read])  # in order from +0.0, as `sum` adds
+    merged, faults = np.flatnonzero(counts == 3).tolist(), []
+    boxes[merged] = _box_rows((sums[merged] / 3).tolist(), lambda i: locate(merged[i])[2], faults)
+    lines.extend(((indices[locate(merged[i])[0]], 1, merged[i], 1), message) for i, message in faults)
+    miscounted = np.flatnonzero((counts != 0) & (counts != 3)).tolist()
+    lines.extend(((indices[k], 1, slot, 1), f"{where}: expected exactly 3 worker boxes, "
+                  f"got {counts[slot]}") for k, slot, where in map(locate, miscounted))
+
+    slot_roles = list(chain.from_iterable(roles))
+    boxed = ~np.isnan(boxes[:, 0])
+    placed = boxed & np.fromiter(map(PLACE_ROLE.__eq__, slot_roles), dtype=bool, count=n_slots)
+    lines.extend(((indices[k], 2, slot), f"{where}: place-grounded: the Place role is never grounded")
+                 for k, slot, where in map(locate, np.flatnonzero(placed).tolist()))
+    bounds = np.array([widths, heights], dtype=np.float64).reshape(2, -1)
+    # a coordinate is past an int size whose float rounds up exactly when it is past the float below
+    above = [list(map(float.__gt__, *pair)) for pair in zip(bounds.tolist(), (widths, heights))]
+    width, height = np.repeat(np.where(above, np.nextafter(bounds, 0), bounds), n_roles, axis=1)
+    outside = np.flatnonzero(boxed & ~placed & ((boxes[:, 2] > width) | (boxes[:, 3] > height)))
+    clamped = np.minimum(boxes[outside], np.repeat(bounds, n_roles, axis=1)[[0, 1, 0, 1]].T[outside])
+    kept = _valid_box_rows(clamped)
+    for slot, box, keep in zip(outside.tolist(), boxes[outside].tolist(), kept.tolist()):
+        k, _, where = locate(slot)
+        try:  # a clamped box the array check refuses is judged by the box's own rules
+            if not keep:
+                boxes[slot] = BoundingBox(*box).clamped(widths[k], heights[k]).as_list()
+            warnings.append(f"{labels[k]}, role {slot_roles[slot]!r}: box clamped to image bounds")
+        except FrameModelError as e:
+            lines.append(((indices[k], 2, slot), f"{where}: box {box} clamped to the "
+                          f"{widths[k]}x{heights[k]} image: {e}"))
+    boxes[outside[kept]] = clamped[kept]
+
+    lines.sort(key=itemgetter(0))  # stable, so a record's head lines keep their order
+    faulty = {key[0] for key, _ in lines}
+    keep = [index not in faulty for index in indices]
+    table = DatasetTable(
+        lexicon, vocabulary, list(compress(ids, keep)), list(compress(verbs, keep)),
+        list(zip(compress(widths, keep), compress(heights, keep))), list(compress(annotations, keep)),
+        [0, *accumulate(compress(n_roles, keep))], boxes[np.repeat(np.array(keep, dtype=bool), n_roles)])
+    return table, violations + [line for _, line in lines]
 
 
-def _parse_image(rec: dict, image_id, label: str, lexicon: VerbLexicon,
-                 vocabulary: NounVocabulary, warnings: list, violations: list):
-    """One dataset record: appends a line to `violations` for each broken
-    rule and returns the image, or None when the record broke a rule."""
-    start = len(violations)
-
-    def bad(fld, message):
-        violations.append(f"{label}, {fld}: {message}")
-
-    def collect(fn, *args, fallback=None):
-        try:
-            return fn(*args)
-        except DatasetError as e:
-            violations.append(str(e))
-            return fallback
-
-    width, height = rec.get("width"), rec.get("height")
-    for fld, value in (("width", width), ("height", height)):
-        if not _positive_number(value):
-            bad(fld, f"must be a positive number, got {reprlib.repr(value)}")
-    verb = rec.get("verb")
-    if not (isinstance(verb, str) and verb in lexicon):
-        bad("verb", f"unknown verb {reprlib.repr(verb)}")
-        return None
-    roles = lexicon.roles(verb)
-
-    frames = []
-    raw_frames = collect(_get, rec, "frames", list, label)
-    if raw_frames is not None and len(raw_frames) != 3:
-        bad("frames", f"must list exactly 3 annotator frames, got {len(raw_frames)}")
-    for ann, raw in enumerate(raw_frames or ()):
-        if not isinstance(raw, dict):
-            bad(f"frames[{ann}]", f"must be a JSON object {{role: noun}}, got {reprlib.repr(raw)}")
+def _frame_lines(label: str, frames, roles: tuple, nouns: frozenset, key: tuple, lines: list) -> tuple:
+    """Append (key, line) to `lines` per rule "frames" breaks; returns the noun tuples."""
+    if not isinstance(frames, list):
+        lines.append((key, str(_type_error(frames, list, f"{label}, frames"))))
+        frames = []
+    elif len(frames) != 3:
+        lines.append((key, f"{label}, frames: must list exactly 3 annotator frames, got {len(frames)}"))
+    annotated = []
+    for ann, frame in enumerate(frames):
+        if not isinstance(frame, dict):
+            lines.append((key, f"{label}, frames[{ann}]: must be a JSON object {{role: noun}}, "
+                               f"got {reprlib.repr(frame)}"))
             continue
-        values = []
-        for role in roles:
-            noun = raw.get(role)
-            if role not in raw:
-                bad(f"frames[{ann}]", f"missing role {role!r}")
+        annotated.append(tuple(map(frame.get, roles)))
+        for role, noun in zip(roles, annotated[-1]):
+            if role not in frame:
+                lines.append((key, f"{label}, frames[{ann}]: missing role {role!r}"))
             elif not isinstance(noun, str):
-                bad(f"frames[{ann}][{role!r}]", f"noun must be a string, got {reprlib.repr(noun)}")
-            elif noun != NULL_NOUN and noun not in vocabulary:
-                bad(f"frames[{ann}][{role!r}]", f"unknown noun {noun!r}")
-            values.append((role, noun))
-        frames.append(GroundedFrame(tuple(values), (None,) * len(roles)))
-
-    source = "worker_boxes" if "worker_boxes" in rec else "boxes"
-    raw_boxes = collect(_get, rec, source, dict, label, {}, fallback={})
-    gt = {}
-    if source == "boxes":
-        for role in roles:
-            raw = raw_boxes.get(role)
-            gt[role] = None if raw is None else collect(parse_box, raw, f"{label}, boxes[{role!r}]")
-    else:
-        for role in roles:
-            where = f"{label}, worker_boxes[{role!r}]"
-            raw_list = raw_boxes.get(role)
-            raw_list = [] if raw_list is None else collect(_check, raw_list, list, where, fallback=[])
-            workers = [collect(parse_box, b, f"{where}[{k}]") for k, b in enumerate(raw_list)]
-            workers = [b for b in workers if b is not None]
-            try:
-                gt[role] = merge_worker_boxes(workers) if workers else None
-            except (DatasetError, FrameModelError) as e:
-                violations.append(f"{where}: {e}")
-
-    sized = _positive_number(width) and _positive_number(height)
-    for role, box in gt.items():
-        if box is None:
-            continue
-        if role == PLACE_ROLE:
-            bad(f"{source}[{role!r}]", "place-grounded: the Place role is never grounded")
-        elif sized and (box.x2 > width or box.y2 > height):  # coordinates are >= 0
-            try:
-                gt[role] = box.clamped(width, height)
-            except FrameModelError as e:
-                bad(f"{source}[{role!r}]", f"box {box.as_list()} clamped to the {width}x{height} image: {e}")
-                continue
-            warnings.append(f"{label}, role {role!r}: box clamped to image bounds")
-
-    if len(violations) > start:
-        return None
-    return AnnotatedImage(image_id, width, height, verb, tuple(frames), gt)
+                lines.append((key, f"{label}, frames[{ann}][{role!r}]: noun must be a string, "
+                                   f"got {reprlib.repr(noun)}"))
+            elif noun != NULL_NOUN and noun not in nouns:
+                lines.append((key, f"{label}, frames[{ann}][{role!r}]: unknown noun {noun!r}"))
+    return tuple(annotated)
 
 
 @_gc_paused

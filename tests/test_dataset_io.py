@@ -2,8 +2,8 @@ import copy
 import gc
 import io
 import json
+import math
 import re
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +24,7 @@ from swig_toolkit.dataset_io import (
     parse_lexicon,
     parse_vocabulary,
 )
-from swig_toolkit.frame_model import GroundedFrame, frame_to_json
+from swig_toolkit.frame_model import AnnotatedImage, FrameModelError, GroundedFrame, frame_to_json
 
 LEXICON_JSON = {
     "kneading": ["Agent", "Item", "Place"],
@@ -333,7 +333,7 @@ def dataset_record(draw, image_id, forms):
     elif form == "null":
         rec["boxes"] = None
     if draw(st.integers(0, 29)) == 29:
-        rec["width"] = 2**60 + 1  # a valid size with no exact float: the records are walked
+        rec["width"] = 2**60 + 1  # a valid size with no exact float
     return rec
 
 
@@ -383,7 +383,7 @@ FAULTS = {
 @st.composite
 def dataset_file(draw):
     """Up to four records with distinct ids and zero or one injected fault;
-    half the files hold no worker boxes, which the column checks refuse."""
+    half the files hold no worker boxes."""
     forms = ["boxes", "absent", "null"] + draw(st.sampled_from([[], ["worker_boxes"]]))
     ids = draw(st.lists(st.sampled_from(["a.jpg", "b.jpg", "c.jpg", "d.jpg"]), max_size=4,
                         unique=True))
@@ -423,14 +423,13 @@ def test_the_dataset_table_and_its_stats_equal_a_plain_per_record_reader(records
                                                            VOCAB_JSON)
     warnings = []
     table, violations = read(text, warnings)
-    with mock.patch.object(dataset_io, "_table_of", return_value=None):  # the per-record walk
-        walked_warnings = []
-        walked, walked_violations = read(text, walked_warnings)
-    assert (violations, warnings) == (walked_violations, walked_warnings)
-    assert list(map(plain, table.images)) == list(map(plain, walked.images))
+    # the table holds exactly the records that break no rule, read as the plain reader reads them
+    assert list(map(plain, table.images)) == list(map(naive_plain, images))
+    # a faulty record's clamp warnings come too, in file order with the others
+    assert [w for w in warnings if not w.startswith(tuple(f"{label}," for label in faulty))
+            ] == expected_warnings
     if not faulty:
         assert violations == [] and warnings == expected_warnings
-        assert list(map(plain, table.images)) == list(map(naive_plain, images))
         loaded = load_dataset(io.StringIO(text), NAIVE_LEXICON, VOCAB_JSON)
         assert list(map(plain, loaded.images)) == list(map(naive_plain, images))
         assert compute_stats(loaded) == compute_stats_naive(images, NAIVE_LEXICON)
@@ -450,31 +449,34 @@ def test_a_file_with_every_merged_box_form_is_read_by_columns():
         image_record("c.jpg", "jumping", frames=[{"Agent": "man", "Place": ""}] * 3,
                      boxes={"Agent": [5, 90, 20, 130.5]}),
         image_record("d.jpg", boxes=None),
+        dict(image_record("e.jpg"), worker_boxes={
+            "Agent": [[0, 0, 10, 10], None, [2, 2, 12, 12.5], [-1] * 4, [4, 4, 400, 14]],
+            "Item": [None, [-1.0, -1, -1, -1]], "Place": None}),
     ]
     warnings = []
-    table = dataset_io._table_of(records, parse_lexicon(LEXICON_JSON),
-                                 parse_vocabulary(VOCAB_JSON), warnings)
+    table, violations = parse_dataset(records, parse_lexicon(LEXICON_JSON),
+                                      parse_vocabulary(VOCAB_JSON), warnings)
     images, expected_warnings, faulty = load_dataset_naive(records, LEXICON_JSON, VOCAB_JSON)
-    assert table is not None and faulty == []
+    assert violations == [] and faulty == []
     assert list(map(plain, table.images)) == list(map(naive_plain, images))
     assert warnings == expected_warnings == [
         "image 'a.jpg', role 'Agent': box clamped to image bounds",
-        "image 'c.jpg', role 'Agent': box clamped to image bounds"]
+        "image 'c.jpg', role 'Agent': box clamped to image bounds",
+        "image 'e.jpg', role 'Agent': box clamped to image bounds"]
 
 
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_each_fault_is_refused_by_the_columns_and_named_by_the_walk(fault):
+    """The faulty record is left out of the table's columns, and the walk's
+    lines name exactly the records the plain reader finds faulty."""
     records = [image_record("a.jpg"), image_record("b.jpg", "jumping", frames=[
         {"Agent": "man", "Place": "street"}] * 3, boxes={"Agent": [0, 0, 120, 50]})]
     FAULTS[fault](records, records[1])
-    lexicon, vocabulary = parse_lexicon(LEXICON_JSON), parse_vocabulary(VOCAB_JSON)
-    warnings = []
-    assert dataset_io._table_of(records, lexicon, vocabulary, warnings) is None and warnings == []
-    _, violations = parse_dataset(records, lexicon, vocabulary, warnings)
-    _, _, faulty = load_dataset_naive(records, LEXICON_JSON, VOCAB_JSON)
+    table, violations = parse_dataset(records, parse_lexicon(LEXICON_JSON),
+                                      parse_vocabulary(VOCAB_JSON), [])
+    images, _, faulty = load_dataset_naive(records, LEXICON_JSON, VOCAB_JSON)
     assert {re.match(r"image '[^']*'|record #\d+", v).group() for v in violations} == set(faulty)
-    assert faulty
-
+    assert faulty and table.ids == [image[0] for image in images]
 
 # ---- the exact lines of faulty files ----------------------------------------
 
@@ -699,6 +701,81 @@ def test_a_faulty_file_gives_its_pinned_lines(case, form, violations, warnings):
     got = []
     _, lines = parse_dataset(records, parse_lexicon(LEXICON_JSON), parse_vocabulary(VOCAB_JSON), got)
     assert (lines, got) == (violations, warnings)
+
+
+# ---- the bits of worker means and of sizes with no exact float ---------------
+
+def table_of(records, warnings=None):
+    table, violations = parse_dataset(records, parse_lexicon(LEXICON_JSON),
+                                      parse_vocabulary(VOCAB_JSON), [] if warnings is None else warnings)
+    assert violations == []
+    return table
+
+
+def test_a_worker_mean_of_negative_zeros_is_positive_zero_and_a_plain_negative_zero_stays():
+    workers = dict(image_record("a.jpg"), worker_boxes={"Agent": [[-0.0, -0.0, 5, 5]] * 3})
+    plain = image_record("b.jpg", boxes={"Agent": [-0.0, -0.0, 5, 5]})
+    merged, kept = table_of([workers, plain]).boxes[[0, 3], :2].tolist()
+    assert [math.copysign(1, c) for c in merged] == [1, 1]  # 0 + -0.0, as `sum` adds
+    assert [math.copysign(1, c) for c in kept] == [-1, -1]
+    assert merge_worker_boxes([BoundingBox(-0.0, -0.0, 5, 5)] * 3).as_list()[:2] == merged
+
+
+def _is_box(raw):
+    try:
+        return BoundingBox(*map(float, raw)) is not None
+    except FrameModelError:
+        return False
+
+
+CORNER = st.floats(0, 1e3) | st.integers(0, 2**80) | st.just(-0.0) | st.floats(0, 1e-300)
+SIDE = st.floats(1e-3, 1e3) | st.integers(1, 2**60) | st.floats(1e150, 1e200)  # a wide and a tall box
+WORKER_BOX = st.builds(lambda x, y, w, h: [x, y, x + w, y + h],  # can average to an area past the bound
+                       CORNER, CORNER, SIDE, SIDE).filter(_is_box)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(triple=st.lists(WORKER_BOX, min_size=3, max_size=3))
+def test_the_readers_worker_mean_is_merge_worker_boxes_bit_for_bit(triple):
+    rec = dict(image_record("a.jpg", width=2**1000, height=2**1000), worker_boxes={"Agent": triple})
+    _, violations = parse_dataset([rec], parse_lexicon(LEXICON_JSON), parse_vocabulary(VOCAB_JSON), [])
+    try:
+        merged = merge_worker_boxes([BoundingBox(*map(float, box)) for box in triple])
+    except FrameModelError as e:  # the mean breaks a box rule
+        assert violations == [f"image 'a.jpg', worker_boxes['Agent']: {e}"]
+        return
+    assert violations == []
+    row = table_of([rec]).boxes[0].tolist()
+    assert [float(c).hex() for c in row] == [float(c).hex() for c in merged.as_list()]
+
+
+def test_a_box_at_the_float_of_an_int_size_above_it_is_clamped_with_a_warning():
+    # float(2**53 + 3) rounds up to 2**53 + 4, so a box ending there ends past the width
+    rec = image_record("a.jpg", width=2**53 + 3, boxes={"Agent": [0, 0, 2.0**53 + 4, 10]})
+    warnings = []
+    table = table_of([rec], warnings)
+    assert warnings == ["image 'a.jpg', role 'Agent': box clamped to image bounds"]
+    assert table.boxes[0].tolist() == [0.0, 0.0, 2.0**53 + 4, 10.0]
+    assert table_of([dict(rec, width=2**53 + 4)]).boxes[0].tolist() == [0.0, 0.0, 2.0**53 + 4, 10.0]
+
+
+def test_parsing_builds_no_image_or_frame_and_a_valid_file_no_box(monkeypatch):
+    built = []
+    for cls in (AnnotatedImage, BoundingBox, GroundedFrame):
+        monkeypatch.setattr(cls, "__post_init__",
+                            lambda self, check=cls.__post_init__: (built.append(self), check(self)))
+    valid = [image_record("a.jpg", boxes={"Agent": [0, 0, 150, 80], "Item": [-1] * 4}),
+             dict(image_record("b.jpg"), worker_boxes={
+                 "Agent": [[0, 0, 10, 10], [2, 2, 12, 12], [4, 4, 400, 14]], "Item": [None] * 3})]
+    warnings = []
+    table = table_of(valid, warnings)
+    assert len(table.ids) == 2 and len(warnings) == 2 and built == []
+    faulty = valid + [image_record("c.jpg", boxes={"Agent": [0, 0, 10], "Item": [130, 0, 140, 10]}),
+                      dict(image_record("d.jpg"), worker_boxes={"Agent": [[0, 0, 5, 5]] * 2}),
+                      dict(image_record("e.jpg", "flying"))]
+    _, violations = parse_dataset(faulty, parse_lexicon(LEXICON_JSON), parse_vocabulary(VOCAB_JSON), [])
+    assert len(violations) == 4
+    assert not [obj for obj in built if isinstance(obj, (AnnotatedImage, GroundedFrame))]
 
 
 # ---- every loader pauses the cyclic collector and restores it ---------------
