@@ -506,6 +506,10 @@ PINNED_RECORDS = {
         "frames": [{"Agent": "man", "Item": "dough", "Place": ""}] * 3,
         "worker_boxes": {"Agent": [[0, 0, 10, 10], [5, 5, 1, 1], None], "Item": "box",
                          "Place": [[0, 0, 5, 5]] * 3}}],
+    "four-worker-boxes-are-no-box": [{
+        "id": "a.jpg", "width": 100, "height": 100, "verb": "kneading",
+        "frames": [{"Agent": "man", "Item": "dough", "Place": ""}] * 3,
+        "worker_boxes": {"Agent": [[0, 0, 500, 5]] * 4, "Place": [[0, 0, 5, 5]] * 4}}],
     "faulty-record-whose-other-box-clamps": [{
         "id": "a.jpg", "width": 100, "height": 100, "verb": "kneading",
         "frames": [{"Agent": "man", "Item": "astronaut", "Place": ""}] * 3,
@@ -681,6 +685,10 @@ PINNED = [  # (case, box form or None for a record of PINNED_RECORDS, violations
       "image 'a.jpg', worker_boxes['Item']: must be a JSON array, got 'box'",
       "image 'a.jpg', worker_boxes['Place']: place-grounded: the Place role is never grounded"],
      []),
+    ("four-worker-boxes-are-no-box", None,
+     ["image 'a.jpg', worker_boxes['Agent']: expected exactly 3 worker boxes, got 4",
+      "image 'a.jpg', worker_boxes['Place']: expected exactly 3 worker boxes, got 4"],
+     []),
     ("faulty-record-whose-other-box-clamps", None,
      ["image 'a.jpg', frames[0]['Item']: unknown noun 'astronaut'",
       "image 'a.jpg', frames[1]['Item']: unknown noun 'astronaut'",
@@ -723,9 +731,10 @@ def test_a_worker_mean_of_negative_zeros_is_positive_zero_and_a_plain_negative_z
 
 def _is_box(raw):
     try:
-        return BoundingBox(*map(float, raw)) is not None
+        BoundingBox(*map(float, raw))
     except FrameModelError:
         return False
+    return True
 
 
 CORNER = st.floats(0, 1e3) | st.integers(0, 2**80) | st.just(-0.0) | st.floats(0, 1e-300)
@@ -772,7 +781,7 @@ def test_parsing_builds_no_image_or_frame_and_a_valid_file_no_box(monkeypatch):
     assert len(table.ids) == 2 and len(warnings) == 2 and built == []
     faulty = valid + [image_record("c.jpg", boxes={"Agent": [0, 0, 10], "Item": [130, 0, 140, 10]}),
                       dict(image_record("d.jpg"), worker_boxes={"Agent": [[0, 0, 5, 5]] * 2}),
-                      dict(image_record("e.jpg", "flying"))]
+                      image_record("e.jpg", "flying")]
     _, violations = parse_dataset(faulty, parse_lexicon(LEXICON_JSON), parse_vocabulary(VOCAB_JSON), [])
     assert len(violations) == 4
     assert not [obj for obj in built if isinstance(obj, (AnnotatedImage, GroundedFrame))]
