@@ -11,15 +11,12 @@ SCHEMA_VERSION = "1"
 from .frame_model import (  # noqa: F401
     NULL_NOUN,
     PLACE_ROLE,
-    AnnotatedImage,
     BoundingBox,
     GroundedFrame,
     NounVocabulary,
-    PredictionRecord,
     VerbLexicon,
 )
 from .dataset_io import (  # noqa: F401
-    Dataset,
     DatasetError,
     DatasetTable,
     PredictionTable,

@@ -23,6 +23,7 @@ from . import SCHEMA_VERSION, __version__
 from .chaining import DEFAULT_SPATIAL_IOU, chain
 from .dataset_io import (
     DatasetError,
+    _gc_paused,
     compute_stats,
     load_boxes,
     load_chain_nodes,
@@ -117,6 +118,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
+@_gc_paused  # fusing builds no reference cycles, so a collection would free nothing
 def cmd_fuse(args) -> int:
     if not np.isfinite(args.fusion_threshold):
         raise ValueError(f"--fusion-threshold must be finite, got {args.fusion_threshold}")
@@ -130,8 +132,7 @@ def cmd_fuse(args) -> int:
         frames = {}
         for verb, row in sorted(rows.items()):
             try:  # the predicted boxes are replaced, so they are never built
-                fused = assign_groundings(table.frame(row, grounded=False), detections[image_id],
-                                          args.fusion_threshold)
+                fused = assign_groundings(table.frame(row), detections[image_id], args.fusion_threshold)
             except FusionError as e:
                 raise DatasetError(f"image {image_id!r}, verb {verb!r}, {e}") from e
             frames[verb] = frame_to_json(fused)
@@ -177,6 +178,8 @@ def cmd_chain(args) -> int:
 
 
 def cmd_anchors(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     ratios = cluster_aspect_ratios(load_boxes(args.boxes), args.k, args.seed)
     write_output({"aspect_ratios": ratios}, args.out)
     return 0
@@ -185,6 +188,8 @@ def cmd_anchors(args) -> int:
 def cmd_gradcheck(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     step = 1e-5
     results = {}

@@ -2,10 +2,12 @@
 
 This module is the only code that reads JSON input; every reader takes a
 path (str, bytes or os.PathLike), a file object or an already-parsed JSON
-value. Every box is judged by `parse_box`'s rules: a prediction or dataset
-file's boxes in one array pass, `_box_rows`, which hands `parse_box` only the
-boxes it refuses. Every frame is read by `_frame_row`, and every error names
-the record and the field it comes from: "<record>, <field>: <rule>".
+value, which is how a library caller hands in data it holds: ground truth
+and predictions have no other input form. Every box is judged by
+`parse_box`'s rules: a prediction or dataset file's boxes in one array
+pass, `_box_rows`, which hands `parse_box` only the boxes it refuses.
+Every frame is read by `_frame_row`, and every error names the record and
+the field it comes from: "<record>, <field>: <rule>".
 
 Canonical file formats (UTF-8 JSON):
 
@@ -58,16 +60,13 @@ from .chaining import SituationNode
 from .frame_model import (
     NULL_NOUN,
     PLACE_ROLE,
-    AnnotatedImage,
     BoundingBox,
     FrameModelError,
     GroundedFrame,
     NounVocabulary,
-    PredictionRecord,
     VerbLexicon,
 )
 from .fusion import DetectionSet, FusionError
-from .geometry import box_array
 from .retrieval import DetectionList, RetrievalError, SituationPrediction
 
 SENTINEL_BOX = [-1, -1, -1, -1]
@@ -98,22 +97,12 @@ def _gc_paused(loader):
     return paused
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """A dataset built by a library caller; `load_dataset` returns a DatasetTable."""
-
-    lexicon: VerbLexicon
-    vocabulary: NounVocabulary
-    images: tuple  # of AnnotatedImage
-
-
 @dataclass(frozen=True, eq=False)
 class DatasetTable:
     """Ground truth as columns: one entry per image, one gt box row per role slot.
 
     Image `k` has the lexicon's roles for `verbs[k]`, in that order, and
-    slots `starts[k]:starts[k + 1]` of `boxes`. `images` builds the
-    AnnotatedImages when first read.
+    slots `starts[k]:starts[k + 1]` of `boxes`.
     """
 
     lexicon: VerbLexicon
@@ -125,50 +114,12 @@ class DatasetTable:
     starts: list  # per image: its first slot; one more entry closes the last image
     boxes: np.ndarray  # (n_slots, 4) float64 merged gt boxes, a NaN row for an ungrounded role
 
-    @classmethod
-    def from_dataset(cls, dataset: Dataset) -> "DatasetTable":
-        """The table of a library-built Dataset. Image ids must be unique, and
-        each image must have the lexicon's roles for its verb."""
-        ids, verbs, sizes, annotations, starts, boxes, seen = [], [], [], [], [0], [], set()
-        for k, img in enumerate(dataset.images):
-            if img.image_id in seen:
-                raise EvaluationError(f"image {img.image_id!r}: duplicate image id (image #{k})")
-            seen.add(img.image_id)
-            roles = dataset.lexicon.entries.get(img.verb)
-            if img.roles != roles:
-                raise EvaluationError(f"image {img.image_id!r}: roles {img.roles} are not "
-                                      f"the lexicon's roles of {img.verb!r}")
-            ids.append(img.image_id)
-            verbs.append(img.verb)
-            sizes.append((img.width, img.height))
-            annotations.append(tuple(f.nouns for f in img.annotator_frames))
-            boxes.extend(map(img.gt_groundings.get, roles))
-            starts.append(len(boxes))
-        return cls(dataset.lexicon, dataset.vocabulary, ids, verbs, sizes, annotations, starts,
-                   box_array(boxes))
-
-    @functools.cached_property
-    def images(self) -> tuple:
-        """The AnnotatedImages, built on first use and kept."""
-        rows = self.boxes.tolist()
-        images = []
-        for k, (image_id, verb, (width, height), annotated) in enumerate(
-                zip(self.ids, self.verbs, self.sizes, self.annotations)):
-            roles = self.lexicon.roles(verb)
-            frames = tuple(GroundedFrame(tuple(zip(roles, nouns)), (None,) * len(roles))
-                           for nouns in annotated)
-            gt = {role: None if b[0] != b[0] else BoundingBox(*b)
-                  for role, b in zip(roles, rows[self.starts[k]:self.starts[k + 1]])}
-            images.append(AnnotatedImage(image_id, width, height, verb, frames, gt))
-        return tuple(images)
-
 
 @dataclass(frozen=True, eq=False)
 class PredictionTable:
     """Model outputs as columns: one entry per record, one row per frame.
 
     Row `row` holds role slots `starts[row]:starts[row + 1]` of `boxes`.
-    Iterating yields one PredictionRecord per record, built on demand.
     """
 
     ids: list  # per record: its image id
@@ -179,39 +130,11 @@ class PredictionTable:
     starts: list  # per row: its first slot; one more entry closes the last row
     boxes: np.ndarray  # (n_slots, 4) float64, a NaN row for an ungrounded slot
 
-    @classmethod
-    def from_records(cls, records) -> "PredictionTable":
-        """The table of PredictionRecords, whose image ids must be unique; each
-        frame's row keeps the frame's role order."""
-        ids, rankings, frames, roles, nouns, starts, boxes, seen = [], [], [], [], [], [0], [], set()
-        for index, rec in enumerate(records):
-            if rec.image_id in seen:
-                raise EvaluationError(f"prediction {rec.image_id!r}: duplicate id (record #{index})")
-            seen.add(rec.image_id)
-            rows = {}
-            for verb, frame in rec.frames.items():
-                rows[verb] = len(roles)
-                roles.append(frame.roles)
-                nouns.append(frame.nouns)
-                boxes.extend(frame.groundings)
-                starts.append(len(boxes))
-            ids.append(rec.image_id)
-            rankings.append(tuple(rec.verb_ranking))
-            frames.append(rows)
-        return cls(ids, rankings, frames, roles, nouns, starts, box_array(boxes))
-
-    def __iter__(self):
-        for image_id, ranking, rows in zip(self.ids, self.rankings, self.frames):
-            yield PredictionRecord(image_id, ranking,
-                                   {verb: self.frame(row) for verb, row in rows.items()})
-
-    def frame(self, row: int, grounded: bool = True) -> GroundedFrame:
-        """Row `row` as a GroundedFrame; with `grounded` false, every role is ungrounded."""
+    def frame(self, row: int) -> GroundedFrame:
+        """Row `row`'s roles and nouns as a GroundedFrame with no grounding: what
+        `assign_groundings` grounds."""
         role_values = tuple(zip(self.roles[row], self.nouns[row]))
-        if not grounded:
-            return GroundedFrame(role_values, (None,) * len(role_values))
-        rows = self.boxes[self.starts[row]:self.starts[row + 1]].tolist()
-        return GroundedFrame(role_values, tuple(None if b[0] != b[0] else BoundingBox(*b) for b in rows))
+        return GroundedFrame(role_values, (None,) * len(role_values))
 
 
 def parse_lexicon(source) -> VerbLexicon:
@@ -734,17 +657,15 @@ def load_boxes(source) -> list:
     return list(_box_list(_read_json(source), "boxes"))
 
 
-def compute_stats(dataset) -> dict:
+def compute_stats(table: DatasetTable) -> dict:
     """Corpus statistics: noun-slot counts, grounding rates, scale/aspect samples.
 
-    `dataset` is a DatasetTable, or a Dataset, which is put into one first.
     A noun slot is one (image, annotator, role) triple; a slot is grounded
     when its noun is non-null and the merged gt box for its role exists.
     grounded_fraction = grounded / non-null slots, rounded to 4 places;
     scale = max(box_w/img_w, box_h/img_h); aspect = box_h/box_w. Returns
     the report as it is written.
     """
-    table = dataset if isinstance(dataset, DatasetTable) else DatasetTable.from_dataset(dataset)
     roles = list(map(table.lexicon.roles, table.verbs))  # per image
     n_roles = list(map(len, roles))
     boxed = (~np.isnan(table.boxes[:, 0])).tolist()  # per role slot

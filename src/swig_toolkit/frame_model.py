@@ -7,7 +7,7 @@ structural error, not a null value.
 
 Each fact has one owner: a frame's verb belongs to the record that holds
 the frame, a verb's roles to the lexicon. A type's error names its field,
-and the loader that builds the type names the record.
+and its loader names the record. Records are `dataset_io` tables.
 """
 
 from __future__ import annotations
@@ -137,42 +137,6 @@ class GroundedFrame:
             if r == role:
                 return self.groundings[i]
         raise KeyError(role)
-
-
-@dataclass(frozen=True)
-class AnnotatedImage:
-    """Ground-truth record: three annotator frames plus merged per-role boxes."""
-
-    image_id: str
-    width: int
-    height: int
-    verb: str
-    annotator_frames: tuple  # exactly 3 GroundedFrames, nouns only
-    gt_groundings: dict  # role -> Optional[BoundingBox], merged
-
-    def __post_init__(self):
-        if len(self.annotator_frames) != 3:
-            raise FrameModelError(f"annotator_frames: {len(self.annotator_frames)} frames, not 3")
-
-    @property
-    def roles(self) -> tuple:
-        return self.annotator_frames[0].roles
-
-
-@dataclass(frozen=True)
-class PredictionRecord:
-    """Model output: ranked verb hypotheses and per-verb predicted frames."""
-
-    image_id: str
-    verb_ranking: tuple  # of verb ids, best first
-    frames: dict  # verb -> GroundedFrame
-
-    def __post_init__(self):
-        if not self.verb_ranking:
-            raise FrameModelError("verb_ranking: must not be empty")
-        for verb in self.frames:
-            if verb not in self.verb_ranking:
-                raise FrameModelError(f"frames[{verb!r}]: verb not in the ranking")
 
 
 def frame_to_json(frame: GroundedFrame) -> dict:

@@ -65,13 +65,12 @@ def _rows(boxes) -> np.ndarray:
     return np.asarray(boxes, dtype=np.float64)
 
 
-def evaluate(dataset, predictions, setting: VerbSetting,
+def evaluate(dataset: DatasetTable, predictions: PredictionTable, setting: VerbSetting,
              value_all_mode: ValueAllMode = ValueAllMode.ANY_PER_ROLE) -> dict:
     """Score predictions against the dataset under one verb setting.
 
-    `dataset` is a DatasetTable, or a Dataset, which is put into one first;
-    `predictions` is a PredictionTable, or PredictionRecords, likewise.
-    Per-verb value = passed role slots / total role slots over that verb's
+    `dataset` and `predictions` are what `load_dataset` and `load_predictions`
+    return. Per-verb value = passed role slots / total role slots over that verb's
     images; the *_all metrics count whole images. Every dataset image must
     have a prediction, and every prediction must name a dataset image. A
     predicted frame for the image's verb must list the verb's roles in the
@@ -81,18 +80,15 @@ def evaluate(dataset, predictions, setting: VerbSetting,
     "per_verb": {verb: {metric: fraction}}, "counts": {verb: {"images": n,
     "role_slots": n}}}.
     """
-    gt = dataset if isinstance(dataset, DatasetTable) else DatasetTable.from_dataset(dataset)
-    if not gt.ids:
+    if not dataset.ids:
         raise EvaluationError("the dataset holds no images: there is nothing to evaluate")
-    table = (predictions if isinstance(predictions, PredictionTable)
-             else PredictionTable.from_records(predictions))
-    record_of = {image_id: r for r, image_id in enumerate(table.ids)}
-    missing = [image_id for image_id in gt.ids if image_id not in record_of]
+    record_of = {image_id: r for r, image_id in enumerate(predictions.ids)}
+    missing = [image_id for image_id in dataset.ids if image_id not in record_of]
     if missing:
         more = f" (and {len(missing) - 1} more)" if len(missing) > 1 else ""
         raise EvaluationError(f"image {missing[0]!r}: no prediction{more}")
-    known = set(gt.ids)
-    stray = [image_id for image_id in table.ids if image_id not in known]
+    known = set(dataset.ids)
+    stray = [image_id for image_id in predictions.ids if image_id not in known]
     if stray:
         more = f" (and {len(stray) - 1} more)" if len(stray) > 1 else ""
         raise EvaluationError(f"prediction {stray[0]!r}: no such image in the dataset{more}")
@@ -102,13 +98,14 @@ def evaluate(dataset, predictions, setting: VerbSetting,
     code = {}  # verb -> its column in the per-verb counts
     verbs, verb_ok, n_roles, value_all = [], [], [], []  # per image
     owner, slots, gt_slots, noun_ok = [], [], [], []  # per role slot that can earn credit
-    for k, (image_id, verb, annotated) in enumerate(zip(gt.ids, gt.verbs, gt.annotations)):
-        r, roles = record_of[image_id], gt.lexicon.roles(verb)
-        row = table.frames[r].get(verb)
-        if row is not None and table.roles[row] != roles:
+    for k, (image_id, verb, annotated) in enumerate(
+            zip(dataset.ids, dataset.verbs, dataset.annotations)):
+        r, roles = record_of[image_id], dataset.lexicon.roles(verb)
+        row = predictions.frames[r].get(verb)
+        if row is not None and predictions.roles[row] != roles:
             raise EvaluationError(f"prediction {image_id!r}, frames[{verb!r}]: "
-                                  f"roles {table.roles[row]} differ from the verb's {roles}")
-        correct = ranks is None or verb in table.rankings[r][:ranks]
+                                  f"roles {predictions.roles[row]} differ from the verb's {roles}")
+        correct = ranks is None or verb in predictions.rankings[r][:ranks]
         verbs.append(code.setdefault(verb, len(code)))
         verb_ok.append(correct)
         n_roles.append(len(roles))
@@ -116,17 +113,17 @@ def evaluate(dataset, predictions, setting: VerbSetting,
         if not correct or row is None:
             value_all.append(False)
             continue
-        predicted = table.nouns[row]
+        predicted = predictions.nouns[row]
         hits = list(map(score_noun, predicted, zip(*annotated)))
         value_all.append(predicted in annotated if single else all(hits))
         noun_ok += hits
         owner += [k] * len(roles)
-        slots += range(table.starts[row], table.starts[row + 1])
-        gt_slots += range(gt.starts[k], gt.starts[k + 1])
+        slots += range(predictions.starts[row], predictions.starts[row + 1])
+        gt_slots += range(dataset.starts[k], dataset.starts[k + 1])
 
     noun_ok = np.array(noun_ok, dtype=bool)
-    grounded = noun_ok & score_grounding(table.boxes[np.array(slots, dtype=np.intp)],
-                                         gt.boxes[np.array(gt_slots, dtype=np.intp)])
+    grounded = noun_ok & score_grounding(predictions.boxes[np.array(slots, dtype=np.intp)],
+                                         dataset.boxes[np.array(gt_slots, dtype=np.intp)])
     owner, verbs = np.array(owner, dtype=np.intp), np.array(verbs, dtype=np.intp)
     n_roles, value_all = np.array(n_roles, dtype=np.intp), np.array(value_all, dtype=bool)
     all_grounded = value_all & (np.bincount(owner[grounded], minlength=len(verbs)) == n_roles)

@@ -1,16 +1,17 @@
 import random
+from collections import namedtuple
 
 import pytest
 
 from swig_toolkit import (
-    AnnotatedImage,
     BoundingBox,
-    Dataset,
     GroundedFrame,
     NounVocabulary,
-    PredictionRecord,
     VerbLexicon,
+    load_dataset,
+    load_predictions,
 )
+from swig_toolkit.frame_model import frame_to_json
 
 LEXICON_ROLES = {
     "kneading": ("Agent", "Item", "Place"),
@@ -22,6 +23,13 @@ LEXICON_ROLES = {
 
 NOUNS = ("man", "woman", "dough", "bread", "sofa", "table", "dog", "cat",
          "kitchen", "street", "classroom", "book", "bag", "student")
+
+
+# test-local plain records with the attribute names `oracles.evaluate_naive` reads; the
+# toolkit reads them only as files, written by `dataset_json` and `prediction_json`
+Image = namedtuple("Image", "image_id width height verb annotator_frames gt_groundings")
+Prediction = namedtuple("Prediction", "image_id verb_ranking frames")
+Split = namedtuple("Split", "lexicon vocabulary images")
 
 
 @pytest.fixture
@@ -61,7 +69,7 @@ def random_image(rng, lexicon, image_id, verb=None):
             gt[role] = make_box(rng)
         else:
             gt[role] = None
-    return AnnotatedImage(image_id, 100, 100, verb, tuple(frames), gt)
+    return Image(image_id, 100, 100, verb, tuple(frames), gt)
 
 
 def random_dataset(rng, lexicon, vocabulary, n_verbs=3, images_per_verb=4):
@@ -70,7 +78,7 @@ def random_dataset(rng, lexicon, vocabulary, n_verbs=3, images_per_verb=4):
     for verb in verbs:
         for i in range(images_per_verb):
             images.append(random_image(rng, lexicon, f"{verb}_{i}.jpg", verb))
-    return Dataset(lexicon, vocabulary, tuple(images))
+    return Split(lexicon, vocabulary, tuple(images))
 
 
 def random_prediction(rng, lexicon, image, quality=0.5):
@@ -100,7 +108,7 @@ def random_prediction(rng, lexicon, image, quality=0.5):
             values.append((role, noun))
             boxes.append(box)
         frames[verb] = GroundedFrame(tuple(values), tuple(boxes))
-    return PredictionRecord(image.image_id, tuple(ranking), frames)
+    return Prediction(image.image_id, tuple(ranking), frames)
 
 
 def perfect_prediction(image):
@@ -116,7 +124,33 @@ def perfect_prediction(image):
         values.append((role, noun))
         boxes.append(gt_box if noun != "" else None)
     perfect = GroundedFrame(tuple(values), tuple(boxes))
-    return PredictionRecord(image.image_id, (image.verb,), {image.verb: perfect})
+    return Prediction(image.image_id, (image.verb,), {image.verb: perfect})
+
+
+def dataset_json(image):
+    """An Image in the dataset file form."""
+    return {"id": image.image_id, "width": image.width, "height": image.height,
+            "verb": image.verb, "frames": [dict(f.role_values) for f in image.annotator_frames],
+            "boxes": {role: None if box is None else box.as_list()
+                      for role, box in image.gt_groundings.items()}}
+
+
+def prediction_json(prediction):
+    """A Prediction in the prediction file form."""
+    return {"id": prediction.image_id, "verbs": list(prediction.verb_ranking),
+            "frames": {verb: frame_to_json(f) for verb, f in prediction.frames.items()}}
+
+
+def load_split(split):
+    """The DatasetTable of a Split, read from its file form."""
+    return load_dataset([dataset_json(image) for image in split.images],
+                        {verb: list(roles) for verb, roles in split.lexicon.entries.items()},
+                        sorted(split.vocabulary.ids))
+
+
+def load_preds(predictions, lexicon):
+    """The PredictionTable of Predictions, read from their file form."""
+    return load_predictions([prediction_json(p) for p in predictions], lexicon)
 
 
 @pytest.fixture

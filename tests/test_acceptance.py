@@ -18,11 +18,9 @@ import pytest
 
 from swig_toolkit import (
     BoundingBox,
-    Dataset,
     FocalParams,
     GroundedFrame,
     LossParts,
-    PredictionRecord,
     ScoredBox,
     SmoothingParams,
     VerbSetting,
@@ -45,10 +43,12 @@ from swig_toolkit.cli import main as cli_main
 from swig_toolkit.fusion import DetectionSet, assign_groundings
 
 from conftest import (
+    Prediction,
+    load_preds,
+    load_split,
     make_box,
     perfect_prediction,
     random_dataset,
-    random_image,
     random_prediction,
 )
 from oracles import (
@@ -95,31 +95,34 @@ def test_criterion_2_metric_fixpoints_and_dominance(lexicon, vocabulary):
 
     # perfect predictions: exactly 1.0 everywhere, all settings
     dataset = random_dataset(rng, lexicon, vocabulary, n_verbs=5, images_per_verb=4)
-    perfect = [perfect_prediction(img) for img in dataset.images]
+    table = load_split(dataset)
+    perfect = load_preds([perfect_prediction(img) for img in dataset.images], lexicon)
     for setting in VerbSetting:
-        rep = evaluate(dataset, perfect, setting)
+        rep = evaluate(table, perfect, setting)
         assert all(v == 1.0 for v in rep["macro"].values()), setting
 
     # adversarial predictions: nouns never match any annotator
     adversarial = []
     for img in dataset.images:
-        roles = img.roles
+        roles = lexicon.roles(img.verb)
         values = tuple((role, "never-a-real-noun") for role in roles)
         frame = GroundedFrame(values, (None,) * len(roles))
         adversarial.append(
-            PredictionRecord(img.image_id, (img.verb,), {img.verb: frame})
+            Prediction(img.image_id, (img.verb,), {img.verb: frame})
         )
+    adversarial = load_preds(adversarial, lexicon)
     for setting in VerbSetting:
-        rep = evaluate(dataset, adversarial, setting)
+        rep = evaluate(table, adversarial, setting)
         assert rep["macro"]["value"] == 0.0
         assert rep["macro"]["value_all"] == 0.0
 
     # dominance chains on 1000 randomized fixtures
     for _ in range(1000):
         ds = random_dataset(rng, lexicon, vocabulary, n_verbs=1, images_per_verb=2)
-        preds = [random_prediction(rng, lexicon, img) for img in ds.images]
+        table = load_split(ds)
+        preds = load_preds([random_prediction(rng, lexicon, img) for img in ds.images], lexicon)
         for setting in VerbSetting:
-            row = evaluate(ds, preds, setting)["macro"]
+            row = evaluate(table, preds, setting)["macro"]
             assert row["grounded_value"] <= row["value"] + 1e-12
             assert row["grounded_value_all"] <= row["value_all"] + 1e-12
             assert row["value_all"] <= row["value"] + 1e-12
@@ -134,8 +137,9 @@ def test_criterion_3_metric_oracle_equivalence(lexicon, vocabulary):
             n_verbs=rng.randint(1, 5), images_per_verb=rng.randint(1, 2),
         )
         preds = [random_prediction(rng, lexicon, img) for img in ds.images]
+        table, predictions = load_split(ds), load_preds(preds, lexicon)
         for setting in VerbSetting:
-            rep = evaluate(ds, preds, setting)
+            rep = evaluate(table, predictions, setting)
             expected = evaluate_naive(ds, preds, setting.value)
             macro = expected.pop("_macro")
             assert rep["per_verb"] == expected

@@ -1,8 +1,10 @@
+import gc
 import json
 
 import numpy as np
 import pytest
 
+from swig_toolkit import cli
 from swig_toolkit.chaining import chain
 from swig_toolkit.cli import main
 from swig_toolkit.dataset_io import compute_stats, load_chain_nodes, load_dataset, load_predictions
@@ -102,17 +104,19 @@ class TestEval:
                     "--vocab", workspace / "vocab.json", "--out", "-"]) == 1
 
 
+DETECTIONS = [
+    {
+        "id": "img1.jpg",
+        "boxes": [[0, 0, 50, 80], [20, 30, 40, 50]],
+        "nouns": ["man", "dough", "kitchen"],
+        "noun_scores": [[3.0, -9.0, 0.0], [-9.0, 5.0, 0.0]],
+    }
+]
+
+
 class TestFuse:
     def test_boxes_assigned(self, workspace, capsys):
-        detections = [
-            {
-                "id": "img1.jpg",
-                "boxes": [[0, 0, 50, 80], [20, 30, 40, 50]],
-                "nouns": ["man", "dough", "kitchen"],
-                "noun_scores": [[3.0, -9.0, 0.0], [-9.0, 5.0, 0.0]],
-            }
-        ]
-        (workspace / "dets.json").write_text(json.dumps(detections))
+        (workspace / "dets.json").write_text(json.dumps(DETECTIONS))
         out = workspace / "fused.json"
         assert run(["fuse", "--frames", workspace / "preds.json",
                     "--detections", workspace / "dets.json",
@@ -122,6 +126,25 @@ class TestFuse:
         assert frame["boxes"]["Agent"] == [0, 0, 50, 80]
         assert frame["boxes"]["Item"] == [20, 30, 40, 50]
         assert frame["boxes"]["Place"] is None
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
+    def test_the_collector_is_paused_while_fusing_and_restored(self, workspace, monkeypatch,
+                                                               enabled):
+        (workspace / "dets.json").write_text(json.dumps(DETECTIONS))
+        during = []
+        assign = cli.assign_groundings
+        monkeypatch.setattr(cli, "assign_groundings",
+                            lambda *a: (during.append(gc.isenabled()), assign(*a))[1])
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert run(["fuse", "--frames", workspace / "preds.json",
+                        "--detections", workspace / "dets.json",
+                        "--lexicon", workspace / "lexicon.json", "--out", workspace / "f.json"]) == 0
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert during == [False]
 
 
 class TestRetrieve:

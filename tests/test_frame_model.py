@@ -1,13 +1,6 @@
 import pytest
 
-from swig_toolkit import (
-    AnnotatedImage,
-    BoundingBox,
-    GroundedFrame,
-    NounVocabulary,
-    PredictionRecord,
-    VerbLexicon,
-)
+from swig_toolkit import BoundingBox, GroundedFrame, NounVocabulary, VerbLexicon
 from swig_toolkit.frame_model import FrameModelError
 
 
@@ -65,13 +58,3 @@ def test_grounding_of_a_role_the_frame_lacks_is_a_key_error():
     with pytest.raises(KeyError, match="Tool"):
         GroundedFrame((("Agent", "man"),), (None,)).grounding_of("Tool")
 
-
-def test_an_image_needs_three_annotator_frames():
-    frame = GroundedFrame((("Agent", "man"),), (None,))
-    with pytest.raises(FrameModelError, match="2 frames, not 3"):
-        AnnotatedImage("img", 10, 10, "jumping", (frame, frame), {"Agent": None})
-
-
-def test_a_prediction_needs_a_verb_ranking():
-    with pytest.raises(FrameModelError, match="verb_ranking"):
-        PredictionRecord("img", (), {})

@@ -502,6 +502,14 @@ def test_gradcheck_trials_below_one_is_one_error(trials):
     assert err == f"error: --trials must be >= 1, got {trials}\n", err
 
 
+@pytest.mark.parametrize("subcommand", ["anchors", "gradcheck"])
+def test_a_negative_seed_is_one_error_naming_it(tmp_path, subcommand):
+    write_files(tmp_path, valid_files())
+    argv = command("anchors", tmp_path) if subcommand == "anchors" else ["gradcheck", "--out", "-"]
+    status, out, err = run([*argv, "--seed", "-1"])
+    assert (status, out, err) == (1, "", "error: --seed must be >= 0, got -1\n")
+
+
 def test_eval_on_an_empty_dataset_is_one_error(tmp_path):
     files = valid_files()
     files["dataset.json"], files["preds.json"] = [], []
@@ -727,12 +735,10 @@ def test_a_prediction_box_is_accepted_exactly_when_parse_box_accepts_it(box):
             load_predictions(preds, parse_lexicon(LEXICON))
         assert str(got.value) == str(e)
         return
-    (record,) = load_predictions(preds, parse_lexicon(LEXICON))
-
-    def bits(box):  # -0.0 and 0.0 compare equal; their hex forms do not
-        return None if box is None else [c.hex() for c in box.as_list()]
-
-    assert bits(record.frames["jumping"].groundings[0]) == bits(expected)
+    row = load_predictions(preds, parse_lexicon(LEXICON)).boxes[0].tolist()
+    # -0.0 and 0.0 compare equal; their hex forms do not
+    assert (None if row[0] != row[0] else [c.hex() for c in row]) == (
+        None if expected is None else [c.hex() for c in expected.as_list()])
 
 
 @pytest.mark.parametrize("nouns", [[], ["man", "dough"]], ids=["no-nouns", "nouns"])

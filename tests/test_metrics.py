@@ -5,25 +5,32 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swig_toolkit import (
-    AnnotatedImage,
     BoundingBox,
-    Dataset,
     GroundedFrame,
-    NounVocabulary,
-    PredictionRecord,
     ValueAllMode,
+    VerbLexicon,
     VerbSetting,
     evaluate,
     macro_average,
     score_grounding,
     score_noun,
 )
-from swig_toolkit.dataset_io import compute_stats, load_dataset, load_predictions
-from swig_toolkit.frame_model import AnnotatedImage, frame_to_json
+from swig_toolkit.dataset_io import DatasetError, compute_stats, load_dataset, load_predictions
 from swig_toolkit.geometry import box_array
 from swig_toolkit.metrics import EvaluationError
-from conftest import NOUNS, perfect_prediction, random_dataset, random_prediction
-from oracles import evaluate_naive, iou_exact
+from conftest import (
+    Image,
+    Prediction,
+    Split,
+    dataset_json,
+    load_preds,
+    load_split,
+    perfect_prediction,
+    prediction_json,
+    random_dataset,
+    random_prediction,
+)
+from oracles import compute_stats_naive, evaluate_naive, iou_exact, load_dataset_naive
 
 
 class TestScoreNoun:
@@ -85,8 +92,7 @@ def two_image_fixture(lexicon, vocabulary):
     def image(image_id):
         values = (("Agent", "man"), ("Item", "dough"), ("Place", "kitchen"))
         frames = tuple(GroundedFrame(values, (None, None, None)) for _ in range(3))
-        return AnnotatedImage(image_id, 100, 100, verb, frames,
-                              {"Agent": box, "Item": box, "Place": None})
+        return Image(image_id, 100, 100, verb, frames, {"Agent": box, "Item": box, "Place": None})
 
     img_a, img_b = image("a.jpg"), image("b.jpg")
     # A: all 3 roles correct and grounded
@@ -100,16 +106,16 @@ def two_image_fixture(lexicon, vocabulary):
         (off_box, box, None),
     )
     preds = [
-        PredictionRecord("a.jpg", (verb,), {verb: frame_a}),
-        PredictionRecord("b.jpg", (verb,), {verb: frame_b}),
+        Prediction("a.jpg", (verb,), {verb: frame_a}),
+        Prediction("b.jpg", (verb,), {verb: frame_b}),
     ]
-    return Dataset(lexicon, vocabulary, (img_a, img_b)), preds
+    return Split(lexicon, vocabulary, (img_a, img_b)), preds
 
 
 class TestEvaluate:
     def test_hand_computed_slot_accounting(self, lexicon, vocabulary):
         dataset, preds = two_image_fixture(lexicon, vocabulary)
-        report = evaluate(dataset, preds, VerbSetting.GROUND_TRUTH_VERB)
+        report = evaluate(load_split(dataset), load_preds(preds, lexicon), VerbSetting.GROUND_TRUTH_VERB)
         row = report["per_verb"]["kneading"]
         assert row["value"] == pytest.approx(5 / 6)
         assert row["grounded_value"] == pytest.approx(4 / 6)
@@ -119,40 +125,41 @@ class TestEvaluate:
 
     def test_perfect_predictions_are_all_ones(self, rng, lexicon, vocabulary):
         dataset = random_dataset(rng, lexicon, vocabulary)
-        preds = [perfect_prediction(img) for img in dataset.images]
+        preds = load_preds([perfect_prediction(img) for img in dataset.images], lexicon)
         for setting in VerbSetting:
-            report = evaluate(dataset, preds, setting)
+            report = evaluate(load_split(dataset), preds, setting)
             for metric, value in report["macro"].items():
                 assert value == 1.0, (setting, metric)
 
     def test_wrong_top_verb_zeroes_everything(self, lexicon, vocabulary):
         dataset, preds = two_image_fixture(lexicon, vocabulary)
-        wrong = [
-            PredictionRecord(p.image_id, ("jumping", "kneading"), p.frames)
-            for p in preds
-        ]
-        report = evaluate(dataset, wrong, VerbSetting.TOP1)
+        wrong = load_preds([Prediction(p.image_id, ("jumping", "kneading"), p.frames)
+                            for p in preds], lexicon)
+        report = evaluate(load_split(dataset), wrong, VerbSetting.TOP1)
         assert all(v == 0.0 for v in report["per_verb"]["kneading"].values())
         # under top-5 the gt verb is in the ranking, so credit returns
-        report5 = evaluate(dataset, wrong, VerbSetting.TOP5)
+        report5 = evaluate(load_split(dataset), wrong, VerbSetting.TOP5)
         assert report5["per_verb"]["kneading"]["verb_acc"] == 1.0
         assert report5["per_verb"]["kneading"]["value"] > 0
 
     def test_missing_prediction_errors(self, lexicon, vocabulary):
         dataset, preds = two_image_fixture(lexicon, vocabulary)
         with pytest.raises(EvaluationError, match="b.jpg"):
-            evaluate(dataset, preds[:1], VerbSetting.TOP1)
+            evaluate(load_split(dataset), load_preds(preds[:1], lexicon), VerbSetting.TOP1)
 
     @pytest.mark.parametrize("setting", list(VerbSetting))
     def test_role_list_mismatch_errors(self, lexicon, vocabulary, setting):
         dataset, preds = two_image_fixture(lexicon, vocabulary)
         frame = preds[1].frames["kneading"]
         reordered = GroundedFrame(frame.role_values[::-1], frame.groundings[::-1])
-        preds[1] = PredictionRecord("b.jpg", ("jumping", "kneading"), {"kneading": reordered})
+        preds[0] = Prediction("a.jpg", ("kneading",), {})
+        preds[1] = Prediction("b.jpg", ("jumping", "kneading"), {"kneading": reordered})
         # the oracle looks roles up by name; the evaluator refuses rather than zeroing
         assert evaluate_naive(dataset, preds, setting.value)
+        # a lexicon with kneading's roles reversed reads b.jpg's frame in that order
+        reversed_roles = VerbLexicon(dict(lexicon.entries, kneading=reordered.roles))
         with pytest.raises(EvaluationError) as e:
-            evaluate(dataset, preds, setting)
+            evaluate(load_split(dataset), load_preds(preds, reversed_roles), setting)
         assert str(e.value) == (
             "prediction 'b.jpg', frames['kneading']: roles ('Place', 'Item', 'Agent') "
             "differ from the verb's ('Agent', 'Item', 'Place')")
@@ -160,9 +167,10 @@ class TestEvaluate:
     def test_dominance_chain(self, rng, lexicon, vocabulary):
         for _ in range(20):
             dataset = random_dataset(rng, lexicon, vocabulary)
-            preds = [random_prediction(rng, lexicon, img) for img in dataset.images]
+            preds = load_preds([random_prediction(rng, lexicon, img) for img in dataset.images],
+                               lexicon)
             for setting in VerbSetting:
-                report = evaluate(dataset, preds, setting)
+                report = evaluate(load_split(dataset), preds, setting)
                 for row in report["per_verb"].values():
                     assert row["grounded_value"] <= row["value"] + 1e-12
                     assert row["grounded_value_all"] <= row["value_all"] + 1e-12
@@ -170,13 +178,13 @@ class TestEvaluate:
 
     def test_image_order_invariance(self, rng, lexicon, vocabulary):
         dataset = random_dataset(rng, lexicon, vocabulary)
-        preds = [random_prediction(rng, lexicon, img) for img in dataset.images]
+        preds = load_preds([random_prediction(rng, lexicon, img) for img in dataset.images], lexicon)
         shuffled_images = list(dataset.images)
         rng.shuffle(shuffled_images)
-        shuffled = Dataset(lexicon, vocabulary, tuple(shuffled_images))
+        shuffled = Split(lexicon, vocabulary, tuple(shuffled_images))
         for setting in VerbSetting:
-            a = evaluate(dataset, preds, setting)
-            b = evaluate(shuffled, preds, setting)
+            a = evaluate(load_split(dataset), preds, setting)
+            b = evaluate(load_split(shuffled), preds, setting)
             assert a["per_verb"] == b["per_verb"] and a["macro"] == b["macro"]
 
     def test_matches_brute_force_oracle(self, rng, lexicon, vocabulary):
@@ -187,7 +195,7 @@ class TestEvaluate:
             )
             preds = [random_prediction(rng, lexicon, img) for img in dataset.images]
             for setting in VerbSetting:
-                report = evaluate(dataset, preds, setting)
+                report = evaluate(load_split(dataset), load_preds(preds, lexicon), setting)
                 expected = evaluate_naive(dataset, preds, setting.value)
                 macro = expected.pop("_macro")
                 assert report["per_verb"] == expected
@@ -196,8 +204,8 @@ class TestEvaluate:
     def test_single_annotator_value_all_mode(self, lexicon, vocabulary):
         dataset, preds = two_image_fixture(lexicon, vocabulary)
         # image A's frame matches annotator frames exactly, so both modes agree here
-        report = evaluate(dataset, preds, VerbSetting.GROUND_TRUTH_VERB,
-                          ValueAllMode.SINGLE_ANNOTATOR)
+        report = evaluate(load_split(dataset), load_preds(preds, lexicon),
+                          VerbSetting.GROUND_TRUTH_VERB, ValueAllMode.SINGLE_ANNOTATOR)
         assert report["per_verb"]["kneading"]["value_all"] == pytest.approx(1 / 2)
 
     def test_single_annotator_matches_brute_force_oracle(self, lexicon, vocabulary):
@@ -209,15 +217,16 @@ class TestEvaluate:
                 n_verbs=rng.randint(1, 5), images_per_verb=rng.randint(1, 2),
             )
             preds = [random_prediction(rng, lexicon, img) for img in dataset.images]
+            table, predictions = load_split(dataset), load_preds(preds, lexicon)
             for setting in VerbSetting:
-                report = evaluate(dataset, preds, setting, ValueAllMode.SINGLE_ANNOTATOR)
+                report = evaluate(table, predictions, setting, ValueAllMode.SINGLE_ANNOTATOR)
                 expected = evaluate_naive(dataset, preds, setting.value,
                                           value_all_mode="single-annotator")
                 macro = expected.pop("_macro")
                 assert report["per_verb"] == expected
                 assert report["macro"] == macro
                 credited |= macro["value_all"] > 0
-                differs |= macro != evaluate(dataset, preds, setting)["macro"]
+                differs |= macro != evaluate(table, predictions, setting)["macro"]
         assert credited and differs  # the splits tell the two modes apart
 
 
@@ -263,74 +272,70 @@ def test_loading_and_scoring_predictions_builds_no_box_or_frame(rng, lexicon, vo
                                                                  monkeypatch):
     dataset = random_dataset(rng, lexicon, vocabulary, n_verbs=5)
     records = [random_prediction(rng, lexicon, img) for img in dataset.images]
-    payload = [{"id": p.image_id, "verbs": list(p.verb_ranking),
-                "frames": {verb: frame_to_json(f) for verb, f in p.frames.items()}} for p in records]
+    payload = [prediction_json(p) for p in records]
+    table = load_split(dataset)
     built = []
     for cls in (BoundingBox, GroundedFrame):
         monkeypatch.setattr(cls, "__post_init__",
                             lambda self, check=cls.__post_init__: (built.append(self), check(self)))
-    table = load_predictions(payload, lexicon)
-    reports = [evaluate(dataset, table, setting, mode)
+    predictions = load_predictions(payload, lexicon)
+    reports = [evaluate(table, predictions, setting, mode)
                for setting in VerbSetting for mode in ValueAllMode]
     assert built == []
-    assert list(table) and built  # building the records on demand is counted
     monkeypatch.undo()
-    assert reports == [evaluate(dataset, records, setting, mode)
-                       for setting in VerbSetting for mode in ValueAllMode]
+    assert [(r["macro"], r["per_verb"]) for r in reports] == [
+        evaluate_report(dataset, records, setting, mode)
+        for setting in VerbSetting for mode in ValueAllMode]
 
 
-def dataset_json(image):
-    """An AnnotatedImage in the dataset file form."""
-    return {"id": image.image_id, "width": image.width, "height": image.height,
-            "verb": image.verb, "frames": [dict(f.role_values) for f in image.annotator_frames],
-            "boxes": {role: None if box is None else box.as_list()
-                      for role, box in image.gt_groundings.items()}}
+def evaluate_report(dataset, predictions, setting, mode):
+    """`evaluate_naive`'s (macro, per_verb) result."""
+    expected = evaluate_naive(dataset, predictions, setting.value, value_all_mode=mode.value)
+    return expected.pop("_macro"), expected
 
 
 def test_loading_and_scoring_the_dataset_builds_no_image_frame_or_box(rng, lexicon, vocabulary,
                                                                      monkeypatch):
     dataset = random_dataset(rng, lexicon, vocabulary, n_verbs=5)
     records = [random_prediction(rng, lexicon, img) for img in dataset.images]
-    preds = [{"id": p.image_id, "verbs": list(p.verb_ranking),
-              "frames": {verb: frame_to_json(f) for verb, f in p.frames.items()}} for p in records]
+    preds = [prediction_json(p) for p in records]
+    files = ([dataset_json(img) for img in dataset.images],
+             {verb: list(roles) for verb, roles in lexicon.entries.items()}, sorted(vocabulary.ids))
     built = []
-    for cls in (AnnotatedImage, BoundingBox, GroundedFrame):
+    for cls in (BoundingBox, GroundedFrame):
         monkeypatch.setattr(cls, "__post_init__",
                             lambda self, check=cls.__post_init__: (built.append(self), check(self)))
-    table = load_dataset([dataset_json(img) for img in dataset.images],
-                         {verb: list(roles) for verb, roles in lexicon.entries.items()},
-                         sorted(vocabulary.ids))
+    table = load_dataset(*files)
     reports = [evaluate(table, load_predictions(preds, table.lexicon), setting, mode)
                for setting in VerbSetting for mode in ValueAllMode]
     stats = compute_stats(table)
     assert built == []
-    assert table.images == dataset.images and built  # building the images on demand is counted
     monkeypatch.undo()
-    assert reports == [evaluate(dataset, records, setting, mode)
-                       for setting in VerbSetting for mode in ValueAllMode]
-    assert stats == compute_stats(dataset)
+    assert [(r["macro"], r["per_verb"]) for r in reports] == [
+        evaluate_report(dataset, records, setting, mode)
+        for setting in VerbSetting for mode in ValueAllMode]
+    assert stats == compute_stats_naive(load_dataset_naive(*files)[0], files[1])
 
 
 def test_a_repeated_image_id_in_a_library_dataset_is_an_error(lexicon, vocabulary):
-    dataset, preds = two_image_fixture(lexicon, vocabulary)
-    repeated = Dataset(lexicon, vocabulary, dataset.images + dataset.images[:1])
-    with pytest.raises(EvaluationError, match=r"^image 'a.jpg': duplicate image id \(image #2\)$"):
-        evaluate(repeated, preds, VerbSetting.GROUND_TRUTH_VERB)
+    dataset, _ = two_image_fixture(lexicon, vocabulary)
+    repeated = Split(lexicon, vocabulary, dataset.images + dataset.images[:1])
+    with pytest.raises(DatasetError, match=r"^image 'a.jpg': duplicate image id \(record #2\)$"):
+        load_split(repeated)
 
 
 def test_a_repeated_prediction_id_is_an_error(lexicon, vocabulary):
-    dataset, preds = two_image_fixture(lexicon, vocabulary)
-    with pytest.raises(EvaluationError, match=r"^prediction 'a.jpg': duplicate id \(record #2\)$"):
-        evaluate(dataset, preds + preds[:1], VerbSetting.GROUND_TRUTH_VERB)
+    _, preds = two_image_fixture(lexicon, vocabulary)
+    with pytest.raises(DatasetError, match=r"^prediction 'a.jpg': duplicate id \(record #2\)$"):
+        load_preds(preds + preds[:1], lexicon)
 
 
 def test_an_image_without_its_verbs_lexicon_roles_is_an_error(lexicon, vocabulary):
-    dataset, preds = two_image_fixture(lexicon, vocabulary)
+    dataset, _ = two_image_fixture(lexicon, vocabulary)
     image = dataset.images[1]
     frames = tuple(GroundedFrame(f.role_values[:2], f.groundings[:2])
                    for f in image.annotator_frames)
-    short = AnnotatedImage(image.image_id, 100, 100, image.verb, frames, image.gt_groundings)
-    with pytest.raises(EvaluationError, match=r"^image 'b.jpg': roles \('Agent', 'Item'\) are not "
-                                              r"the lexicon's roles of 'kneading'$"):
-        evaluate(Dataset(lexicon, vocabulary, (dataset.images[0], short)), preds,
-                 VerbSetting.GROUND_TRUTH_VERB)
+    short = image._replace(annotator_frames=frames)
+    with pytest.raises(DatasetError, match=r"^image 'b.jpg', frames\[0\]: missing role 'Place' "
+                                           r"\(and 2 more\)$"):
+        load_split(Split(lexicon, vocabulary, (dataset.images[0], short)))
