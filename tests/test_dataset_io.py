@@ -740,6 +740,48 @@ def test_a_faulty_file_gives_its_pinned_lines(case, form, violations, warnings):
     assert (lines, got) == (violations, warnings)
 
 
+def chain_situation(**overrides):
+    return {"verb": "jumping", "nouns": {"Agent": "man", "Place": "street"},
+            "boxes": {"Agent": [0, 0, 10, 10], "Place": None}, **overrides}
+
+
+BAD_BOX, SWAPPED = [5, 5, 1, 1], "box must satisfy x1 < x2 and y1 < y2: (5.0, 5.0, 1.0, 1.0)"
+PINNED_CHAINS = [  # (case, situations, the error: the first fault in file order)
+    ("bad-role-box-then-non-string-verb",
+     [chain_situation(boxes={"Agent": BAD_BOX}), chain_situation(verb=7)],
+     f"situation #0, boxes['Agent']: {SWAPPED}"),
+    ("bad-query-box-then-bad-role-box",
+     [chain_situation(query_box=[0, 0, "1", 1]), chain_situation(boxes={"Agent": [0, 0, 10]})],
+     "situation #0, query_box: box coordinates must be JSON numbers, got [0, 0, '1', 1]"),
+    ("bad-role-box-and-bad-query-box-in-one-node",
+     [chain_situation(boxes={"Agent": BAD_BOX}, query_box=[0, 0, 10])],
+     f"situation #0, boxes['Agent']: {SWAPPED}"),
+    ("bad-box-then-record-not-an-object",
+     [chain_situation(), chain_situation(boxes={"Place": [0, 0, True, 1]}), ["jumping"]],
+     "situation #1, boxes['Place']: box coordinates must be JSON numbers, got [0, 0, True, 1]"),
+    ("non-string-noun-on-the-role-of-a-bad-box",
+     [chain_situation(nouns={"Agent": 3, "Place": "street"}, boxes={"Agent": BAD_BOX})],
+     "situation #0, nouns['Agent']: must be a JSON string, got 3"),
+    ("bad-flag-on-the-role-of-a-bad-box",
+     [chain_situation(boxes={"Agent": BAD_BOX}, grounded={"Agent": "no"})],
+     f"situation #0, boxes['Agent']: {SWAPPED}"),
+    ("bad-flag-on-a-role-before-a-bad-box",
+     [chain_situation(boxes={"Agent": [0, 0, 10, 10], "Place": BAD_BOX}, grounded={"Agent": 0})],
+     "situation #0, grounded['Agent']: must be a JSON boolean, got 0"),
+    ("grounded-false-on-a-role-with-a-bad-box",
+     [chain_situation(boxes={"Agent": BAD_BOX}, grounded={"Agent": False}), chain_situation(verb=None)],
+     f"situation #0, boxes['Agent']: {SWAPPED}"),
+]
+
+
+@pytest.mark.parametrize("situations,error", [case[1:] for case in PINNED_CHAINS],
+                         ids=[case[0] for case in PINNED_CHAINS])
+def test_a_faulty_chain_file_gives_its_first_fault(situations, error):
+    with pytest.raises(DatasetError) as e:
+        load_chain_nodes(situations)
+    assert str(e.value) == error
+
+
 # ---- the bits of worker means and of sizes with no exact float ---------------
 
 def table_of(records, warnings=None):
