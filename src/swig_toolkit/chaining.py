@@ -26,6 +26,15 @@ class SituationNode:
     frame: GroundedFrame
     query_box: Optional[BoundingBox] = None
 
+    def __post_init__(self):  # what a chain file can hold: a string verb and nouns, distinct roles
+        if not isinstance(self.verb, str):
+            raise ValueError(f"verb: must be a string, got {self.verb!r}")
+        for role, noun in self.frame.role_values:
+            if not isinstance(noun, str):
+                raise ValueError(f"frame, nouns[{role!r}]: must be a string, got {noun!r}")
+        if len(set(self.frame.roles)) != len(self.frame.roles):
+            raise ValueError(f"frame, roles: a role is listed twice in {self.frame.roles}")
+
 
 def chain(nodes: list, spatial_iou: float = DEFAULT_SPATIAL_IOU) -> dict:
     """Build the undirected relation graph over a list of SituationNodes.

@@ -4,10 +4,10 @@ This module is the only code that reads JSON input; every reader takes a
 path (str, bytes or os.PathLike), a file object or an already-parsed JSON
 value, which is how a library caller hands in data it holds: ground truth
 and predictions have no other input form. Every box is judged by
-`parse_box`'s rules: a prediction or dataset file's boxes in one array
-pass, `_box_rows`, which hands `parse_box` only the boxes it refuses.
-Every frame is read by `_frame_row`, and every error names the record and
-the field it comes from: "<record>, <field>: <rule>".
+`parse_box`'s rules: a prediction, chain or dataset file's boxes in one
+array pass, `_box_rows`, which hands `parse_box` only the boxes it
+refuses. Every frame is read by `_FrameRows`, and every error names the
+record and the field it comes from: "<record>, <field>: <rule>".
 
 Canonical file formats (UTF-8 JSON):
 
@@ -21,7 +21,7 @@ Canonical file formats (UTF-8 JSON):
                Read into a `DatasetTable` by one walk of the records.
   frame:       {"nouns": {role: noun}, "boxes": {role: box_or_null},
                 "grounded": {role: true|false}}  ("grounded" optional)
-               The verb sits outside the frame; read by `_frame_row`,
+               The verb sits outside the frame; read by `_FrameRows`,
                written by `frame_model.frame_to_json`.
   predictions: [{"id", "verbs": [verb, ...], "frames": {verb: frame}}, ...]
                (also the `fuse` output); read into a `PredictionTable`
@@ -75,10 +75,6 @@ _JSON_NUMBER_TYPES = frozenset((int, float))  # what `json` decodes a number to;
 
 class DatasetError(ValueError):
     """Raised when a dataset, lexicon, or prediction file is malformed."""
-
-
-class EvaluationError(ValueError):
-    """Raised when predictions cannot be scored against a dataset."""
 
 
 def _gc_paused(loader):
@@ -494,95 +490,82 @@ def _by_id(source, kind: str, parse) -> dict:
     return out
 
 
-def _frame_row(raw, roles, where: str, boxes_out: list) -> tuple:
-    """Read the file form of a frame for `roles`: the one frame reader.
+class _FrameRows:
+    """The one frame reader: each frame in the file form becomes a row.
 
-    Returns the frame's nouns and "grounded" flags, parallel to `roles`, and
-    appends each role's raw box (None when it has none) to `boxes_out` for
-    `_box_rows` to judge. A role's faults come in file order: its noun, its
-    box, its flag. So a fault raised here comes first in the file only when
-    every box appended before it is good; callers check that before re-raising.
+    `read` walks a frame's roles once, in file order: each role needs a
+    string noun, its raw box is queued, and it is grounded when it has a box
+    and its "grounded" flag is not false. `boxes` judges every queued box in
+    one `_box_rows` pass. A fault `read` raises comes first in the file only
+    when every box queued before it is good, so a loader calls `boxes`
+    before re-raising it.
     """
-    raw = _check(raw, dict, where)
-    nouns = _get(raw, "nouns", dict, where, {})
-    boxes = _get(raw, "boxes", dict, where, {})
-    grounded = _get(raw, "grounded", dict, where, {})
-    values = tuple(map(nouns.get, roles))
-    flags = tuple(map(grounded.get, roles, repeat(True)))
-    if {str}.issuperset(map(type, values)) and {bool}.issuperset(map(type, flags)):
-        boxes_out.extend(map(boxes.get, roles))
-        return values, flags
-    for role, noun, flag in zip(roles, values, flags):  # find the first fault, role by role
-        if role not in nouns:
-            raise DatasetError(f"{where}, nouns: missing noun for role {role!r}")
-        if not isinstance(noun, str):
-            raise _type_error(noun, str, f"{where}, nouns[{role!r}]")
-        boxes_out.append(boxes.get(role))
-        if not isinstance(flag, bool):
-            raise _type_error(flag, bool, f"{where}, grounded[{role!r}]")
-    return values, flags  # nouns of a str subclass, which only a parsed value can hold
 
+    def __init__(self):
+        self.roles, self.nouns, self.starts = [], [], [0]  # per row; one more start closes the last
+        self.wheres, self.raws, self.unflagged = [], [], []  # per row; per slot; slots flagged false
 
-def frame_from_json(raw, roles, where: str) -> GroundedFrame:
-    """Read the file form of a frame, the inverse of `frame_to_json`. Each role
-    needs a string noun; a role with a box is grounded unless "grounded" gives it false."""
-    raws = []
+    def read(self, raw, roles: tuple, where: str) -> int:
+        """Read the frame `raw` for `roles` as the next row; returns the row."""
+        raw = _check(raw, dict, where)
+        nouns = _get(raw, "nouns", dict, where, {})
+        boxes = _get(raw, "boxes", dict, where, {})
+        grounded = _get(raw, "grounded", dict, where, {})
+        self.roles.append(roles)
+        self.wheres.append(where)
+        for role in roles:
+            if role not in nouns:
+                raise DatasetError(f"{where}, nouns: missing noun for role {role!r}")
+            if not isinstance(nouns[role], str):
+                raise _type_error(nouns[role], str, f"{where}, nouns[{role!r}]")
+            self.raws.append(boxes.get(role))
+            if grounded.get(role, True) is not True:  # flagged false, or a fault
+                _check(grounded[role], bool, f"{where}, grounded[{role!r}]")
+                self.unflagged.append(len(self.raws) - 1)
+        self.nouns.append(tuple(map(nouns.get, roles)))
+        self.starts.append(len(self.raws))
+        return len(self.nouns) - 1
 
-    def where_of(i):
-        return f"{where}, boxes[{roles[i]!r}]"
+    def boxes(self) -> np.ndarray:
+        """(slots, 4) float64 rows of every queued box, a NaN row where a slot is
+        ungrounded; the first bad box raises."""
+        rows = _box_rows(self.raws, self.where_of)
+        rows[self.unflagged] = np.nan
+        return rows
 
-    try:
-        nouns, flags = _frame_row(raw, roles, where, raws)
-    except DatasetError:
-        _box_rows(raws, where_of)  # a bad box read before the fault is the first fault
-        raise
-    rows = _box_rows(raws, where_of).tolist()
-    return GroundedFrame(tuple(zip(roles, nouns)), tuple(
-        BoundingBox(*b) if flag and b[0] == b[0] else None for b, flag in zip(rows, flags)))
+    def where_of(self, i: int) -> str:
+        row = bisect_right(self.starts, i) - 1
+        return f"{self.wheres[row]}, boxes[{self.roles[row][i - self.starts[row]]!r}]"
 
 
 @_gc_paused
 def load_predictions(source, lexicon: VerbLexicon) -> PredictionTable:
     """Parse a prediction file into a PredictionTable; every frame is checked,
     and an error names the first fault in file order."""
-    ids, rankings, frames, roles, nouns, starts, wheres, raws, unflagged = (
-        [], [], [], [], [], [0], [], [], [])
+    ids, rankings, frames, rows = [], [], [], _FrameRows()
 
     def parse(rec, where):
         verbs = _strings(rec.get("verbs"), f"{where}, verbs")
         if not verbs:
             raise DatasetError(f"{where}, verbs: must be a non-empty list")
-        rows = {}
+        verb_rows = {}
         for verb, raw in _get(rec, "frames", dict, where, {}).items():
             if verb not in lexicon:
                 raise DatasetError(f"{where}, frames[{verb!r}]: unknown verb")
-            rows[verb], start = len(roles), len(raws)
-            roles.append(lexicon.roles(verb))
-            wheres.append(f"{where}, frames[{verb!r}]")
-            row_nouns, flags = _frame_row(raw, roles[-1], wheres[-1], raws)
-            nouns.append(row_nouns)
-            starts.append(len(raws))
-            if False in flags:
-                unflagged.extend(i for i, flag in enumerate(flags, start) if not flag)
-        for verb in rows:
+            verb_rows[verb] = rows.read(raw, lexicon.roles(verb), f"{where}, frames[{verb!r}]")
+        for verb in verb_rows:
             if verb not in verbs:
                 raise DatasetError(f"{where}, frames[{verb!r}]: verb not in the ranking")
         ids.append(rec["id"])
         rankings.append(verbs)
-        frames.append(rows)
-
-    def where_of(i):
-        row = bisect_right(starts, i) - 1
-        return f"{wheres[row]}, boxes[{roles[row][i - starts[row]]!r}]"
+        frames.append(verb_rows)
 
     try:
         _by_id(source, "prediction", parse)
     except DatasetError:
-        _box_rows(raws, where_of)  # a bad box read before the fault is the first fault
+        rows.boxes()  # a bad box read before the fault is the first fault
         raise
-    boxes = _box_rows(raws, where_of)
-    boxes[unflagged] = np.nan
-    return PredictionTable(ids, rankings, frames, roles, nouns, starts, boxes)
+    return PredictionTable(ids, rankings, frames, rows.roles, rows.nouns, rows.starts, rows.boxes())
 
 
 def _detection_set(rec: dict, where: str) -> DetectionSet:
@@ -641,14 +624,20 @@ def load_chain_nodes(source) -> list:
 
     A node's roles are the keys of its "nouns" object, in file order.
     """
-    nodes = []
-    for index, rec in _records(source, "situation"):
-        where = f"situation #{index}"
-        verb = _get(rec, "verb", str, where)
-        roles = tuple(_get(rec, "nouns", dict, where))
-        nodes.append(SituationNode(verb, frame_from_json(rec, roles, where),
-                                   parse_box(rec.get("query_box"), f"{where}, query_box")))
-    return nodes
+    verbs, query_boxes, rows = [], [], _FrameRows()
+    try:
+        for index, rec in _records(source, "situation"):
+            where = f"situation #{index}"
+            verbs.append(_get(rec, "verb", str, where))
+            rows.read(rec, tuple(_get(rec, "nouns", dict, where)), where)
+            query_boxes.append(parse_box(rec.get("query_box"), f"{where}, query_box"))
+    except DatasetError:
+        rows.boxes()  # a bad box read before the fault is the first fault
+        raise
+    boxes = [None if b[0] != b[0] else BoundingBox(*b) for b in rows.boxes().tolist()]
+    return [SituationNode(verb, GroundedFrame(tuple(zip(roles, nouns)), tuple(boxes[s:e])), query_box)
+            for verb, roles, nouns, s, e, query_box in zip(
+                verbs, rows.roles, rows.nouns, rows.starts, rows.starts[1:], query_boxes)]
 
 
 @_gc_paused

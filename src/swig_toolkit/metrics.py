@@ -12,13 +12,16 @@ import enum
 
 import numpy as np
 
-from .dataset_io import DatasetTable, EvaluationError, PredictionTable
-from .frame_model import BoundingBox
-from .geometry import box_array, iou
+from .dataset_io import DatasetTable, PredictionTable
+from .geometry import iou
 
 GROUNDING_IOU = 0.5
 
 METRIC_NAMES = ("verb_acc", "value", "value_all", "grounded_value", "grounded_value_all")
+
+
+class EvaluationError(ValueError):
+    """Raised when predictions cannot be scored against a dataset."""
 
 
 class VerbSetting(enum.Enum):
@@ -44,25 +47,16 @@ def score_noun(predicted: str, annotators) -> bool:
     return predicted in annotators
 
 
-def score_grounding(pred_box, gt_box):
+def score_grounding(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
     """Grounding is correct at IoU >= 0.5, or when both sides are ungrounded.
 
-    Each side is a BoundingBox, None (ungrounded) or a (..., 4) float64 array
-    whose NaN rows are ungrounded slots; arrays broadcast as in `geometry.iou`
-    and give a bool array, two single boxes give a bool.
+    Each side is a (..., 4) float64 array whose NaN rows are ungrounded
+    slots; the two broadcast as in `geometry.iou` and give a bool array.
     """
-    pred, gt = _rows(pred_box), _rows(gt_box)
     pred_absent, gt_absent = np.isnan(pred[..., 0]), np.isnan(gt[..., 0])
     with np.errstate(invalid="ignore"):  # an absent box gives NaN; np.where decides those slots
         hit = iou(pred, gt) >= GROUNDING_IOU
-    ok = np.where(pred_absent | gt_absent, pred_absent & gt_absent, hit)
-    return ok if ok.ndim else bool(ok)
-
-
-def _rows(boxes) -> np.ndarray:
-    if boxes is None or isinstance(boxes, BoundingBox):
-        return box_array([boxes])[0]
-    return np.asarray(boxes, dtype=np.float64)
+    return np.where(pred_absent | gt_absent, pred_absent & gt_absent, hit)
 
 
 def evaluate(dataset: DatasetTable, predictions: PredictionTable, setting: VerbSetting,
@@ -78,8 +72,9 @@ def evaluate(dataset: DatasetTable, predictions: PredictionTable, setting: VerbS
 
     Returns the report as it is written: {"macro": {metric: fraction},
     "per_verb": {verb: {metric: fraction}}, "counts": {verb: {"images": n,
-    "role_slots": n}}}.
+    "role_slots": n}}}. An unknown setting or mode is a ValueError.
     """
+    setting, value_all_mode = VerbSetting(setting), ValueAllMode(value_all_mode)
     if not dataset.ids:
         raise EvaluationError("the dataset holds no images: there is nothing to evaluate")
     record_of = {image_id: r for r, image_id in enumerate(predictions.ids)}

@@ -124,3 +124,16 @@ def test_edges_equal_the_brute_force_scan_in_order():
                for e in graph["edges"]]
         assert got == chain_naive(nodes, spatial_iou), trial
         assert all(type(e["node_j"]) is int and type(e["strength"]) is float for e in graph["edges"])
+
+
+@pytest.mark.parametrize("verb,role_nouns,error", [
+    (None, [("Agent", "man")], "verb: must be a string, got None"),
+    ("jumping", [("Agent", None), ("Place", "street")], "frame, nouns['Agent']: must be a string, got None"),
+    ("jumping", [("Agent", 3)], "frame, nouns['Agent']: must be a string, got 3"),
+    ("jumping", [("Agent", "man"), ("Agent", "dog")],
+     "frame, roles: a role is listed twice in ('Agent', 'Agent')"),
+], ids=["verb-null", "noun-null", "noun-number", "role-twice"])
+def test_a_node_holds_only_what_a_chain_file_can(verb, role_nouns, error):
+    with pytest.raises(ValueError) as e:
+        node(verb, role_nouns, [None] * len(role_nouns))
+    assert str(e.value) == error

@@ -13,7 +13,6 @@ from oracles import compute_stats_naive, load_dataset_naive
 from swig_toolkit import BoundingBox, compute_stats, dataset_io, load_dataset, merge_worker_boxes
 from swig_toolkit.dataset_io import (
     DatasetError,
-    frame_from_json,
     load_boxes,
     load_chain_nodes,
     load_detection_sets,
@@ -244,7 +243,7 @@ class TestLoadPredictions:
                                      "grounded": {"Agent": False}}])
         assert node.frame.groundings == (None, None)
 
-    def test_frame_from_json_inverts_frame_to_json(self, rng, lexicon, vocabulary):
+    def test_chain_nodes_invert_frame_to_json(self, rng, lexicon, vocabulary):
         from conftest import random_dataset, random_prediction
 
         box = BoundingBox(1.0, 2.0, 30.0, 40.5)
@@ -257,7 +256,8 @@ class TestLoadPredictions:
         assert any(all(b is None for b in f.groundings) for f in frames)  # with no box
         assert any(b is not None for f in frames for b in f.groundings)  # with boxes
         for f in frames:
-            assert frame_from_json(frame_to_json(f), f.roles, "frame") == f
+            (node,) = load_chain_nodes([{"verb": "kneading", **frame_to_json(f)}])
+            assert node.frame == f
 
     def test_frame_serialization_round_trip(self, rng, lexicon, vocabulary):
         from conftest import random_dataset, random_prediction

@@ -46,19 +46,20 @@ class TestScoreNoun:
 
 class TestScoreGrounding:
     def test_both_absent(self):
-        assert score_grounding(None, None)
+        assert score_grounding(box_array([None]), box_array([None])).tolist() == [True]
 
     def test_identical_boxes(self):
-        b = BoundingBox(0, 0, 10, 10)
-        assert score_grounding(b, b)
+        b = box_array([BoundingBox(0, 0, 10, 10)])
+        assert score_grounding(b, b).tolist() == [True]
 
     def test_low_iou(self):
-        assert not score_grounding(BoundingBox(0, 0, 2, 2), BoundingBox(1, 1, 3, 3))
+        pred, gt = box_array([BoundingBox(0, 0, 2, 2)]), box_array([BoundingBox(1, 1, 3, 3)])
+        assert score_grounding(pred, gt).tolist() == [False]
 
     def test_mixed_absent(self):
-        b = BoundingBox(0, 0, 10, 10)
-        assert not score_grounding(b, None)
-        assert not score_grounding(None, b)
+        b = box_array([BoundingBox(0, 0, 10, 10)])
+        assert score_grounding(b, box_array([None])).tolist() == [False]
+        assert score_grounding(box_array([None]), b).tolist() == [False]
 
 
 # boxes on a small grid, so some pairs overlap; the example pins an IoU of exactly 0.5
@@ -67,20 +68,20 @@ GROUNDING = st.none() | st.builds(lambda x, y, w, h: BoundingBox(x, y, x + w, y 
                                   st.integers(0, 2), st.integers(0, 2), SIDE, SIDE)
 
 
+def grounded_exactly(pred, gt) -> bool:
+    return pred is gt is None if pred is None or gt is None else iou_exact(pred, gt) >= 0.5
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(pairs=st.lists(st.tuples(GROUNDING, GROUNDING), max_size=12))
 @example(pairs=[(BoundingBox(0, 0, 2, 1), BoundingBox(0, 0, 1, 1)), (None, None),
                 (BoundingBox(0, 0, 1, 1), None)])  # IoU exactly 0.5 is a hit
 def test_score_grounding_over_arrays_equals_it_on_each_pair(pairs):
     preds, gts = [p for p, _ in pairs], [g for _, g in pairs]
-    scalar = [score_grounding(p, g) for p, g in pairs]
-    assert scalar == [p is g is None if p is None or g is None else iou_exact(p, g) >= 0.5
-                      for p, g in pairs]
-    assert all(type(ok) is bool for ok in scalar)
     rows = score_grounding(box_array(preds), box_array(gts))
-    assert rows.dtype == bool and rows.tolist() == scalar
+    assert rows.dtype == bool and rows.tolist() == [grounded_exactly(p, g) for p, g in pairs]
     every_pair = score_grounding(box_array(preds)[:, None], box_array(gts)[None, :])
-    assert every_pair.tolist() == [[score_grounding(p, g) for g in gts] for p in preds]
+    assert every_pair.tolist() == [[grounded_exactly(p, g) for g in gts] for p in preds]
 
 
 def two_image_fixture(lexicon, vocabulary):
@@ -228,6 +229,23 @@ class TestEvaluate:
                 credited |= macro["value_all"] > 0
                 differs |= macro != evaluate(table, predictions, setting)["macro"]
         assert credited and differs  # the splits tell the two modes apart
+
+    def test_a_setting_or_mode_given_by_value_is_scored_as_that_member(self, lexicon, vocabulary):
+        rng = random.Random(202)
+        dataset = random_dataset(rng, lexicon, vocabulary, n_verbs=5, images_per_verb=2)
+        preds = [random_prediction(rng, lexicon, img) for img in dataset.images]
+        table, predictions = load_split(dataset), load_preds(preds, lexicon)
+        reports = {(setting, mode): evaluate(table, predictions, setting, mode)
+                   for setting in VerbSetting for mode in ValueAllMode}
+        gt = reports[VerbSetting.GROUND_TRUTH_VERB, ValueAllMode.ANY_PER_ROLE]
+        assert reports[VerbSetting.TOP1, ValueAllMode.ANY_PER_ROLE] != gt  # the split tells them apart
+        assert reports[VerbSetting.GROUND_TRUTH_VERB, ValueAllMode.SINGLE_ANNOTATOR] != gt
+        for (setting, mode), report in reports.items():
+            assert evaluate(table, predictions, setting.value, mode.value) == report
+        for setting, mode in (("bogus", ValueAllMode.ANY_PER_ROLE), ("TOP1", ValueAllMode.ANY_PER_ROLE),
+                              (VerbSetting.TOP1, "bogus"), (VerbSetting.TOP1, None)):
+            with pytest.raises(ValueError, match="is not a valid"):
+                evaluate(table, predictions, setting, mode)
 
 
 class TestMacroAverage:
