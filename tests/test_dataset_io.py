@@ -782,6 +782,105 @@ def test_a_faulty_chain_file_gives_its_first_fault(situations, error):
     assert str(e.value) == error
 
 
+def fuse_rec(image_id="a", **overrides):
+    return {"id": image_id, "boxes": [[0, 0, 5, 5]], "nouns": ["man"], "noun_scores": [[1.0]],
+            **overrides}
+
+
+def object_rec(image_id="a", **overrides):
+    return {"id": image_id, "classes": ["man"], "boxes": [[0, 0, 5, 5]], **overrides}
+
+
+def top5_rec(image_id="a", **overrides):
+    return {"id": image_id, "verbs": ["jumping"] * 5, "entities": [["man", "street"]] * 5,
+            "boxes": [[[0, 0, 10, 10], None]] * 5, **overrides}
+
+
+MALFORMED = "box must be [x1,y1,x2,y2] or null, got 'x'"
+NOT_NUMBERS = "box coordinates must be JSON numbers, got [0, 0, '1', 1]"
+PINNED_LOADS = [  # (case, loader, file, the error: the first fault in file order)
+    ("fuse-null-then-malformed-box-in-one-record", load_detection_sets,
+     [fuse_rec(boxes=[None, "x"], noun_scores=[[1.0], [1.0]])],
+     f"detections 'a', boxes[1]: {MALFORMED}"),
+    ("fuse-null-box-then-malformed-box-in-a-later-record", load_detection_sets,
+     [fuse_rec(boxes=[None]), fuse_rec("b", boxes=[[0, 0, "1", 1]])],
+     "detections 'a', boxes[0]: box may not be null"),
+    ("fuse-sentinel-box", load_detection_sets, [fuse_rec(boxes=[[-1, -1, -1, -1]])],
+     "detections 'a', boxes[0]: box may not be null"),
+    ("fuse-bad-box-then-bad-nouns", load_detection_sets, [fuse_rec(boxes=[BAD_BOX], nouns=7)],
+     f"detections 'a', boxes[0]: {SWAPPED}"),
+    ("fuse-bad-nouns-then-bad-box-in-a-later-record", load_detection_sets,
+     [fuse_rec(nouns=7), fuse_rec("b", boxes=[BAD_BOX])],
+     "detections 'a', nouns: must be a JSON array of strings, got 7"),
+    ("fuse-bad-box-then-record-not-an-object", load_detection_sets, [fuse_rec(boxes=[BAD_BOX]), 3],
+     f"detections 'a', boxes[0]: {SWAPPED}"),
+    ("fuse-bad-box-then-duplicate-id", load_detection_sets, [fuse_rec(boxes=[BAD_BOX]), fuse_rec()],
+     f"detections 'a', boxes[0]: {SWAPPED}"),
+    ("fuse-bad-box-then-non-finite-logit", load_detection_sets,
+     [fuse_rec(boxes=[BAD_BOX]), fuse_rec("b", noun_scores=[[float("nan")]])],
+     f"detections 'a', boxes[0]: {SWAPPED}"),
+    ("fuse-non-finite-logit", load_detection_sets, [fuse_rec(noun_scores=[[1e400]])],
+     "detections 'a', noun_scores: must be finite"),
+    ("fuse-boxes-not-an-array", load_detection_sets, [fuse_rec(boxes=None)],
+     "detections 'a', boxes: must be a JSON array, got None"),
+    ("objects-null-then-malformed-box-in-one-record", load_object_detections,
+     [object_rec(classes=["man", "dog"], boxes=[None, "x"])], f"detections 'a', boxes[1]: {MALFORMED}"),
+    ("objects-null-box-then-malformed-box-in-a-later-record", load_object_detections,
+     [object_rec(boxes=[None]), object_rec("b", boxes=[[0, 0, 10]])],
+     "detections 'a', boxes[0]: box may not be null"),
+    ("objects-sentinel-box", load_object_detections, [object_rec(boxes=[[-1.0, -1, -1, -1]])],
+     "detections 'a', boxes[0]: box may not be null"),
+    ("objects-bad-classes-then-bad-box", load_object_detections, [object_rec(classes=7, boxes=[BAD_BOX])],
+     "detections 'a', classes: must be a JSON array of strings, got 7"),
+    ("objects-bad-box-then-bad-classes-in-a-later-record", load_object_detections,
+     [object_rec(boxes=[BAD_BOX]), object_rec("b", classes=7)],
+     f"detections 'a', boxes[0]: {SWAPPED}"),
+    ("objects-more-boxes-than-classes", load_object_detections,
+     [object_rec(boxes=[[0, 0, 1, 1], [0, 0, 2, 2]])], "detections 'a', boxes: 2 boxes for 1 classes"),
+    ("objects-bad-box-then-miscounted-boxes", load_object_detections,
+     [object_rec(boxes=[BAD_BOX]), object_rec("b", boxes=[])],
+     f"detections 'a', boxes[0]: {SWAPPED}"),
+    ("situations-four-verbs", load_situations, [top5_rec(verbs=["jumping"] * 4)],
+     "situation 'a', verbs: expected exactly 5 verb hypotheses, got 4"),
+    ("situations-four-verbs-and-a-bad-box", load_situations,
+     [top5_rec(verbs=["jumping"] * 4, boxes=[[BAD_BOX, None]] * 5)],
+     f"situation 'a', boxes[0][0]: {SWAPPED}"),
+    ("situations-bad-box-then-bad-verbs-in-a-later-record", load_situations,
+     [top5_rec(boxes=[[BAD_BOX, None]] * 5), top5_rec("b", verbs=7)],
+     f"situation 'a', boxes[0][0]: {SWAPPED}"),
+    ("situations-null-then-bad-box-in-a-later-rank", load_situations,
+     [top5_rec(boxes=[[[0, 0, 1, 1], None]] * 4 + [[None, [0, 0, "1", 1]]])],
+     f"situation 'a', boxes[4][1]: {NOT_NUMBERS}"),
+    ("situations-rank-not-an-array-then-bad-box", load_situations,
+     [top5_rec(boxes=[[[0, 0, 1, 1], None], 7] + [[[0, 0, "1", 1], None]] * 3)],
+     "situation 'a', boxes[1]: must be a JSON array, got 7"),
+    ("situations-four-ranks-of-boxes", load_situations, [top5_rec(boxes=[[[0, 0, 1, 1], None]] * 4)],
+     "situation 'a', boxes: 4 lists for 5 verb hypotheses"),
+    ("situations-four-ranks-with-a-bad-box", load_situations, [top5_rec(boxes=[[BAD_BOX, None]] * 4)],
+     f"situation 'a', boxes[0][0]: {SWAPPED}"),
+    ("situations-fewer-boxes-than-entities", load_situations, [top5_rec(boxes=[[[0, 0, 1, 1]]] * 5)],
+     "situation 'a', boxes[0]: 1 boxes for 2 entities"),
+    ("situations-more-boxes-than-entities-one-malformed", load_situations,
+     [top5_rec(entities=[["man"]] * 5, boxes=[[[0, 0, 1, 1], "x"]] * 5)],
+     f"situation 'a', boxes[0][1]: {MALFORMED}"),
+    ("situations-good-record-then-duplicate-id", load_situations, [top5_rec(), top5_rec()],
+     "situation 'a': duplicate id (record #1)"),
+    ("anchors-null-then-malformed-box", load_boxes, [None, "x"], f"boxes[1]: {MALFORMED}"),
+    ("anchors-sentinel-then-bad-box", load_boxes, [[-1, -1, -1, -1], BAD_BOX], f"boxes[1]: {SWAPPED}"),
+    ("anchors-good-box-then-null", load_boxes, [[0, 0, 1, 1], None], "boxes[1]: box may not be null"),
+    ("anchors-not-an-array", load_boxes, {"boxes": []},
+     "boxes: must be a JSON array, got {'boxes': []}"),
+]
+
+
+@pytest.mark.parametrize("load,records,error", [case[1:] for case in PINNED_LOADS],
+                         ids=[case[0] for case in PINNED_LOADS])
+def test_a_faulty_detection_situation_or_box_file_gives_its_first_fault(load, records, error):
+    with pytest.raises(DatasetError) as e:
+        load(records)
+    assert str(e.value) == error
+
+
 # ---- the bits of worker means and of sizes with no exact float ---------------
 
 def table_of(records, warnings=None):
