@@ -23,7 +23,6 @@ from .dataset_io import (  # noqa: F401
     compute_stats,
     load_dataset,
     load_predictions,
-    merge_worker_boxes,
 )
 from .geometry import (  # noqa: F401
     ScoredBox,

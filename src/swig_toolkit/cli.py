@@ -36,8 +36,7 @@ from .dataset_io import (
     parse_lexicon,
     parse_vocabulary,
 )
-from .frame_model import frame_to_json
-from .fusion import DEFAULT_FUSION_THRESHOLD, FusionError, assign_groundings
+from .fusion import DEFAULT_FUSION_THRESHOLD, FusionError, ground_roles
 from .geometry import cluster_aspect_ratios
 from .loss_kernels import FocalParams, SmoothingParams, focal_loss, l1_reg, smoothed_ce
 from .metrics import ValueAllMode, VerbSetting, evaluate, format_table
@@ -131,11 +130,12 @@ def cmd_fuse(args) -> int:
             raise DatasetError(f"no detections for image {image_id!r}")
         frames = {}
         for verb, row in sorted(rows.items()):
-            try:  # the predicted boxes are replaced, so they are never built
-                fused = assign_groundings(table.frame(row), detections[image_id], args.fusion_threshold)
+            role_values = tuple(zip(table.roles[row], table.nouns[row]))
+            try:  # the predicted boxes are replaced, so they are never read
+                boxes = ground_roles(role_values, detections[image_id], args.fusion_threshold)
             except FusionError as e:
                 raise DatasetError(f"image {image_id!r}, verb {verb!r}, {e}") from e
-            frames[verb] = frame_to_json(fused)
+            frames[verb] = {"nouns": dict(role_values), "boxes": dict(zip(table.roles[row], boxes))}
         out.append({"id": image_id, "verbs": list(ranking), "frames": frames})
     write_output(out, args.out)
     return 0

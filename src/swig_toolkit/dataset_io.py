@@ -4,10 +4,11 @@ This module is the only code that reads JSON input; every reader takes a
 path (str, bytes or os.PathLike), a file object or an already-parsed JSON
 value, which is how a library caller hands in data it holds: ground truth
 and predictions have no other input form. Every box is judged by
-`parse_box`'s rules: a prediction, chain or dataset file's boxes in one
-array pass, `_box_rows`, which hands `parse_box` only the boxes it
-refuses. Every frame is read by `_FrameRows`, and every error names the
-record and the field it comes from: "<record>, <field>: <rule>".
+`parse_box`'s rules, and every box but a chain node's query box in one
+array pass per file, `_box_rows`, which hands `parse_box` only the boxes
+it refuses: boxes load into (n, 4) float64 arrays, not objects. Every
+frame is read by `_BoxQueue.read`, and every error names the record and
+the field it comes from: "<record>, <field>: <rule>".
 
 Canonical file formats (UTF-8 JSON):
 
@@ -21,16 +22,17 @@ Canonical file formats (UTF-8 JSON):
                Read into a `DatasetTable` by one walk of the records.
   frame:       {"nouns": {role: noun}, "boxes": {role: box_or_null},
                 "grounded": {role: true|false}}  ("grounded" optional)
-               The verb sits outside the frame; read by `_FrameRows`,
+               The verb sits outside the frame; read by `_BoxQueue.read`,
                written by `frame_model.frame_to_json`.
   predictions: [{"id", "verbs": [verb, ...], "frames": {verb: frame}}, ...]
                (also the `fuse` output); read into a `PredictionTable`
   detections:  [{"id", "boxes": [box, ...], "nouns": [noun, ...],
                  "noun_scores": [[logit per noun] per box]}, ...]  (fusion)
                [{"id", "classes": [noun, ...], "boxes": [box, ...]}, ...]
-               (object retrieval)
+               (object retrieval; read into a `retrieval.DetectionTable`)
   situations:  [{"id", "verbs": [verb x5], "entities": [[noun per role] x5],
-                 "boxes": [[box_or_null per role] x5]}, ...]  (retrieval)
+                 "boxes": [[box_or_null per role] x5]}, ...]  (retrieval;
+               read into a `retrieval.SituationTable`)
                [{"verb", **frame, "query_box": box_or_null}, ...]  (chaining;
                the node's roles are the keys of its "nouns")
   boxes:       [[x1,y1,x2,y2], ...]  (anchor clustering)
@@ -66,8 +68,8 @@ from .frame_model import (
     NounVocabulary,
     VerbLexicon,
 )
-from .fusion import DetectionSet, FusionError
-from .retrieval import DetectionList, RetrievalError, SituationPrediction
+from .fusion import FusionError, best_rows
+from .retrieval import DetectionList, DetectionTable, RetrievalError, SituationPrediction, SituationTable
 
 SENTINEL_BOX = [-1, -1, -1, -1]
 _JSON_NUMBER_TYPES = frozenset((int, float))  # what `json` decodes a number to; never bool
@@ -126,12 +128,6 @@ class PredictionTable:
     starts: list  # per row: its first slot; one more entry closes the last row
     boxes: np.ndarray  # (n_slots, 4) float64, a NaN row for an ungrounded slot
 
-    def frame(self, row: int) -> GroundedFrame:
-        """Row `row`'s roles and nouns as a GroundedFrame with no grounding: what
-        `assign_groundings` grounds."""
-        role_values = tuple(zip(self.roles[row], self.nouns[row]))
-        return GroundedFrame(role_values, (None,) * len(role_values))
-
 
 def parse_lexicon(source) -> VerbLexicon:
     obj = _read_json(source)
@@ -182,7 +178,8 @@ def _get(rec: dict, key: str, kind: type, where: str, default=_REQUIRED):
 
 
 def _strings(value, where: str) -> tuple:
-    if not (isinstance(value, list) and all(isinstance(s, str) for s in value)):
+    if not ((type(value) is list and {str}.issuperset(map(type, value)))  # a decoded array, at C speed
+            or (isinstance(value, list) and all(isinstance(s, str) for s in value))):
         raise DatasetError(f"{where}: must be a JSON array of strings, got {reprlib.repr(value)}")
     return tuple(value)
 
@@ -259,27 +256,6 @@ def _box_rows(raws: list, where_of, faults: Optional[list] = None) -> np.ndarray
     rows = np.full((len(raws), 4), np.nan)
     rows[given] = block
     return rows
-
-
-def _box_list(raw, where: str) -> tuple:
-    """A JSON array of boxes, none of them null."""
-    boxes = tuple(parse_box(b, f"{where}[{i}]") for i, b in enumerate(_check(raw, list, where)))
-    for i, box in enumerate(boxes):
-        if box is None:
-            raise DatasetError(f"{where}[{i}]: box may not be null")
-    return boxes
-
-
-def merge_worker_boxes(boxes: list) -> BoundingBox:
-    """Merge exactly 3 worker annotations by coordinate-wise arithmetic mean."""
-    if len(boxes) != 3:
-        raise DatasetError(f"expected exactly 3 worker boxes, got {len(boxes)}")
-    return BoundingBox(
-        sum(b.x1 for b in boxes) / 3,
-        sum(b.y1 for b in boxes) / 3,
-        sum(b.x2 for b in boxes) / 3,
-        sum(b.y2 for b in boxes) / 3,
-    )
 
 
 @_gc_paused
@@ -472,47 +448,64 @@ def _records(source, kind: str):
         yield index, _check(rec, dict, f"{kind} record #{index}")
 
 
-def _by_id(source, kind: str, parse) -> dict:
+def _by_id(source, kind: str, parse, queue: _BoxQueue) -> dict:
     """{id: parse(rec, where)} over records whose "id" is a string, unique in
-    the file; `where` names the record, and so does every error."""
+    the file; `where` names the record, and so does every error. `parse`
+    queues the record's boxes on `queue`."""
     out = {}
-    for index, rec in _records(source, kind):
-        image_id = rec.get("id")
-        if not isinstance(image_id, str):
-            raise DatasetError(f"{kind} record #{index}: missing or non-string 'id'")
-        where = f"{kind} {image_id!r}"
-        if image_id in out:
-            raise DatasetError(f"{where}: duplicate id (record #{index})")
-        try:
-            out[image_id] = parse(rec, where)
-        except (FusionError, RetrievalError) as e:
-            raise DatasetError(f"{where}, {e}") from e  # the type's message names the field
+    try:
+        for index, rec in _records(source, kind):
+            image_id = rec.get("id")
+            if not isinstance(image_id, str):
+                raise DatasetError(f"{kind} record #{index}: missing or non-string 'id'")
+            where = f"{kind} {image_id!r}"
+            if image_id in out:
+                raise DatasetError(f"{where}: duplicate id (record #{index})")
+            try:
+                out[image_id] = parse(rec, where)
+            except (FusionError, RetrievalError) as e:
+                raise DatasetError(f"{where}, {e}") from e  # the type's message names the field
+    except DatasetError:
+        queue.boxes()  # a bad box read before the fault is the first fault
+        raise
     return out
 
 
-class _FrameRows:
-    """The one frame reader: each frame in the file form becomes a row.
+class _BoxQueue:
+    """The raw boxes a record walk queues, judged in one `_box_rows` pass.
 
-    `read` walks a frame's roles once, in file order: each role needs a
-    string noun, its raw box is queued, and it is grounded when it has a box
-    and its "grounded" flag is not false. `boxes` judges every queued box in
-    one `_box_rows` pass. A fault `read` raises comes first in the file only
-    when every box queued before it is good, so a loader calls `boxes`
-    before re-raising it.
+    Boxes come in runs: `queue` adds a JSON array of boxes, box j named
+    `<where><field>[j]`, and `read`, the one frame reader, a frame, the box
+    of role r named `<where>, boxes[r]`. A run keeps its `where` and its
+    roles or field, which the walk holds anyway. A fault the walk raises
+    comes first in the file only when every box queued before it is good,
+    so a loader calls `boxes` before re-raising it. When not `nullable`, a
+    null or sentinel box is a fault, after any malformed box of its run.
     """
 
-    def __init__(self):
-        self.roles, self.nouns, self.starts = [], [], [0]  # per row; one more start closes the last
-        self.wheres, self.raws, self.unflagged = [], [], []  # per row; per slot; slots flagged false
+    def __init__(self, nullable: bool = True):
+        self.nullable = nullable
+        self.wheres, self.keys, self.nouns = [], [], []  # per run: keys are roles or a field; per frame
+        self.raws, self.unflagged, self.starts = [], [], [0]  # per box; boxes flagged false; one more start
+
+    def queue(self, raws: list, where: str, field: str = ", boxes") -> int:
+        """Queue the JSON array `raws` as a run; returns its first box."""
+        self.wheres.append(where)
+        self.keys.append(field)
+        self.raws.extend(raws)
+        self.starts.append(len(self.raws))
+        return self.starts[-2]
 
     def read(self, raw, roles: tuple, where: str) -> int:
-        """Read the frame `raw` for `roles` as the next row; returns the row."""
+        """Read the frame `raw` for `roles` as the next row; returns the row. Each
+        role, in file order, needs a string noun, and its box is queued; it is
+        grounded when it has a box and its "grounded" flag is not false."""
         raw = _check(raw, dict, where)
         nouns = _get(raw, "nouns", dict, where, {})
         boxes = _get(raw, "boxes", dict, where, {})
         grounded = _get(raw, "grounded", dict, where, {})
-        self.roles.append(roles)
         self.wheres.append(where)
+        self.keys.append(roles)
         for role in roles:
             if role not in nouns:
                 raise DatasetError(f"{where}, nouns: missing noun for role {role!r}")
@@ -527,22 +520,31 @@ class _FrameRows:
         return len(self.nouns) - 1
 
     def boxes(self) -> np.ndarray:
-        """(slots, 4) float64 rows of every queued box, a NaN row where a slot is
-        ungrounded; the first bad box raises."""
-        rows = _box_rows(self.raws, self.where_of)
+        """(n, 4) float64 rows of every queued box, a NaN row where it is null
+        or flagged false; the first fault raises."""
+        faults = None if self.nullable else []
+        rows = _box_rows(self.raws, self.where_of, faults)
+        absent = [] if self.nullable else np.flatnonzero(np.isnan(rows[:, 0])).tolist()
+        if absent:  # the first run with a null or bad box: its first bad box, else its first null
+            end = self.starts[bisect_right(self.starts, absent[0])]
+            raise DatasetError(next((line for i, line in faults if i < end),
+                                    f"{self.where_of(absent[0])}: box may not be null"))
         rows[self.unflagged] = np.nan
         return rows
 
     def where_of(self, i: int) -> str:
-        row = bisect_right(self.starts, i) - 1
-        return f"{self.wheres[row]}, boxes[{self.roles[row][i - self.starts[row]]!r}]"
+        run = bisect_right(self.starts, i) - 1
+        keys, j = self.keys[run], i - self.starts[run]
+        if type(keys) is str:  # the field of a queued JSON array
+            return f"{self.wheres[run]}{keys}[{j}]"
+        return f"{self.wheres[run]}, boxes[{keys[j]!r}]"
 
 
 @_gc_paused
 def load_predictions(source, lexicon: VerbLexicon) -> PredictionTable:
     """Parse a prediction file into a PredictionTable; every frame is checked,
     and an error names the first fault in file order."""
-    ids, rankings, frames, rows = [], [], [], _FrameRows()
+    rankings, frames, rows = [], [], _BoxQueue()
 
     def parse(rec, where):
         verbs = _strings(rec.get("verbs"), f"{where}, verbs")
@@ -556,66 +558,82 @@ def load_predictions(source, lexicon: VerbLexicon) -> PredictionTable:
         for verb in verb_rows:
             if verb not in verbs:
                 raise DatasetError(f"{where}, frames[{verb!r}]: verb not in the ranking")
-        ids.append(rec["id"])
         rankings.append(verbs)
         frames.append(verb_rows)
 
-    try:
-        _by_id(source, "prediction", parse)
-    except DatasetError:
-        rows.boxes()  # a bad box read before the fault is the first fault
-        raise
-    return PredictionTable(ids, rankings, frames, rows.roles, rows.nouns, rows.starts, rows.boxes())
-
-
-def _detection_set(rec: dict, where: str) -> DetectionSet:
-    boxes = _box_list(rec.get("boxes"), f"{where}, boxes")
-    nouns = _strings(rec.get("nouns"), f"{where}, nouns")
-    if len(set(nouns)) != len(nouns):
-        raise DatasetError(f"{where}, nouns: must be distinct, got {reprlib.repr(list(nouns))}")
-    rows, shape = _get(rec, "noun_scores", list, where), (len(boxes), len(nouns))
-    if not (len(rows) == shape[0] and {list}.issuperset(map(type, rows))
-            and {shape[1]}.issuperset(map(len, rows))):
-        raise DatasetError(f"{where}, noun_scores: must be a {shape[0]}x{shape[1]} array "
-                           "of numbers, one row per box and one column per noun")
-    if not _JSON_NUMBER_TYPES.issuperset(map(type, chain.from_iterable(rows))):
-        raise DatasetError(f"{where}, noun_scores: logits must be JSON numbers, got {reprlib.repr(rows)}")
-    try:
-        scores = np.array(rows, dtype=np.float64).reshape(shape)
-    except OverflowError as e:  # an int too big for a float
-        raise DatasetError(f"{where}, noun_scores: {e}") from e
-    return DetectionSet(boxes, scores, {n: i for i, n in enumerate(nouns)})
+    ids = list(_by_id(source, "prediction", parse, rows))
+    return PredictionTable(ids, rankings, frames, rows.keys, rows.nouns, rows.starts, rows.boxes())
 
 
 @_gc_paused
 def load_detection_sets(source) -> dict:
-    """Parse late-fusion detector output into {image id: DetectionSet}."""
-    return _by_id(source, "detections", _detection_set)
+    """Parse late-fusion detector output into {image id: best}: each noun's
+    first box of highest logit, as a list, and that logit, as
+    `fusion.best_rows` reduces them; None for an image with no boxes."""
+    queue = _BoxQueue(nullable=False)
+
+    def parse(rec, where):
+        raws = _check(rec.get("boxes"), list, f"{where}, boxes")
+        first = queue.queue(raws, where)
+        nouns = _strings(rec.get("nouns"), f"{where}, nouns")
+        if len(set(nouns)) != len(nouns):
+            raise DatasetError(f"{where}, nouns: must be distinct, got {reprlib.repr(list(nouns))}")
+        rows, shape = _get(rec, "noun_scores", list, where), (len(raws), len(nouns))
+        if not (len(rows) == shape[0] and {list}.issuperset(map(type, rows))
+                and {shape[1]}.issuperset(map(len, rows))):
+            raise DatasetError(f"{where}, noun_scores: must be a {shape[0]}x{shape[1]} array "
+                               "of numbers, one row per box and one column per noun")
+        if not _JSON_NUMBER_TYPES.issuperset(map(type, chain.from_iterable(rows))):
+            raise DatasetError(f"{where}, noun_scores: logits must be JSON numbers, got {reprlib.repr(rows)}")
+        try:
+            scores = np.array(rows, dtype=np.float64).reshape(shape)
+        except OverflowError as e:  # an int too big for a float
+            raise DatasetError(f"{where}, noun_scores: {e}") from e
+        return first, best_rows(scores, {n: i for i, n in enumerate(nouns)})
+
+    found = _by_id(source, "detections", parse, queue)
+    boxes = queue.boxes().tolist()
+    return {image_id: best and {noun: (boxes[first + row], logit) for noun, (row, logit) in best.items()}
+            for image_id, (first, best) in found.items()}
 
 
 @_gc_paused
-def load_object_detections(source) -> dict:
-    """Parse labelled detections (object retrieval) into {image id: DetectionList}."""
-    return _by_id(source, "detections", lambda rec, where: DetectionList(
-        _strings(rec.get("classes"), f"{where}, classes"),
-        _box_list(rec.get("boxes"), f"{where}, boxes")))
+def load_object_detections(source) -> DetectionTable:
+    """Parse labelled detections (object retrieval) into a DetectionTable."""
+    classes, queue = [], _BoxQueue(nullable=False)
 
+    def parse(rec, where):
+        classes.append(_strings(rec.get("classes"), f"{where}, classes"))
+        raws = _check(rec.get("boxes"), list, f"{where}, boxes")
+        queue.queue(raws, where)
+        DetectionList.check(classes[-1], raws)
 
-def _situation(rec: dict, where: str) -> SituationPrediction:
-    verbs = _strings(rec.get("verbs"), f"{where}, verbs")
-    entities = tuple(_strings(row, f"{where}, entities[{a}]")
-                     for a, row in enumerate(_get(rec, "entities", list, where)))
-    boxes = []
-    for a, row in enumerate(_get(rec, "boxes", list, where)):
-        row = _check(row, list, f"{where}, boxes[{a}]")
-        boxes.append(tuple(parse_box(b, f"{where}, boxes[{a}][{k}]") for k, b in enumerate(row)))
-    return SituationPrediction(verbs, entities, tuple(boxes))
+    index = {image_id: r for r, image_id in enumerate(_by_id(source, "detections", parse, queue))}
+    return DetectionTable(index, classes, queue.starts, queue.boxes())
 
 
 @_gc_paused
-def load_situations(source) -> dict:
-    """Parse top-5 situation predictions (retrieval) into {image id: SituationPrediction}."""
-    return _by_id(source, "situation", _situation)
+def load_situations(source) -> SituationTable:
+    """Parse top-5 situation predictions (retrieval) into a SituationTable."""
+    verbs, entities, starts, queue = [], [], [], _BoxQueue()
+
+    def parse(rec, where):
+        top5 = _strings(rec.get("verbs"), f"{where}, verbs")
+        nouns = _get(rec, "entities", list, where)
+        if {list}.issuperset(map(type, nouns)) and {str}.issuperset(map(type, chain.from_iterable(nouns))):
+            nouns = tuple(map(tuple, nouns))  # decoded arrays of strings, checked at C speed
+        else:
+            nouns = tuple(_strings(row, f"{where}, entities[{a}]") for a, row in enumerate(nouns))
+        ranks = _get(rec, "boxes", list, where)
+        firsts = tuple(queue.queue(_check(row, list, f"{where}, boxes[{a}]"), where, f", boxes[{a}]")
+                       for a, row in enumerate(ranks))
+        SituationPrediction.check(top5, nouns, ranks)
+        verbs.append(top5)
+        entities.append(nouns)
+        starts.append(firsts)
+
+    index = {image_id: r for r, image_id in enumerate(_by_id(source, "situation", parse, queue))}
+    return SituationTable(index, verbs, entities, starts, queue.boxes())
 
 
 @_gc_paused
@@ -624,7 +642,7 @@ def load_chain_nodes(source) -> list:
 
     A node's roles are the keys of its "nouns" object, in file order.
     """
-    verbs, query_boxes, rows = [], [], _FrameRows()
+    verbs, query_boxes, rows = [], [], _BoxQueue()
     try:
         for index, rec in _records(source, "situation"):
             where = f"situation #{index}"
@@ -637,13 +655,15 @@ def load_chain_nodes(source) -> list:
     boxes = [None if b[0] != b[0] else BoundingBox(*b) for b in rows.boxes().tolist()]
     return [SituationNode(verb, GroundedFrame(tuple(zip(roles, nouns)), tuple(boxes[s:e])), query_box)
             for verb, roles, nouns, s, e, query_box in zip(
-                verbs, rows.roles, rows.nouns, rows.starts, rows.starts[1:], query_boxes)]
+                verbs, rows.keys, rows.nouns, rows.starts, rows.starts[1:], query_boxes)]
 
 
 @_gc_paused
-def load_boxes(source) -> list:
-    """Parse a JSON array of boxes (anchor clustering input)."""
-    return list(_box_list(_read_json(source), "boxes"))
+def load_boxes(source) -> np.ndarray:
+    """Parse a JSON array of boxes (anchor clustering input) into (n, 4) float64 rows."""
+    queue = _BoxQueue(nullable=False)
+    queue.queue(_check(_read_json(source), list, "boxes"), "", "boxes")
+    return queue.boxes()
 
 
 def compute_stats(table: DatasetTable) -> dict:

@@ -75,8 +75,9 @@ def nms(candidates: list, iou_threshold: float, keep: int) -> list:
     return kept
 
 
-def cluster_aspect_ratios(boxes: list, k: int, seed: int = 0) -> list:
-    """1-D k-means over log(h/w), k-means++ seeded; returns k ratios ascending.
+def cluster_aspect_ratios(boxes: np.ndarray, k: int, seed: int = 0) -> list:
+    """1-D k-means over log(h/w) of (n, 4) box rows, k-means++ seeded;
+    returns k ratios ascending.
 
     Input is sorted before seeding so the result is invariant to the
     ordering of `boxes` for a fixed seed. Runs Lloyd's iterations to an
@@ -87,7 +88,7 @@ def cluster_aspect_ratios(boxes: list, k: int, seed: int = 0) -> list:
         raise ValueError("k must be >= 1")
     if k > len(boxes):
         raise ValueError(f"k={k} exceeds the number of boxes ({len(boxes)})")
-    values = np.sort(np.log([b.height / b.width for b in boxes]))
+    values = np.sort(np.log((boxes[:, 3] - boxes[:, 1]) / (boxes[:, 2] - boxes[:, 0])))
     if k == len(values):
         return list(np.exp(values))
 

@@ -37,8 +37,12 @@ class DetectionList:
     boxes: tuple  # BoundingBoxes
 
     def __post_init__(self):
-        if len(self.classes) != len(self.boxes):
-            raise RetrievalError(f"boxes: {len(self.boxes)} boxes for {len(self.classes)} classes")
+        self.check(self.classes, self.boxes)
+
+    @staticmethod
+    def check(classes, boxes):  # also the loader's rule, over the JSON lists
+        if len(classes) != len(boxes):
+            raise RetrievalError(f"boxes: {len(boxes)} boxes for {len(classes)} classes")
 
 
 @dataclass(frozen=True)
@@ -54,14 +58,39 @@ class SituationPrediction:
     boxes: tuple  # of tuples of Optional[BoundingBox]
 
     def __post_init__(self):
-        if len(self.verbs) != 5:
-            raise RetrievalError(f"verbs: expected exactly 5 verb hypotheses, got {len(self.verbs)}")
-        for name, lists in (("entities", self.entities), ("boxes", self.boxes)):
+        self.check(self.verbs, self.entities, self.boxes)
+
+    @staticmethod
+    def check(verbs, entities, boxes):  # also the loader's rules, over the JSON lists
+        if len(verbs) != 5:
+            raise RetrievalError(f"verbs: expected exactly 5 verb hypotheses, got {len(verbs)}")
+        for name, lists in (("entities", entities), ("boxes", boxes)):
             if len(lists) != 5:
                 raise RetrievalError(f"{name}: {len(lists)} lists for 5 verb hypotheses")
-        for a, (ent, box) in enumerate(zip(self.entities, self.boxes)):
+        for a, (ent, box) in enumerate(zip(entities, boxes)):
             if len(ent) != len(box):
                 raise RetrievalError(f"boxes[{a}]: {len(box)} boxes for {len(ent)} entities")
+
+
+@dataclass(frozen=True, eq=False)
+class DetectionTable:
+    """Labelled detections as `load_object_detections` reads them, in columns."""
+
+    index: dict  # image id -> its record
+    classes: list  # per record: its noun ids, one per box
+    starts: list  # per record: its first box row; one more entry closes the last record
+    boxes: np.ndarray  # (n, 4) float64
+
+
+@dataclass(frozen=True, eq=False)
+class SituationTable:
+    """Top-5 situations as `load_situations` reads them, in columns."""
+
+    index: dict  # image id -> its record
+    verbs: list  # per record: its 5 verbs, best first
+    entities: list  # per record: 5 tuples of nouns, one per role
+    starts: list  # per record: the first box row of each rank, one row per role
+    boxes: np.ndarray  # (n, 4) float64, a NaN row for "no box"
 
 
 def l2_similarity(a: np.ndarray, b: np.ndarray) -> float:
@@ -222,39 +251,40 @@ class SitScorer:
     the same order, so scores equal the scalar ones bit for bit.
     """
 
-    def __init__(self, situations: dict, search_ids: list, grounded: bool):
+    def __init__(self, situations: SituationTable, search_ids: list, grounded: bool):
         self._situations = situations
         self._grounded = grounded
         self._n = len(search_ids)
-        members = {}  # (verb, role count) -> ([owner row], [rank], [nouns], [box])
+        members = {}  # (verb, role count) -> [(owner row, rank, nouns, first box row)]
         for row, sid in enumerate(search_ids):
-            sit = _lookup(situations, sid)
-            for rank, (verb, ents, boxes) in enumerate(zip(sit.verbs, sit.entities, sit.boxes), 1):
+            r = _lookup(situations.index, sid)
+            for rank, (verb, ents, start) in enumerate(
+                    zip(situations.verbs[r], situations.entities[r], situations.starts[r]), 1):
                 if ents:  # a rank without roles never scores, as in `_sit_max`
-                    rows, ranks, nouns, flat = members.setdefault((verb, len(ents)), ([], [], [], []))
-                    rows.append(row)
-                    ranks.append(rank)
-                    nouns.append(ents)
-                    flat.extend(boxes)
-        self._groups = {(verb, n): (np.array(rows, dtype=np.intp), np.array(ranks, dtype=np.intp),
-                                    np.array(nouns, dtype=object),
-                                    geometry.box_array(flat).reshape(-1, n, 4))
-                        for (verb, n), (rows, ranks, nouns, flat) in members.items()}
+                    members.setdefault((verb, len(ents)), []).append((row, rank, ents, start))
+        self._groups = {}
+        for (verb, n), ranked in members.items():
+            rows, ranks, nouns, starts = zip(*ranked)
+            self._groups[verb, n] = (np.array(rows, dtype=np.intp), np.array(ranks, dtype=np.intp),
+                                     np.array(nouns, dtype=object),
+                                     situations.boxes[np.add.outer(starts, range(n))] if grounded else None)
 
     def __call__(self, query_id: str) -> np.ndarray:
-        sit = _lookup(self._situations, query_id)
+        sits = self._situations
+        r = _lookup(sits.index, query_id)
         best = np.zeros(self._n)
-        for a, (verb, ents, boxes) in enumerate(zip(sit.verbs, sit.entities, sit.boxes)):
+        for a, (verb, ents, start) in enumerate(zip(sits.verbs[r], sits.entities[r], sits.starts[r])):
             group = self._groups.get((verb, len(ents)))
             if group is None:
                 continue
             rows, ranks, nouns, search_boxes = group
+            boxes = sits.boxes[start:start + len(ents)].tolist()
             total = np.zeros(rows.size)
-            for k, noun in enumerate(ents):
+            for k, (noun, box) in enumerate(zip(ents, boxes)):
                 match = nouns[:, k] == noun
                 if self._grounded:  # `_box_term`: an absent box is a NaN row, fmax makes its IoU 0
-                    column, box = search_boxes[:, k], boxes[k]
-                    term = (np.isnan(column[:, 0]) if box is None
+                    column = search_boxes[:, k]
+                    term = (np.isnan(column[:, 0]) if box[0] != box[0]
                             else np.fmax(geometry.iou(box, column), 0.0))
                     total += np.where(match, 1.0 + term, 0.0)
                 else:
@@ -273,31 +303,32 @@ class ObjScorer:
     equal `obj_sim` bit for bit.
     """
 
-    def __init__(self, detections: dict, search_ids: list):
+    def __init__(self, detections: DetectionTable, search_ids: list):
         self._detections = detections
         self._n = len(search_ids)
-        members = {}  # class -> ([owner row], [box])
+        members = {}  # class -> [(owner row, box row)]
         for row, sid in enumerate(search_ids):
-            dets = _lookup(detections, sid)
-            for cls, box in zip(dets.classes, dets.boxes):
-                owners, boxes = members.setdefault(cls, ([], []))
-                owners.append(row)
-                boxes.append(box)
-        self._groups = {cls: (np.array(owners, dtype=np.intp), geometry.box_array(boxes))
-                        for cls, (owners, boxes) in members.items()}
+            r = _lookup(detections.index, sid)
+            for box, cls in enumerate(detections.classes[r], detections.starts[r]):
+                members.setdefault(cls, []).append((row, box))
+        self._groups = {}
+        for cls, pairs in members.items():
+            owners, boxes = zip(*pairs)
+            self._groups[cls] = np.array(owners, dtype=np.intp), detections.boxes[list(boxes)]
 
     def __call__(self, query_id: str) -> np.ndarray:
-        dets = _lookup(self._detections, query_id)
+        dets = self._detections
+        r = _lookup(dets.index, query_id)
         total = np.zeros(self._n)
-        if not dets.classes:
+        if not dets.classes[r]:
             return total
-        for cls, box in zip(dets.classes, dets.boxes):
+        for cls, box in zip(dets.classes[r], dets.boxes[dets.starts[r]:dets.starts[r + 1]]):
             best = np.zeros(self._n)
             if cls in self._groups:
                 owners, boxes = self._groups[cls]
                 np.maximum.at(best, owners, 1.0 + geometry.iou(box, boxes))
             total += best
-        return total / len(dets.classes)
+        return total / len(dets.classes[r])
 
 
 def retrieve_topk(query_id: str, search_ids: list, similarity, k: int = 5) -> list:

@@ -41,6 +41,7 @@ from swig_toolkit import (
 )
 from swig_toolkit.cli import main as cli_main
 from swig_toolkit.fusion import DetectionSet, assign_groundings
+from swig_toolkit.geometry import box_array
 
 from conftest import (
     Prediction,
@@ -166,7 +167,7 @@ def test_criterion_4_geometry_oracles():
         k = rng.randint(1, 3)
         boxes = [make_box(rng) for _ in range(n)]
         values = np.log([b.height / b.width for b in boxes])
-        ratios = cluster_aspect_ratios(boxes, k, seed=trial)
+        ratios = cluster_aspect_ratios(box_array(boxes), k, seed=trial)
         assert clustering_cost(values, np.log(ratios)) <= kmeans_1d_optimal_cost(values, k) + 1e-9
     report(4, "geometry oracles")
 

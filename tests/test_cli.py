@@ -132,9 +132,9 @@ class TestFuse:
                                                                enabled):
         (workspace / "dets.json").write_text(json.dumps(DETECTIONS))
         during = []
-        assign = cli.assign_groundings
-        monkeypatch.setattr(cli, "assign_groundings",
-                            lambda *a: (during.append(gc.isenabled()), assign(*a))[1])
+        ground = cli.ground_roles
+        monkeypatch.setattr(cli, "ground_roles",
+                            lambda *a: (during.append(gc.isenabled()), ground(*a))[1])
         was = gc.isenabled()
         (gc.enable if enabled else gc.disable)()
         try:

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import compute_stats_naive, load_dataset_naive
-from swig_toolkit import BoundingBox, compute_stats, dataset_io, load_dataset, merge_worker_boxes
+from swig_toolkit import BoundingBox, compute_stats, dataset_io, load_dataset
 from swig_toolkit.dataset_io import (
     DatasetError,
     load_boxes,
@@ -67,24 +67,25 @@ def frames_of(table, r) -> dict:
             for verb, row in table.frames[r].items()}
 
 
+def merged_box(*workers) -> list:
+    """The reader's merged Agent box of one image with these Agent worker boxes."""
+    return load_dataset([dict(image_record(), worker_boxes={"Agent": list(workers)})],
+                        LEXICON_JSON, VOCAB_JSON).boxes[0].tolist()
+
+
 class TestMergeWorkerBoxes:
     def test_identical(self):
-        b = BoundingBox(10, 10, 20, 20)
-        assert merge_worker_boxes([b, b, b]) == b
+        assert merged_box([10, 10, 20, 20], [10, 10, 20, 20], [10, 10, 20, 20]) == [10, 10, 20, 20]
 
     def test_mean_per_coordinate(self):
-        boxes = [BoundingBox(0, 0, 10, 10), BoundingBox(2, 2, 12, 12), BoundingBox(4, 4, 14, 14)]
-        assert merge_worker_boxes(boxes) == BoundingBox(2, 2, 12, 12)
+        assert merged_box([0, 0, 10, 10], [2, 2, 12, 12], [4, 4, 14, 14]) == [2, 2, 12, 12]
 
     def test_uneven_mean(self):
-        boxes = [BoundingBox(0, 0, 2, 2), BoundingBox(0, 0, 2, 2), BoundingBox(3, 3, 9, 9)]
-        merged = merge_worker_boxes(boxes)
-        assert merged == BoundingBox(1, 1, 13 / 3, 13 / 3)
+        assert merged_box([0, 0, 2, 2], [0, 0, 2, 2], [3, 3, 9, 9]) == [1, 1, 13 / 3, 13 / 3]
 
     def test_wrong_count(self):
-        b = BoundingBox(0, 0, 1, 1)
-        with pytest.raises(DatasetError):
-            merge_worker_boxes([b, b])
+        with pytest.raises(DatasetError, match=r"'Agent'\]: expected exactly 3 worker boxes, got 2"):
+            merged_box([0, 0, 1, 1], [0, 0, 1, 1])
 
 
 class TestLoadDataset:
@@ -881,6 +882,18 @@ def test_a_faulty_detection_situation_or_box_file_gives_its_first_fault(load, re
     assert str(e.value) == error
 
 
+def test_valid_detection_situation_and_box_files_build_no_box(monkeypatch):
+    built = []
+    monkeypatch.setattr(BoundingBox, "__post_init__",
+                        lambda self, check=BoundingBox.__post_init__: (built.append(self), check(self)))
+    sets = load_detection_sets([fuse_rec(boxes=[[0, 0, 5, 5], [1, 1, 4, 4]], noun_scores=[[1.0], [2.0]])])
+    assert sets == {"a": {"man": ([1.0, 1.0, 4.0, 4.0], 2.0)}}
+    assert load_object_detections([object_rec()]).boxes.tolist() == [[0, 0, 5, 5]]
+    assert load_situations([top5_rec()]).boxes.shape == (10, 4)
+    assert load_boxes([[0, 0, 5, 5], [0, 0, 1, 2]]).tolist() == [[0, 0, 5, 5], [0, 0, 1, 2]]
+    assert built == []
+
+
 # ---- the bits of worker means and of sizes with no exact float ---------------
 
 def table_of(records, warnings=None):
@@ -896,7 +909,8 @@ def test_a_worker_mean_of_negative_zeros_is_positive_zero_and_a_plain_negative_z
     merged, kept = table_of([workers, plain]).boxes[[0, 3], :2].tolist()
     assert [math.copysign(1, c) for c in merged] == [1, 1]  # 0 + -0.0, as `sum` adds
     assert [math.copysign(1, c) for c in kept] == [-1, -1]
-    assert merge_worker_boxes([BoundingBox(-0.0, -0.0, 5, 5)] * 3).as_list()[:2] == merged
+    images, _, _ = load_dataset_naive([workers], LEXICON_JSON, VOCAB_JSON)
+    assert [math.copysign(1, c) for c in images[0][5]["Agent"][:2]] == [1, 1]
 
 
 def _is_box(raw):
@@ -915,17 +929,17 @@ WORKER_BOX = st.builds(lambda x, y, w, h: [x, y, x + w, y + h],  # can average t
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(triple=st.lists(WORKER_BOX, min_size=3, max_size=3))
-def test_the_readers_worker_mean_is_merge_worker_boxes_bit_for_bit(triple):
+def test_the_readers_worker_mean_is_the_naive_readers_bit_for_bit(triple):
     rec = dict(image_record("a.jpg", width=2**1000, height=2**1000), worker_boxes={"Agent": triple})
     _, violations = parse_dataset([rec], parse_lexicon(LEXICON_JSON), parse_vocabulary(VOCAB_JSON), [])
-    try:
-        merged = merge_worker_boxes([BoundingBox(*map(float, box)) for box in triple])
-    except FrameModelError as e:  # the mean breaks a box rule
-        assert violations == [f"image 'a.jpg', worker_boxes['Agent']: {e}"]
+    images, _, faulty = load_dataset_naive([rec], LEXICON_JSON, VOCAB_JSON)
+    if faulty:  # the mean breaks a box rule
+        assert faulty == ["image 'a.jpg'"]
+        assert [line.split(": box ")[0] for line in violations] == ["image 'a.jpg', worker_boxes['Agent']"]
         return
     assert violations == []
     row = table_of([rec]).boxes[0].tolist()
-    assert [float(c).hex() for c in row] == [float(c).hex() for c in merged.as_list()]
+    assert [float(c).hex() for c in row] == [float(c).hex() for c in images[0][5]["Agent"]]
 
 
 def test_a_box_at_the_float_of_an_int_size_above_it_is_clamped_with_a_warning():

@@ -175,26 +175,27 @@ class TestNms:
 class TestClusterAspectRatios:
     def test_zero_variance(self):
         boxes = [BoundingBox(0, 0, 10, 10)] * 5
-        assert cluster_aspect_ratios(boxes, 3, seed=1) == pytest.approx([1.0, 1.0, 1.0])
+        assert cluster_aspect_ratios(box_array(boxes), 3, seed=1) == pytest.approx([1.0, 1.0, 1.0])
 
     def test_two_well_separated_groups(self):
         wide = [BoundingBox(0, 0, 20, 10)] * 10   # aspect 0.5
         tall = [BoundingBox(0, 0, 10, 20)] * 10   # aspect 2.0
-        assert cluster_aspect_ratios(wide + tall, 2, seed=3) == pytest.approx([0.5, 2.0])
+        assert cluster_aspect_ratios(box_array(wide + tall), 2, seed=3) == pytest.approx([0.5, 2.0])
 
     def test_k_equals_n(self):
         boxes = [BoundingBox(0, 0, 10, h) for h in (5, 10, 20)]
-        assert cluster_aspect_ratios(boxes, 3, seed=0) == pytest.approx([0.5, 1.0, 2.0])
+        assert cluster_aspect_ratios(box_array(boxes), 3, seed=0) == pytest.approx([0.5, 1.0, 2.0])
 
     def test_k_too_large(self):
         with pytest.raises(ValueError):
-            cluster_aspect_ratios([BoundingBox(0, 0, 1, 1)], 2)
+            cluster_aspect_ratios(box_array([BoundingBox(0, 0, 1, 1)]), 2)
 
     def test_permutation_invariant(self, rng):
         boxes = [make_box(rng) for _ in range(20)]
         shuffled = boxes[:]
         rng.shuffle(shuffled)
-        assert cluster_aspect_ratios(boxes, 3, seed=11) == cluster_aspect_ratios(shuffled, 3, seed=11)
+        assert (cluster_aspect_ratios(box_array(boxes), 3, seed=11)
+                == cluster_aspect_ratios(box_array(shuffled), 3, seed=11))
 
     def test_matches_exhaustive_partition_oracle(self, rng):
         for trial in range(30):
@@ -202,7 +203,7 @@ class TestClusterAspectRatios:
             k = rng.randint(1, 3)
             boxes = [make_box(rng) for _ in range(n)]
             values = np.log([b.height / b.width for b in boxes])
-            ratios = cluster_aspect_ratios(boxes, k, seed=trial)
+            ratios = cluster_aspect_ratios(box_array(boxes), k, seed=trial)
             cost = clustering_cost(values, np.log(ratios))
             assert cost <= kmeans_1d_optimal_cost(values, k) + 1e-9
 
@@ -220,7 +221,7 @@ def test_nms_threshold_outside_the_unit_interval_is_an_error(threshold):
 
 def test_cluster_aspect_ratios_needs_k_of_one_or_more():
     with pytest.raises(ValueError, match="k must be >= 1"):
-        cluster_aspect_ratios([BoundingBox(0, 0, 1, 1)], 0)
+        cluster_aspect_ratios(box_array([BoundingBox(0, 0, 1, 1)]), 0)
 
 
 def test_identical_boxes_at_the_area_limit_have_iou_one():

@@ -1,7 +1,9 @@
 """Every toolkit module but the package's `__init__` uses each name it imports,
-and every module-level private name in the toolkit is read somewhere in it."""
+every module-level private name in the toolkit is read somewhere in it, and
+every toolkit name that the benchmark under perfbench/ uses exists."""
 
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -82,3 +84,56 @@ def test_a_helper_left_behind_is_found():
 
 def test_every_private_name_is_read():
     assert unread_private_names(SOURCES) == []
+
+
+# ---- the benchmark's view of the toolkit -------------------------------------
+
+PERFBENCH = SOURCE.parent.parent / "perfbench"
+BY_STRING = {("swig_toolkit.cli", "_load_situations")}  # perfbench/tracer.py wraps it by name
+
+
+def is_module(name: str) -> bool:
+    try:
+        importlib.import_module(name)
+    except ImportError:
+        return False
+    return True
+
+
+def toolkit_names(source: str) -> set:
+    """(module, name) per name `source` imports from the toolkit, and per
+    attribute it reads or sets on a toolkit module it imports."""
+    tree = ast.parse(source)
+    names, modules = set(), {}  # modules: bound name -> toolkit module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "swig_toolkit":
+            for alias in node.names:
+                names.add((node.module, alias.name))
+                if is_module(f"{node.module}.{alias.name}"):
+                    modules[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+        elif isinstance(node, ast.Import):
+            modules.update((alias.asname, alias.name) for alias in node.names
+                           if alias.asname and alias.name.split(".")[0] == "swig_toolkit")
+    return names | {(modules[node.value.id], node.attr) for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules}
+
+
+def test_the_finder_sees_imported_names_and_module_attributes():
+    source = ("import json\nfrom swig_toolkit import cli, geometry\n"
+              "from swig_toolkit.retrieval import obj_sim\nimport swig_toolkit.metrics as metrics\n\n\n"
+              "def f(trace):\n    metrics.iou = trace.wrap(cli.write_output, json.dumps)\n"
+              "    return geometry.nms\n")
+    assert toolkit_names(source) == {
+        ("swig_toolkit", "cli"), ("swig_toolkit", "geometry"), ("swig_toolkit.retrieval", "obj_sim"),
+        ("swig_toolkit.metrics", "iou"), ("swig_toolkit.cli", "write_output"),
+        ("swig_toolkit.geometry", "nms")}
+
+
+def test_every_toolkit_name_the_benchmark_uses_resolves():
+    used = BY_STRING.union(*(toolkit_names(path.read_text(encoding="utf-8"))
+                             for path in sorted(PERFBENCH.glob("*.py"))))
+    assert {("swig_toolkit.metrics", "iou"), ("swig_toolkit.cli", "write_output"),
+            ("swig_toolkit.retrieval", "SituationPrediction")} <= used
+    assert sorted(f"{module}.{name}" for module, name in used
+                  if not hasattr(importlib.import_module(module), name)) == []

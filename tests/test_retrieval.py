@@ -20,6 +20,7 @@ from swig_toolkit import (
     sit_sim,
     split_query_search,
 )
+from swig_toolkit.dataset_io import load_object_detections, load_situations
 from swig_toolkit.retrieval import (
     RetrievalError,
     extract_detections,
@@ -275,23 +276,53 @@ detections = st.lists(st.tuples(st.sampled_from(("man", "dog")), some_box), max_
     lambda d: DetectionList(tuple(c for c, _ in d), tuple(b for _, b in d)))
 
 
+def situation_table(sits: dict):
+    """`load_situations` of {id: SituationPrediction} written in the file form."""
+    return load_situations([{"id": image_id, "verbs": list(sit.verbs),
+                             "entities": [list(e) for e in sit.entities],
+                             "boxes": [[None if b is None else b.as_list() for b in rank] for rank in sit.boxes]}
+                            for image_id, sit in sits.items()])
+
+
+def detection_table(dets: dict):
+    """`load_object_detections` of {id: DetectionList} written in the file form."""
+    return load_object_detections([{"id": image_id, "classes": list(d.classes),
+                                    "boxes": [b.as_list() for b in d.boxes]} for image_id, d in dets.items()])
+
+
+P = BOX_PALETTE
+ROLELESS = SituationPrediction(("v0", "v1", "v0", "v2", "v1"), ((), ("man",), (), ("dog", "man"), ("",)),
+                               ((), (P[0],), (), (P[1], None), (None,)))
+UNBOXED = SituationPrediction(("v0", "v1", "v2", "v0", "v1"),
+                              (("man", "dog"), ("man",), ("dog", "", "man"), ("man", "dog"), ("dog",)),
+                              ((None, None), (None,), (None, None, None), (None, None), (None,)))
+BOXED = SituationPrediction(UNBOXED.verbs, UNBOXED.entities,
+                            ((P[0], P[2]), (P[1],), (P[3], None, P[0]), (None, P[2]), (P[0],)))
+REVERSED = SituationPrediction(ROLELESS.verbs[::-1], ROLELESS.entities[::-1], ROLELESS.boxes[::-1])
+
+
 class TestBatchedScorers:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(situation_sets())
+    @example([ROLELESS, REVERSED])  # ranks without roles on both sides
+    @example([UNBOXED, BOXED, BOXED])  # an unboxed query; two boxed search rows that tie
     def test_sit_scorers_equal_the_scalar_functions(self, sits):
         features = {f"img{i}": sit for i, sit in enumerate(sits)}
         ids = sorted(features)
+        table = situation_table(features)
         for grounded, fn in ((False, sit_sim), (True, gr_sit_sim)):
-            scorer = SitScorer(features, ids, grounded=grounded)
+            scorer = SitScorer(table, ids, grounded=grounded)
             for q in ids:
                 assert scorer(q).tolist() == [fn(features[q], features[s]) for s in ids]
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.lists(detections, min_size=1, max_size=8))
+    @example([DetectionList((), ()), DetectionList(("man", "dog"), (P[0], P[2])),
+              DetectionList(("man", "dog"), (P[0], P[2]))])  # an empty list; two rows that tie
     def test_obj_scorer_equals_obj_sim(self, dets):
         features = {f"img{i}": d for i, d in enumerate(dets)}
         ids = sorted(features)
-        scorer = ObjScorer(features, ids)
+        scorer = ObjScorer(detection_table(features), ids)
         for q in ids:
             assert scorer(q).tolist() == [obj_sim(features[q], features[s]) for s in ids]
 
