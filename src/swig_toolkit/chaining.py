@@ -82,7 +82,8 @@ def chain(nodes: list, spatial_iou: float = DEFAULT_SPATIAL_IOU) -> dict:
             if same[a, b]:
                 edges.append({**pair, "type": "semantic", "strength": 1.0})
     return {
-        "nodes": [{"verb": n.verb, **frame_to_json(n.frame),
+        "nodes": [{"verb": n.verb, **frame_to_json(n.frame.role_values,
+                                                   [b and b.as_list() for b in n.frame.groundings]),
                    "query_box": n.query_box.as_list() if n.query_box else None}
                   for n in nodes],
         "edges": edges,

@@ -36,6 +36,7 @@ from .dataset_io import (
     parse_lexicon,
     parse_vocabulary,
 )
+from .frame_model import frame_to_json
 from .fusion import DEFAULT_FUSION_THRESHOLD, FusionError, ground_roles
 from .geometry import cluster_aspect_ratios
 from .loss_kernels import FocalParams, SmoothingParams, focal_loss, l1_reg, smoothed_ce
@@ -135,7 +136,7 @@ def cmd_fuse(args) -> int:
                 boxes = ground_roles(role_values, detections[image_id], args.fusion_threshold)
             except FusionError as e:
                 raise DatasetError(f"image {image_id!r}, verb {verb!r}, {e}") from e
-            frames[verb] = {"nouns": dict(role_values), "boxes": dict(zip(table.roles[row], boxes))}
+            frames[verb] = frame_to_json(role_values, boxes)
         out.append({"id": image_id, "verbs": list(ranking), "frames": frames})
     write_output(out, args.out)
     return 0

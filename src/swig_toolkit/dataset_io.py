@@ -178,8 +178,7 @@ def _get(rec: dict, key: str, kind: type, where: str, default=_REQUIRED):
 
 
 def _strings(value, where: str) -> tuple:
-    if not ((type(value) is list and {str}.issuperset(map(type, value)))  # a decoded array, at C speed
-            or (isinstance(value, list) and all(isinstance(s, str) for s in value))):
+    if not (isinstance(value, list) and all(isinstance(s, str) for s in value)):
         raise DatasetError(f"{where}: must be a JSON array of strings, got {reprlib.repr(value)}")
     return tuple(value)
 
@@ -619,11 +618,8 @@ def load_situations(source) -> SituationTable:
 
     def parse(rec, where):
         top5 = _strings(rec.get("verbs"), f"{where}, verbs")
-        nouns = _get(rec, "entities", list, where)
-        if {list}.issuperset(map(type, nouns)) and {str}.issuperset(map(type, chain.from_iterable(nouns))):
-            nouns = tuple(map(tuple, nouns))  # decoded arrays of strings, checked at C speed
-        else:
-            nouns = tuple(_strings(row, f"{where}, entities[{a}]") for a, row in enumerate(nouns))
+        nouns = tuple(_strings(row, f"{where}, entities[{a}]")
+                      for a, row in enumerate(_get(rec, "entities", list, where)))
         ranks = _get(rec, "boxes", list, where)
         firsts = tuple(queue.queue(_check(row, list, f"{where}, boxes[{a}]"), where, f", boxes[{a}]")
                        for a, row in enumerate(ranks))

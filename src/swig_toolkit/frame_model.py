@@ -139,12 +139,7 @@ class GroundedFrame:
         raise KeyError(role)
 
 
-def frame_to_json(frame: GroundedFrame) -> dict:
-    """A frame's file form: {"nouns": {role: noun}, "boxes": {role: box_or_null}}."""
-    return {
-        "nouns": dict(frame.role_values),
-        "boxes": {
-            role: (box.as_list() if box is not None else None)
-            for (role, _), box in zip(frame.role_values, frame.groundings)
-        },
-    }
+def frame_to_json(role_values, boxes) -> dict:
+    """The one frame serializer: (role, noun) pairs and parallel [x1, y1, x2, y2]
+    lists or None in the file form {"nouns": {role: noun}, "boxes": {role: box_or_null}}."""
+    return {"nouns": dict(role_values), "boxes": {role: box for (role, _), box in zip(role_values, boxes)}}

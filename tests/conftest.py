@@ -138,7 +138,12 @@ def dataset_json(image):
 def prediction_json(prediction):
     """A Prediction in the prediction file form."""
     return {"id": prediction.image_id, "verbs": list(prediction.verb_ranking),
-            "frames": {verb: frame_to_json(f) for verb, f in prediction.frames.items()}}
+            "frames": {verb: frame_json(f) for verb, f in prediction.frames.items()}}
+
+
+def frame_json(frame):
+    """A GroundedFrame in the frame file form."""
+    return frame_to_json(frame.role_values, [b and b.as_list() for b in frame.groundings])
 
 
 def load_split(split):
