@@ -469,6 +469,35 @@ def test_unreadable_json_file_is_one_error_naming_it(tmp_path, name, content):
     assert err.count("\n") == 1 and err.startswith(f"error: {tmp_path}/{name}: "), err
 
 
+# (subcommand, a record file it reads)
+RECORD_FILES = [("validate", "dataset.json"), ("eval", "dataset.json"), ("eval", "preds.json"),
+                ("fuse", "preds.json"), ("fuse", "dets.json"), ("retrieve", "sits.json"),
+                ("retrieve-obj", "objs.json"), ("chain", "chain.json")]
+
+
+# record #0 breaks a rule of every record format, and the text breaks after it
+@pytest.mark.parametrize("text", [
+    '[{"id": 5, "verbs": []}, {"id": "b"', '[{"id": 5, "verbs": []} {"id": "b"}]',
+    '[5, {"id": "b"},]', '[{"id": 5, "verbs": []}]x',
+], ids=["truncated", "bad-separator", "trailing-comma", "extra-data"])
+@pytest.mark.parametrize("subcommand,name", RECORD_FILES, ids=[f"{c}-{n}" for c, n in RECORD_FILES])
+def test_a_decode_error_anywhere_in_a_file_comes_before_its_record_faults(tmp_path, subcommand, name, text):
+    write_files(tmp_path, valid_files())
+    (tmp_path / name).write_text(text)
+    with pytest.raises(json.JSONDecodeError) as decoded:
+        json.loads(text)
+    assert run(command(subcommand, tmp_path)) == (1, "", f"error: {tmp_path}/{name}: {decoded.value}\n")
+
+
+@pytest.mark.parametrize("subcommand,name", RECORD_FILES, ids=[f"{c}-{n}" for c, n in RECORD_FILES])
+def test_a_valid_record_file_followed_by_data_is_a_decode_error(tmp_path, subcommand, name):
+    files = valid_files()
+    write_files(tmp_path, files)
+    (tmp_path / name).write_text(json.dumps(files[name]) + "x")
+    status, out, err = run(command(subcommand, tmp_path))
+    assert (status, out) == (1, "") and err.startswith(f"error: {tmp_path}/{name}: Extra data: "), err
+
+
 def test_non_utf8_id_list_is_one_error_naming_it(tmp_path):
     write_files(tmp_path, valid_files())
     (tmp_path / "query.txt").write_bytes(b"\xff\xfe")
