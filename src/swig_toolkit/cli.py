@@ -52,8 +52,10 @@ from .retrieval import (
 )
 
 
-def write_output(payload, out: str):
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+def write_output(payload, out: str, encoded: bool = False):
+    """Write `payload` as one line of compact, key-sorted JSON; when `encoded`,
+    `payload` is a list of the items of a JSON array, each already encoded."""
+    text = ("[" + ",".join(payload) + "]" if encoded else _encode(payload)) + "\n"
     if out == "-":
         sys.stdout.write(text)
         return
@@ -75,6 +77,10 @@ def write_output(payload, out: str):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _encode(payload) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def cmd_validate(args) -> int:
@@ -124,8 +130,8 @@ def cmd_fuse(args) -> int:
         raise ValueError(f"--fusion-threshold must be finite, got {args.fusion_threshold}")
     lexicon = parse_lexicon(args.lexicon)
     table = load_predictions(args.frames, lexicon)
-    detections = load_detection_sets(args.detections)
-    out = []
+    boxes, detections = load_detection_sets(args.detections)
+    out = []  # each record encoded as it is built, so the output is never one object tree
     for image_id, ranking, rows in zip(table.ids, table.rankings, table.frames):
         if image_id not in detections:
             raise DatasetError(f"no detections for image {image_id!r}")
@@ -133,12 +139,13 @@ def cmd_fuse(args) -> int:
         for verb, row in sorted(rows.items()):
             role_values = tuple(zip(table.roles[row], table.nouns[row]))
             try:  # the predicted boxes are replaced, so they are never read
-                boxes = ground_roles(role_values, detections[image_id], args.fusion_threshold)
+                grounded = ground_roles(role_values, detections[image_id], args.fusion_threshold)
             except FusionError as e:
                 raise DatasetError(f"image {image_id!r}, verb {verb!r}, {e}") from e
-            frames[verb] = frame_to_json(role_values, boxes)
-        out.append({"id": image_id, "verbs": list(ranking), "frames": frames})
-    write_output(out, args.out)
+            frames[verb] = frame_to_json(role_values, [None if r is None else boxes[r].tolist()
+                                                       for r in grounded])
+        out.append(_encode({"id": image_id, "verbs": list(ranking), "frames": frames}))
+    write_output(out, args.out, encoded=True)
     return 0
 
 

@@ -73,6 +73,7 @@ from .retrieval import DetectionList, DetectionTable, RetrievalError, SituationP
 
 SENTINEL_BOX = [-1, -1, -1, -1]
 _JSON_NUMBER_TYPES = frozenset((int, float))  # what `json` decodes a number to; never bool
+_DECODER, _WHITESPACE = json.JSONDecoder(), json.decoder.WHITESPACE.match  # json's own, between items
 
 
 class DatasetError(ValueError):
@@ -272,9 +273,8 @@ def parse_dataset(source, lexicon: VerbLexicon, vocabulary: NounVocabulary,
     its box lines in role order, then its Place and clamp lines. The table
     holds the records with no line. Every clamped box is a warning.
     """
-    records = _read_json(source)
-    violations = []
-    if not isinstance(records, list):
+    records, violations = _items(source), []
+    if records is None:
         records, violations = [], ["dataset file must be a JSON array of image records"]
     entries, nouns, largest = lexicon.entries, vocabulary.ids, sys.float_info.max
     walked = []  # per record with a known verb: its columns
@@ -438,13 +438,26 @@ def load_dataset(annotation_source, lexicon_source, vocabulary_source,
     return table
 
 
-def _records(source, kind: str):
-    """Yield (index, record) over a JSON array of objects."""
-    records = _read_json(source)
-    if not isinstance(records, list):
+def _records(source, kind: str, queue: _BoxQueue, visit) -> None:
+    """visit(index, record) over a JSON array of objects, read by `_items`.
+
+    A fault the walk raises is raised after the rest of the file is decoded
+    and the queued boxes are judged: a decode error anywhere in the file,
+    then a bad box queued before the fault, comes first, as when the whole
+    file was decoded before any record was judged.
+    """
+    items, fault = _items(source), None
+    if items is None:
         raise DatasetError(f"{kind} file must be a JSON array")
-    for index, rec in enumerate(records):
-        yield index, _check(rec, dict, f"{kind} record #{index}")
+    for index, rec in enumerate(items):
+        if fault is None:
+            try:
+                visit(index, _check(rec, dict, f"{kind} record #{index}"))
+            except DatasetError as e:
+                fault = e
+    if fault is not None:
+        queue.boxes()
+        raise fault
 
 
 def _by_id(source, kind: str, parse, queue: _BoxQueue) -> dict:
@@ -452,21 +465,20 @@ def _by_id(source, kind: str, parse, queue: _BoxQueue) -> dict:
     the file; `where` names the record, and so does every error. `parse`
     queues the record's boxes on `queue`."""
     out = {}
-    try:
-        for index, rec in _records(source, kind):
-            image_id = rec.get("id")
-            if not isinstance(image_id, str):
-                raise DatasetError(f"{kind} record #{index}: missing or non-string 'id'")
-            where = f"{kind} {image_id!r}"
-            if image_id in out:
-                raise DatasetError(f"{where}: duplicate id (record #{index})")
-            try:
-                out[image_id] = parse(rec, where)
-            except (FusionError, RetrievalError) as e:
-                raise DatasetError(f"{where}, {e}") from e  # the type's message names the field
-    except DatasetError:
-        queue.boxes()  # a bad box read before the fault is the first fault
-        raise
+
+    def visit(index, rec):
+        image_id = rec.get("id")
+        if not isinstance(image_id, str):
+            raise DatasetError(f"{kind} record #{index}: missing or non-string 'id'")
+        where = f"{kind} {image_id!r}"
+        if image_id in out:
+            raise DatasetError(f"{where}: duplicate id (record #{index})")
+        try:
+            out[image_id] = parse(rec, where)
+        except (FusionError, RetrievalError) as e:
+            raise DatasetError(f"{where}, {e}") from e  # the type's message names the field
+
+    _records(source, kind, queue, visit)
     return out
 
 
@@ -565,10 +577,11 @@ def load_predictions(source, lexicon: VerbLexicon) -> PredictionTable:
 
 
 @_gc_paused
-def load_detection_sets(source) -> dict:
-    """Parse late-fusion detector output into {image id: best}: each noun's
-    first box of highest logit, as a list, and that logit, as
-    `fusion.best_rows` reduces them; None for an image with no boxes."""
+def load_detection_sets(source) -> tuple:
+    """Parse late-fusion detector output into (boxes, {image id: best}): the
+    file's (n, 4) float64 box rows, and per image each noun's first row of
+    highest logit and that logit, as `fusion.best_rows` reduces them; None
+    for an image with no boxes."""
     queue = _BoxQueue(nullable=False)
 
     def parse(rec, where):
@@ -588,12 +601,10 @@ def load_detection_sets(source) -> dict:
             scores = np.array(rows, dtype=np.float64).reshape(shape)
         except OverflowError as e:  # an int too big for a float
             raise DatasetError(f"{where}, noun_scores: {e}") from e
-        return first, best_rows(scores, {n: i for i, n in enumerate(nouns)})
+        return best_rows(scores, {n: i for i, n in enumerate(nouns)}, first)
 
-    found = _by_id(source, "detections", parse, queue)
-    boxes = queue.boxes().tolist()
-    return {image_id: best and {noun: (boxes[first + row], logit) for noun, (row, logit) in best.items()}
-            for image_id, (first, best) in found.items()}
+    best = _by_id(source, "detections", parse, queue)
+    return queue.boxes(), best
 
 
 @_gc_paused
@@ -639,15 +650,14 @@ def load_chain_nodes(source) -> list:
     A node's roles are the keys of its "nouns" object, in file order.
     """
     verbs, query_boxes, rows = [], [], _BoxQueue()
-    try:
-        for index, rec in _records(source, "situation"):
-            where = f"situation #{index}"
-            verbs.append(_get(rec, "verb", str, where))
-            rows.read(rec, tuple(_get(rec, "nouns", dict, where)), where)
-            query_boxes.append(parse_box(rec.get("query_box"), f"{where}, query_box"))
-    except DatasetError:
-        rows.boxes()  # a bad box read before the fault is the first fault
-        raise
+
+    def visit(index, rec):
+        where = f"situation #{index}"
+        verbs.append(_get(rec, "verb", str, where))
+        rows.read(rec, tuple(_get(rec, "nouns", dict, where)), where)
+        query_boxes.append(parse_box(rec.get("query_box"), f"{where}, query_box"))
+
+    _records(source, "situation", rows, visit)
     boxes = [None if b[0] != b[0] else BoundingBox(*b) for b in rows.boxes().tolist()]
     return [SituationNode(verb, GroundedFrame(tuple(zip(roles, nouns)), tuple(boxes[s:e])), query_box)
             for verb, roles, nouns, s, e, query_box in zip(
@@ -712,8 +722,8 @@ def compute_stats(table: DatasetTable) -> dict:
 
 
 def _read_json(source):
-    """Decode a file object or a path (str, bytes or os.PathLike); any other
-    value is already parsed, for the format's own type check to judge."""
+    """Decode a file object or a path (str, bytes or os.PathLike) whole; any
+    other value is already parsed, for the format's own type check to judge."""
     try:
         if hasattr(source, "read"):
             return json.load(source)
@@ -722,5 +732,66 @@ def _read_json(source):
         with open(source, "r", encoding="utf-8") as f:
             return json.load(f)
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
-        name = getattr(source, "name", "<stream>") if hasattr(source, "read") else source
-        raise DatasetError(f"{name}: {e}") from e
+        raise _decode_error(source, e) from e
+
+
+def _items(source):
+    """An iterator over the items of the JSON array in `source`, which
+    `_read_json` would return; None when the value is not an array.
+
+    A file object or a path is read to text, and its items are decoded one
+    at a time, so an item's objects die once the walk has taken what it
+    keeps. The walk accepts json's array grammar only; from the first text
+    it does not accept, the text goes whole to `json.loads`, so a malformed
+    file raises json's own error.
+    """
+    if not (hasattr(source, "read") or isinstance(source, (str, bytes, os.PathLike))):
+        return iter(source) if isinstance(source, list) else None
+    try:
+        if hasattr(source, "read"):
+            text = source.read()
+        else:
+            with open(source, "r", encoding="utf-8") as f:
+                text = f.read()
+        if not isinstance(text, str):  # a binary file object, decoded as `json.loads` decodes bytes
+            text = text.decode(json.detect_encoding(text), "surrogatepass")
+    except UnicodeDecodeError as e:
+        raise _decode_error(source, e) from e
+    start = _WHITESPACE(text).end()
+    if not text.startswith("[", start):  # json decodes a value that is not an array, or raises
+        _loads(text, source)
+        return None
+    return _stream(text, start + 1, source)
+
+
+def _stream(text: str, index: int, source):
+    """Yield the items of the JSON array whose "[" ends at text[index]; from
+    the first text the walk does not accept, yield the items past those
+    already yielded of `json.loads` of the whole text, which raises."""
+    count, tail = 0, ","
+    index = _WHITESPACE(text, index).end()
+    if text.startswith("]", index):
+        tail, index = "]", index + 1
+    try:
+        while tail == ",":
+            item, index = _DECODER.raw_decode(text, _WHITESPACE(text, index).end())
+            yield item
+            count += 1
+            index = _WHITESPACE(text, index).end() + 1
+            tail = text[index - 1:index]
+    except (json.JSONDecodeError, RecursionError):
+        tail = None
+    if tail != "]" or _WHITESPACE(text, index).end() != len(text):
+        yield from _loads(text, source)[count:]
+
+
+def _loads(text: str, source):
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as e:
+        raise _decode_error(source, e) from e
+
+
+def _decode_error(source, error: Exception) -> DatasetError:
+    name = getattr(source, "name", "<stream>") if hasattr(source, "read") else source
+    return DatasetError(f"{name}: {error}")

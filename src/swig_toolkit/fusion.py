@@ -46,21 +46,23 @@ class DetectionSet:
         self.best = best and {noun: (boxes[row], logit) for noun, (row, logit) in best.items()}
 
 
-def best_rows(noun_scores: np.ndarray, noun_index: dict) -> Optional[dict]:
+def best_rows(noun_scores: np.ndarray, noun_index: dict, first: int = 0) -> Optional[dict]:
     """{noun: (its first row of highest logit, that logit)} over (boxes x
-    nouns) logits; None when there are no boxes, which ground nothing."""
+    nouns) logits, rows counted from `first`; None when there are no boxes,
+    which ground nothing."""
     if not np.all(np.isfinite(noun_scores)):
         raise FusionError("noun_scores: must be finite")
     if not len(noun_scores):  # argmax of an empty column raises
         return None
-    rows, logits = noun_scores.argmax(axis=0).tolist(), noun_scores.max(axis=0).tolist()
+    rows, logits = (noun_scores.argmax(axis=0) + first).tolist(), noun_scores.max(axis=0).tolist()
     return {noun: (rows[col], logits[col]) for noun, col in noun_index.items()}
 
 
 def ground_roles(role_values, best: Optional[dict], threshold: float) -> list:
-    """The fusion rule: per (role, noun), the box that `best` (`best_rows` with
-    its rows read as boxes) holds for the noun if its logit >= threshold,
-    else None. Null nouns and the Place role are never grounded."""
+    """The fusion rule: per (role, noun), the box or box row that `best`
+    (`best_rows`, its rows read as boxes or not) holds for the noun if its
+    logit >= threshold, else None. Null nouns and the Place role are never
+    grounded."""
     groundings = []
     for role, noun in role_values:
         if noun == NULL_NOUN or role == PLACE_ROLE or best is None:

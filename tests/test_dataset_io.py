@@ -885,8 +885,8 @@ def test_valid_detection_situation_and_box_files_build_no_box(monkeypatch):
     built = []
     monkeypatch.setattr(BoundingBox, "__post_init__",
                         lambda self, check=BoundingBox.__post_init__: (built.append(self), check(self)))
-    sets = load_detection_sets([fuse_rec(boxes=[[0, 0, 5, 5], [1, 1, 4, 4]], noun_scores=[[1.0], [2.0]])])
-    assert sets == {"a": {"man": ([1.0, 1.0, 4.0, 4.0], 2.0)}}
+    boxes, sets = load_detection_sets([fuse_rec(boxes=[[0, 0, 5, 5], [1, 1, 4, 4]], noun_scores=[[1.0], [2.0]])])
+    assert boxes.tolist() == [[0, 0, 5, 5], [1, 1, 4, 4]] and sets == {"a": {"man": (1, 2.0)}}
     assert load_object_detections([object_rec()]).boxes.tolist() == [[0, 0, 5, 5]]
     assert load_situations([top5_rec()]).boxes.shape == (10, 4)
     assert load_boxes([[0, 0, 5, 5], [0, 0, 1, 2]]).tolist() == [[0, 0, 5, 5], [0, 0, 1, 2]]
@@ -1000,9 +1000,9 @@ LOADERS = {  # the only call in each entry is the loader's own
 def test_every_loader_pauses_the_collector_and_restores_it(name, enabled, monkeypatch):
     load, valid = LOADERS[name]
     during = []
-    read_json = dataset_io._read_json
-    monkeypatch.setattr(dataset_io, "_read_json",
-                        lambda source: (during.append(gc.isenabled()), read_json(source))[1])
+    for reader in ("_read_json", "_items"):  # a whole value, and a record file's items
+        monkeypatch.setattr(dataset_io, reader, lambda source, read=getattr(dataset_io, reader):
+                            (during.append(gc.isenabled()), read(source))[1])
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
