@@ -347,6 +347,7 @@ def parse_dataset(source, lexicon: VerbLexicon, vocabulary: NounVocabulary,
 
     n_slots, faults = len(raws), []
     boxes, workers = np.split(_box_rows(raws + worker_raws, lambda i: locate(i)[2], faults), [n_slots])
+    del raws, worker_raws, walked  # the decoded box lists and the walk's tuples are read
     for i, message in faults:
         k, slot, _ = locate(i)
         lines.append(((indices[k], 1, slot, 0), message))

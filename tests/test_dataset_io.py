@@ -4,6 +4,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -1014,3 +1015,94 @@ def test_every_loader_pauses_the_collector_and_restores_it(name, enabled, monkey
     finally:
         (gc.enable if was else gc.disable)()
     assert during and not any(during)
+
+
+# ---- record files are decoded one record at a time ----------------------------
+
+def streamed(source):
+    """What the record walk reads of `source`: a list of its items, or None."""
+    items = dataset_io._items(source)
+    return items if items is None else list(items)
+
+
+JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8)
+ARRAY_TEXT = st.builds(json.dumps, st.lists(JSON_VALUE, max_size=4),
+                       indent=st.sampled_from([None, 1, "\t", "\r\n"]))
+EDIT = st.sampled_from([" ", "\t", "\n", "\r", "\x0c", "\xa0", "\ufeff", "[", "]", "{", "}", ",", ":",
+                        '"', "x", "0", "-", ".", "e", "NaN", "\ud800"])
+EDITED_TEXT = st.builds(  # one character inserted or replaced
+    lambda text, at, span, edit: text[:at % (len(text) + 1)] + edit + text[at % (len(text) + 1) + span:],
+    ARRAY_TEXT, st.integers(0, 200), st.integers(0, 1), EDIT)
+JSON_TEXT = (ARRAY_TEXT | EDITED_TEXT | st.builds(json.dumps, JSON_VALUE)
+             | st.text(alphabet='[]{},:" \t\n\r\x0c1a', max_size=12))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(text=JSON_TEXT, form=st.sampled_from(["text", "bytes", "parsed"]))
+@example(text="", form="text")
+@example(text="[]", form="text")
+@example(text=" [ ] ", form="text")
+@example(text="\ufeff[]", form="text")
+@example(text="\ufeff[]", form="bytes")
+@example(text="[1,]", form="text")
+@example(text="[1]x", form="text")
+@example(text="[1]\x0c", form="text")
+@example(text="[\xa01]", form="text")
+@example(text="[1 2]", form="text")
+@example(text="{}", form="text")
+@example(text="[NaN,-Infinity]", form="text")
+@example(text='[{"a":1,"a":2}]', form="text")
+@example(text="[" * 10**5 + "]" * 10**5, form="text")
+@example(text='[{"id": "a"}, [1, 2.5], "b"]', form="bytes")
+@example(text='[{"id": "a"}, [1, 2.5], "b"]', form="parsed")
+def test_the_streamed_records_are_json_loads_of_the_text(text, form):
+    data = text.encode("utf-8", "surrogatepass") if form == "bytes" else text
+    try:
+        value = json.loads(data)
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
+        if form == "parsed":  # nothing parsed to hand in
+            return
+        with pytest.raises(DatasetError) as error:
+            streamed(io.BytesIO(data) if form == "bytes" else io.StringIO(data))
+        assert str(error.value) == f"<stream>: {e}"
+        return
+    source = {"text": io.StringIO, "bytes": io.BytesIO, "parsed": lambda data: value}[form](data)
+    got = streamed(source)
+    if not isinstance(value, list):
+        assert got is None
+    else:  # repr tells 1 from 1.0 and shows NaN, which equals nothing
+        assert repr(got) == repr(value)
+
+
+def traced_peak(call) -> int:
+    """The peak of memory that `tracemalloc` traces while `call()` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_loading_a_record_file_peaks_below_its_decoded_tree(tmp_path, rng, lexicon, vocabulary):
+    from conftest import dataset_json, prediction_json, random_dataset, random_prediction
+
+    split = random_dataset(rng, lexicon, vocabulary, n_verbs=5, images_per_verb=400)
+    files = {"dataset.json": [dataset_json(image) for image in split.images],
+             "preds.json": [prediction_json(random_prediction(rng, lexicon, image)) for image in split.images]}
+    for name, records in files.items():
+        (tmp_path / name).write_text(json.dumps(records))
+    assert len(files["preds.json"]) == 2000
+    lexicon_json = {verb: list(roles) for verb, roles in lexicon.entries.items()}
+    loads = {
+        "preds.json": lambda path: load_predictions(path, lexicon),
+        "dataset.json": lambda path: parse_dataset(path, parse_lexicon(lexicon_json),
+                                                   parse_vocabulary(sorted(vocabulary.ids)), []),
+    }
+    for name, load in loads.items():
+        text = (tmp_path / name).read_text()
+        tree = traced_peak(lambda: json.loads(text))
+        assert traced_peak(lambda: load(str(tmp_path / name))) < tree, name
