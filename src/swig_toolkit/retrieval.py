@@ -8,6 +8,7 @@ separate newline-separated manifest file.
 
 from __future__ import annotations
 
+import heapq
 import os
 import random
 import struct
@@ -246,7 +247,8 @@ class SitScorer:
     count, so the ranks of the search situations are grouped once by that
     key, as `ObjScorer` groups detections by class. Each group holds its
     owner rows, 1-based ranks, an (m, n) array of nouns and an (m, n, 4)
-    array of boxes, NaN for "no box"; each query rank looks up its key.
+    array of boxes, NaN for "no box"; each query rank looks up its key, and
+    a group's arrays are built at its first lookup.
     The float operations per (row, rank pair) are those of `_sit_max` in
     the same order, so scores equal the scalar ones bit for bit.
     """
@@ -262,19 +264,25 @@ class SitScorer:
                     zip(situations.verbs[r], situations.entities[r], situations.starts[r]), 1):
                 if ents:  # a rank without roles never scores, as in `_sit_max`
                     members.setdefault((verb, len(ents)), []).append((row, rank, ents, start))
-        self._groups = {}
-        for (verb, n), ranked in members.items():
+        self._members, self._groups = members, {}
+
+    def _group(self, key):
+        """The arrays of the search ranks with this (verb, role count), built
+        the first time a query looks the key up; None when there are none."""
+        ranked = self._members.pop(key, None)
+        if ranked is not None:
             rows, ranks, nouns, starts = zip(*ranked)
-            self._groups[verb, n] = (np.array(rows, dtype=np.intp), np.array(ranks, dtype=np.intp),
-                                     np.array(nouns, dtype=object),
-                                     situations.boxes[np.add.outer(starts, range(n))] if grounded else None)
+            boxes = self._situations.boxes[np.add.outer(starts, range(key[1]))] if self._grounded else None
+            self._groups[key] = (np.array(rows, dtype=np.intp), np.array(ranks, dtype=np.intp),
+                                 np.array(nouns, dtype=object), boxes)
+        return self._groups.get(key)
 
     def __call__(self, query_id: str) -> np.ndarray:
         sits = self._situations
         r = _lookup(sits.index, query_id)
         best = np.zeros(self._n)
         for a, (verb, ents, start) in enumerate(zip(sits.verbs[r], sits.entities[r], sits.starts[r])):
-            group = self._groups.get((verb, len(ents)))
+            group = self._group((verb, len(ents)))
             if group is None:
                 continue
             rows, ranks, nouns, search_boxes = group
@@ -348,10 +356,10 @@ def retrieve_topk(query_id: str, search_ids: list, similarity, k: int = 5) -> li
     kth = _kth_best(scores, k)
     above, tied = np.flatnonzero(scores > kth), np.flatnonzero(scores == kth)
     ranked = [(search_ids[r], s) for r, s in zip(above.tolist(), scores[above].tolist())]
-    # Without a shared verb most of a search set ties at 0: sort that tie by
-    # id and keep only the ids that reach the top k.
-    tie = sorted(zip([search_ids[r] for r in tied.tolist()], scores[tied].tolist()))
-    ranked += tie[:k - len(ranked)]
+    # Without a shared verb most of a search set ties at 0: keep only the
+    # smallest ids of that tie that reach the top k, without sorting it.
+    tie = zip(map(search_ids.__getitem__, tied.tolist()), scores[tied].tolist())
+    ranked += heapq.nsmallest(k - len(ranked), tie)
     ranked.sort(key=lambda pair: (-pair[1], pair[0]))
     return ranked
 

@@ -220,6 +220,13 @@ class TestRetrieveTopk:
         results = retrieve_topk("q", ["b", "a", "c"], PairwiseScorer(sim, ["b", "a", "c"]), k=3)
         assert [r[0] for r in results] == ["a", "b", "c"]
 
+    def test_a_tie_larger_than_k_keeps_its_smallest_ids(self):
+        ids = [f"img{i:02d}" for i in range(30)][::-1]
+        sim = lambda q, s: 1.0 if s in ("img07", "img20") else 0.0
+        expected = [("img07", 1.0), ("img20", 1.0), ("img00", 0.0), ("img01", 0.0), ("img02", 0.0)]
+        assert retrieve_topk("q", ids, PairwiseScorer(sim, ids), 5) == expected
+        assert topk_naive("q", ids, sim, 5) == expected
+
     def test_matches_exhaustive_oracle(self, rng):
         for _ in range(20):
             sits = {f"img{i:02d}": random_situation(rng) for i in range(20)}
@@ -312,7 +319,7 @@ class TestBatchedScorers:
         table = situation_table(features)
         for grounded, fn in ((False, sit_sim), (True, gr_sit_sim)):
             scorer = SitScorer(table, ids, grounded=grounded)
-            for q in ids:
+            for q in ids + ids:  # the second time, every group a query needs is already built
                 assert scorer(q).tolist() == [fn(features[q], features[s]) for s in ids]
 
     @settings(max_examples=150, deadline=None, derandomize=True)
