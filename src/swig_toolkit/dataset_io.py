@@ -3,7 +3,8 @@
 This module is the only code that reads JSON input; every reader takes a
 path (str, bytes or os.PathLike), a file object or an already-parsed JSON
 value, which is how a library caller hands in data it holds: ground truth
-and predictions have no other input form. Every box is judged by
+and predictions have no other input form. A file of records (a top-level
+array) is decoded one record at a time, by `_items`. Every box is judged by
 `parse_box`'s rules, and every box but a chain node's query box in one
 array pass per file, `_box_rows`, which hands `parse_box` only the boxes
 it refuses: boxes load into (n, 4) float64 arrays, not objects. Every
@@ -440,13 +441,10 @@ def load_dataset(annotation_source, lexicon_source, vocabulary_source,
 
 
 def _records(source, kind: str, queue: _BoxQueue, visit) -> None:
-    """visit(index, record) over a JSON array of objects, read by `_items`.
-
-    A fault the walk raises is raised after the rest of the file is decoded
-    and the queued boxes are judged: a decode error anywhere in the file,
-    then a bad box queued before the fault, comes first, as when the whole
-    file was decoded before any record was judged.
-    """
+    """visit(index, record) over a JSON array of objects, read by `_items`. A
+    fault `visit` raises waits for the rest of the file to decode and the
+    queued boxes to be judged: a decode error anywhere, then a bad box queued
+    before the fault, comes first, as when the file was decoded whole."""
     items, fault = _items(source), None
     if items is None:
         raise DatasetError(f"{kind} file must be a JSON array")
@@ -737,15 +735,11 @@ def _read_json(source):
 
 
 def _items(source):
-    """An iterator over the items of the JSON array in `source`, which
-    `_read_json` would return; None when the value is not an array.
-
-    A file object or a path is read to text, and its items are decoded one
-    at a time, so an item's objects die once the walk has taken what it
-    keeps. The walk accepts json's array grammar only; from the first text
-    it does not accept, the text goes whole to `json.loads`, so a malformed
-    file raises json's own error.
-    """
+    """An iterator over the items of the JSON array `_read_json` would return,
+    or None when that value is not an array. A file object or a path is read
+    to text whose items are decoded one at a time, so an item's objects die
+    once the walk has taken what it keeps; a malformed file raises json's
+    own error."""
     if not (hasattr(source, "read") or isinstance(source, (str, bytes, os.PathLike))):
         return iter(source) if isinstance(source, list) else None
     try:
@@ -766,9 +760,10 @@ def _items(source):
 
 
 def _stream(text: str, index: int, source):
-    """Yield the items of the JSON array whose "[" ends at text[index]; from
-    the first text the walk does not accept, yield the items past those
-    already yielded of `json.loads` of the whole text, which raises."""
+    """Yield the items of the JSON array whose "[" ends at text[index], with
+    json's whitespace and separators between them. From the first text this
+    walk does not accept, the text goes whole to `json.loads`, which raises
+    (or else gives the items not yet yielded)."""
     count, tail = 0, ","
     index = _WHITESPACE(text, index).end()
     if text.startswith("]", index):
