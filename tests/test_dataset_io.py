@@ -1058,6 +1058,7 @@ JSON_TEXT = (ARRAY_TEXT | EDITED_TEXT | st.builds(json.dumps, JSON_VALUE)
 @example(text="[" * 10**5 + "]" * 10**5, form="text")
 @example(text='[{"id": "a"}, [1, 2.5], "b"]', form="bytes")
 @example(text='[{"id": "a"}, [1, 2.5], "b"]', form="parsed")
+@example(text='"a"', form="parsed")
 def test_the_streamed_records_are_json_loads_of_the_text(text, form):
     data = text.encode("utf-8", "surrogatepass") if form == "bytes" else text
     try:
@@ -1068,6 +1069,8 @@ def test_the_streamed_records_are_json_loads_of_the_text(text, form):
         with pytest.raises(DatasetError) as error:
             streamed(io.BytesIO(data) if form == "bytes" else io.StringIO(data))
         assert str(error.value) == f"<stream>: {e}"
+        return
+    if form == "parsed" and isinstance(value, str):  # a string source is a path
         return
     source = {"text": io.StringIO, "bytes": io.BytesIO, "parsed": lambda data: value}[form](data)
     got = streamed(source)
