@@ -760,7 +760,7 @@ def _items(source):
 
 
 def _stream(text: str, index: int, source):
-    """Yield the items of the JSON array whose "[" ends at text[index], with
+    """Yield the items of the JSON array whose "[" is text[index - 1], with
     json's whitespace and separators between them. From the first text this
     walk does not accept, the text goes whole to `json.loads`, which raises
     (or else gives the items not yet yielded)."""
