@@ -61,4 +61,4 @@ from .retrieval import (  # noqa: F401
     sit_sim,
     split_query_search,
 )
-from .chaining import SituationNode, chain  # noqa: F401
+from .chaining import chain  # noqa: F401

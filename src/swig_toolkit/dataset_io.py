@@ -35,7 +35,8 @@ Canonical file formats (UTF-8 JSON):
                  "boxes": [[box_or_null per role] x5]}, ...]  (retrieval;
                read into a `retrieval.SituationTable`)
                [{"verb", **frame, "query_box": box_or_null}, ...]  (chaining;
-               the node's roles are the keys of its "nouns")
+               the node's roles are the keys of its "nouns"; read into a
+               `chaining.NodeTable`)
   boxes:       [[x1,y1,x2,y2], ...]  (anchor clustering)
 
 The adapter sentinel box [-1,-1,-1,-1] is read as "no grounding". An
@@ -59,13 +60,12 @@ from typing import Optional
 
 import numpy as np
 
-from .chaining import SituationNode
+from .chaining import NodeTable
 from .frame_model import (
     NULL_NOUN,
     PLACE_ROLE,
     BoundingBox,
     FrameModelError,
-    GroundedFrame,
     NounVocabulary,
     VerbLexicon,
 )
@@ -643,8 +643,8 @@ def load_situations(source) -> SituationTable:
 
 
 @_gc_paused
-def load_chain_nodes(source) -> list:
-    """Parse the situations of one image (chaining) into SituationNodes.
+def load_chain_nodes(source) -> NodeTable:
+    """Parse the situations of one image (chaining) into a NodeTable.
 
     A node's roles are the keys of its "nouns" object, in file order.
     """
@@ -654,13 +654,11 @@ def load_chain_nodes(source) -> list:
         where = f"situation #{index}"
         verbs.append(_get(rec, "verb", str, where))
         rows.read(rec, tuple(_get(rec, "nouns", dict, where)), where)
-        query_boxes.append(parse_box(rec.get("query_box"), f"{where}, query_box"))
+        query_box = parse_box(rec.get("query_box"), f"{where}, query_box")
+        query_boxes.append(query_box and query_box.as_list())
 
     _records(source, "situation", rows, visit)
-    boxes = [None if b[0] != b[0] else BoundingBox(*b) for b in rows.boxes().tolist()]
-    return [SituationNode(verb, GroundedFrame(tuple(zip(roles, nouns)), tuple(boxes[s:e])), query_box)
-            for verb, roles, nouns, s, e, query_box in zip(
-                verbs, rows.keys, rows.nouns, rows.starts, rows.starts[1:], query_boxes)]
+    return NodeTable(verbs, rows.keys, rows.nouns, rows.starts, rows.boxes(), query_boxes)
 
 
 @_gc_paused

@@ -182,16 +182,17 @@ def topk_naive(query, search_ids, similarity, k):
     return pairs[:k]
 
 
-def chain_naive(nodes, spatial_iou):
-    """Brute-force scan of every role pair across distinct nodes.
+def chain_naive(frames, spatial_iou):
+    """Brute-force scan of every role pair across distinct nodes, given as
+    the GroundedFrames of the nodes in node order.
 
     Returns (node_i, role_a, node_j, role_b, type, strength) tuples in the
     order i < j, then role position in i, then role position in j, with a
     pair's spatial edge before its semantic one.
     """
     edges = []
-    for i, j in itertools.combinations(range(len(nodes)), 2):
-        frame_i, frame_j = nodes[i].frame, nodes[j].frame
+    for i, j in itertools.combinations(range(len(frames)), 2):
+        frame_i, frame_j = frames[i], frames[j]
         for (role_a, noun_a), box_a in zip(frame_i.role_values, frame_i.groundings):
             for (role_b, noun_b), box_b in zip(frame_j.role_values, frame_j.groundings):
                 same_noun = noun_a != "" and noun_a == noun_b

@@ -240,10 +240,10 @@ class TestLoadPredictions:
                              parse_lexicon(LEXICON_JSON))
 
     def test_chain_nodes_honour_the_grounded_flag(self):
-        (node,) = load_chain_nodes([{"verb": "jumping", "nouns": {"Agent": "man", "Place": "street"},
-                                     "boxes": {"Agent": [0, 0, 10, 10], "Place": None},
-                                     "grounded": {"Agent": False}}])
-        assert node.frame.groundings == (None, None)
+        table = load_chain_nodes([{"verb": "jumping", "nouns": {"Agent": "man", "Place": "street"},
+                                   "boxes": {"Agent": [0, 0, 10, 10], "Place": None},
+                                   "grounded": {"Agent": False}}])
+        assert boxes_of(table.boxes) == (None, None)
 
     def test_chain_nodes_invert_frame_to_json(self, rng, lexicon, vocabulary):
         from conftest import frame_json, random_dataset, random_prediction
@@ -258,8 +258,8 @@ class TestLoadPredictions:
         assert any(all(b is None for b in f.groundings) for f in frames)  # with no box
         assert any(b is not None for f in frames for b in f.groundings)  # with boxes
         for f in frames:
-            (node,) = load_chain_nodes([{"verb": "kneading", **frame_json(f)}])
-            assert node.frame == f
+            table = load_chain_nodes([{"verb": "kneading", **frame_json(f)}])
+            assert (table.roles, table.nouns, boxes_of(table.boxes)) == ([f.roles], [f.nouns], f.groundings)
 
     def test_frame_serialization_round_trip(self, rng, lexicon, vocabulary):
         from conftest import frame_json, random_dataset, random_prediction
@@ -769,6 +769,9 @@ PINNED_CHAINS = [  # (case, situations, the error: the first fault in file order
     ("bad-flag-on-a-role-before-a-bad-box",
      [chain_situation(boxes={"Agent": [0, 0, 10, 10], "Place": BAD_BOX}, grounded={"Agent": 0})],
      "situation #0, grounded['Agent']: must be a JSON boolean, got 0"),
+    ("null-verb", [chain_situation(verb=None)], "situation #0, verb: must be a JSON string, got None"),
+    ("null-noun", [chain_situation(nouns={"Agent": None, "Place": "street"})],
+     "situation #0, nouns['Agent']: must be a JSON string, got None"),
     ("grounded-false-on-a-role-with-a-bad-box",
      [chain_situation(boxes={"Agent": BAD_BOX}, grounded={"Agent": False}), chain_situation(verb=None)],
      f"situation #0, boxes['Agent']: {SWAPPED}"),
@@ -1015,6 +1018,17 @@ def test_every_loader_pauses_the_collector_and_restores_it(name, enabled, monkey
     finally:
         (gc.enable if was else gc.disable)()
     assert during and not any(during)
+
+
+def test_valid_files_load_without_building_a_box_but_a_query_box(monkeypatch):
+    built = []
+    monkeypatch.setattr(BoundingBox, "__post_init__",
+                        lambda self, check=BoundingBox.__post_init__: (built.append(self), check(self)))
+    for load, valid in LOADERS.values():  # the dataset's boxes lie inside its image: no clamp
+        load(valid)
+    assert built == []
+    load_chain_nodes([chain_situation(query_box=[1, 2, 30, 40]), chain_situation(query_box=None)])
+    assert [box.as_list() for box in built] == [[1.0, 2.0, 30.0, 40.0]]
 
 
 # ---- record files are decoded one record at a time ----------------------------
