@@ -1,15 +1,15 @@
 """Parsing of every input file format, worker-box merging, corpus statistics.
 
-This module is the only code that reads JSON input; every reader takes a
-path (str, bytes or os.PathLike), a file object or an already-parsed JSON
-value, which is how a library caller hands in data it holds: ground truth
-and predictions have no other input form. A file of records (a top-level
-array) is decoded one record at a time, by `_items`. Every box is judged by
-`parse_box`'s rules, and every box but a chain node's query box in one
-array pass per file, `_box_rows`, which hands `parse_box` only the boxes
-it refuses: boxes load into (n, 4) float64 arrays, not objects. Every
-frame is read by `_BoxQueue.read`, and every error names the record and
-the field it comes from: "<record>, <field>: <rule>".
+This module is the only code that reads JSON input; every reader takes a path
+(str, bytes or os.PathLike), a file object or an already-parsed JSON value,
+which is how a library caller hands in data it holds: ground truth and
+predictions have no other input form. One reader, `_text`, reads every path
+and file object; `_items` decodes a file of records (a top-level array) one
+record at a time. Every box is judged by `parse_box`'s rules, and every box
+but a chain node's query box in one array pass per file, `_box_rows`, which
+hands `parse_box` only the boxes it refuses: boxes load into (n, 4) float64
+arrays, not objects. Every frame is read by `_BoxQueue.read`, and every error
+names the record and the field it comes from: "<record>, <field>: <rule>".
 
 Canonical file formats (UTF-8 JSON):
 
@@ -53,6 +53,7 @@ import reprlib
 import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, repeat
 from operator import and_, is_not, itemgetter
@@ -220,13 +221,13 @@ def _valid_box_rows(rows: np.ndarray) -> np.ndarray:
                 & (0 < area) & (area <= sys.float_info.max / 2) & (0 < aspect) & (aspect < np.inf))
 
 
-def _box_rows(raws: list, where_of, faults: Optional[list] = None) -> np.ndarray:
+def _box_rows(raws: list, where_of, faults: list) -> np.ndarray:
     """(len(raws), 4) float64 rows of raw boxes, a NaN row for null and the sentinel.
 
     Lists of four JSON numbers are judged all at once by `_valid_box_rows`;
     only a box refused there is read by `parse_box`, in order, whose error
-    names box i by `where_of(i)`. Given `faults`, a bad box appends (i, its
-    error's message) there and gets a NaN row; else the first one raises.
+    names box i by `where_of(i)`. A bad box appends (i, its error's message)
+    to `faults` and gets a NaN row.
     """
     given = np.fromiter(map(is_not, raws, repeat(None)), dtype=bool, count=len(raws))
     present = list(compress(raws, given))
@@ -249,8 +250,6 @@ def _box_rows(raws: list, where_of, faults: Optional[list] = None) -> np.ndarray
         try:
             box = parse_box(present[j], where_of(i))
         except DatasetError as e:
-            if faults is None:
-                raise
             faults.append((i, str(e)))
             continue
         block[j] = np.nan if box is None else box.as_list()
@@ -490,7 +489,8 @@ class _BoxQueue:
     roles or field, which the walk holds anyway. A fault the walk raises
     comes first in the file only when every box queued before it is good,
     so a loader calls `boxes` before re-raising it. When not `nullable`, a
-    null or sentinel box is a fault, after any malformed box of its run.
+    null or sentinel box is a fault, after any malformed box of its run; a
+    run that `read` raised in ends the queue.
     """
 
     def __init__(self, nullable: bool = True):
@@ -532,11 +532,12 @@ class _BoxQueue:
     def boxes(self) -> np.ndarray:
         """(n, 4) float64 rows of every queued box, a NaN row where it is null
         or flagged false; the first fault raises."""
-        faults = None if self.nullable else []
+        faults = []
         rows = _box_rows(self.raws, self.where_of, faults)
-        absent = [] if self.nullable else np.flatnonzero(np.isnan(rows[:, 0])).tolist()
-        if absent:  # the first run with a null or bad box: its first bad box, else its first null
-            end = self.starts[bisect_right(self.starts, absent[0])]
+        absent = ([i for i, _ in faults[:1]] if self.nullable  # only a bad box is a fault
+                  else np.flatnonzero(np.isnan(rows[:, 0])).tolist())  # a bad or a null box
+        if absent:  # the first run holding one: its first bad box, else its first null
+            end = (self.starts + [len(self.raws)])[bisect_right(self.starts, absent[0])]
             raise DatasetError(next((line for i, line in faults if i < end),
                                     f"{self.where_of(absent[0])}: box may not be null"))
         rows[self.unflagged] = np.nan
@@ -718,38 +719,36 @@ def compute_stats(table: DatasetTable) -> dict:
     }
 
 
-def _read_json(source):
-    """Decode a file object or a path (str, bytes or os.PathLike) whole; any
-    other value is already parsed, for the format's own type check to judge."""
-    try:
-        if hasattr(source, "read"):
-            return json.load(source)
-        if not isinstance(source, (str, bytes, os.PathLike)):
-            return source
-        with open(source, "r", encoding="utf-8") as f:
-            return json.load(f)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
+def _text(source) -> Optional[str]:
+    """The text of a file object or a path (str, bytes or os.PathLike); None for
+    any other value, which is already parsed. As in `json.loads`, bytes decode
+    by their detected encoding, and a text starting with a BOM is refused."""
+    if not (hasattr(source, "read") or isinstance(source, (str, bytes, os.PathLike))):
+        return None
+    try:  # a caller's file object stays open
+        with nullcontext(source) if hasattr(source, "read") else open(source, "r", encoding="utf-8") as f:
+            text = f.read()
+        if isinstance(text, str) and text.startswith("\ufeff"):
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return text if isinstance(text, str) else text.decode(json.detect_encoding(text), "surrogatepass")
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise _decode_error(source, e) from e
+
+
+def _read_json(source):
+    """Decode a source whole; an already-parsed value is returned for the format's type check."""
+    text = _text(source)
+    return source if text is None else _loads(text, source)
 
 
 def _items(source):
     """An iterator over the items of the JSON array `_read_json` would return,
-    or None when that value is not an array. A file object or a path is read
-    to text whose items are decoded one at a time, so an item's objects die
-    once the walk has taken what it keeps; a malformed file raises json's
-    own error."""
-    if not (hasattr(source, "read") or isinstance(source, (str, bytes, os.PathLike))):
+    or None when that value is not an array. A source's text is decoded one
+    item at a time, so an item's objects die once the walk has taken what it
+    keeps; a malformed file raises json's own error."""
+    text = _text(source)
+    if text is None:
         return iter(source) if isinstance(source, list) else None
-    try:
-        if hasattr(source, "read"):
-            text = source.read()
-        else:
-            with open(source, "r", encoding="utf-8") as f:
-                text = f.read()
-        if not isinstance(text, str):  # a binary file object, decoded as `json.loads` decodes bytes
-            text = text.decode(json.detect_encoding(text), "surrogatepass")
-    except UnicodeDecodeError as e:
-        raise _decode_error(source, e) from e
     start = _WHITESPACE(text).end()
     if not text.startswith("[", start):  # json decodes a value that is not an array, or raises
         _loads(text, source)
@@ -760,7 +759,7 @@ def _items(source):
 def _stream(text: str, index: int, source):
     """Yield the items of the JSON array whose "[" is text[index - 1], with
     json's whitespace and separators between them. From the first text this
-    walk does not accept, the text goes whole to `json.loads`, which raises
+    walk does not accept, the text goes whole to `_loads`, which raises
     (or else gives the items not yet yielded)."""
     count, tail = 0, ","
     index = _WHITESPACE(text, index).end()
@@ -781,7 +780,7 @@ def _stream(text: str, index: int, source):
 
 def _loads(text: str, source):
     try:
-        return json.loads(text)
+        return _DECODER.decode(text)
     except (json.JSONDecodeError, RecursionError) as e:
         raise _decode_error(source, e) from e
 

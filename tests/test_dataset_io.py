@@ -308,8 +308,17 @@ class TestLoadPredictions:
                                    "boxes": {"Item": [0, 0, 10, float("inf")]}}}}],
          "prediction 'a', frames['kneading'], boxes['Item']: "
          "box coordinates must be finite: (0.0, 0.0, 10.0, inf)"),
+        ([{"id": "a", "verbs": ["kneading"],
+           "frames": {"kneading": {"nouns": {"Agent": "man", "Item": "dough", "Place": ""},
+                                   "boxes": {"Agent": [0, 0, 10, float("nan")],
+                                             "Item": [5, 0, 1, 10]}}}},
+          {"id": "b", "verbs": ["jumping"],
+           "frames": {"jumping": {"nouns": {"Agent": "man", "Place": "street"},
+                                  "boxes": {"Agent": [0, 0, True, 10]}}}}],
+         "prediction 'a', frames['kneading'], boxes['Agent']: "
+         "box coordinates must be finite: (0.0, 0.0, 10.0, nan)"),
     ], ids=["bad-box-then-next-record-noun", "bad-box-then-later-role-missing-noun",
-            "unranked-verb-then-later-frame-bad-box"])
+            "unranked-verb-then-later-frame-bad-box", "two-bad-boxes-in-a-frame-then-a-later-bad-box"])
     def test_the_first_fault_in_file_order_is_the_error(self, records, error):
         with pytest.raises(DatasetError) as e:
             load_predictions(records, parse_lexicon(LEXICON_JSON))
@@ -1054,6 +1063,7 @@ JSON_TEXT = (ARRAY_TEXT | EDITED_TEXT | st.builds(json.dumps, JSON_VALUE)
              | st.text(alphabet='[]{},:" \t\n\r\x0c1a', max_size=12))
 
 
+@pytest.mark.parametrize("read", [streamed, dataset_io._read_json], ids=["_items", "_read_json"])
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(text=JSON_TEXT, form=st.sampled_from(["text", "bytes", "parsed"]))
 @example(text="", form="text")
@@ -1061,6 +1071,7 @@ JSON_TEXT = (ARRAY_TEXT | EDITED_TEXT | st.builds(json.dumps, JSON_VALUE)
 @example(text=" [ ] ", form="text")
 @example(text="\ufeff[]", form="text")
 @example(text="\ufeff[]", form="bytes")
+@example(text="\ufeff\ufeff[]", form="bytes")  # bytes lose one BOM; json refuses the next as no value
 @example(text="[1,]", form="text")
 @example(text="[1]x", form="text")
 @example(text="[1]\x0c", form="text")
@@ -1073,7 +1084,9 @@ JSON_TEXT = (ARRAY_TEXT | EDITED_TEXT | st.builds(json.dumps, JSON_VALUE)
 @example(text='[{"id": "a"}, [1, 2.5], "b"]', form="bytes")
 @example(text='[{"id": "a"}, [1, 2.5], "b"]', form="parsed")
 @example(text='"a"', form="parsed")
-def test_the_streamed_records_are_json_loads_of_the_text(text, form):
+def test_the_streamed_records_are_json_loads_of_the_text(read, text, form):
+    """Both readers of a source: the record walk's `_items` and the whole-value
+    `_read_json` give what `json.loads` gives, or raise its error."""
     data = text.encode("utf-8", "surrogatepass") if form == "bytes" else text
     try:
         value = json.loads(data)
@@ -1081,14 +1094,14 @@ def test_the_streamed_records_are_json_loads_of_the_text(text, form):
         if form == "parsed":  # nothing parsed to hand in
             return
         with pytest.raises(DatasetError) as error:
-            streamed(io.BytesIO(data) if form == "bytes" else io.StringIO(data))
+            read(io.BytesIO(data) if form == "bytes" else io.StringIO(data))
         assert str(error.value) == f"<stream>: {e}"
         return
     if form == "parsed" and isinstance(value, str):  # a string source is a path
         return
     source = {"text": io.StringIO, "bytes": io.BytesIO, "parsed": lambda data: value}[form](data)
-    got = streamed(source)
-    if not isinstance(value, list):
+    got = read(source)
+    if read is streamed and not isinstance(value, list):
         assert got is None
     else:  # repr tells 1 from 1.0 and shows NaN, which equals nothing
         assert repr(got) == repr(value)

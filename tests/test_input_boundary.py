@@ -16,7 +16,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from swig_toolkit.cli import main, write_output
@@ -739,20 +739,31 @@ def test_other_loaders_return_or_raise_dataset_error(preds, fuse, objects, situa
     loads_or_dataset_error(load_boxes, boxes)
 
 
+AREA_AND_ASPECT_EDGES = [[0, 0, 1e308, 10], [0, 0, 5e-324, 10], [0, 0, 10, 5e-324],
+                         [0, 0, 1e-300, 1e300], [0, 0, 1e300, 1e-300],
+                         [0, 0, 1.3e154, 1.4e154], [0, 0, 1.3e154, 6e153], [5e-324, 0, 1e-323, 1]]
 EDGE_COORD = st.sampled_from([-0.0, 5e-324, 1e308, 10**400, True, "1", float("nan"),
                               float("inf"), float("-inf"), -1, -1.0, 2**70])
 AGREEMENT_BOX = (st.none() | st.just([-1, -1, -1, -1]) | st.just([-1.0, -1, -1, -1]) | BOX
                  | st.lists(EDGE_COORD | COORD, min_size=3, max_size=5)
                  | st.tuples(BOX, st.integers(0, 3), EDGE_COORD).map(  # one edge coordinate
                      lambda t: t[0][:t[1]] + [t[2]] + t[0][t[1] + 1:])
-                 | st.sampled_from([[0, 0, 1e308, 10], [0, 0, 5e-324, 10], [0, 0, 10, 5e-324],
-                                    [0, 0, 1e-300, 1e300], [0, 0, 1e300, 1e-300],
-                                    [0, 0, 1.3e154, 1.4e154], [0, 0, 1.3e154, 6e153],
-                                    [5e-324, 0, 1e-323, 1]]))  # area and aspect edges
+                 | st.sampled_from(AREA_AND_ASPECT_EDGES))
+
+
+def pinned_boxes(boxes):
+    """Run the decorated property on each of `boxes` as an explicit example."""
+    def pin(test):
+        for box in boxes:
+            test = example(box=box)(test)
+        return test
+    return pin
 
 
 @settings(PROPERTY, max_examples=400)
 @given(box=AGREEMENT_BOX)
+@pinned_boxes([None, [-1, -1, -1, -1], [-1.0, -1, -1, -1], [0, 0, 10**400, 1],
+               [0, 0, float("nan"), 10], [-0.0, 0, 10, 10], *AREA_AND_ASPECT_EDGES])
 def test_a_prediction_box_is_accepted_exactly_when_parse_box_accepts_it(box):
     where = "prediction 'x', frames['jumping'], boxes['Agent']"
     preds = [{"id": "x", "verbs": ["jumping"], "frames": {"jumping": {
