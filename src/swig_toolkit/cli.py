@@ -200,50 +200,43 @@ def cmd_gradcheck(args) -> int:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     step = 1e-5
-    results = {}
 
-    def central_diff(fn, x):
-        grad = np.zeros_like(x)
-        for i in range(x.size):
-            hi, lo = x.copy(), x.copy()
-            hi[i] += step
-            lo[i] -= step
-            grad[i] = (fn(hi) - fn(lo)) / (2 * step)
-        return grad
-
-    def max_rel_err(analytic, numeric):
-        # absolute floor so fp noise on near-zero gradients does not dominate
-        denom = np.maximum(np.maximum(np.abs(numeric), np.abs(analytic)), 1e-6)
-        return float(np.max(np.abs(analytic - numeric) / denom))
-
-    worst = 0.0
-    for _ in range(args.trials):
+    def focal():
         n = int(rng.integers(2, 12))
         x = rng.normal(size=n) * 3
         t = (rng.random(n) < 0.5).astype(float)
         params = FocalParams(float(rng.uniform(0.1, 0.9)), float(rng.uniform(0, 4)))
-        _, grad = focal_loss(x, t, params)
-        worst = max(worst, max_rel_err(grad, central_diff(lambda v: focal_loss(v, t, params)[0], x)))
-    results["focal_loss"] = worst
+        return x, lambda v: focal_loss(v, t, params)
 
-    worst = 0.0
-    for _ in range(args.trials):
+    def smoothed():
         k = int(rng.integers(2, 12))
         x = rng.normal(size=k) * 3
         target = int(rng.integers(k))
         params = SmoothingParams(float(rng.uniform(0, 0.9)))
-        _, grad = smoothed_ce(x, target, params)
-        worst = max(worst, max_rel_err(grad, central_diff(lambda v: smoothed_ce(v, target, params)[0], x)))
-    results["smoothed_ce"] = worst
+        return x, lambda v: smoothed_ce(v, target, params)
 
-    worst = 0.0
-    for _ in range(args.trials):
+    def l1():
         n = int(rng.integers(2, 12))
-        p = rng.normal(size=n)
+        x = rng.normal(size=n)
         t = rng.normal(size=n)  # ties have measure zero under the gaussian draw
-        _, grad = l1_reg(p, t)
-        worst = max(worst, max_rel_err(grad, central_diff(lambda v: l1_reg(v, t)[0], p)))
-    results["l1_reg"] = worst
+        return x, lambda v: l1_reg(v, t)
+
+    results = {}
+    for kernel, draw in {"focal_loss": focal, "smoothed_ce": smoothed, "l1_reg": l1}.items():
+        worst = 0.0
+        for _ in range(args.trials):
+            x, fn = draw()  # fn returns (loss, gradient)
+            analytic = fn(x)[1]
+            numeric = np.zeros_like(x)
+            for i in range(x.size):  # central difference
+                hi, lo = x.copy(), x.copy()
+                hi[i] += step
+                lo[i] -= step
+                numeric[i] = (fn(hi)[0] - fn(lo)[0]) / (2 * step)
+            # absolute floor so fp noise on near-zero gradients does not dominate
+            denom = np.maximum(np.maximum(np.abs(numeric), np.abs(analytic)), 1e-6)
+            worst = max(worst, float(np.max(np.abs(analytic - numeric) / denom)))
+        results[kernel] = worst
 
     if args.out != "-":
         for kernel, err in results.items():
@@ -273,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dataset")
     p.add_argument("--lexicon", required=True)
     p.add_argument("--vocab", required=True)
-    p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("eval", help="five-metric evaluation")
@@ -284,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--setting", choices=[s.value for s in VerbSetting], default="gt")
     p.add_argument("--value-all-mode", choices=[m.value for m in ValueAllMode],
                    default="any-per-role")
-    p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("fuse", help="assign detector boxes to predicted frames")
@@ -292,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--detections", required=True)
     p.add_argument("--lexicon", required=True)
     p.add_argument("--fusion-threshold", type=float, default=DEFAULT_FUSION_THRESHOLD)
-    p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_fuse)
 
     p = sub.add_parser("retrieve", help="top-k similar images")
@@ -303,28 +293,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", help="binary embedding file (mode l2)")
     p.add_argument("--detections", help="detections JSON (mode obj)")
     p.add_argument("--situations", help="situations JSON (modes sit, grsit)")
-    p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_retrieve)
 
     p = sub.add_parser("chain", help="link situations into a relation graph")
     p.add_argument("--situations", required=True)
     p.add_argument("--iou", type=float, default=DEFAULT_SPATIAL_IOU)
-    p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_chain)
 
     p = sub.add_parser("anchors", help="aspect-ratio clustering for anchors")
     p.add_argument("--boxes", required=True, help="JSON array of [x1,y1,x2,y2]")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_anchors)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the loss kernels")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_gradcheck)
 
+    for name, p in sub.choices.items():
+        if name != "validate":  # the one subcommand that writes no JSON
+            p.add_argument("--out", default="-")
     return parser
 
 

@@ -384,12 +384,16 @@ def write_embeddings(path, ids: list, matrix: np.ndarray):
 
 
 def read_ids(path) -> list:
-    """Read a newline-separated id list, skipping blank lines; a repeated id is an error."""
+    """Read a newline-separated id list, skipping blank lines; a repeated id, or
+    a UTF-8 BOM that would start the first id, is an error."""
     try:
         with open(path, "r", encoding="utf-8") as f:
-            ids = [line for line in f.read().splitlines() if line]
+            text = f.read()
     except UnicodeDecodeError as e:
         raise RetrievalError(f"{path}: {e}") from e
+    if text.startswith("\ufeff"):
+        raise RetrievalError(f"{path}: unexpected UTF-8 BOM")
+    ids = [line for line in text.splitlines() if line]
     repeated = [image_id for image_id, n in Counter(ids).items() if n > 1]
     if repeated:
         raise RetrievalError(f"{path}: image id {repeated[0]!r} is listed twice")

@@ -941,6 +941,10 @@ WORKER_BOX = st.builds(lambda x, y, w, h: [x, y, x + w, y + h],  # can average t
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(triple=st.lists(WORKER_BOX, min_size=3, max_size=3))
+@example(triple=[[0, 0, 1, 1]] * 3)
+@example(triple=[[-0.0, -0.0, 1, 1]] * 3)
+@example(triple=[[0, 0, 1e200, 1e-100], [0, 0, 1e-100, 1e200],
+                 [0, 0, 1e200, 1e-100]])  # valid boxes whose mean's area overflows
 def test_the_readers_worker_mean_is_the_naive_readers_bit_for_bit(triple):
     rec = dict(image_record("a.jpg", width=2**1000, height=2**1000), worker_boxes={"Agent": triple})
     _, violations = parse_dataset([rec], parse_lexicon(LEXICON_JSON), parse_vocabulary(VOCAB_JSON), [])

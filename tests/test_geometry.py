@@ -2,7 +2,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swig_toolkit import BoundingBox, ScoredBox, cluster_aspect_ratios, iou, nms
@@ -75,6 +75,8 @@ def assert_same_bits(got, expected):
 class TestIouBroadcast:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(box_and_relatives())
+    @example((BoundingBox(0, 0, 2, 2), [BoundingBox(0, 0, 2, 2), BoundingBox(2, 0, 4, 2),  # same; one edge
+                                        BoundingBox(5, 5, 6, 6), BoundingBox(0.5, 0.5, 1.5, 1.5)]))
     def test_equals_the_oracle_bit_for_bit(self, case):
         a, boxes = case
         rows = box_array(boxes)

@@ -408,6 +408,21 @@ def test_repeated_id_is_one_named_error(tmp_path, kind):
     assert err == f"error: {tmp_path}/{file}: image id 'img0' is listed twice\n", err
 
 
+@pytest.mark.parametrize("kind", ["manifest", "query", "search"])
+def test_id_list_with_a_bom_is_one_named_error(tmp_path, kind):
+    ids = {"manifest": ["img0", "img1"], "query": ["img0"], "search": ["img0", "img1"]}
+    ids[kind][0] = "\ufeff" + ids[kind][0]  # as a UTF-8-with-BOM save writes it
+    write_embeddings(tmp_path / "emb.swge", ids["manifest"], np.eye(len(ids["manifest"]), 3))
+    (tmp_path / "query.txt").write_text("\n".join(ids["query"]) + "\n", encoding="utf-8")
+    (tmp_path / "search.txt").write_text("\n".join(ids["search"]) + "\n", encoding="utf-8")
+    status, out, err = run(["retrieve", "--mode", "l2", "--query", f"{tmp_path}/query.txt",
+                            "--search", f"{tmp_path}/search.txt",
+                            "--embeddings", f"{tmp_path}/emb.swge", "--out", "-"])
+    file = {"manifest": "emb.swge.ids", "query": "query.txt", "search": "search.txt"}[kind]
+    assert status == 1 and out == ""
+    assert err == f"error: {tmp_path}/{file}: unexpected UTF-8 BOM\n", err
+
+
 def test_write_output_removes_its_temp_file_when_the_rename_fails(tmp_path, monkeypatch):
     def refuse(src, dst):
         raise OSError("rename refused")
@@ -711,8 +726,15 @@ def loads_or_dataset_error(load, value, *args):
         pass
 
 
+INVERTED_BOX_RECORD = dict(valid_files()["dataset.json"][0],
+                           boxes={"Agent": [50, 80, 0, 0], "Item": [20, 30, 40, 50], "Place": None})
+
+
 @PROPERTY
 @given(dataset=DATASET_FILE, lexicon=LEXICON_FILE, vocab=VOCAB_FILE)
+@example(dataset=[], lexicon=LEXICON, vocab=VOCAB)
+@example(dataset={}, lexicon=LEXICON, vocab=VOCAB)
+@example(dataset=[INVERTED_BOX_RECORD], lexicon=LEXICON, vocab=VOCAB)
 def test_validate_and_stats_agree_on_any_json(dataset, lexicon, vocab):
     loads_or_dataset_error(load_dataset, dataset, io.StringIO(json.dumps(lexicon)),
                            io.StringIO(json.dumps(vocab)))
@@ -729,6 +751,10 @@ def test_validate_and_stats_agree_on_any_json(dataset, lexicon, vocab):
 @PROPERTY
 @given(preds=PREDICTIONS_FILE, fuse=FUSE_FILE, objects=OBJECTS_FILE,
        situations=SITUATIONS_FILE, nodes=CHAIN_FILE, boxes=BOXES_FILE)
+@example(preds=[], fuse=[], objects=[], situations=[], nodes=[], boxes=[])
+@example(preds=[], fuse=[{"id": "a", "boxes": [None], "nouns": ["man"], "noun_scores": [[1.0]]}],
+         objects=[{"id": "a", "classes": ["man"], "boxes": [None]}], situations=[], nodes=[],
+         boxes=[None])  # a null box where none may be null
 def test_other_loaders_return_or_raise_dataset_error(preds, fuse, objects, situations,
                                                      nodes, boxes):
     loads_or_dataset_error(load_predictions, preds, parse_lexicon(LEXICON))

@@ -353,6 +353,8 @@ class TestBatchedScorers:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.integers(1, 64), st.lists(st.tuples(st.integers(0, 3), st.booleans()), min_size=1,
                                         max_size=24), st.integers(0, 2**32 - 1))
+    @example(1, [(0, False)], 0)
+    @example(3, [(0, False)] * 24, 0)  # every search row ties
     def test_l2_topk_equals_topk_naive(self, dim, layout, seed):
         # Rows copy one of 4 base vectors, some permuted: copies tie exactly, and a
         # permuted copy ties with its base in exact arithmetic from the zero query,
