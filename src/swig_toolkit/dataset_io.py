@@ -82,16 +82,16 @@ class DatasetError(ValueError):
     """Raised when a dataset, lexicon, or prediction file is malformed."""
 
 
-def _gc_paused(loader):
-    """Run `loader` with the cyclic garbage collector paused, restoring its
-    prior state after. A loader builds no reference cycles, so a collection
+def _gc_paused(read):
+    """Run `read` with the cyclic garbage collector paused, restoring its
+    prior state after. A reader builds no reference cycles, so a collection
     during the parse would only walk the growing heap and free nothing."""
-    @functools.wraps(loader)
+    @functools.wraps(read)
     def paused(*args, **kwargs):
         enabled = gc.isenabled()
         gc.disable()
         try:
-            return loader(*args, **kwargs)
+            return read(*args, **kwargs)
         finally:
             if enabled:
                 gc.enable()
@@ -421,7 +421,6 @@ def _frame_lines(label: str, frames, roles: tuple, nouns: frozenset, key: tuple,
     return tuple(annotated)
 
 
-@_gc_paused
 def load_dataset(annotation_source, lexicon_source, vocabulary_source,
                  warnings: Optional[list] = None) -> DatasetTable:
     """Parse and validate a dataset from its three JSON sources into a DatasetTable.
@@ -439,35 +438,37 @@ def load_dataset(annotation_source, lexicon_source, vocabulary_source,
     return table
 
 
-def _records(source, kind: str, queue: _BoxQueue, visit) -> None:
-    """visit(index, record) over a JSON array of objects, read by `_items`. A
-    fault `visit` raises waits for the rest of the file to decode and the
-    queued boxes to be judged: a decode error anywhere, then a bad box queued
-    before the fault, comes first, as when the file was decoded whole."""
+@_gc_paused
+def _records(source, kind: str, queue: _BoxQueue, visit) -> np.ndarray:
+    """visit(index, record) over a JSON array of objects, read by `_items`;
+    returns `queue.boxes()`. A fault `visit` raises waits for the file to
+    decode and the queued boxes to be judged: a decode error anywhere, then
+    a bad box queued before the fault, comes first, as in a whole decode."""
     items, fault = _items(source), None
     if items is None:
         raise DatasetError(f"{kind} file must be a JSON array")
     for index, rec in enumerate(items):
         if fault is None:
             try:
-                visit(index, _check(rec, dict, f"{kind} record #{index}"))
+                visit(index, _check(rec, dict, f"{kind} #{index}"))
             except DatasetError as e:
                 fault = e
+    rows = queue.boxes()
     if fault is not None:
-        queue.boxes()
         raise fault
+    return rows
 
 
-def _by_id(source, kind: str, parse, queue: _BoxQueue) -> dict:
-    """{id: parse(rec, where)} over records whose "id" is a string, unique in
-    the file; `where` names the record, and so does every error. `parse`
-    queues the record's boxes on `queue`."""
+def _by_id(source, kind: str, parse, queue: _BoxQueue) -> tuple:
+    """({id: parse(rec, where)}, `queue.boxes()`) over records whose "id" is a
+    string, unique in the file; `where` names the record, and so does every
+    error. `parse` queues the record's boxes on `queue`."""
     out = {}
 
     def visit(index, rec):
         image_id = rec.get("id")
         if not isinstance(image_id, str):
-            raise DatasetError(f"{kind} record #{index}: missing or non-string 'id'")
+            raise DatasetError(f"{kind} #{index}: missing or non-string 'id'")
         where = f"{kind} {image_id!r}"
         if image_id in out:
             raise DatasetError(f"{where}: duplicate id (record #{index})")
@@ -476,8 +477,7 @@ def _by_id(source, kind: str, parse, queue: _BoxQueue) -> dict:
         except (FusionError, RetrievalError) as e:
             raise DatasetError(f"{where}, {e}") from e  # the type's message names the field
 
-    _records(source, kind, queue, visit)
-    return out
+    return out, _records(source, kind, queue, visit)
 
 
 class _BoxQueue:
@@ -488,9 +488,9 @@ class _BoxQueue:
     of role r named `<where>, boxes[r]`. A run keeps its `where` and its
     roles or field, which the walk holds anyway. A fault the walk raises
     comes first in the file only when every box queued before it is good,
-    so a loader calls `boxes` before re-raising it. When not `nullable`, a
-    null or sentinel box is a fault, after any malformed box of its run; a
-    run that `read` raised in ends the queue.
+    so `_records` judges the queue before it re-raises the fault. When not
+    `nullable`, a null or sentinel box is a fault, after any malformed box
+    of its run; a run that `read` raised in ends the queue.
     """
 
     def __init__(self, nullable: bool = True):
@@ -551,7 +551,6 @@ class _BoxQueue:
         return f"{self.wheres[run]}, boxes[{keys[j]!r}]"
 
 
-@_gc_paused
 def load_predictions(source, lexicon: VerbLexicon) -> PredictionTable:
     """Parse a prediction file into a PredictionTable; every frame is checked,
     and an error names the first fault in file order."""
@@ -572,11 +571,10 @@ def load_predictions(source, lexicon: VerbLexicon) -> PredictionTable:
         rankings.append(verbs)
         frames.append(verb_rows)
 
-    ids = list(_by_id(source, "prediction", parse, rows))
-    return PredictionTable(ids, rankings, frames, rows.keys, rows.nouns, rows.starts, rows.boxes())
+    ids, boxes = _by_id(source, "prediction", parse, rows)
+    return PredictionTable(list(ids), rankings, frames, rows.keys, rows.nouns, rows.starts, boxes)
 
 
-@_gc_paused
 def load_detection_sets(source) -> tuple:
     """Parse late-fusion detector output into (boxes, {image id: best}): the
     file's (n, 4) float64 box rows, and per image each noun's first row of
@@ -603,11 +601,10 @@ def load_detection_sets(source) -> tuple:
             raise DatasetError(f"{where}, noun_scores: {e}") from e
         return best_rows(scores, {n: i for i, n in enumerate(nouns)}, first)
 
-    best = _by_id(source, "detections", parse, queue)
-    return queue.boxes(), best
+    best, boxes = _by_id(source, "detections", parse, queue)
+    return boxes, best
 
 
-@_gc_paused
 def load_object_detections(source) -> DetectionTable:
     """Parse labelled detections (object retrieval) into a DetectionTable."""
     classes, queue = [], _BoxQueue(nullable=False)
@@ -618,11 +615,10 @@ def load_object_detections(source) -> DetectionTable:
         queue.queue(raws, where)
         DetectionList.check(classes[-1], raws)
 
-    index = {image_id: r for r, image_id in enumerate(_by_id(source, "detections", parse, queue))}
-    return DetectionTable(index, classes, queue.starts, queue.boxes())
+    ids, boxes = _by_id(source, "detections", parse, queue)
+    return DetectionTable({image_id: r for r, image_id in enumerate(ids)}, classes, queue.starts, boxes)
 
 
-@_gc_paused
 def load_situations(source) -> SituationTable:
     """Parse top-5 situation predictions (retrieval) into a SituationTable."""
     verbs, entities, starts, queue = [], [], [], _BoxQueue()
@@ -639,11 +635,10 @@ def load_situations(source) -> SituationTable:
         entities.append(nouns)
         starts.append(firsts)
 
-    index = {image_id: r for r, image_id in enumerate(_by_id(source, "situation", parse, queue))}
-    return SituationTable(index, verbs, entities, starts, queue.boxes())
+    ids, boxes = _by_id(source, "situation", parse, queue)
+    return SituationTable({image_id: r for r, image_id in enumerate(ids)}, verbs, entities, starts, boxes)
 
 
-@_gc_paused
 def load_chain_nodes(source) -> NodeTable:
     """Parse the situations of one image (chaining) into a NodeTable.
 
@@ -658,11 +653,10 @@ def load_chain_nodes(source) -> NodeTable:
         query_box = parse_box(rec.get("query_box"), f"{where}, query_box")
         query_boxes.append(query_box and query_box.as_list())
 
-    _records(source, "situation", rows, visit)
-    return NodeTable(verbs, rows.keys, rows.nouns, rows.starts, rows.boxes(), query_boxes)
+    boxes = _records(source, "situation", rows, visit)
+    return NodeTable(verbs, rows.keys, rows.nouns, rows.starts, boxes, query_boxes)
 
 
-@_gc_paused
 def load_boxes(source) -> np.ndarray:
     """Parse a JSON array of boxes (anchor clustering input) into (n, 4) float64 rows."""
     queue = _BoxQueue(nullable=False)
@@ -735,6 +729,7 @@ def _text(source) -> Optional[str]:
         raise _decode_error(source, e) from e
 
 
+@_gc_paused
 def _read_json(source):
     """Decode a source whole; an already-parsed value is returned for the format's type check."""
     text = _text(source)

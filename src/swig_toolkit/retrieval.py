@@ -371,10 +371,15 @@ def _kth_best(scores: np.ndarray, k: int):
 
 
 def write_embeddings(path, ids: list, matrix: np.ndarray):
-    """Write the binary embedding file and its id manifest (path + '.ids')."""
+    """Write the binary embedding file and its id manifest (path + '.ids'),
+    one id a line; an id that `read_ids` would not read back is an error."""
     m = np.asarray(matrix, dtype="<f4")
     if m.ndim != 2 or m.shape[0] != len(ids):
         raise RetrievalError("matrix must be 2-D with one row per id")
+    for image_id in ids:
+        if not image_id or "\n" in image_id or "\r" in image_id or image_id.startswith("\ufeff"):
+            raise RetrievalError(f"image id {image_id!r}: a manifest id must be non-empty, "
+                                 "with no line break and no leading UTF-8 BOM")
     with open(path, "wb") as f:
         f.write(EMBEDDING_MAGIC)
         f.write(struct.pack("<II", m.shape[0], m.shape[1]))
@@ -384,16 +389,17 @@ def write_embeddings(path, ids: list, matrix: np.ndarray):
 
 
 def read_ids(path) -> list:
-    """Read a newline-separated id list, skipping blank lines; a repeated id, or
-    a UTF-8 BOM that would start the first id, is an error."""
+    """Read an id list, one id a line, skipping blank lines. A line ends at a
+    line feed only, and one carriage return before it is dropped; a repeated
+    id, or a UTF-8 BOM that would start the first id, is an error."""
     try:
-        with open(path, "r", encoding="utf-8") as f:
+        with open(path, "r", encoding="utf-8", newline="") as f:
             text = f.read()
     except UnicodeDecodeError as e:
         raise RetrievalError(f"{path}: {e}") from e
     if text.startswith("\ufeff"):
         raise RetrievalError(f"{path}: unexpected UTF-8 BOM")
-    ids = [line for line in text.splitlines() if line]
+    ids = [line for line in text.replace("\r\n", "\n").split("\n") if line]
     repeated = [image_id for image_id, n in Counter(ids).items() if n > 1]
     if repeated:
         raise RetrievalError(f"{path}: image id {repeated[0]!r} is listed twice")

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import gc
 import io
@@ -5,6 +6,7 @@ import json
 import math
 import re
 import tracemalloc
+import types
 
 import pytest
 from hypothesis import example, given, settings
@@ -778,6 +780,7 @@ PINNED_CHAINS = [  # (case, situations, the error: the first fault in file order
     ("bad-flag-on-a-role-before-a-bad-box",
      [chain_situation(boxes={"Agent": [0, 0, 10, 10], "Place": BAD_BOX}, grounded={"Agent": 0})],
      "situation #0, grounded['Agent']: must be a JSON boolean, got 0"),
+    ("record-not-an-object", [chain_situation(), 3], "situation #1: must be a JSON object, got 3"),
     ("null-verb", [chain_situation(verb=None)], "situation #0, verb: must be a JSON string, got None"),
     ("null-noun", [chain_situation(nouns={"Agent": None, "Place": "street"})],
      "situation #0, nouns['Agent']: must be a JSON string, got None"),
@@ -834,6 +837,8 @@ PINNED_LOADS = [  # (case, loader, file, the error: the first fault in file orde
      f"detections 'a', boxes[0]: {SWAPPED}"),
     ("fuse-non-finite-logit", load_detection_sets, [fuse_rec(noun_scores=[[1e400]])],
      "detections 'a', noun_scores: must be finite"),
+    ("fuse-null-id-in-a-later-record", load_detection_sets, [fuse_rec(), fuse_rec(id=None)],
+     "detections #1: missing or non-string 'id'"),
     ("fuse-boxes-not-an-array", load_detection_sets, [fuse_rec(boxes=None)],
      "detections 'a', boxes: must be a JSON array, got None"),
     ("objects-null-then-malformed-box-in-one-record", load_object_detections,
@@ -992,52 +997,60 @@ def test_parsing_builds_no_image_or_frame_and_a_valid_file_no_box(monkeypatch):
 
 # ---- every loader pauses the cyclic collector and restores it ---------------
 
-SITUATION = {"id": "a", "verbs": ["jumping"] * 5, "entities": [["man", "street"]] * 5,
-             "boxes": [[[0, 0, 10, 10], None]] * 5}
+PREDICTION = {"id": "a", "verbs": ["jumping"], "frames": {"jumping": {
+    "nouns": {"Agent": "man", "Place": "street"}, "boxes": {"Agent": [0, 0, 5, 5]}}}}
 LEXICON, VOCABULARY = parse_lexicon(LEXICON_JSON), parse_vocabulary(VOCAB_JSON)
-LOADERS = {  # the only call in each entry is the loader's own
-    "load_dataset": (lambda s: load_dataset(s, LEXICON_JSON, VOCAB_JSON), [image_record()]),
-    "parse_dataset": (lambda s: parse_dataset(s, LEXICON, VOCABULARY, []), [image_record()]),
-    "load_predictions": (lambda s: load_predictions(s, LEXICON), [
-        {"id": "a", "verbs": ["jumping"], "frames": {"jumping": {
-            "nouns": {"Agent": "man", "Place": "street"}, "boxes": {"Agent": [0, 0, 5, 5]}}}}]),
-    "load_detection_sets": (load_detection_sets, [
-        {"id": "a", "boxes": [[0, 0, 5, 5]], "nouns": ["man"], "noun_scores": [[1.0]]}]),
-    "load_object_detections": (load_object_detections, [
-        {"id": "a", "classes": ["man"], "boxes": [[0, 0, 5, 5]]}]),
-    "load_situations": (load_situations, [SITUATION]),
-    "load_chain_nodes": (load_chain_nodes, [
-        {"verb": "jumping", "nouns": {"Agent": "man", "Place": "street"}}]),
-    "load_boxes": (load_boxes, [[0, 0, 5, 5]]),
+LOADERS = {  # (load, a valid file, a file whose walk passes and whose one bad box is queued)
+    "load_dataset": (lambda s: load_dataset(s, io.StringIO(json.dumps(LEXICON_JSON)),
+                                            io.StringIO(json.dumps(VOCAB_JSON))),
+                     [image_record()], [image_record(boxes={"Agent": BAD_BOX})]),
+    "parse_dataset": (lambda s: parse_dataset(s, LEXICON, VOCABULARY, []),
+                      [image_record()], [image_record(boxes={"Agent": BAD_BOX})]),
+    "load_predictions": (lambda s: load_predictions(s, LEXICON), [PREDICTION], [
+        {**PREDICTION, "frames": {"jumping": {"nouns": {"Agent": "man", "Place": "street"},
+                                              "boxes": {"Agent": BAD_BOX}}}}]),
+    "load_detection_sets": (load_detection_sets, [fuse_rec()], [fuse_rec(boxes=[BAD_BOX])]),
+    "load_object_detections": (load_object_detections, [object_rec()], [object_rec(boxes=[BAD_BOX])]),
+    "load_situations": (load_situations, [top5_rec()], [top5_rec(boxes=[[BAD_BOX, None]] * 5)]),
+    "load_chain_nodes": (load_chain_nodes, [chain_situation()], [chain_situation(boxes={"Agent": BAD_BOX})]),
+    "load_boxes": (load_boxes, [[0, 0, 5, 5]], [BAD_BOX]),
 }
+
+
+def noting(call, states: list):
+    """`call`, appending whether the cyclic collector is on to `states` at each call."""
+    return lambda *args: (states.append(gc.isenabled()), call(*args))[1]
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
 @pytest.mark.parametrize("name", sorted(LOADERS))
 def test_every_loader_pauses_the_collector_and_restores_it(name, enabled, monkeypatch):
-    load, valid = LOADERS[name]
-    during = []
-    for reader in ("_read_json", "_items"):  # a whole value, and a record file's items
-        monkeypatch.setattr(dataset_io, reader, lambda source, read=getattr(dataset_io, reader):
-                            (during.append(gc.isenabled()), read(source))[1])
+    """The collector is off at every JSON decode, and each call leaves it as it
+    was: for a valid file, a decode error, and a bad box the queue judges
+    after a clean walk (`parse_dataset` reports that box, the rest raise)."""
+    load, valid, bad_box = LOADERS[name]
+    during, decoder = [], dataset_io._DECODER
+    monkeypatch.setattr(dataset_io, "_DECODER", types.SimpleNamespace(
+        decode=noting(decoder.decode, during), raw_decode=noting(decoder.raw_decode, during)))
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
-        load(valid)
-        assert gc.isenabled() is enabled
-        with pytest.raises(DatasetError):
-            load(io.StringIO("["))
-        assert gc.isenabled() is enabled
+        for text, raises in ((json.dumps(valid), False), ("[", True),
+                             (json.dumps(bad_box), name != "parse_dataset")):
+            decodes = len(during)
+            with pytest.raises(DatasetError) if raises else contextlib.nullcontext():
+                load(io.StringIO(text))
+            assert gc.isenabled() is enabled and len(during) > decodes
     finally:
         (gc.enable if was else gc.disable)()
-    assert during and not any(during)
+    assert not any(during)
 
 
 def test_valid_files_load_without_building_a_box_but_a_query_box(monkeypatch):
     built = []
     monkeypatch.setattr(BoundingBox, "__post_init__",
                         lambda self, check=BoundingBox.__post_init__: (built.append(self), check(self)))
-    for load, valid in LOADERS.values():  # the dataset's boxes lie inside its image: no clamp
+    for load, valid, _ in LOADERS.values():  # the dataset's boxes lie inside its image: no clamp
         load(valid)
     assert built == []
     load_chain_nodes([chain_situation(query_box=[1, 2, 30, 40]), chain_situation(query_box=None)])

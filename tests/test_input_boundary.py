@@ -411,14 +411,15 @@ def test_repeated_id_is_one_named_error(tmp_path, kind):
 @pytest.mark.parametrize("kind", ["manifest", "query", "search"])
 def test_id_list_with_a_bom_is_one_named_error(tmp_path, kind):
     ids = {"manifest": ["img0", "img1"], "query": ["img0"], "search": ["img0", "img1"]}
-    ids[kind][0] = "\ufeff" + ids[kind][0]  # as a UTF-8-with-BOM save writes it
     write_embeddings(tmp_path / "emb.swge", ids["manifest"], np.eye(len(ids["manifest"]), 3))
     (tmp_path / "query.txt").write_text("\n".join(ids["query"]) + "\n", encoding="utf-8")
     (tmp_path / "search.txt").write_text("\n".join(ids["search"]) + "\n", encoding="utf-8")
+    file = {"manifest": "emb.swge.ids", "query": "query.txt", "search": "search.txt"}[kind]
+    listed = tmp_path / file  # as a UTF-8-with-BOM save writes it
+    listed.write_text("\ufeff" + listed.read_text(encoding="utf-8"), encoding="utf-8")
     status, out, err = run(["retrieve", "--mode", "l2", "--query", f"{tmp_path}/query.txt",
                             "--search", f"{tmp_path}/search.txt",
                             "--embeddings", f"{tmp_path}/emb.swge", "--out", "-"])
-    file = {"manifest": "emb.swge.ids", "query": "query.txt", "search": "search.txt"}[kind]
     assert status == 1 and out == ""
     assert err == f"error: {tmp_path}/{file}: unexpected UTF-8 BOM\n", err
 

@@ -1,4 +1,6 @@
+import os
 import random
+import tempfile
 
 import numpy as np
 import pytest
@@ -31,6 +33,8 @@ from conftest import make_box
 from oracles import nms_naive, topk_naive
 
 VERBS = ("kneading", "jumping", "carrying", "teaching", "sitting")
+MANIFEST_ID = st.text(st.characters(blacklist_characters="\n\r"), min_size=1).filter(
+    lambda image_id: not image_id.startswith("\ufeff"))  # what `write_embeddings` accepts
 
 
 def random_situation(rng, n_roles_by_verb=None, grounded=True):
@@ -383,6 +387,31 @@ class TestEmbeddingFile:
         got_ids, got = read_embeddings(path)
         assert got_ids == ids
         assert np.array_equal(got, matrix)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(ids=st.lists(MANIFEST_ID, unique=True, max_size=4), crlf=st.booleans())
+    @example(ids=["a\x0cb", "c"], crlf=False)  # str.splitlines breaks at each of these
+    @example(ids=["x\u2028y"], crlf=False)
+    @example(ids=["\x0b", "\x1c", "\x1d", "\x1e", "\x85", "\u2029", "a\x85"], crlf=False)
+    @example(ids=["img0", "img1"], crlf=True)
+    @example(ids=[" ", "a\ufeff"], crlf=True)  # a BOM that does not start an id
+    def test_the_manifest_reads_back_every_id_the_writer_accepts(self, ids, crlf):
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "emb.swge")
+            write_embeddings(path, ids, np.zeros((len(ids), 2)))
+            if crlf:  # as an editor that ends lines with CRLF saves it
+                with open(path + ".ids", "r+b") as f:
+                    text = f.read().replace(b"\n", b"\r\n")
+                    f.seek(0)
+                    f.write(text)
+            assert read_embeddings(path)[0] == ids
+
+    @pytest.mark.parametrize("bad", ["", "a\nb", "a\rb", "a\r", "\ufeffa"])
+    def test_an_id_the_manifest_cannot_hold_is_refused_by_name(self, tmp_path, bad):
+        with pytest.raises(RetrievalError) as e:
+            write_embeddings(tmp_path / "emb.swge", ["a0", bad], np.zeros((2, 2)))
+        assert str(e.value).startswith(f"image id {bad!r}: ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.swge"
