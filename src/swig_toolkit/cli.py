@@ -54,16 +54,17 @@ from .retrieval import (
 
 def write_output(payload, out: str, encoded: bool = False):
     """Write `payload` as one line of compact, key-sorted JSON; when `encoded`,
-    `payload` is a list of the items of a JSON array, each already encoded."""
-    text = ("[" + ",".join(payload) + "]" if encoded else _encode(payload)) + "\n"
+    `payload` is a list of the items of a JSON array, each already encoded,
+    written one at a time between the array's "[", separators and "]"."""
+    text = _pieces(payload) if encoded else (_encode(payload) + "\n",)
     if out == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(text)
         return
     out = os.path.realpath(out)  # a symlink stays a link: its target gets the JSON
     if os.path.exists(out) and not os.path.isfile(out):
         # a FIFO or device: renaming over it would replace it with a regular file
         with open(out, "w", encoding="utf-8") as f:
-            f.write(text)
+            f.writelines(text)
         return
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(out), suffix=".tmp")
     umask = os.umask(0)  # reading the umask means setting it, so set it back
@@ -71,12 +72,22 @@ def write_output(payload, out: str, encoded: bool = False):
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as f:
             os.fchmod(f.fileno(), 0o666 & ~umask)  # mkstemp creates the file 0600
-            f.write(text)
+            f.writelines(text)
         os.replace(tmp, out)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _pieces(items: list):
+    """The text of the JSON array of encoded `items` and its newline, in pieces."""
+    yield "["
+    for k, item in enumerate(items):
+        if k:
+            yield ","
+        yield item
+    yield "]\n"
 
 
 def _encode(payload) -> str:

@@ -5,11 +5,14 @@ This module is the only code that reads JSON input; every reader takes a path
 which is how a library caller hands in data it holds: ground truth and
 predictions have no other input form. One reader, `_text`, reads every path
 and file object; `_items` decodes a file of records (a top-level array) one
-record at a time. Every box is judged by `parse_box`'s rules, and every box
-but a chain node's query box in one array pass per file, `_box_rows`, which
-hands `parse_box` only the boxes it refuses: boxes load into (n, 4) float64
-arrays, not objects. Every frame is read by `_BoxQueue.read`, and every error
-names the record and the field it comes from: "<record>, <field>: <rule>".
+record at a time. Every box is judged by `parse_box`'s rules in an array
+pass, `_box_rows`, which hands `parse_box` only the boxes it refuses: boxes
+load into (n, 4) float64 arrays, not objects. A dataset's boxes are judged in
+one pass after its walk; every other record walk queues its boxes on a
+`_BoxQueue`, which judges them in chunks of `_CHUNK` boxes as they are
+queued, and keeps their rows, not the decoded lists. Every frame is read by
+`_BoxQueue.read`, and every error names the record and the field it comes
+from: "<record>, <field>: <rule>", a box's name built only when it is a fault.
 
 Canonical file formats (UTF-8 JSON):
 
@@ -480,30 +483,45 @@ def _by_id(source, kind: str, parse, queue: _BoxQueue) -> tuple:
     return out, _records(source, kind, queue, visit)
 
 
+_CHUNK = 4096  # raw boxes a record walk queues per `_box_rows` pass
+
+
 class _BoxQueue:
-    """The raw boxes a record walk queues, judged in one `_box_rows` pass.
+    """The raw boxes a record walk queues, judged by `_box_rows` in chunks of
+    `_CHUNK` as the walk queues them: the queue keeps float64 rows, not the
+    decoded lists.
 
     Boxes come in runs: `queue` adds a JSON array of boxes, box j named
-    `<where><field>[j]`, and `read`, the one frame reader, a frame, the box
-    of role r named `<where>, boxes[r]`. A run keeps its `where` and its
-    roles or field, which the walk holds anyway. A fault the walk raises
-    comes first in the file only when every box queued before it is good,
-    so `_records` judges the queue before it re-raises the fault. When not
-    `nullable`, a null or sentinel box is a fault, after any malformed box
-    of its run; a run that `read` raised in ends the queue.
+    `<where><field>` with j in the field's "{}", and `read`, the one frame
+    reader, a frame, the box of role r named `<where>, boxes[r]`. A run's
+    `where` and roles or field, which the walk holds anyway, are kept only
+    until its boxes are judged, and a box is named only when it is a fault.
+    A fault the walk raises comes first in the file only when every box
+    queued before it is good, so `_records` judges the queue before it
+    re-raises the fault. When not `nullable`, a null or sentinel box is a
+    fault, after any malformed box of its run; a run that `read` raised in
+    ends the queue. Only a run's first bad box, and the first null, can be
+    the first fault, so judging stops at the first bad box.
     """
 
     def __init__(self, nullable: bool = True):
         self.nullable = nullable
-        self.wheres, self.keys, self.nouns = [], [], []  # per run: keys are roles or a field; per frame
-        self.raws, self.unflagged, self.starts = [], [], [0]  # per box; boxes flagged false; one more start
+        self.roles, self.nouns = [], []  # per frame `read`
+        self.starts, self.unflagged = [0], []  # per run its first box, and one more start; boxes flagged false
+        self.raws, self.blocks, self.judged = [], [], 0  # the boxes not yet judged; rows of the judged ones
+        self.names, self.dropped = [], 0  # (where, roles or field) per run from the last judged; runs before
+        self.fault = self.null = None  # (box, line): the first bad box; when not `nullable`, the first null
 
-    def queue(self, raws: list, where: str, field: str = ", boxes") -> int:
+    def queue(self, raws: list, where: str, field: str = ", boxes[{}]") -> int:
         """Queue the JSON array `raws` as a run; returns its first box."""
-        self.wheres.append(where)
-        self.keys.append(field)
-        self.raws.extend(raws)
-        self.starts.append(len(self.raws))
+        self.names.append((where, field))
+        at = _CHUNK - len(self.raws)  # where the run fills the chunk
+        self.raws.extend(raws[:at])
+        while len(self.raws) == _CHUNK:
+            self._judge()
+            self.raws.extend(raws[at:at + _CHUNK])
+            at += _CHUNK
+        self.starts.append(self.judged + len(self.raws))
         return self.starts[-2]
 
     def read(self, raw, roles: tuple, where: str) -> int:
@@ -514,41 +532,63 @@ class _BoxQueue:
         nouns = _get(raw, "nouns", dict, where, {})
         boxes = _get(raw, "boxes", dict, where, {})
         grounded = _get(raw, "grounded", dict, where, {})
-        self.wheres.append(where)
-        self.keys.append(roles)
+        self.names.append((where, roles))
         for role in roles:
             if role not in nouns:
                 raise DatasetError(f"{where}, nouns: missing noun for role {role!r}")
             if not isinstance(nouns[role], str):
                 raise _type_error(nouns[role], str, f"{where}, nouns[{role!r}]")
+            box = self.judged + len(self.raws)
             self.raws.append(boxes.get(role))
+            if len(self.raws) == _CHUNK:
+                self._judge()
             if grounded.get(role, True) is not True:  # flagged false, or a fault
                 _check(grounded[role], bool, f"{where}, grounded[{role!r}]")
-                self.unflagged.append(len(self.raws) - 1)
+                self.unflagged.append(box)
+        self.roles.append(roles)
         self.nouns.append(tuple(map(nouns.get, roles)))
-        self.starts.append(len(self.raws))
+        self.starts.append(self.judged + len(self.raws))
         return len(self.nouns) - 1
+
+    def _judge(self):
+        """Judge the queued boxes into a block of rows, keeping the first fault
+        and, when not `nullable`, the first null box, each with its line."""
+        base, faults = self.judged, []
+        if self.fault is None:  # after a bad box, no box can be the first fault
+            rows = _box_rows(self.raws, lambda i: self.where_of(base + i), faults)
+            if faults:
+                self.fault = (base + faults[0][0], faults[0][1])
+            if not (self.nullable or self.null):
+                bad = {i for i, _ in faults}
+                null = next((i for i in np.flatnonzero(np.isnan(rows[:, 0])).tolist() if i not in bad), None)
+                if null is not None:
+                    self.null = (base + null, f"{self.where_of(base + null)}: box may not be null")
+            self.blocks.append(rows)
+        self.judged += len(self.raws)
+        self.raws = []
+        self.dropped += len(self.names) - 1  # only the last run can go on into the next chunk
+        del self.names[:-1]
 
     def boxes(self) -> np.ndarray:
         """(n, 4) float64 rows of every queued box, a NaN row where it is null
         or flagged false; the first fault raises."""
-        faults = []
-        rows = _box_rows(self.raws, self.where_of, faults)
-        absent = ([i for i, _ in faults[:1]] if self.nullable  # only a bad box is a fault
-                  else np.flatnonzero(np.isnan(rows[:, 0])).tolist())  # a bad or a null box
-        if absent:  # the first run holding one: its first bad box, else its first null
-            end = (self.starts + [len(self.raws)])[bisect_right(self.starts, absent[0])]
-            raise DatasetError(next((line for i, line in faults if i < end),
-                                    f"{self.where_of(absent[0])}: box may not be null"))
+        if self.raws:
+            self._judge()
+        first = min(filter(None, (self.fault, self.null)), default=None)
+        if first:  # the first run holding one: its first bad box, else its first null
+            end = (self.starts + [self.judged])[bisect_right(self.starts, first[0])]
+            raise DatasetError((self.fault if self.fault and self.fault[0] < end else self.null)[1])
+        rows = np.concatenate(self.blocks) if self.blocks else np.empty((0, 4))
         rows[self.unflagged] = np.nan
         return rows
 
     def where_of(self, i: int) -> str:
+        """The name of box i, which is not yet judged or is being judged."""
         run = bisect_right(self.starts, i) - 1
-        keys, j = self.keys[run], i - self.starts[run]
-        if type(keys) is str:  # the field of a queued JSON array
-            return f"{self.wheres[run]}{keys}[{j}]"
-        return f"{self.wheres[run]}, boxes[{keys[j]!r}]"
+        (where, key), j = self.names[run - self.dropped], i - self.starts[run]
+        if type(key) is str:  # the field of a queued JSON array
+            return where + key.format(j)
+        return f"{where}, boxes[{key[j]!r}]"
 
 
 def load_predictions(source, lexicon: VerbLexicon) -> PredictionTable:
@@ -572,7 +612,7 @@ def load_predictions(source, lexicon: VerbLexicon) -> PredictionTable:
         frames.append(verb_rows)
 
     ids, boxes = _by_id(source, "prediction", parse, rows)
-    return PredictionTable(list(ids), rankings, frames, rows.keys, rows.nouns, rows.starts, boxes)
+    return PredictionTable(list(ids), rankings, frames, rows.roles, rows.nouns, rows.starts, boxes)
 
 
 def load_detection_sets(source) -> tuple:
@@ -628,7 +668,7 @@ def load_situations(source) -> SituationTable:
         nouns = tuple(_strings(row, f"{where}, entities[{a}]")
                       for a, row in enumerate(_get(rec, "entities", list, where)))
         ranks = _get(rec, "boxes", list, where)
-        firsts = tuple(queue.queue(_check(row, list, f"{where}, boxes[{a}]"), where, f", boxes[{a}]")
+        firsts = tuple(queue.queue(_check(row, list, f"{where}, boxes[{a}]"), where, f", boxes[{a}][{{}}]")
                        for a, row in enumerate(ranks))
         SituationPrediction.check(top5, nouns, ranks)
         verbs.append(top5)
@@ -642,25 +682,28 @@ def load_situations(source) -> SituationTable:
 def load_chain_nodes(source) -> NodeTable:
     """Parse the situations of one image (chaining) into a NodeTable.
 
-    A node's roles are the keys of its "nouns" object, in file order.
+    A node's roles are the keys of its "nouns" object, in file order. Its
+    query box is queued as a run of its own, after the node's role boxes.
     """
-    verbs, query_boxes, rows = [], [], _BoxQueue()
+    verbs, rows = [], _BoxQueue()
 
     def visit(index, rec):
         where = f"situation #{index}"
         verbs.append(_get(rec, "verb", str, where))
         rows.read(rec, tuple(_get(rec, "nouns", dict, where)), where)
-        query_box = parse_box(rec.get("query_box"), f"{where}, query_box")
-        query_boxes.append(query_box and query_box.as_list())
+        rows.queue([rec.get("query_box")], where, ", query_box")
 
     boxes = _records(source, "situation", rows, visit)
-    return NodeTable(verbs, rows.keys, rows.nouns, rows.starts, boxes, query_boxes)
+    queried = np.array(rows.starts[1::2], dtype=np.intp)  # each node's query box: the run after its frame
+    query_boxes = [None if box[0] != box[0] else box for box in boxes[queried].tolist()]  # a NaN row: None
+    starts = [start - k for k, start in enumerate(rows.starts[::2])]  # node k comes after k query boxes
+    return NodeTable(verbs, rows.roles, rows.nouns, starts, np.delete(boxes, queried, axis=0), query_boxes)
 
 
 def load_boxes(source) -> np.ndarray:
     """Parse a JSON array of boxes (anchor clustering input) into (n, 4) float64 rows."""
     queue = _BoxQueue(nullable=False)
-    queue.queue(_check(_read_json(source), list, "boxes"), "", "boxes")
+    queue.queue(_check(_read_json(source), list, "boxes"), "", "boxes[{}]")
     return queue.boxes()
 
 

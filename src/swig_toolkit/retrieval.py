@@ -380,12 +380,18 @@ def write_embeddings(path, ids: list, matrix: np.ndarray):
         if not image_id or "\n" in image_id or "\r" in image_id or image_id.startswith("\ufeff"):
             raise RetrievalError(f"image id {image_id!r}: a manifest id must be non-empty, "
                                  "with no line break and no leading UTF-8 BOM")
+    text = "\n".join(ids) + "\n"
+    try:  # before either file is opened, so a refused id leaves no half-written pair
+        manifest = text.encode("utf-8")
+    except UnicodeEncodeError as e:  # a lone surrogate
+        image_id = ids[text.count("\n", 0, e.start)]
+        raise RetrievalError(f"image id {image_id!r}: a manifest id must be encodable as UTF-8") from e
     with open(path, "wb") as f:
         f.write(EMBEDDING_MAGIC)
         f.write(struct.pack("<II", m.shape[0], m.shape[1]))
         f.write(m.tobytes(order="C"))
-    with open(str(path) + ".ids", "w", encoding="utf-8") as f:
-        f.write("\n".join(ids) + "\n")
+    with open(str(path) + ".ids", "wb") as f:
+        f.write(manifest)
 
 
 def read_ids(path) -> list:

@@ -1,5 +1,6 @@
 import gc
 import json
+import os
 
 import numpy as np
 import pytest
@@ -145,6 +146,19 @@ class TestFuse:
         finally:
             (gc.enable if was else gc.disable)()
         assert during == [False]
+
+    @pytest.mark.parametrize("out", ["-", "fused.json"])
+    def test_a_later_record_without_detections_writes_nothing(self, workspace, capsys, out):
+        preds = json.loads((workspace / "preds.json").read_text())
+        (workspace / "preds.json").write_text(json.dumps(preds + [dict(preds[0], id="img2.jpg")]))
+        (workspace / "dets.json").write_text(json.dumps(DETECTIONS))
+        before = sorted(os.listdir(workspace))
+        assert run(["fuse", "--frames", workspace / "preds.json", "--detections", workspace / "dets.json",
+                    "--lexicon", workspace / "lexicon.json",
+                    "--out", out if out == "-" else workspace / out]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: no detections for image 'img2.jpg'\n"
+        assert sorted(os.listdir(workspace)) == before  # no output file, and no temp file
 
 
 class TestRetrieve:

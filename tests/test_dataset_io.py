@@ -1046,15 +1046,128 @@ def test_every_loader_pauses_the_collector_and_restores_it(name, enabled, monkey
     assert not any(during)
 
 
-def test_valid_files_load_without_building_a_box_but_a_query_box(monkeypatch):
+def test_valid_files_load_without_building_a_box(monkeypatch):
     built = []
     monkeypatch.setattr(BoundingBox, "__post_init__",
                         lambda self, check=BoundingBox.__post_init__: (built.append(self), check(self)))
     for load, valid, _ in LOADERS.values():  # the dataset's boxes lie inside its image: no clamp
         load(valid)
+    nodes = load_chain_nodes([chain_situation(query_box=[1, 2, 30, 40]), chain_situation(query_box=None),
+                              chain_situation(query_box=[-1, -1, -1, -1])])
     assert built == []
-    load_chain_nodes([chain_situation(query_box=[1, 2, 30, 40]), chain_situation(query_box=None)])
-    assert [box.as_list() for box in built] == [[1.0, 2.0, 30.0, 40.0]]
+    assert nodes.query_boxes == [[1.0, 2.0, 30.0, 40.0], None, None]
+    assert nodes.starts == [0, 2, 4, 6] and nodes.boxes.shape == (6, 4)
+
+
+# ---- a record walk judges its queued boxes in chunks ------------------------
+
+CHUNK, GOOD = dataset_io._CHUNK, [0, 0, 5, 5]
+
+
+def runs(raws: list, size: int, pad: bool = False) -> list:
+    """`raws` in runs of `size`, the last one filled up with nulls when `pad`."""
+    raws = raws + [None] * (-len(raws) % size if pad else 0)
+    return [raws[at:at + size] for at in range(0, len(raws), size)]
+
+
+def dataset_file(raws):  # Agent and Item boxes; Place stays null
+    return [image_record(f"{r}.jpg", boxes={"Agent": a, "Item": b, "Place": None})
+            for r, (a, b) in enumerate(runs(raws, 2, pad=True))]
+
+
+QUEUED = {  # per LOADERS entry: a file whose boxes, in the order the walk meets them, are `raws`
+    "load_dataset": dataset_file,
+    "parse_dataset": dataset_file,
+    "load_predictions": lambda raws: [
+        {"id": str(r), "verbs": ["jumping"], "frames": {"jumping": {
+            "nouns": {"Agent": "man", "Place": "street"}, "boxes": {"Agent": a, "Place": b}}}}
+        for r, (a, b) in enumerate(runs(raws, 2, pad=True))],
+    "load_detection_sets": lambda raws: [fuse_rec(str(r), boxes=run, noun_scores=[[1.0]] * len(run))
+                                         for r, run in enumerate(runs(raws, 3))],
+    "load_object_detections": lambda raws: [object_rec(str(r), classes=["man"] * len(run), boxes=run)
+                                            for r, run in enumerate(runs(raws, 3))],
+    "load_situations": lambda raws: [top5_rec(str(r), boxes=runs(run, 2))
+                                     for r, run in enumerate(runs(raws, 10, pad=True))],
+    "load_chain_nodes": lambda raws: [chain_situation(boxes={"Agent": a, "Place": b}, query_box=q)
+                                      for a, b, q in runs(raws, 3, pad=True)],
+    "load_boxes": list,
+}
+NOT_NULLABLE = ["load_boxes", "load_detection_sets", "load_object_detections"]
+
+
+def first_fault(name: str, records: list, whole: bool = False):
+    """The error `LOADERS[name]` raises for `records` (`parse_dataset`: its
+    lines), with the queue judged in chunks, or whole when `whole`."""
+    with pytest.MonkeyPatch.context() as patch:
+        if whole:
+            patch.setattr(dataset_io, "_CHUNK", 2**62)
+        try:
+            got = LOADERS[name][0](records)
+        except DatasetError as e:
+            return str(e)
+    return got[1] if name == "parse_dataset" else None
+
+
+def placed(n: int, at: dict) -> list:
+    """n good boxes, with the raw box `at[i]` at each position i of `at`."""
+    raws = [GOOD] * n
+    for i, raw in at.items():
+        raws[i] = raw
+    return raws
+
+
+def assert_chunked_as_whole(name: str, records: list) -> str:
+    fault = first_fault(name, records)
+    assert fault and fault == first_fault(name, records, whole=True)
+    return fault
+
+
+@pytest.mark.parametrize("name", sorted(QUEUED))
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(position=st.integers(0, CHUNK + 8))
+@example(position=CHUNK - 1)
+@example(position=CHUNK)
+@example(position=CHUNK + 1)
+def test_a_bad_box_by_a_chunk_edge_is_the_fault_judging_the_whole_file_gives(name, position):
+    fault = assert_chunked_as_whole(name, QUEUED[name](placed(CHUNK + 9, {position: BAD_BOX})))
+    assert SWAPPED in str(fault)
+
+
+@pytest.mark.parametrize("name", NOT_NULLABLE)
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(position=st.integers(0, CHUNK + 8), bad=st.none() | st.integers(1, 3))
+@example(position=CHUNK - 1, bad=None)
+@example(position=CHUNK, bad=None)
+@example(position=CHUNK + 1, bad=None)
+@example(position=CHUNK - 1, bad=2)  # a detections record's run goes on into the next chunk
+@example(position=CHUNK - 2, bad=3)  # the bad box is in the next record's run
+def test_a_null_box_by_a_chunk_edge_is_the_fault_judging_the_whole_file_gives(name, position, bad):
+    """A null box in a queue that refuses one, and maybe a bad box `bad` boxes after it."""
+    at = {position: None} if bad is None else {position: None, position + bad: BAD_BOX}
+    fault = assert_chunked_as_whole(name, QUEUED[name](placed(CHUNK + 12, at)))
+    assert fault.endswith("box may not be null") or SWAPPED in fault
+
+
+@pytest.mark.parametrize("name", sorted(set(QUEUED) - {"load_boxes"}))  # its walk raises nothing
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(position=st.integers(0, CHUNK - 1))
+@example(position=0)
+@example(position=CHUNK - 1)
+def test_a_walk_fault_after_a_bad_box_in_an_earlier_chunk_comes_second(name, position):
+    records = QUEUED[name](placed(2 * CHUNK + 5, {position: BAD_BOX})) + [3]
+    fault = assert_chunked_as_whole(name, records)
+    assert SWAPPED in str(fault if name != "parse_dataset" else fault[0])
+
+
+def test_no_walk_judges_more_than_a_chunk_of_boxes_at_once(monkeypatch):
+    """Every `_box_rows` pass of a record walk's queue gets at most `_CHUNK`
+    raw boxes (a dataset's boxes are judged after its walk, not in it)."""
+    sizes, judge = [], dataset_io._box_rows
+    monkeypatch.setattr(dataset_io, "_box_rows", lambda raws, *rest: (sizes.append(len(raws)), judge(raws, *rest))[1])
+    for name in sorted(set(QUEUED) - {"load_dataset", "parse_dataset"}):
+        sizes.clear()
+        LOADERS[name][0](QUEUED[name](placed(2 * CHUNK + 15, {})))
+        assert sizes and max(sizes) <= CHUNK and sum(sizes) >= 2 * CHUNK + 15, name
 
 
 # ---- record files are decoded one record at a time ----------------------------

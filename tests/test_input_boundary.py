@@ -434,6 +434,36 @@ def test_write_output_removes_its_temp_file_when_the_rename_fails(tmp_path, monk
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("items", [[], ['{"a":1}'], ['{"a":1}', "[2,3]", '"\u00e9"', "null"]],
+                         ids=["empty", "one-item", "items"])
+@pytest.mark.parametrize("target", ["-", "file", "symlink", "fifo"])
+def test_an_encoded_list_is_written_as_one_array_line(tmp_path, capsys, items, target):
+    expected = ("[" + ",".join(items) + "]\n").encode("utf-8")
+    path, received = tmp_path / "out.json", []
+    if target == "symlink":
+        (tmp_path / "target.json").write_text("{}")
+        path.symlink_to(tmp_path / "target.json")
+    elif target == "fifo":
+        os.mkfifo(path)
+        reader = threading.Thread(target=lambda: received.append(path.read_bytes()), daemon=True)
+        reader.start()
+    try:
+        write_output(items, "-" if target == "-" else str(path), encoded=True)
+    finally:
+        if target == "fifo":
+            if reader.is_alive():  # unblock the reader if the write never opened the FIFO
+                with open(path, "w"):
+                    pass
+            reader.join(timeout=10)
+    if target == "-":
+        assert capsys.readouterr().out.encode("utf-8") == expected
+        return
+    written = received[0] if target == "fifo" else path.read_bytes()
+    assert written == expected
+    assert sorted(os.listdir(tmp_path)) == (["out.json", "target.json"] if target == "symlink" else ["out.json"])
+    assert path.is_symlink() == (target == "symlink") and stat.S_ISFIFO(os.stat(path).st_mode) == (target == "fifo")
+
+
 def test_write_output_writes_a_fifo_in_place(tmp_path):
     fifo = tmp_path / "out.fifo"
     os.mkfifo(fifo)

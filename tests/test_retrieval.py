@@ -406,12 +406,18 @@ class TestEmbeddingFile:
                     f.write(text)
             assert read_embeddings(path)[0] == ids
 
-    @pytest.mark.parametrize("bad", ["", "a\nb", "a\rb", "a\r", "\ufeffa"])
+    @pytest.mark.parametrize("bad", ["", "a\nb", "a\rb", "a\r", "\ufeffa", "a\ud800", "\udfff"])
     def test_an_id_the_manifest_cannot_hold_is_refused_by_name(self, tmp_path, bad):
         with pytest.raises(RetrievalError) as e:
             write_embeddings(tmp_path / "emb.swge", ["a0", bad], np.zeros((2, 2)))
         assert str(e.value).startswith(f"image id {bad!r}: ")
         assert list(tmp_path.iterdir()) == []
+
+    def test_an_id_utf8_cannot_encode_leaves_neither_file(self, tmp_path):
+        path = tmp_path / "emb.swge"
+        with pytest.raises(RetrievalError, match=r"^image id 'a\\ud800': a manifest id must be encodable"):
+            write_embeddings(path, ["a\ud800"], np.zeros((1, 2)))
+        assert not path.exists() and not (tmp_path / "emb.swge.ids").exists()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.swge"
