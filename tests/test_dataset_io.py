@@ -1163,7 +1163,8 @@ def test_no_walk_judges_more_than_a_chunk_of_boxes_at_once(monkeypatch):
     """Every `_box_rows` pass of a record walk's queue gets at most `_CHUNK`
     raw boxes (a dataset's boxes are judged after its walk, not in it)."""
     sizes, judge = [], dataset_io._box_rows
-    monkeypatch.setattr(dataset_io, "_box_rows", lambda raws, *rest: (sizes.append(len(raws)), judge(raws, *rest))[1])
+    monkeypatch.setattr(dataset_io, "_box_rows",
+                        lambda raws, *rest: (sizes.append(len(raws)), judge(raws, *rest))[1])
     for name in sorted(set(QUEUED) - {"load_dataset", "parse_dataset"}):
         sizes.clear()
         LOADERS[name][0](QUEUED[name](placed(2 * CHUNK + 15, {})))
