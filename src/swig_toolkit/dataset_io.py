@@ -7,11 +7,10 @@ predictions have no other input form. One reader, `_text`, reads every path
 and file object; `_items` decodes a file of records (a top-level array) one
 record at a time. Every box is judged by `parse_box`'s rules in an array
 pass, `_box_rows`, which hands `parse_box` only the boxes it refuses: boxes
-load into (n, 4) float64 arrays, not objects. A dataset's boxes are judged in
-one pass after its walk; every other record walk queues its boxes on a
-`_BoxQueue`, which judges them in chunks of `_CHUNK` boxes as they are
-queued, and keeps their rows, not the decoded lists. Every frame is read by
-`_BoxQueue.read`, and every error names the record and the field it comes
+load into (n, 4) float64 arrays, not objects. Every record walk queues its
+boxes on a `_BoxQueue`, which judges them in chunks of `_CHUNK` boxes as they
+are queued, and keeps their rows, not the decoded lists. Every frame is read
+by `_BoxQueue.read`, and every error names the record and the field it comes
 from: "<record>, <field>: <rule>", a box's name built only when it is a fault.
 
 Canonical file formats (UTF-8 JSON):
@@ -54,7 +53,7 @@ import json
 import os
 import reprlib
 import sys
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -269,9 +268,10 @@ def parse_dataset(source, lexicon: VerbLexicon, vocabulary: NounVocabulary,
     The one reading of the dataset format: `load_dataset` raises when
     `violations` is non-empty and `swig validate` prints it, so the two
     agree on every file. One walk puts each record's fields into columns;
-    a field's lines are written only when its C-level check fails. Then one
-    `_box_rows` pass reads every box, worker boxes included, and the worker
-    mean, the Place rule and clamping run once over the box array. A line
+    a field's lines are written only when its C-level check fails. It
+    queues a record's role slots as one run on a `_BoxQueue`, and each
+    role's worker boxes as a run on a second; then the worker mean, the
+    Place rule and clamping run once over the box array. A line
     names the record and the field; a record's lines come in field order,
     its box lines in role order, then its Place and clamp lines. The table
     holds the records with no line. Every clamped box is a warning.
@@ -281,7 +281,7 @@ def parse_dataset(source, lexicon: VerbLexicon, vocabulary: NounVocabulary,
         records, violations = [], ["dataset file must be a JSON array of image records"]
     entries, nouns, largest = lexicon.entries, vocabulary.ids, sys.float_info.max
     walked = []  # per record with a known verb: its columns
-    raws, worker_raws, worker_slots = [], [], []  # raws: one per role slot, None for a worker role
+    slots, workers, worker_slots = _BoxQueue(), _BoxQueue(), []  # slots: a null box for a worker role
     lines, seen = [], set()  # lines: (key, line); key (record index[, phase, slot, order]) orders them
     for index, rec in enumerate(records):
         if not isinstance(rec, dict):
@@ -324,41 +324,34 @@ def parse_dataset(source, lexicon: VerbLexicon, vocabulary: NounVocabulary,
         given = given if isinstance(given, dict) else {}
         walked.append((index, label, image_id, verb, verb_roles, width, height, annotated, field))
         if field == "worker_boxes":
-            for slot, role in enumerate(verb_roles, len(raws)):
+            for slot, role in enumerate(verb_roles, slots.starts[-1]):
                 listed = given.get(role)
                 if isinstance(listed, list):
-                    worker_raws.extend(listed)
+                    workers.queue(listed, f"{label}, worker_boxes[{role!r}]", "[{}]")
                     worker_slots.extend(repeat(slot, len(listed)))
                 elif listed is not None:
                     lines.append(((index, 1, slot, 0), str(_type_error(
                         listed, list, f"{label}, worker_boxes[{role!r}]"))))
             given = {}
-        raws.extend(map(given.get, verb_roles))
+        slots.queue(list(map(given.get, verb_roles)), label, verb_roles)
     indices, labels, ids, verbs, roles, widths, heights, annotations, fields = (
         zip(*walked) if walked else [()] * 9)
-    n_roles = list(map(len, roles))
-    starts = [0, *accumulate(n_roles)]
+    del walked  # the walk's tuples are read
+    n_roles, starts, n_slots = list(map(len, roles)), slots.starts, slots.starts[-1]
+    boxes, worker_rows = slots.rows(), workers.rows()
 
-    def locate(i):
-        """(record k, slot, name) of box i of `_box_rows`."""
-        slot = i if i < n_slots else worker_slots[i - n_slots]
+    def locate(slot):
+        """(record k, slot, name) of role slot `slot`."""
         k = bisect_right(starts, slot) - 1
-        where = f"{labels[k]}, {fields[k]}[{roles[k][slot - starts[k]]!r}]"
-        if i >= n_slots:  # a worker box: its place in the role's list
-            where += f"[{i - n_slots - bisect_left(worker_slots, slot)}]"
-        return k, slot, where
+        return k, slot, f"{labels[k]}, {fields[k]}[{roles[k][slot - starts[k]]!r}]"
 
-    n_slots, faults = len(raws), []
-    boxes, workers = np.split(_box_rows(raws + worker_raws, lambda i: locate(i)[2], faults), [n_slots])
-    del raws, worker_raws, walked  # the decoded box lists and the walk's tuples are read
-    for i, message in faults:
-        k, slot, _ = locate(i)
-        lines.append(((indices[k], 1, slot, 0), message))
-    read = ~np.isnan(workers[:, 0])  # a role's worker boxes that were read: merged when 3
+    for slot, message in slots.faults + [(worker_slots[i], message) for i, message in workers.faults]:
+        lines.append(((indices[locate(slot)[0]], 1, slot, 0), message))
+    read = ~np.isnan(worker_rows[:, 0])  # a role's worker boxes that were read: merged when 3
     owners = np.array(worker_slots, dtype=np.intp)[read]
     counts = np.bincount(owners, minlength=n_slots)
     sums = np.zeros((n_slots, 4))
-    np.add.at(sums, owners, workers[read])  # in order from +0.0, as `sum` adds
+    np.add.at(sums, owners, worker_rows[read])  # in order from +0.0, as `sum` adds
     merged, faults = np.flatnonzero(counts == 3).tolist(), []
     boxes[merged] = _box_rows((sums[merged] / 3).tolist(), lambda i: locate(merged[i])[2], faults)
     lines.extend(((indices[locate(merged[i])[0]], 1, merged[i], 1), message) for i, message in faults)
@@ -489,19 +482,18 @@ _CHUNK = 4096  # raw boxes a record walk queues per `_box_rows` pass
 class _BoxQueue:
     """The raw boxes a record walk queues, judged by `_box_rows` in chunks of
     `_CHUNK` as the walk queues them: the queue keeps float64 rows, not the
-    decoded lists.
+    decoded lists, and every bad box with its line, in `faults`.
 
     Boxes come in runs: `queue` adds a JSON array of boxes, box j named
     `<where><field>` with j in the field's "{}", and `read`, the one frame
-    reader, a frame, the box of role r named `<where>, boxes[r]`. A run's
-    `where` and roles or field, which the walk holds anyway, are kept only
-    until its boxes are judged, and a box is named only when it is a fault.
-    A fault the walk raises comes first in the file only when every box
-    queued before it is good, so `_records` judges the queue before it
-    re-raises the fault. When not `nullable`, a null or sentinel box is a
-    fault, after any malformed box of its run; a run that `read` raised in
-    ends the queue. Only a run's first bad box, and the first null, can be
-    the first fault, so judging stops at the first bad box.
+    reader, a frame, the box of role r named `<where>, boxes[r]`; so is a
+    run `queue` is given roles for, in place of a field. A run's `where` and
+    roles or field, which the walk holds anyway, are kept only until its
+    boxes are judged, and a box is named only when it is a fault. A fault
+    the walk raises comes first in the file only when every box queued
+    before it is good, so `_records` judges the queue before it re-raises
+    the fault. When not `nullable`, a null or sentinel box is a fault, after
+    any malformed box of its run; a run that `read` raised in ends the queue.
     """
 
     def __init__(self, nullable: bool = True):
@@ -510,10 +502,11 @@ class _BoxQueue:
         self.starts, self.unflagged = [0], []  # per run its first box, and one more start; boxes flagged false
         self.raws, self.blocks, self.judged = [], [], 0  # the boxes not yet judged; rows of the judged ones
         self.names, self.dropped = [], 0  # (where, roles or field) per run from the last judged; runs before
-        self.fault = self.null = None  # (box, line): the first bad box; when not `nullable`, the first null
+        self.faults, self.null = [], None  # (box, line) per bad box; when not `nullable`, the first null
 
-    def queue(self, raws: list, where: str, field: str = ", boxes[{}]") -> int:
-        """Queue the JSON array `raws` as a run; returns its first box."""
+    def queue(self, raws: list, where: str, field=", boxes[{}]") -> int:
+        """Queue the JSON array `raws` as a run, named by `field` or, when it
+        is a tuple, by those roles; returns its first box."""
         self.names.append((where, field))
         at = _CHUNK - len(self.raws)  # where the run fills the chunk
         self.raws.extend(raws[:at])
@@ -551,35 +544,39 @@ class _BoxQueue:
         return len(self.nouns) - 1
 
     def _judge(self):
-        """Judge the queued boxes into a block of rows, keeping the first fault
-        and, when not `nullable`, the first null box, each with its line."""
+        """Judge the queued boxes into a block of rows, adding each bad box to
+        `faults` and keeping, when not `nullable`, the first null box."""
         base, faults = self.judged, []
-        if self.fault is None:  # after a bad box, no box can be the first fault
-            rows = _box_rows(self.raws, lambda i: self.where_of(base + i), faults)
-            if faults:
-                self.fault = (base + faults[0][0], faults[0][1])
-            if not (self.nullable or self.null):
-                bad = {i for i, _ in faults}
-                null = next((i for i in np.flatnonzero(np.isnan(rows[:, 0])).tolist() if i not in bad), None)
-                if null is not None:
-                    self.null = (base + null, f"{self.where_of(base + null)}: box may not be null")
-            self.blocks.append(rows)
+        rows = _box_rows(self.raws, lambda i: self.where_of(base + i), faults)
+        self.faults.extend((base + i, line) for i, line in faults)
+        if not (self.nullable or self.null):
+            bad = {i for i, _ in faults}
+            null = next((i for i in np.flatnonzero(np.isnan(rows[:, 0])).tolist() if i not in bad), None)
+            if null is not None:
+                self.null = (base + null, f"{self.where_of(base + null)}: box may not be null")
+        self.blocks.append(rows)
         self.judged += len(self.raws)
         self.raws = []
         self.dropped += len(self.names) - 1  # only the last run can go on into the next chunk
         del self.names[:-1]
 
-    def boxes(self) -> np.ndarray:
-        """(n, 4) float64 rows of every queued box, a NaN row where it is null
-        or flagged false; the first fault raises."""
+    def rows(self) -> np.ndarray:
+        """(n, 4) float64 rows of every queued box, a NaN row where it is null,
+        bad or flagged false. Judges the last chunk, so `faults` is whole after."""
         if self.raws:
             self._judge()
-        first = min(filter(None, (self.fault, self.null)), default=None)
+        rows = np.concatenate(self.blocks) if self.blocks else np.empty((0, 4))
+        self.blocks = [rows]  # the judged blocks die here, not with the queue
+        rows[self.unflagged] = np.nan
+        return rows
+
+    def boxes(self) -> np.ndarray:
+        """`rows()`, or the first fault raised."""
+        rows, fault = self.rows(), self.faults[0] if self.faults else None
+        first = min(filter(None, (fault, self.null)), default=None)
         if first:  # the first run holding one: its first bad box, else its first null
             end = (self.starts + [self.judged])[bisect_right(self.starts, first[0])]
-            raise DatasetError((self.fault if self.fault and self.fault[0] < end else self.null)[1])
-        rows = np.concatenate(self.blocks) if self.blocks else np.empty((0, 4))
-        rows[self.unflagged] = np.nan
+            raise DatasetError((fault if fault and fault[0] < end else self.null)[1])
         return rows
 
     def where_of(self, i: int) -> str:

@@ -7,6 +7,7 @@ import math
 import re
 import tracemalloc
 import types
+from itertools import groupby
 
 import pytest
 from hypothesis import example, given, settings
@@ -1070,14 +1071,19 @@ def runs(raws: list, size: int, pad: bool = False) -> list:
     return [raws[at:at + size] for at in range(0, len(raws), size)]
 
 
-def dataset_file(raws):  # Agent and Item boxes; Place stays null
-    return [image_record(f"{r}.jpg", boxes={"Agent": a, "Item": b, "Place": None})
-            for r, (a, b) in enumerate(runs(raws, 2, pad=True))]
+def dataset_file(raws):  # Agent, Item and Place boxes; a good box is never the Place's, so it reads null
+    return [image_record(f"{r}.jpg", boxes={"Agent": a, "Item": b, "Place": None if c == GOOD else c})
+            for r, (a, b, c) in enumerate(runs(raws, 3, pad=True))]
 
 
-QUEUED = {  # per LOADERS entry: a file whose boxes, in the order the walk meets them, are `raws`
+def worker_file(raws):  # Agent worker boxes, three to a record
+    return [image_record(f"{r}.jpg", worker_boxes={"Agent": run}) for r, run in enumerate(runs(raws, 3))]
+
+
+QUEUED = {  # per LOADERS entry or "<entry>/<layout>": a file whose boxes, in queue order, are `raws`
     "load_dataset": dataset_file,
     "parse_dataset": dataset_file,
+    "parse_dataset/worker_boxes": worker_file,
     "load_predictions": lambda raws: [
         {"id": str(r), "verbs": ["jumping"], "frames": {"jumping": {
             "nouns": {"Agent": "man", "Place": "street"}, "boxes": {"Agent": a, "Place": b}}}}
@@ -1095,17 +1101,22 @@ QUEUED = {  # per LOADERS entry: a file whose boxes, in the order the walk meets
 NOT_NULLABLE = ["load_boxes", "load_detection_sets", "load_object_detections"]
 
 
+def load(name: str):
+    """The loader of the `QUEUED` entry `name`."""
+    return LOADERS[name.partition("/")[0]][0]
+
+
 def first_fault(name: str, records: list, whole: bool = False):
-    """The error `LOADERS[name]` raises for `records` (`parse_dataset`: its
-    lines), with the queue judged in chunks, or whole when `whole`."""
+    """The error `load(name)` raises for `records` (`parse_dataset`: its
+    lines), with the queues judged in chunks, or whole when `whole`."""
     with pytest.MonkeyPatch.context() as patch:
         if whole:
             patch.setattr(dataset_io, "_CHUNK", 2**62)
         try:
-            got = LOADERS[name][0](records)
+            got = load(name)(records)
         except DatasetError as e:
             return str(e)
-    return got[1] if name == "parse_dataset" else None
+    return got[1] if name.startswith("parse_dataset") else None
 
 
 def placed(n: int, at: dict) -> list:
@@ -1156,18 +1167,57 @@ def test_a_null_box_by_a_chunk_edge_is_the_fault_judging_the_whole_file_gives(na
 def test_a_walk_fault_after_a_bad_box_in_an_earlier_chunk_comes_second(name, position):
     records = QUEUED[name](placed(2 * CHUNK + 5, {position: BAD_BOX})) + [3]
     fault = assert_chunked_as_whole(name, records)
-    assert SWAPPED in str(fault if name != "parse_dataset" else fault[0])
+    assert SWAPPED in str(fault[0] if name.startswith("parse_dataset") else fault)
+
+
+ROLES = LEXICON_JSON["kneading"]
+DATASETS = ["parse_dataset", "parse_dataset/worker_boxes"]
+
+
+def bad_box_lines(name: str, positions: set) -> list:
+    """The lines `parse_dataset` gives for a `QUEUED[name]` file of whole
+    records whose boxes at `positions` are bad, the rest good."""
+    if name == "parse_dataset":
+        return [f"image '{p // 3}.jpg', boxes[{ROLES[p % 3]!r}]: {SWAPPED}" for p in sorted(positions)]
+    lines = []
+    for r, bad in groupby(sorted(positions), lambda p: p // 3):
+        bad = list(bad)
+        lines += [f"image '{r}.jpg', worker_boxes['Agent'][{p % 3}]: {SWAPPED}" for p in bad]
+        lines.append(f"image '{r}.jpg', worker_boxes['Agent']: expected exactly 3 worker boxes, "
+                     f"got {3 - len(bad)}")
+    return lines
+
+
+@pytest.mark.parametrize("name", DATASETS)
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(positions=st.sets(st.integers(0, 2 * CHUNK + 9), min_size=1, max_size=4))
+@example(positions={0, CHUNK - 1, CHUNK, 2 * CHUNK + 3})
+def test_the_dataset_reader_names_every_bad_box_in_file_order_chunked_as_whole(name, positions):
+    records = QUEUED[name](placed(2 * CHUNK + 10, dict.fromkeys(positions, BAD_BOX)))
+    assert assert_chunked_as_whole(name, records) == bad_box_lines(name, positions)
+
+
+@pytest.mark.parametrize("name", sorted(set(QUEUED) - {"load_dataset", *DATASETS}))
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(first=st.integers(0, CHUNK - 1), second=st.integers(CHUNK, 2 * CHUNK + 9))
+@example(first=0, second=2 * CHUNK + 3)
+@example(first=CHUNK - 1, second=CHUNK)
+def test_every_other_loader_raises_only_the_first_of_two_bad_boxes_in_two_chunks(name, first, second):
+    records = QUEUED[name](placed(2 * CHUNK + 10, {first: BAD_BOX, second: BAD_BOX}))
+    assert assert_chunked_as_whole(name, records) == first_fault(
+        name, QUEUED[name](placed(2 * CHUNK + 10, {first: BAD_BOX})))
 
 
 def test_no_walk_judges_more_than_a_chunk_of_boxes_at_once(monkeypatch):
     """Every `_box_rows` pass of a record walk's queue gets at most `_CHUNK`
-    raw boxes (a dataset's boxes are judged after its walk, not in it)."""
+    raw boxes; a dataset's worker mean, one pass over its merged boxes,
+    here has fewer."""
     sizes, judge = [], dataset_io._box_rows
     monkeypatch.setattr(dataset_io, "_box_rows",
                         lambda raws, *rest: (sizes.append(len(raws)), judge(raws, *rest))[1])
-    for name in sorted(set(QUEUED) - {"load_dataset", "parse_dataset"}):
+    for name in sorted(QUEUED):
         sizes.clear()
-        LOADERS[name][0](QUEUED[name](placed(2 * CHUNK + 15, {})))
+        load(name)(QUEUED[name](placed(2 * CHUNK + 15, {})))
         assert sizes and max(sizes) <= CHUNK and sum(sizes) >= 2 * CHUNK + 15, name
 
 
