@@ -5,12 +5,12 @@ This module is the only code that reads JSON input; every reader takes a path
 which is how a library caller hands in data it holds: ground truth and
 predictions have no other input form. One reader, `_text`, reads every path
 and file object; `_items` decodes a file of records (a top-level array) one
-record at a time. Every box is judged by `parse_box`'s rules in an array
-pass, `_box_rows`, which hands `parse_box` only the boxes it refuses: boxes
-load into (n, 4) float64 arrays, not objects. Every record walk queues its
-boxes on a `_BoxQueue`, which judges them in chunks of `_CHUNK` boxes as they
-are queued, and keeps their rows, not the decoded lists. Every frame is read
-by `_BoxQueue.read`, and every error names the record and the field it comes
+record at a time. Every record walk queues its raw boxes on a `_BoxQueue`,
+the one judge of raw boxes: it judges them by `parse_box`'s rules in array
+passes of `_CHUNK` boxes as they are queued, hands `parse_box` only the boxes
+refused there, and keeps (n, 4) float64 rows, not the decoded lists. A worker
+mean or a clamped box is judged on its row. Every frame is read by
+`_BoxQueue.read`, and every error names the record and the field it comes
 from: "<record>, <field>: <rule>", a box's name built only when it is a fault.
 
 Canonical file formats (UTF-8 JSON):
@@ -223,43 +223,6 @@ def _valid_box_rows(rows: np.ndarray) -> np.ndarray:
                 & (0 < area) & (area <= sys.float_info.max / 2) & (0 < aspect) & (aspect < np.inf))
 
 
-def _box_rows(raws: list, where_of, faults: list) -> np.ndarray:
-    """(len(raws), 4) float64 rows of raw boxes, a NaN row for null and the sentinel.
-
-    Lists of four JSON numbers are judged all at once by `_valid_box_rows`;
-    only a box refused there is read by `parse_box`, in order, whose error
-    names box i by `where_of(i)`. A bad box appends (i, its error's message)
-    to `faults` and gets a NaN row.
-    """
-    given = np.fromiter(map(is_not, raws, repeat(None)), dtype=bool, count=len(raws))
-    present = list(compress(raws, given))
-    block = None
-    if ({list}.issuperset(map(type, present)) and {4}.issuperset(map(len, present))
-            and _JSON_NUMBER_TYPES.issuperset(map(type, chain.from_iterable(present)))):
-        try:
-            block = np.array(present, dtype=np.float64).reshape(-1, 4)
-        except OverflowError:  # an int too big for a float
-            pass
-    if block is None:  # only the lists of four numbers that fit a float go into the array
-        formed = [type(raw) is list and len(raw) == 4 and _JSON_NUMBER_TYPES.issuperset(map(type, raw))
-                  and max(map(abs, raw)) <= sys.float_info.max for raw in present]
-        block = np.full((len(present), 4), np.nan)
-        block[formed] = np.array(list(compress(present, formed)), dtype=np.float64).reshape(-1, 4)
-    sentinel = (block == -1).all(axis=1)
-    bad = ~(sentinel | _valid_box_rows(block))
-    block[sentinel | bad] = np.nan
-    for j, i in zip(np.flatnonzero(bad).tolist(), np.flatnonzero(given)[bad].tolist()):
-        try:
-            box = parse_box(present[j], where_of(i))
-        except DatasetError as e:
-            faults.append((i, str(e)))
-            continue
-        block[j] = np.nan if box is None else box.as_list()
-    rows = np.full((len(raws), 4), np.nan)
-    rows[given] = block
-    return rows
-
-
 @_gc_paused
 def parse_dataset(source, lexicon: VerbLexicon, vocabulary: NounVocabulary,
                   warnings: list) -> tuple:
@@ -271,7 +234,7 @@ def parse_dataset(source, lexicon: VerbLexicon, vocabulary: NounVocabulary,
     a field's lines are written only when its C-level check fails. It
     queues a record's role slots as one run on a `_BoxQueue`, and each
     role's worker boxes as a run on a second; then the worker mean, the
-    Place rule and clamping run once over the box array. A line
+    Place rule and clamping run once over the box rows. A line
     names the record and the field; a record's lines come in field order,
     its box lines in role order, then its Place and clamp lines. The table
     holds the records with no line. Every clamped box is a warning.
@@ -352,9 +315,16 @@ def parse_dataset(source, lexicon: VerbLexicon, vocabulary: NounVocabulary,
     counts = np.bincount(owners, minlength=n_slots)
     sums = np.zeros((n_slots, 4))
     np.add.at(sums, owners, worker_rows[read])  # in order from +0.0, as `sum` adds
-    merged, faults = np.flatnonzero(counts == 3).tolist(), []
-    boxes[merged] = _box_rows((sums[merged] / 3).tolist(), lambda i: locate(merged[i])[2], faults)
-    lines.extend(((indices[locate(merged[i])[0]], 1, merged[i], 1), message) for i, message in faults)
+    merged = np.flatnonzero(counts == 3)
+    means = sums[merged] / 3
+    valid = _valid_box_rows(means)  # only a refused mean goes to `parse_box`, to be named
+    boxes[merged[valid]] = means[valid]
+    for slot, mean in zip(merged[~valid].tolist(), means[~valid]):
+        k, _, where = locate(slot)
+        try:
+            parse_box(mean.tolist(), where)
+        except DatasetError as e:
+            lines.append(((indices[k], 1, slot, 1), str(e)))
     miscounted = np.flatnonzero((counts != 0) & (counts != 3)).tolist()
     lines.extend(((indices[k], 1, slot, 1), f"{where}: expected exactly 3 worker boxes, "
                   f"got {counts[slot]}") for k, slot, where in map(locate, miscounted))
@@ -476,11 +446,11 @@ def _by_id(source, kind: str, parse, queue: _BoxQueue) -> tuple:
     return out, _records(source, kind, queue, visit)
 
 
-_CHUNK = 4096  # raw boxes a record walk queues per `_box_rows` pass
+_CHUNK = 4096  # raw boxes a record walk queues per `_BoxQueue._judge` pass
 
 
 class _BoxQueue:
-    """The raw boxes a record walk queues, judged by `_box_rows` in chunks of
+    """The raw boxes a record walk queues, judged by `_judge` in chunks of
     `_CHUNK` as the walk queues them: the queue keeps float64 rows, not the
     decoded lists, and every bad box with its line, in `faults`.
 
@@ -544,16 +514,40 @@ class _BoxQueue:
         return len(self.nouns) - 1
 
     def _judge(self):
-        """Judge the queued boxes into a block of rows, adding each bad box to
-        `faults` and keeping, when not `nullable`, the first null box."""
-        base, faults = self.judged, []
-        rows = _box_rows(self.raws, lambda i: self.where_of(base + i), faults)
-        self.faults.extend((base + i, line) for i, line in faults)
-        if not (self.nullable or self.null):
-            bad = {i for i, _ in faults}
-            null = next((i for i in np.flatnonzero(np.isnan(rows[:, 0])).tolist() if i not in bad), None)
-            if null is not None:
-                self.null = (base + null, f"{self.where_of(base + null)}: box may not be null")
+        """Judge the queued boxes into a block of float64 rows, a NaN row for
+        null and the sentinel. Lists of four JSON numbers are judged all at
+        once by `_valid_box_rows`; only a box refused there is read by
+        `parse_box`, in order, to name it: it goes to `faults` with its line
+        and gets a NaN row. When not `nullable`, the first null box is kept."""
+        raws, base = self.raws, self.judged
+        given = np.fromiter(map(is_not, raws, repeat(None)), dtype=bool, count=len(raws))
+        present = list(compress(raws, given))
+        block = None
+        if ({list}.issuperset(map(type, present)) and {4}.issuperset(map(len, present))
+                and _JSON_NUMBER_TYPES.issuperset(map(type, chain.from_iterable(present)))):
+            try:
+                block = np.array(present, dtype=np.float64).reshape(-1, 4)
+            except OverflowError:  # an int too big for a float
+                pass
+        if block is None:  # only the lists of four numbers that fit a float go into the array
+            formed = [type(raw) is list and len(raw) == 4 and _JSON_NUMBER_TYPES.issuperset(map(type, raw))
+                      and max(map(abs, raw)) <= sys.float_info.max for raw in present]
+            block = np.full((len(present), 4), np.nan)
+            block[formed] = np.array(list(compress(present, formed)), dtype=np.float64).reshape(-1, 4)
+        sentinel = (block == -1).all(axis=1)
+        bad = ~(sentinel | _valid_box_rows(block))
+        block[sentinel | bad] = np.nan
+        for j, i in zip(np.flatnonzero(bad).tolist(), (np.flatnonzero(given)[bad] + base).tolist()):
+            try:
+                parse_box(present[j], self.where_of(i))
+            except DatasetError as e:
+                self.faults.append((i, str(e)))
+        rows = np.full((len(raws), 4), np.nan)
+        rows[given] = block
+        given[given] = ~sentinel  # now false for null and the sentinel
+        if not (self.nullable or self.null or given.all()):
+            null = base + int(given.argmin())
+            self.null = (null, f"{self.where_of(null)}: box may not be null")
         self.blocks.append(rows)
         self.judged += len(self.raws)
         self.raws = []

@@ -1209,12 +1209,12 @@ def test_every_other_loader_raises_only_the_first_of_two_bad_boxes_in_two_chunks
 
 
 def test_no_walk_judges_more_than_a_chunk_of_boxes_at_once(monkeypatch):
-    """Every `_box_rows` pass of a record walk's queue gets at most `_CHUNK`
-    raw boxes; a dataset's worker mean, one pass over its merged boxes,
-    here has fewer."""
-    sizes, judge = [], dataset_io._box_rows
-    monkeypatch.setattr(dataset_io, "_box_rows",
-                        lambda raws, *rest: (sizes.append(len(raws)), judge(raws, *rest))[1])
+    """Every `_BoxQueue._judge` pass of a record walk's queue gets at most
+    `_CHUNK` raw boxes; a dataset's worker means are rows, judged apart from
+    the queue."""
+    sizes, judge = [], dataset_io._BoxQueue._judge
+    monkeypatch.setattr(dataset_io._BoxQueue, "_judge",
+                        lambda queue: (sizes.append(len(queue.raws)), judge(queue))[1])
     for name in sorted(QUEUED):
         sizes.clear()
         load(name)(QUEUED[name](placed(2 * CHUNK + 15, {})))

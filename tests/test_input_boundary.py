@@ -11,6 +11,7 @@ import json
 import os
 import stat
 import struct
+import sys
 import tempfile
 import threading
 
@@ -802,10 +803,10 @@ AREA_AND_ASPECT_EDGES = [[0, 0, 1e308, 10], [0, 0, 5e-324, 10], [0, 0, 10, 5e-32
                          [0, 0, 1.3e154, 1.4e154], [0, 0, 1.3e154, 6e153], [5e-324, 0, 1e-323, 1]]
 EDGE_COORD = st.sampled_from([-0.0, 5e-324, 1e308, 10**400, True, "1", float("nan"),
                               float("inf"), float("-inf"), -1, -1.0, 2**70])
+ONE_EDGE_BOX = st.tuples(BOX, st.integers(0, 3), EDGE_COORD).map(  # one edge coordinate
+    lambda t: t[0][:t[1]] + [t[2]] + t[0][t[1] + 1:])
 AGREEMENT_BOX = (st.none() | st.just([-1, -1, -1, -1]) | st.just([-1.0, -1, -1, -1]) | BOX
-                 | st.lists(EDGE_COORD | COORD, min_size=3, max_size=5)
-                 | st.tuples(BOX, st.integers(0, 3), EDGE_COORD).map(  # one edge coordinate
-                     lambda t: t[0][:t[1]] + [t[2]] + t[0][t[1] + 1:])
+                 | st.lists(EDGE_COORD | COORD, min_size=3, max_size=5) | ONE_EDGE_BOX
                  | st.sampled_from(AREA_AND_ASPECT_EDGES))
 
 
@@ -827,16 +828,52 @@ def test_a_prediction_box_is_accepted_exactly_when_parse_box_accepts_it(box):
     preds = [{"id": "x", "verbs": ["jumping"], "frames": {"jumping": {
         "nouns": {"Agent": "man", "Place": "street"}, "boxes": {"Agent": box}}}}]
     try:
-        expected = parse_box(box, where)
+        row, lines = load_predictions(preds, parse_lexicon(LEXICON)).boxes[0].tolist(), []
     except DatasetError as e:
-        with pytest.raises(DatasetError) as got:
-            load_predictions(preds, parse_lexicon(LEXICON))
-        assert str(got.value) == str(e)
+        row, lines = None, [str(e)]
+    assert_read_as_parse_box_reads(box, where, row, lines)
+
+
+def assert_read_as_parse_box_reads(raw, where, row, lines):
+    """A reader gave `row` and `lines` for the box `raw` named `where`: the
+    lines are `parse_box`'s error, or none and the row is its box."""
+    try:
+        expected = parse_box(raw, where)
+    except DatasetError as e:
+        assert lines == [str(e)]
         return
-    row = load_predictions(preds, parse_lexicon(LEXICON)).boxes[0].tolist()
+    assert lines == []
     # -0.0 and 0.0 compare equal; their hex forms do not
     assert (None if row[0] != row[0] else [c.hex() for c in row]) == (
         None if expected is None else [c.hex() for c in expected.as_list()])
+
+
+def _is_a_box(raw) -> bool:
+    try:
+        return parse_box(raw, "") is not None
+    except DatasetError:
+        return False
+
+
+AREA_BOUND = sys.float_info.max / 2  # `BoundingBox`'s largest area
+WORKER_BOX = (BOX | ONE_EDGE_BOX | st.sampled_from(AREA_AND_ASPECT_EDGES)).filter(_is_a_box)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(triple=st.lists(WORKER_BOX, min_size=3, max_size=3))
+@example(triple=[[0, 0, 8e307, 1], [0, 0, 1, 8e307], [0, 0, 1, 1]])  # the mean's area overflows
+@example(triple=[[-0.0, 0, 10, 10], [-0.0, 5, 10, 10], [-0.0, -0.0, 10, 10]])  # its x1 is +0.0
+@example(triple=[[0, 0, 2.0**511, AREA_BOUND / 2.0**511]] * 3)  # the mean's area is the bound
+@example(triple=[[0, 0, 2.0**511, AREA_BOUND / 2.0**511]] * 2  # one float past the bound
+         + [[0, 0, 6.703904021162772e+153, 1.340780781755965e+154]])
+def test_a_worker_mean_is_accepted_exactly_when_parse_box_accepts_it(triple):
+    where = "image 'img1.jpg', worker_boxes['Agent']"
+    record = dict(valid_files()["dataset.json"][0], width=sys.float_info.max, height=sys.float_info.max,
+                  worker_boxes={"Agent": triple})
+    table, lines = parse_dataset([record], parse_lexicon(LEXICON), parse_vocabulary(VOCAB), [])
+    # ((a + b) + c) / 3 per coordinate, adding from +0.0 as the reader does
+    mean = [sum(coords) / 3 for coords in zip(*(map(float, box) for box in triple))]
+    assert_read_as_parse_box_reads(mean, where, None if lines else table.boxes[0].tolist(), lines)
 
 
 @pytest.mark.parametrize("nouns", [[], ["man", "dough"]], ids=["no-nouns", "nouns"])
