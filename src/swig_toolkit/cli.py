@@ -60,20 +60,23 @@ def write_output(payload, out: str, encoded: bool = False):
     if out == "-":
         sys.stdout.writelines(text)
         return
-    out = os.path.realpath(out)  # a symlink stays a link: its target gets the JSON
-    if os.path.exists(out) and not os.path.isfile(out):
+    target = os.path.realpath(out)  # a symlink stays a link: its target gets the JSON
+    if os.path.exists(target) and not os.path.isfile(target):
         # a FIFO or device: renaming over it would replace it with a regular file
-        with open(out, "w", encoding="utf-8") as f:
+        with open(target, "w", encoding="utf-8") as f:
             f.writelines(text)
         return
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(out), suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp")
+    except OSError as e:  # its message names a random temp file: name the output
+        raise OSError(e.errno, e.strerror, out) from e
     umask = os.umask(0)  # reading the umask means setting it, so set it back
     os.umask(umask)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as f:
             os.fchmod(f.fileno(), 0o666 & ~umask)  # mkstemp creates the file 0600
             f.writelines(text)
-        os.replace(tmp, out)
+        os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -129,9 +132,9 @@ def cmd_eval(args) -> int:
     setting = VerbSetting(args.setting)
     mode = ValueAllMode(args.value_all_mode)
     report = evaluate(dataset, predictions, setting, mode)
+    write_output(report, args.out)
     if args.out != "-":
         print(format_table(report, setting))
-    write_output(report, args.out)
     return 0
 
 
@@ -249,11 +252,11 @@ def cmd_gradcheck(args) -> int:
             worst = max(worst, float(np.max(np.abs(analytic - numeric) / denom)))
         results[kernel] = worst
 
+    ok = all(err <= 1e-4 for err in results.values())
+    write_output({"max_relative_error": results, "pass": ok}, args.out)
     if args.out != "-":
         for kernel, err in results.items():
             print(f"{kernel}: max relative gradient error {err:.3e}")
-    ok = all(err <= 1e-4 for err in results.values())
-    write_output({"max_relative_error": results, "pass": ok}, args.out)
     return 0 if ok else 1
 
 

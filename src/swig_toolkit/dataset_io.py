@@ -8,10 +8,10 @@ and file object; `_items` decodes a file of records (a top-level array) one
 record at a time. Every record walk queues its raw boxes on a `_BoxQueue`,
 the one judge of raw boxes: it judges them by `parse_box`'s rules in array
 passes of `_CHUNK` boxes as they are queued, hands `parse_box` only the boxes
-refused there, and keeps (n, 4) float64 rows, not the decoded lists. A worker
-mean or a clamped box is judged on its row. Every frame is read by
-`_BoxQueue.read`, and every error names the record and the field it comes
-from: "<record>, <field>: <rule>", a box's name built only when it is a fault.
+refused there, and keeps (n, 4) float64 rows, not the decoded lists (a worker
+mean or a clamped box is judged on its row). The walk's faults, its boxes'
+and its own, are one list keyed (run, kind, box); a loader raises the least,
+and every error names the record and the field: "<record>, <field>: <rule>".
 
 Canonical file formats (UTF-8 JSON):
 
@@ -54,7 +54,7 @@ import os
 import reprlib
 import sys
 from bisect import bisect_right
-from collections import Counter
+from collections import Counter, deque
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, repeat
@@ -308,8 +308,8 @@ def parse_dataset(source, lexicon: VerbLexicon, vocabulary: NounVocabulary,
         k = bisect_right(starts, slot) - 1
         return k, slot, f"{labels[k]}, {fields[k]}[{roles[k][slot - starts[k]]!r}]"
 
-    for slot, message in slots.faults + [(worker_slots[i], message) for i, message in workers.faults]:
-        lines.append(((indices[locate(slot)[0]], 1, slot, 0), message))
+    for (*_, slot), line in slots.faults + [((worker_slots[i],), line) for (*_, i), line in workers.faults]:
+        lines.append(((indices[locate(slot)[0]], 1, slot, 0), line))  # a worker box's line is its slot's
     read = ~np.isnan(worker_rows[:, 0])  # a role's worker boxes that were read: merged when 3
     owners = np.array(worker_slots, dtype=np.intp)[read]
     counts = np.bincount(owners, minlength=n_slots)
@@ -343,9 +343,9 @@ def parse_dataset(source, lexicon: VerbLexicon, vocabulary: NounVocabulary,
     kept = _valid_box_rows(clamped)
     for slot, box, keep in zip(outside.tolist(), boxes[outside].tolist(), kept.tolist()):
         k, _, where = locate(slot)
-        try:  # a clamped box the array check refuses is judged by the box's own rules
+        try:  # a clamped box the array check refuses is named by the box's own rules
             if not keep:
-                boxes[slot] = BoundingBox(*box).clamped(widths[k], heights[k]).as_list()
+                BoundingBox(*box).clamped(widths[k], heights[k])
             warnings.append(f"{labels[k]}, role {slot_roles[slot]!r}: box clamped to image bounds")
         except FrameModelError as e:
             lines.append(((indices[k], 2, slot), f"{where}: box {box} clamped to the "
@@ -407,22 +407,20 @@ def load_dataset(annotation_source, lexicon_source, vocabulary_source,
 @_gc_paused
 def _records(source, kind: str, queue: _BoxQueue, visit) -> np.ndarray:
     """visit(index, record) over a JSON array of objects, read by `_items`;
-    returns `queue.boxes()`. A fault `visit` raises waits for the file to
-    decode and the queued boxes to be judged: a decode error anywhere, then
-    a bad box queued before the fault, comes first, as in a whole decode."""
-    items, fault = _items(source), None
+    returns `queue.boxes()`. A fault `visit` raises ends the visits and is
+    keyed after every box queued before it; the rest of the file still
+    decodes, so a decode error anywhere comes first, as in a whole decode."""
+    items = _items(source)
     if items is None:
         raise DatasetError(f"{kind} file must be a JSON array")
     for index, rec in enumerate(items):
-        if fault is None:
-            try:
-                visit(index, _check(rec, dict, f"{kind} #{index}"))
-            except DatasetError as e:
-                fault = e
-    rows = queue.boxes()
-    if fault is not None:
-        raise fault
-    return rows
+        try:
+            visit(index, _check(rec, dict, f"{kind} #{index}"))
+        except DatasetError as e:
+            queue.faults.append(((len(queue.starts) - 1, 2, queue.judged + len(queue.raws)), e))
+            break
+    deque(items, maxlen=0)  # decodes the rest, which may raise first
+    return queue.boxes()
 
 
 def _by_id(source, kind: str, parse, queue: _BoxQueue) -> tuple:
@@ -459,11 +457,12 @@ class _BoxQueue:
     reader, a frame, the box of role r named `<where>, boxes[r]`; so is a
     run `queue` is given roles for, in place of a field. A run's `where` and
     roles or field, which the walk holds anyway, are kept only until its
-    boxes are judged, and a box is named only when it is a fault. A fault
-    the walk raises comes first in the file only when every box queued
-    before it is good, so `_records` judges the queue before it re-raises
-    the fault. When not `nullable`, a null or sentinel box is a fault, after
-    any malformed box of its run; a run that `read` raised in ends the queue.
+    boxes are judged, and a box is named only when it is a fault. Each
+    fault is keyed (run, kind, box), and `boxes()` raises the least: kind 0
+    is a bad box, 1 a null or sentinel box when not `nullable`, 2 the walk's
+    own fault, which `_records` keys at the open run's next box. So a
+    malformed box beats an earlier null of its run, and a walk fault comes
+    after every box queued before it.
     """
 
     def __init__(self, nullable: bool = True):
@@ -472,7 +471,7 @@ class _BoxQueue:
         self.starts, self.unflagged = [0], []  # per run its first box, and one more start; boxes flagged false
         self.raws, self.blocks, self.judged = [], [], 0  # the boxes not yet judged; rows of the judged ones
         self.names, self.dropped = [], 0  # (where, roles or field) per run from the last judged; runs before
-        self.faults, self.null = [], None  # (box, line) per bad box; when not `nullable`, the first null
+        self.faults = []  # ((run, kind, box), line or exception) per fault
 
     def queue(self, raws: list, where: str, field=", boxes[{}]") -> int:
         """Queue the JSON array `raws` as a run, named by `field` or, when it
@@ -538,16 +537,18 @@ class _BoxQueue:
         bad = ~(sentinel | _valid_box_rows(block))
         block[sentinel | bad] = np.nan
         for j, i in zip(np.flatnonzero(bad).tolist(), (np.flatnonzero(given)[bad] + base).tolist()):
+            run, where = self.where_of(i)
             try:
-                parse_box(present[j], self.where_of(i))
+                parse_box(present[j], where)
             except DatasetError as e:
-                self.faults.append((i, str(e)))
+                self.faults.append(((run, 0, i), str(e)))
         rows = np.full((len(raws), 4), np.nan)
         rows[given] = block
         given[given] = ~sentinel  # now false for null and the sentinel
-        if not (self.nullable or self.null or given.all()):
+        if not (self.nullable or given.all()):  # a chunk's first null: only the file's first is raised
             null = base + int(given.argmin())
-            self.null = (null, f"{self.where_of(null)}: box may not be null")
+            run, where = self.where_of(null)
+            self.faults.append(((run, 1, null), f"{where}: box may not be null"))
         self.blocks.append(rows)
         self.judged += len(self.raws)
         self.raws = []
@@ -565,21 +566,18 @@ class _BoxQueue:
         return rows
 
     def boxes(self) -> np.ndarray:
-        """`rows()`, or the first fault raised."""
-        rows, fault = self.rows(), self.faults[0] if self.faults else None
-        first = min(filter(None, (fault, self.null)), default=None)
-        if first:  # the first run holding one: its first bad box, else its first null
-            end = (self.starts + [self.judged])[bisect_right(self.starts, first[0])]
-            raise DatasetError((fault if fault and fault[0] < end else self.null)[1])
+        """`rows()`, or the least fault raised."""
+        rows = self.rows()
+        if self.faults:
+            (_, kind, _), fault = min(self.faults, key=itemgetter(0))
+            raise fault if kind == 2 else DatasetError(fault)
         return rows
 
-    def where_of(self, i: int) -> str:
-        """The name of box i, which is not yet judged or is being judged."""
+    def where_of(self, i: int) -> tuple:
+        """(run, name) of box i, which is not yet judged or is being judged."""
         run = bisect_right(self.starts, i) - 1
         (where, key), j = self.names[run - self.dropped], i - self.starts[run]
-        if type(key) is str:  # the field of a queued JSON array
-            return where + key.format(j)
-        return f"{where}, boxes[{key[j]!r}]"
+        return run, (where + key.format(j) if type(key) is str else f"{where}, boxes[{key[j]!r}]")
 
 
 def load_predictions(source, lexicon: VerbLexicon) -> PredictionTable:

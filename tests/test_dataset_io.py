@@ -28,6 +28,8 @@ from swig_toolkit.dataset_io import (
     parse_vocabulary,
 )
 from swig_toolkit.frame_model import FrameModelError, GroundedFrame
+from swig_toolkit.fusion import FusionError
+from swig_toolkit.retrieval import RetrievalError
 
 LEXICON_JSON = {
     "kneading": ["Agent", "Item", "Place"],
@@ -815,7 +817,10 @@ def top5_rec(image_id="a", **overrides):
 
 MALFORMED = "box must be [x1,y1,x2,y2] or null, got 'x'"
 NOT_NUMBERS = "box coordinates must be JSON numbers, got [0, 0, '1', 1]"
-PINNED_LOADS = [  # (case, loader, file, the error: the first fault in file order)
+CHUNK, GOOD = dataset_io._CHUNK, [0, 0, 5, 5]
+LONG_NULL = [GOOD] * (CHUNK - 1) + [None] + [GOOD] * 5  # a run across the first chunk edge
+PINNED_LOADS = [  # (case, loader, file, the error: the first fault in file order, except that a
+    # malformed box beats an earlier null of its run)
     ("fuse-null-then-malformed-box-in-one-record", load_detection_sets,
      [fuse_rec(boxes=[None, "x"], noun_scores=[[1.0], [1.0]])],
      f"detections 'a', boxes[1]: {MALFORMED}"),
@@ -842,10 +847,24 @@ PINNED_LOADS = [  # (case, loader, file, the error: the first fault in file orde
      "detections #1: missing or non-string 'id'"),
     ("fuse-boxes-not-an-array", load_detection_sets, [fuse_rec(boxes=None)],
      "detections 'a', boxes: must be a JSON array, got None"),
+    ("fuse-null-sentinel-then-malformed-box", load_detection_sets,
+     [fuse_rec(boxes=[None, [-1, -1, -1, -1], "x"], noun_scores=[[1.0]] * 3)],
+     f"detections 'a', boxes[2]: {MALFORMED}"),
+    ("fuse-null-box-then-bad-nouns", load_detection_sets, [fuse_rec(boxes=[None], nouns=7)],
+     "detections 'a', boxes[0]: box may not be null"),
+    ("fuse-null-before-a-chunk-edge-then-record-not-an-object", load_detection_sets,
+     [fuse_rec(boxes=LONG_NULL, noun_scores=[[1.0]] * (CHUNK + 5)), 3],
+     "detections 'a', boxes[4095]: box may not be null"),
+    ("fuse-null-before-a-chunk-edge-then-malformed-boxes-after-it", load_detection_sets,
+     [fuse_rec(boxes=LONG_NULL[:CHUNK] + ["x"] * 5, noun_scores=[[1.0]] * (CHUNK + 5)), 3],
+     f"detections 'a', boxes[4096]: {MALFORMED}"),
     ("objects-null-then-malformed-box-in-one-record", load_object_detections,
      [object_rec(classes=["man", "dog"], boxes=[None, "x"])], f"detections 'a', boxes[1]: {MALFORMED}"),
     ("objects-null-box-then-malformed-box-in-a-later-record", load_object_detections,
      [object_rec(boxes=[None]), object_rec("b", boxes=[[0, 0, 10]])],
+     "detections 'a', boxes[0]: box may not be null"),
+    ("objects-null-box-then-null-and-malformed-box-in-a-later-record", load_object_detections,
+     [object_rec(boxes=[None]), object_rec("b", classes=["man", "dog"], boxes=[None, "x"])],
      "detections 'a', boxes[0]: box may not be null"),
     ("objects-sentinel-box", load_object_detections, [object_rec(boxes=[[-1.0, -1, -1, -1]])],
      "detections 'a', boxes[0]: box may not be null"),
@@ -887,6 +906,7 @@ PINNED_LOADS = [  # (case, loader, file, the error: the first fault in file orde
     ("anchors-null-then-malformed-box", load_boxes, [None, "x"], f"boxes[1]: {MALFORMED}"),
     ("anchors-sentinel-then-bad-box", load_boxes, [[-1, -1, -1, -1], BAD_BOX], f"boxes[1]: {SWAPPED}"),
     ("anchors-good-box-then-null", load_boxes, [[0, 0, 1, 1], None], "boxes[1]: box may not be null"),
+    ("anchors-nulls-around-a-bad-box", load_boxes, [None, None, BAD_BOX, None], f"boxes[2]: {SWAPPED}"),
     ("anchors-not-an-array", load_boxes, {"boxes": []},
      "boxes: must be a JSON array, got {'boxes': []}"),
 ]
@@ -898,6 +918,17 @@ def test_a_faulty_detection_situation_or_box_file_gives_its_first_fault(load, re
     with pytest.raises(DatasetError) as e:
         load(records)
     assert str(e.value) == error
+
+
+@pytest.mark.parametrize("load,records,cause", [
+    (load_detection_sets, [fuse_rec(boxes=[[0, 0, 1, 1]] * CHUNK, noun_scores=[[1e400]] * CHUNK)],
+     FusionError),
+    (load_situations, [top5_rec(), top5_rec("b", verbs=["jumping"] * 4)], RetrievalError),
+], ids=["fuse-non-finite-logit-after-a-chunk", "situations-four-verbs-in-a-later-record"])
+def test_a_walk_fault_is_raised_as_the_walk_raised_it(load, records, cause):
+    with pytest.raises(DatasetError) as e:
+        load(records)
+    assert type(e.value) is DatasetError and type(e.value.__cause__) is cause
 
 
 def test_valid_detection_situation_and_box_files_build_no_box(monkeypatch):
@@ -1061,8 +1092,6 @@ def test_valid_files_load_without_building_a_box(monkeypatch):
 
 
 # ---- a record walk judges its queued boxes in chunks ------------------------
-
-CHUNK, GOOD = dataset_io._CHUNK, [0, 0, 5, 5]
 
 
 def runs(raws: list, size: int, pad: bool = False) -> list:

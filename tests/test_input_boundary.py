@@ -435,6 +435,20 @@ def test_write_output_removes_its_temp_file_when_the_rename_fails(tmp_path, monk
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("parent", ["missing-directory", "regular-file"])
+@pytest.mark.parametrize("name", ["stats", "eval", "gradcheck", "anchors"])
+def test_an_out_that_cannot_be_written_is_one_error_naming_it_and_nothing_printed(tmp_path, name, parent):
+    write_files(tmp_path, valid_files())
+    (tmp_path / "file").write_text("")
+    out = str(tmp_path / ("nodir" if parent == "missing-directory" else "file") / "report.json")
+    argv = ["gradcheck", "--trials", "3", "--out", "-"] if name == "gradcheck" else command(name, tmp_path)
+    before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    status, printed, err = run([*argv[:-1], out])
+    assert status == 1 and printed == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and out in err and ".tmp" not in err, err
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
 @pytest.mark.parametrize("items", [[], ['{"a":1}'], ['{"a":1}', "[2,3]", '"\u00e9"', "null"]],
                          ids=["empty", "one-item", "items"])
 @pytest.mark.parametrize("target", ["-", "file", "symlink", "fifo"])
