@@ -12,6 +12,7 @@ place. Exit status: 0 success, 1 validation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -60,6 +61,8 @@ def write_output(payload, out: str, encoded: bool = False):
     if out == "-":
         sys.stdout.writelines(text)
         return
+    if out[-1:] in (os.sep, os.altsep):  # realpath would drop the separator and write the file
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
     target = os.path.realpath(out)  # a symlink stays a link: its target gets the JSON
     if os.path.exists(target) and not os.path.isfile(target):
         # a FIFO or device: renaming over it would replace it with a regular file
@@ -178,8 +181,8 @@ def cmd_retrieve(args) -> int:
     search_ids = read_ids(args.search)
 
     if args.mode == "l2":
-        ids, matrix = read_embeddings(args.embeddings)
-        scorer = L2Scorer(ids, matrix, search_ids)
+        # the scorer keeps no id list, so the manifest's ids die with its index
+        scorer = L2Scorer(*read_embeddings(args.embeddings), search_ids, query_ids, args.k)
     elif args.mode == "obj":
         scorer = ObjScorer(load_object_detections(args.detections), search_ids)
     else:
@@ -267,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
         version=f"swig-toolkit {__version__} (schema {SCHEMA_VERSION})",
     )
     parser.add_argument("--threads", type=int, default=os.cpu_count(),
-                        help="accepted and ignored; every subcommand runs in one thread")
+                        help="accepted and ignored (numpy's BLAS may use its own threads)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check dataset files for structural violations")

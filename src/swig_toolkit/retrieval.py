@@ -213,30 +213,117 @@ def _lookup(features: dict, image_id: str):
 
 
 class L2Scorer:
-    """Batched `l2_similarity` over the embedding rows of the search ids.
+    """Batched `l2_similarity` over the embedding rows of the search ids,
+    exact on a band of rows that holds every query's top k.
 
-    The search rows are gathered once, as float32, and each query turns
-    them into float64 differences a chunk at a time, so no float64 copy of
-    the search set is made. Each distance is the square root of one row's
-    `dot(d, d)`, as `np.linalg.norm` takes it for a 1-D vector, over the
-    same differences, so scores equal `l2_similarity` bit for bit.
+    The queries are taken in blocks of `BLOCK`, in `query_ids` order, and a
+    block's bands are built when one of its queries is first scored: one
+    float32 product of the block's rows with the whole loaded matrix bounds
+    every squared distance (see `__init__`), and a band keeps each search row
+    whose lower bound could reach the k-th smallest upper bound. Band rows
+    are scored as `l2_similarity` scores them, as the square root of one
+    row's `dot(d, d)` over the float64 differences, the way `np.linalg.norm`
+    takes it for a 1-D vector, so every finite score equals it bit for bit;
+    a row outside the band scores -inf, below the top k and its ties. With
+    k at least the number of search ids, every row is in the band. Only the
+    ids of `query_ids` can be scored.
     """
 
-    CHUNK = 256  # rows per float64 block
+    BLOCK = 64  # queries per float32 product
+    CHUNK = 256  # band rows per float64 block
 
-    def __init__(self, ids: list, matrix: np.ndarray, search_ids: list):
-        self._index = {image_id: row for row, image_id in enumerate(ids)}
+    def __init__(self, ids: list, matrix: np.ndarray, search_ids: list, query_ids: list, k: int):
+        index = {image_id: row for row, image_id in enumerate(ids)}
         self._matrix = matrix
-        self._search = matrix[[_lookup(self._index, s) for s in search_ids]]
+        self._rows = np.array([_lookup(index, s) for s in search_ids], dtype=np.intp)
+        self._queries = {q: _lookup(index, q) for q in query_ids}  # query id -> its row
+        blocks = [query_ids[i:i + self.BLOCK] for i in range(0, len(query_ids), self.BLOCK)]
+        self._blocks = {q: block for block in blocks for q in block}
+        self._bands = {}  # query id -> the search positions of its band
+        self._kth = min(k, len(matrix)) - 1  # the k-th bound is over rows: a search id listed twice is one
+        dim = matrix.shape[1]
+        if k >= len(search_ids) or matrix.dtype != np.float32 or dim > 2**20:
+            self._norms = None  # every row is scored: the bound below is derived for float32 only
+            return
+        # The band. For a query row q and a row s, let A = |q|² + |s|², p = q·s
+        # and D = |q - s|² = A - 2p, exact over the float32 values. With u =
+        # 2**-24 and v = 2**-53 the unit roundoffs of float32 and float64, let
+        # g_n = n·u / (1 - n·u) and h_n = n·v / (1 - n·v). Each bound holds for
+        # any summation order, with or without fused multiply-adds (Higham,
+        # "Accuracy and Stability of Numerical Algorithms", 2nd ed., 3.1), in
+        # IEEE arithmetic with gradual underflow.
+        # - The reported square S = dot(d, d), d_i = fl64(q_i - s_i): each
+        #   difference rounds once, and its square neither underflows
+        #   (>= 2**-298) nor overflows, so |S - D| <= h_(dim+2)·D <= 2·h_(dim+2)·A.
+        # - The norms: a float32's square is exact in float64, so their sum
+        #   N = N_q + N_s is within h_dim·A of A.
+        # - The product P = fl32(q·s), if finite, so that nothing overflowed:
+        #   each term meets at most dim roundings, so |P - p| <= g_dim·sum|q_i·s_i|,
+        #   plus half float32's least subnormal, 2**-150, times 1 + g_dim < 2,
+        #   for each rounding that underflows (an addition that underflows is
+        #   exact); and sum|q_i·s_i| <= |q||s| <= A/2. 2P is exact in float32,
+        #   or not finite. A row whose 2P is not finite is kept.
+        # So |S - (N - 2P)| <= (g_dim + 3·h_(dim+2))·A + dim·2**-148. The bounds
+        # are lo = N(1 - c) - 2P - e and hi = N(1 + c) - 2P + e, with c =
+        # g_(dim+1) and e = dim·2**-147. For dim <= 2**20, (c - g_dim)·N >=
+        # u·(1 - h_dim)·A covers 3·h_(dim+2)·A, c·h_dim·A (the error of N in
+        # c·N) and the at most 7 float64 roundings of each bound (c, 1 ± c, each
+        # norm's scaling, adding e, their sum and subtracting 2P), each at most
+        # 4v·(A + e): together under 2**-31·A + 2**-48·e; and e is twice
+        # dim·2**-148. So lo <= S <= hi.
+        n = dim + 1
+        c = n * 2.0**-24 / (1 - n * 2.0**-24)
+        e = dim * 2.0**-147
+        norms = np.einsum("ij,ij->i", matrix, matrix, dtype=np.float64)
+        unlisted = np.full(len(matrix), np.inf)  # a row that is no search row never sets the k-th bound
+        unlisted[self._rows] = 0.0
+        low, high = norms * (1 - c), norms * (1 + c)
+        self._norms = (low, low - e, high, high + e + unlisted)  # query's and row's lo, then hi
+
+    def _bands_of(self, block: list) -> dict:
+        """The band of each query of `block`, from one float32 product."""
+        q_lo, s_lo, q_hi, s_hi = self._norms
+        rows = [self._queries[q] for q in block]
+        bands = {}
+        with np.errstate(over="ignore", invalid="ignore"):  # a product that overflows is kept
+            product = np.matmul(self._matrix[rows], self._matrix.T)  # (B, every row): one level-3 call
+            product *= 2
+            finite = np.isfinite(product.sum(dtype=np.float64))  # a float64 sum of float32s cannot overflow
+            for q, row, twice in zip(block, rows, product):
+                lost = None if finite else ~np.isfinite(twice)
+                bound = q_hi[row] + s_hi
+                bound -= twice
+                if lost is not None:
+                    bound[lost] = np.inf
+                bound.partition(self._kth)
+                # The k-th smallest hi, T, bounds the k-th smallest S, so fl(sqrt(T)) = R
+                # bounds the k-th reported distance, as a correctly rounded sqrt is
+                # monotone. A row of the top k or its ties has fl(sqrt(S)) <= R, so
+                # sqrt(S) < R+, the next float above R, and S, a float, is at most
+                # fl(R+ · R+): ties after the square root are kept too.
+                top = np.nextafter(np.sqrt(bound[self._kth]), np.inf)
+                np.add(q_lo[row], s_lo, out=bound)
+                bound -= twice
+                if lost is not None:
+                    bound[lost] = -np.inf
+                bands[q] = np.flatnonzero(bound[self._rows] <= top * top)
+        return bands
 
     def __call__(self, query_id: str) -> np.ndarray:
-        query = self._matrix[_lookup(self._index, query_id)].astype(np.float64)
-        dist = np.empty(len(self._search))
-        block = np.empty((min(self.CHUNK, len(self._search)), self._search.shape[1]))
-        for start in range(0, len(self._search), self.CHUNK):
-            chunk = self._search[start:start + self.CHUNK]
-            diff = np.subtract(query, chunk, out=block[:len(chunk)])  # float64, as in l2_similarity
-            dist[start:start + len(chunk)] = np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]
+        if query_id not in self._queries:
+            raise RetrievalError(f"image {query_id!r} is not a query of this scorer")
+        query = self._matrix[self._queries[query_id]].astype(np.float64)
+        if self._norms is None:
+            band = np.arange(len(self._rows))
+        else:
+            if query_id not in self._bands:
+                self._bands.update(self._bands_of(self._blocks[query_id]))
+            band = self._bands[query_id]
+        dist = np.full(len(self._rows), np.inf)
+        for start in range(0, len(band), self.CHUNK):
+            at = band[start:start + self.CHUNK]
+            diff = query - self._matrix[self._rows[at]]  # float64, as in l2_similarity
+            dist[at] = np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]
         return -np.sqrt(dist)
 
 
@@ -431,7 +518,9 @@ def read_embeddings(path):
     ids = read_ids(str(path) + ".ids")
     if len(ids) != count:
         raise RetrievalError(f"{path}.ids: {len(ids)} ids for {count} rows")
-    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    with np.errstate(invalid="ignore"):  # inf + -inf is NaN, as wanted
+        # a float64 sum of finite float32s cannot overflow, and NaN and ±inf carry through
+        bad = np.flatnonzero(~np.isfinite(matrix.sum(axis=1, dtype=np.float64)))
     if bad.size:
         # a NaN distance would rank by the order of the search file, and is not JSON
         raise RetrievalError(f"{path}: embedding of image {ids[bad[0]]!r} (row {bad[0]}) "

@@ -1,3 +1,4 @@
+import errno
 import gc
 import json
 import os
@@ -338,3 +339,17 @@ class TestCanonicalForm:
         assert out.read_bytes() == text.encode()
         assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
         assert text.count("\n") == 1
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["absent", "file"])
+    @pytest.mark.parametrize("name", ["gradcheck", "stats", "retrieve"])
+    def test_an_out_that_ends_in_a_separator_is_one_error_naming_it(self, workspace, argv, capsys,
+                                                                      name, existing):
+        (workspace / "d").mkdir()
+        if existing:
+            (workspace / "d" / "out.json").write_text("{}")
+        out = f"{workspace / 'd' / 'out.json'}{os.sep}"
+        assert run([*argv[name], "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: [Errno {errno.EISDIR}] Is a directory: {out!r}\n"
+        assert os.listdir(workspace / "d") == (["out.json"] if existing else [])
+        assert not existing or (workspace / "d" / "out.json").read_text() == "{}"

@@ -33,6 +33,8 @@ from conftest import make_box
 from oracles import nms_naive, topk_naive
 
 VERBS = ("kneading", "jumping", "carrying", "teaching", "sitting")
+F32_MAX = float(np.finfo(np.float32).max)
+ROW_FORMS = ("copy", "permuted", "ulp", "1e30", "1e-30")  # how a row of the l2 search set is made
 MANIFEST_ID = st.text(st.characters(blacklist_characters="\n\r"), min_size=1).filter(
     lambda image_id: not image_id.startswith("\ufeff"))  # what `write_embeddings` accepts
 
@@ -341,40 +343,81 @@ class TestBatchedScorers:
     @given(st.sampled_from((1, 2, 3, 17, 255, 511, 512, 513, 699)),
            st.sampled_from((1, 2, 7, 255, 256, 257, 513, 600)), st.integers(0, 2**32 - 1))
     @example(1, 600, 0)
-    @example(513, 2 * L2Scorer.CHUNK + 1, 1)
-    @example(699, L2Scorer.CHUNK + 1, 2)
+    @example(513, L2Scorer.BLOCK - 1, 1)
+    @example(699, L2Scorer.BLOCK, 2)
+    @example(17, L2Scorer.BLOCK + 1, 3)
     def test_l2_scorer_equals_l2_similarity(self, dim, n, seed):
         # Row scales from 1e-30 to 1e30 put the squares at both ends of the range
-        # a float32 difference reaches; more than CHUNK rows cross block edges.
+        # a float32 difference reaches, where the float32 product overflows or
+        # underflows; more than CHUNK rows cross chunk edges, and more than BLOCK
+        # queries block edges. With k = n every row is scored; with k < n, every
+        # row the band keeps.
         rng = np.random.default_rng(seed)
         scale = 10.0 ** rng.uniform(-30, 30, size=(n, 1))
         matrix = (rng.normal(size=(n, dim)) * scale).astype(np.float32)
         ids = [f"img{i}" for i in range(n)]
-        scorer = L2Scorer(ids, matrix, ids)
-        for q in sorted({0, n - 1, int(rng.integers(n))}):
-            assert scorer(ids[q]).tolist() == [l2_similarity(matrix[q], matrix[s]) for s in range(n)]
+        queries = {0, n - 1, int(rng.integers(n)), L2Scorer.BLOCK - 1, L2Scorer.BLOCK} & set(range(n))
+        exact = {q: [l2_similarity(matrix[q], matrix[s]) for s in range(n)] for q in queries}
+        for k in (n, 1, 5):
+            scorer = L2Scorer(ids, matrix, ids, ids, k)
+            for q in sorted(queries):
+                scores = scorer(ids[q])
+                if k >= n:
+                    assert scores.tolist() == exact[q]
+                band = np.flatnonzero(np.isfinite(scores))
+                assert len(band) >= min(k, n)
+                assert scores[band].tolist() == [exact[q][s] for s in band]
 
-    @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(st.integers(1, 64), st.lists(st.tuples(st.integers(0, 3), st.booleans()), min_size=1,
-                                        max_size=24), st.integers(0, 2**32 - 1))
-    @example(1, [(0, False)], 0)
-    @example(3, [(0, False)] * 24, 0)  # every search row ties
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(1, 64), st.lists(st.tuples(st.integers(0, 3), st.sampled_from(ROW_FORMS)),
+                                        min_size=1, max_size=24), st.integers(0, 2**32 - 1))
+    @example(1, [(0, "copy")], 0)
+    @example(3, [(0, "copy")] * 24, 0)  # every search row ties, and the band keeps them all
+    @example(5, [(0, "copy"), (1, "copy"), (0, "copy"), (2, "copy"), (1, "copy"), (0, "copy")], 1)
+    @example(8, [(0, "copy"), (0, "ulp"), (0, "ulp"), (1, "copy"), (1, "ulp"), (2, "copy")], 2)
+    @example(4, [(2, "copy"), (2, "permuted"), (2, "copy"), (1, "copy")], 4)  # search[0] is a copy
+    @example(16, [(0, "1e30"), (1, "1e30"), (0, "copy"), (2, "1e-30"), (3, "1e-30"),
+                  (1, "1e-30"), (3, "1e30")], 3)  # the float32 product overflows or underflows
     def test_l2_topk_equals_topk_naive(self, dim, layout, seed):
-        # Rows copy one of 4 base vectors, some permuted: copies tie exactly, and a
-        # permuted copy ties with its base in exact arithmetic from the zero query,
-        # while the float sums may round apart in either scoring path.
+        # Rows copy one of 4 base vectors, some permuted, one float32 ulp off in
+        # one element, or scaled by 1e30 or 1e-30. Copies tie exactly, and a
+        # permuted copy ties with its base in exact arithmetic from the zero
+        # query, while the float sums may round apart in either scoring path.
+        # search[0] is a search row itself. k = n and k > n keep every row.
         rng = np.random.default_rng(seed)
         base = rng.normal(size=(4, dim)).astype(np.float32)
-        rows = [rng.permutation(base[b]) if permuted else base[b] for b, permuted in layout]
+        rows = []
+        for b, form in layout:
+            row = rng.permutation(base[b]) if form == "permuted" else base[b].copy()
+            if form == "ulp":
+                at = rng.integers(dim)
+                row[at] = np.nextafter(row[at], np.float32(np.inf))
+            elif form != "copy" and form != "permuted":
+                row *= np.float32(form)
+            rows.append(row)
         ids = ["zero"] + [f"img{i:02d}" for i in range(len(rows))]
         matrix = np.vstack([np.zeros((1, dim), np.float32)] + rows)
         search = ids[1:]
-        scorer = L2Scorer(ids, matrix, search)
         features = dict(zip(ids, matrix))
         sim = lambda q, s: l2_similarity(features[q], features[s])
-        for q in ("zero", search[0]):
-            for k in (1, 5, len(search)):
+        for k in (1, 5, len(search), len(search) + 3):
+            scorer = L2Scorer(ids, matrix, search, ["zero", search[0]], k)
+            for q in ("zero", search[0]):
                 assert retrieve_topk(q, search, scorer, k) == topk_naive(q, search, sim, k)
+
+    def test_l2_scorer_scores_only_its_queries(self):
+        matrix = np.eye(3, dtype=np.float32)
+        scorer = L2Scorer(["a", "b", "c"], matrix, ["b", "c"], ["a"], 1)
+        assert scorer("a").tolist() == [-np.sqrt(2.0)] * 2
+        with pytest.raises(RetrievalError, match=r"^image 'b' is not a query of this scorer$"):
+            scorer("b")
+
+    def test_l2_scorer_scores_every_row_of_a_matrix_that_is_not_float32(self):
+        # the band's bound is derived for float32 rows only
+        matrix = np.random.default_rng(0).normal(size=(6, 3)) * 10.0 ** np.arange(-200, 100, 50)[:, None]
+        ids = [f"img{i}" for i in range(6)]
+        scores = L2Scorer(ids, matrix, ids, ids[:1], 1)("img0")
+        assert scores.tolist() == [l2_similarity(matrix[0], row) for row in matrix]
 
 
 class TestEmbeddingFile:
@@ -418,6 +461,37 @@ class TestEmbeddingFile:
         with pytest.raises(RetrievalError, match=r"^image id 'a\\ud800': a manifest id must be encodable"):
             write_embeddings(path, ["a\ud800"], np.zeros((1, 2)))
         assert not path.exists() and not (tmp_path / "emb.swge.ids").exists()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(1, 4).flatmap(lambda dim: st.lists(
+        st.lists(st.floats(width=32), min_size=dim, max_size=dim), min_size=1, max_size=5)))
+    @example([[1.0, np.inf]])
+    @example([[0.0], [-np.inf]])
+    @example([[np.inf, -np.inf], [np.nan, 1.0]])  # the float64 sum of the first row is NaN
+    @example([[1.0, 2.0], [np.nan, 1.0]])
+    @example([[F32_MAX] * 4, [-F32_MAX] * 4])  # a float32 sum would overflow; a float64 one cannot
+    def test_a_row_is_refused_exactly_when_it_holds_a_non_finite_value(self, rows):
+        matrix = np.array(rows, dtype=np.float32)
+        flags = ~np.isfinite(matrix).all(axis=1)
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "emb.swge")
+            for r in range(len(matrix)):  # each row alone is refused exactly when it is flagged
+                write_embeddings(path, ["a"], matrix[r:r + 1])
+                if flags[r]:
+                    with pytest.raises(RetrievalError, match=r"embedding of image 'a' \(row 0\) holds"):
+                        read_embeddings(path)
+                else:
+                    assert read_embeddings(path)[1].tobytes() == matrix[r].tobytes()
+            ids = [f"img{r}" for r in range(len(matrix))]
+            write_embeddings(path, ids, matrix)
+            if flags.any():  # the whole file names its first flagged row
+                first = int(np.flatnonzero(flags)[0])
+                with pytest.raises(RetrievalError) as e:
+                    read_embeddings(path)
+                assert str(e.value) == (f"{path}: embedding of image {ids[first]!r} (row {first}) "
+                                        "holds a non-finite value")
+            else:
+                assert read_embeddings(path)[1].tobytes() == matrix.tobytes()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.swge"
