@@ -65,8 +65,8 @@ def write_output(payload, out: str, encoded: bool = False):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
     target = os.path.realpath(out)  # a symlink stays a link: its target gets the JSON
     if os.path.exists(target) and not os.path.isfile(target):
-        # a FIFO or device: renaming over it would replace it with a regular file
-        with open(target, "w", encoding="utf-8") as f:
+        # a FIFO or device, which a rename would replace; a directory or "" fails, naming `out`
+        with open(out, "w", encoding="utf-8") as f:
             f.writelines(text)
         return
     try:

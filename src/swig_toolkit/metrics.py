@@ -70,6 +70,9 @@ def evaluate(dataset: DatasetTable, predictions: PredictionTable, setting: VerbS
     predicted frame for the image's verb must list the verb's roles in the
     lexicon's order.
 
+    Every image with a frame for its verb is scored in every setting; the setting only
+    picks which earn credit: the verb first (top1), in the first five (top5), or all (gt).
+
     Returns the report as it is written: {"macro": {metric: fraction},
     "per_verb": {verb: {metric: fraction}}, "counts": {verb: {"images": n,
     "role_slots": n}}}. An unknown setting or mode is a ValueError.
@@ -88,59 +91,56 @@ def evaluate(dataset: DatasetTable, predictions: PredictionTable, setting: VerbS
         more = f" (and {len(stray) - 1} more)" if len(stray) > 1 else ""
         raise EvaluationError(f"prediction {stray[0]!r}: no such image in the dataset{more}")
 
-    ranks = {VerbSetting.TOP1: 1, VerbSetting.TOP5: 5}.get(setting)  # None: the verb is given
     single = value_all_mode is ValueAllMode.SINGLE_ANNOTATOR
     code = {}  # verb -> its column in the per-verb counts
-    verbs, verb_ok, n_roles, value_all = [], [], [], []  # per image
-    owner, slots, gt_slots, noun_ok = [], [], [], []  # per role slot that can earn credit
+    verbs, rank, value_all = [], [], []  # per image
+    framed, starts, noun_ok = [], [], []  # per image with a frame: it and its first slot; per slot
     for k, (image_id, verb, annotated) in enumerate(
             zip(dataset.ids, dataset.verbs, dataset.annotations)):
         r, roles = record_of[image_id], dataset.lexicon.roles(verb)
-        row = predictions.frames[r].get(verb)
+        row, ranking = predictions.frames[r].get(verb), predictions.rankings[r]
         if row is not None and predictions.roles[row] != roles:
             raise EvaluationError(f"prediction {image_id!r}, frames[{verb!r}]: "
                                   f"roles {predictions.roles[row]} differ from the verb's {roles}")
-        correct = ranks is None or verb in predictions.rankings[r][:ranks]
         verbs.append(code.setdefault(verb, len(code)))
-        verb_ok.append(correct)
-        n_roles.append(len(roles))
-        # only a correct verb earns noun and grounding credit, through the gt verb's frame
-        if not correct or row is None:
+        rank.append(ranking.index(verb) if verb in ranking else np.inf)  # its first position
+        if row is None:
             value_all.append(False)
             continue
         predicted = predictions.nouns[row]
         hits = list(map(score_noun, predicted, zip(*annotated)))
         value_all.append(predicted in annotated if single else all(hits))
         noun_ok += hits
-        owner += [k] * len(roles)
-        slots += range(predictions.starts[row], predictions.starts[row + 1])
-        gt_slots += range(dataset.starts[k], dataset.starts[k + 1])
+        framed.append(k)
+        starts.append(predictions.starts[row])
 
+    gt_starts, framed = np.array(dataset.starts, dtype=np.intp), np.array(framed, dtype=np.intp)
+    n_roles = np.diff(gt_starts)[framed]  # the frame's slots are the image's, in the same order
+    owner = np.repeat(framed, n_roles)  # per slot: its image
+    offset = np.arange(len(owner)) - np.repeat(np.cumsum(n_roles) - n_roles, n_roles)  # in the image
     noun_ok = np.array(noun_ok, dtype=bool)
-    grounded = noun_ok & score_grounding(predictions.boxes[np.array(slots, dtype=np.intp)],
-                                         dataset.boxes[np.array(gt_slots, dtype=np.intp)])
-    owner, verbs = np.array(owner, dtype=np.intp), np.array(verbs, dtype=np.intp)
-    n_roles, value_all = np.array(n_roles, dtype=np.intp), np.array(value_all, dtype=bool)
-    all_grounded = value_all & (np.bincount(owner[grounded], minlength=len(verbs)) == n_roles)
-    # integer counts per verb column, each from the verb of every image or slot it counts
-    n = {name: np.bincount(of_verbs, minlength=len(code)).tolist() for name, of_verbs in (
-        ("images", verbs), ("verb_correct", verbs[np.array(verb_ok, dtype=bool)]),
-        ("role_slots", np.repeat(verbs, n_roles)), ("value", verbs[owner[noun_ok]]),
-        ("grounded_value", verbs[owner[grounded]]), ("value_all", verbs[value_all]),
-        ("grounded_value_all", verbs[all_grounded]))}
+    grounded_ok = noun_ok & score_grounding(
+        predictions.boxes[np.repeat(np.array(starts, dtype=np.intp), n_roles) + offset],
+        dataset.boxes[gt_starts[owner] + offset])
+    verbs, value_all = np.array(verbs), np.array(value_all)
+    nouns = np.bincount(owner[noun_ok], minlength=len(verbs))  # per image: its noun hits
+    grounded = np.bincount(owner[grounded_ok], minlength=len(verbs))  # and its grounded hits
+    credited = np.array(rank) <= {VerbSetting.TOP1: 0, VerbSetting.TOP5: 4}.get(setting, np.inf)
+    # a value-all hit is a noun hit in every slot, so it is grounded-all when every hit is grounded
+    columns = {"verb_acc": credited, "value": nouns, "value_all": value_all,
+               "grounded_value": grounded, "grounded_value_all": value_all & (grounded == nouns)}
+    # float64 sums of integer weights are exact, and divide by an int as the int would below 2**53
+    n = {m: np.bincount(verbs[credited], weights=column[credited], minlength=len(code)).tolist()
+         for m, column in columns.items()}
+    images = np.bincount(verbs, minlength=len(code)).tolist()
 
     per_verb, counts = {}, {}
     for verb in sorted(code):
         c = code[verb]
-        images, role_slots = n["images"][c], n["role_slots"][c]
-        per_verb[verb] = {
-            "verb_acc": n["verb_correct"][c] / images,
-            "value": n["value"][c] / role_slots,
-            "value_all": n["value_all"][c] / images,
-            "grounded_value": n["grounded_value"][c] / role_slots,
-            "grounded_value_all": n["grounded_value_all"][c] / images,
-        }
-        counts[verb] = {"images": images, "role_slots": role_slots}
+        counts[verb] = {"images": images[c], "role_slots": images[c] * len(dataset.lexicon.roles(verb))}
+        # value and grounded_value are shares of role slots, the other three of images
+        per_verb[verb] = {m: n[m][c] / counts[verb]["role_slots" if m.endswith("value") else "images"]
+                          for m in METRIC_NAMES}
     return {"macro": macro_average(per_verb), "per_verb": per_verb, "counts": counts}
 
 

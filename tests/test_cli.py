@@ -353,3 +353,17 @@ class TestCanonicalForm:
         assert captured.out == "" and captured.err == f"error: [Errno {errno.EISDIR}] Is a directory: {out!r}\n"
         assert os.listdir(workspace / "d") == (["out.json"] if existing else [])
         assert not existing or (workspace / "d" / "out.json").read_text() == "{}"
+
+    @pytest.mark.parametrize("out,code", [("", errno.ENOENT), (".", errno.EISDIR), ("..", errno.EISDIR),
+                                          ("e", errno.EISDIR), (os.path.join("..", "d"), errno.EISDIR)],
+                             ids=["empty", "cwd", "parent", "relative", "relative-up"])
+    @pytest.mark.parametrize("name", ["gradcheck", "stats", "retrieve"])
+    def test_an_out_that_names_no_file_is_one_error_naming_it_as_given(self, workspace, argv, capsys,
+                                                                        monkeypatch, name, out, code):
+        (workspace / "d" / "e").mkdir(parents=True)
+        monkeypatch.chdir(workspace / "d")
+        listing = {p: sorted(os.listdir(p)) for p in (workspace, workspace / "d", workspace / "d" / "e")}
+        assert run([*argv[name], "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: [Errno {code}] {os.strerror(code)}: {out!r}\n"
+        assert {p: sorted(os.listdir(p)) for p in listing} == listing

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from swig_toolkit import (
     BoundingBox,
     GroundedFrame,
+    NounVocabulary,
     ValueAllMode,
     VerbLexicon,
     VerbSetting,
@@ -17,8 +18,10 @@ from swig_toolkit import (
 )
 from swig_toolkit.dataset_io import DatasetError, compute_stats, load_dataset, load_predictions
 from swig_toolkit.geometry import box_array
-from swig_toolkit.metrics import EvaluationError
+from swig_toolkit.metrics import METRIC_NAMES, EvaluationError
 from conftest import (
+    LEXICON_ROLES,
+    NOUNS,
     Image,
     Prediction,
     Split,
@@ -246,6 +249,79 @@ class TestEvaluate:
                               (VerbSetting.TOP1, "bogus"), (VerbSetting.TOP1, None)):
             with pytest.raises(ValueError, match="is not a valid"):
                 evaluate(table, predictions, setting, mode)
+
+
+# A ranking as tokens: 0 is the image's own verb, 1..4 the lexicon's other verbs in
+# sorted order. `random_prediction` ranks all five verbs and frames the gt verb; these
+# draws also miss the gt verb, stop short of five, repeat a verb and drop frames.
+RANKED = st.lists(st.integers(0, 4), min_size=1, max_size=7)
+UNFRAMED = st.sets(st.integers(0, 4))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), rankings=st.lists(st.tuples(RANKED, UNFRAMED), min_size=1,
+                                                          max_size=6))
+@example(seed=1, rankings=[([1, 2, 3], set())])  # the gt verb outside a ranking shorter than five
+@example(seed=2, rankings=[([1, 2, 0], set())])  # the gt verb third of three
+@example(seed=3, rankings=[([1, 1, 0, 0, 2], set()), ([0, 2, 0], set())])  # repeated verbs
+@example(seed=4, rankings=[([0, 1], {0}), ([1, 0, 2], {1})])  # a ranked verb with no frame
+@example(seed=5, rankings=[([1, 2, 3, 4, 1, 0], set())])  # the gt verb sixth, after a repeat
+def test_any_ranking_and_any_dropped_frame_score_as_the_oracle(seed, rankings):
+    rng = random.Random(seed)
+    lexicon, vocabulary = VerbLexicon(dict(LEXICON_ROLES)), NounVocabulary(frozenset(NOUNS))
+    dataset = random_dataset(rng, lexicon, vocabulary, n_verbs=rng.randint(1, 5),
+                             images_per_verb=rng.randint(1, 3))
+    # only the gt verb's frame is scored; another ranked verb gets an empty frame
+    empty = {verb: GroundedFrame(tuple((role, "") for role in roles), (None,) * len(roles))
+             for verb, roles in LEXICON_ROLES.items()}
+    preds = []
+    for k, image in enumerate(dataset.images):
+        ranked, unframed = rankings[k % len(rankings)]
+        verbs = [image.verb, *(v for v in sorted(LEXICON_ROLES) if v != image.verb)]
+        own = random_prediction(rng, lexicon, image).frames[image.verb]
+        frames = {verbs[t]: own if t == 0 else empty[verbs[t]] for t in set(ranked) - unframed}
+        preds.append(Prediction(image.image_id, tuple(verbs[t] for t in ranked), frames))
+    table, predictions = load_split(dataset), load_preds(preds, lexicon)
+    for setting in VerbSetting:
+        for mode in ValueAllMode:
+            report = evaluate(table, predictions, setting, mode)
+            assert (report["macro"], report["per_verb"]) == evaluate_report(dataset, preds, setting, mode)
+
+
+def test_a_setting_only_picks_which_images_earn_credit(rng, lexicon, vocabulary):
+    for _ in range(20):
+        dataset = random_dataset(rng, lexicon, vocabulary, n_verbs=rng.randint(1, 5),
+                                 images_per_verb=rng.randint(1, 4))
+        preds = [random_prediction(rng, lexicon, img) for img in dataset.images]
+        table, predictions = load_split(dataset), load_preds(preds, lexicon)
+        for mode in ValueAllMode:
+            reports = [evaluate(table, predictions, setting, mode) for setting in VerbSetting]
+            assert reports[0]["counts"] == reports[1]["counts"] == reports[2]["counts"]
+            for verb, n in reports[0]["counts"].items():
+                for metric in METRIC_NAMES:
+                    whole = n["role_slots" if metric in ("value", "grounded_value") else "images"]
+                    fractions = [r["per_verb"][verb][metric] for r in reports]
+                    top1, top5, gt = (round(x * whole) for x in fractions)
+                    assert fractions == [top1 / whole, top5 / whole, gt / whole], (verb, metric)
+                    assert top1 <= top5 <= gt, (verb, metric)
+
+
+def test_a_frame_out_of_role_order_is_an_error_under_top1_for_a_verb_miss(rng, lexicon, vocabulary):
+    for _ in range(10):
+        dataset = random_dataset(rng, lexicon, vocabulary, n_verbs=rng.randint(1, 5),
+                                 images_per_verb=rng.randint(1, 4))
+        preds = [random_prediction(rng, lexicon, img) for img in dataset.images]
+        missed = rng.choice(dataset.images)
+        verb, roles = missed.verb, lexicon.roles(missed.verb)
+        for k, (image, p) in enumerate(zip(dataset.images, preds)):  # only `missed` frames `verb`
+            frames = {v: f for v, f in p.frames.items() if v != verb or image is missed}
+            ranking = tuple(v for v in p.verb_ranking if v != verb) + (verb,)
+            preds[k] = Prediction(p.image_id, ranking if image is missed else p.verb_ranking, frames)
+        reversed_roles = VerbLexicon(dict(lexicon.entries, **{verb: roles[::-1]}))
+        with pytest.raises(EvaluationError) as e:
+            evaluate(load_split(dataset), load_preds(preds, reversed_roles), VerbSetting.TOP1)
+        assert str(e.value) == (f"prediction {missed.image_id!r}, frames[{verb!r}]: "
+                                f"roles {roles[::-1]} differ from the verb's {roles}")
 
 
 class TestMacroAverage:
