@@ -37,7 +37,6 @@ from .metrics import (  # noqa: F401
     evaluate,
     macro_average,
     score_grounding,
-    score_noun,
 )
 from .loss_kernels import (  # noqa: F401
     FocalParams,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame_model import NULL_NOUN, frame_to_json
+from .frame_model import frame_to_json
 from .geometry import iou
 
 DEFAULT_SPATIAL_IOU = 0.4  # below the 0.5 metric threshold: boxes for the
@@ -25,8 +25,9 @@ class NodeTable:
 
     verbs: list  # per node: its verb
     roles: list  # per node: the keys of its "nouns", in file order
-    nouns: list  # per node: a tuple of nouns, one per role
-    starts: list  # per node: its first box row, one row per role; one more start
+    starts: list  # per node: its first row, one row per role; one more start
+    codes: np.ndarray  # (n,) int32: per row its noun's code
+    nouns: list  # per code: its noun; code -1, the null noun, reads the last entry, ""
     boxes: np.ndarray  # (n, 4) float64, a NaN row for "no box"
     query_boxes: list  # per node: [x1, y1, x2, y2] floats, or None
 
@@ -47,13 +48,10 @@ def chain(nodes: NodeTable, spatial_iou: float = DEFAULT_SPATIAL_IOU) -> dict:
         raise ValueError("chain requires at least one node")
     if not 0 <= spatial_iou <= 1:
         raise ValueError(f"spatial_iou must be in [0,1], got {spatial_iou}")
-    # one entry per role slot, nodes in order: owner node, role, noun code; slot k's box is row k
-    starts, boxes = nodes.starts, nodes.boxes
+    # one entry per role slot, nodes in order: owner node, role; slot k's noun code and box are row k
+    starts, noun, boxes = nodes.starts, nodes.codes, nodes.boxes
     owner = np.repeat(np.arange(len(nodes.verbs)), np.diff(starts))
     roles = [role for node_roles in nodes.roles for role in node_roles]
-    codes = {}
-    noun = np.array([-1 if n == NULL_NOUN else codes.setdefault(n, len(codes))
-                     for node_nouns in nodes.nouns for n in node_nouns], dtype=np.int64)
 
     edges = []
     for i in range(len(nodes.verbs)):
@@ -72,10 +70,11 @@ def chain(nodes: NodeTable, spatial_iou: float = DEFAULT_SPATIAL_IOU) -> dict:
             if same[a, b]:
                 edges.append({**pair, "type": "semantic", "strength": 1.0})
     written = [None if row[0] != row[0] else row for row in boxes.tolist()]
+    nouns = list(map(nodes.nouns.__getitem__, noun.tolist()))
     return {
-        "nodes": [{"verb": verb, **frame_to_json(tuple(zip(node_roles, node_nouns)), written[s:e]),
+        "nodes": [{"verb": verb, **frame_to_json(tuple(zip(node_roles, nouns[s:e])), written[s:e]),
                    "query_box": query_box}
-                  for verb, node_roles, node_nouns, s, e, query_box in zip(
-                      nodes.verbs, nodes.roles, nodes.nouns, starts, starts[1:], nodes.query_boxes)],
+                  for verb, node_roles, s, e, query_box in zip(
+                      nodes.verbs, nodes.roles, starts, starts[1:], nodes.query_boxes)],
         "edges": edges,
     }

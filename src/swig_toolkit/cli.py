@@ -148,13 +148,14 @@ def cmd_fuse(args) -> int:
     lexicon = parse_lexicon(args.lexicon)
     table = load_predictions(args.frames, lexicon)
     boxes, detections = load_detection_sets(args.detections)
+    nouns = list(map(table.nouns.__getitem__, table.codes.tolist()))  # per slot, one str per noun
     out = []  # each record encoded as it is built, so the output is never one object tree
     for image_id, ranking, rows in zip(table.ids, table.rankings, table.frames):
         if image_id not in detections:
             raise DatasetError(f"no detections for image {image_id!r}")
         frames = {}
         for verb, row in sorted(rows.items()):
-            role_values = tuple(zip(table.roles[row], table.nouns[row]))
+            role_values = tuple(zip(table.roles[row], nouns[table.starts[row]:table.starts[row + 1]]))
             try:  # the predicted boxes are replaced, so they are never read
                 grounded = ground_roles(role_values, detections[image_id], args.fusion_threshold)
             except FusionError as e:

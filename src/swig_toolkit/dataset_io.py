@@ -12,6 +12,8 @@ refused there, and keeps (n, 4) float64 rows, not the decoded lists (a worker
 mean or a clamped box is judged on its row). The walk's faults, its boxes'
 and its own, are one list keyed (run, kind, box); a loader raises the least,
 and every error names the record and the field: "<record>, <field>: <rule>".
+The walk also codes the nouns it reads, in first-read order, the null noun -1:
+a loaded table holds an int32 code per noun slot and a `nouns` list, code to noun.
 
 Canonical file formats (UTF-8 JSON):
 
@@ -58,7 +60,7 @@ from collections import Counter, deque
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, repeat
-from operator import and_, is_not, itemgetter
+from operator import is_not, itemgetter
 from typing import Optional
 
 import numpy as np
@@ -105,7 +107,7 @@ class DatasetTable:
     """Ground truth as columns: one entry per image, one gt box row per role slot.
 
     Image `k` has the lexicon's roles for `verbs[k]`, in that order, and
-    slots `starts[k]:starts[k + 1]` of `boxes`.
+    slots `starts[k]:starts[k + 1]` of `annotations` and `boxes`.
     """
 
     lexicon: VerbLexicon
@@ -113,7 +115,8 @@ class DatasetTable:
     ids: list  # per image: its id
     verbs: list  # per image: its verb
     sizes: list  # per image: (width, height) as the file gives them
-    annotations: list  # per image: the three annotators' noun tuples, parallel to its roles
+    annotations: np.ndarray  # (n_slots, 3) int32: per role slot, each annotator's noun code
+    nouns: list  # per code: its noun; code -1, the null noun, reads the last entry, ""
     starts: list  # per image: its first slot; one more entry closes the last image
     boxes: np.ndarray  # (n_slots, 4) float64 merged gt boxes, a NaN row for an ungrounded role
 
@@ -122,15 +125,16 @@ class DatasetTable:
 class PredictionTable:
     """Model outputs as columns: one entry per record, one row per frame.
 
-    Row `row` holds role slots `starts[row]:starts[row + 1]` of `boxes`.
+    Row `row` holds role slots `starts[row]:starts[row + 1]` of `codes` and `boxes`.
     """
 
     ids: list  # per record: its image id
     rankings: list  # per record: a tuple of verbs, best first
     frames: list  # per record: {verb: row}
     roles: list  # per row: the frame's roles, a tuple
-    nouns: list  # per row: a tuple of nouns, parallel to its roles
     starts: list  # per row: its first slot; one more entry closes the last row
+    codes: np.ndarray  # (n_slots,) int32: per slot its noun's code
+    nouns: list  # per code: its noun; code -1, the null noun, reads the last entry, ""
     boxes: np.ndarray  # (n_slots, 4) float64, a NaN row for an ungrounded slot
 
 
@@ -231,13 +235,14 @@ def parse_dataset(source, lexicon: VerbLexicon, vocabulary: NounVocabulary,
     The one reading of the dataset format: `load_dataset` raises when
     `violations` is non-empty and `swig validate` prints it, so the two
     agree on every file. One walk puts each record's fields into columns;
-    a field's lines are written only when its C-level check fails. It
-    queues a record's role slots as one run on a `_BoxQueue`, and each
-    role's worker boxes as a run on a second; then the worker mean, the
-    Place rule and clamping run once over the box rows. A line
-    names the record and the field; a record's lines come in field order,
-    its box lines in role order, then its Place and clamp lines. The table
-    holds the records with no line. Every clamped box is a warning.
+    a field's lines are written only when its C-level check fails. It codes
+    a record's nouns and queues its role slots as one run on a `_BoxQueue`,
+    and each role's worker boxes as a run on a second; then the worker mean,
+    the Place rule and clamping run once over the box rows. A line names the
+    record and the field; a record's lines come in field order, its box
+    lines in role order, then its Place and clamp lines. The table holds the
+    records with no line (`nouns` may name a noun only they read). Every
+    clamped box is a warning.
     """
     records, violations = _items(source), []
     if records is None:
@@ -280,12 +285,14 @@ def parse_dataset(source, lexicon: VerbLexicon, vocabulary: NounVocabulary,
                 annotated = None
         if annotated is None:  # a frame broke a rule, or holds a subclass of a JSON type
             annotated = _frame_lines(label, frames, verb_roles, nouns, (index,), lines)
+        # nouns in (role, annotator) order; a record whose frames broke a rule is dropped, its slots null
+        slots.encode(chain.from_iterable(zip(*(annotated or [(NULL_NOUN,) * len(verb_roles)] * 3))))
         field = "worker_boxes" if "worker_boxes" in rec else "boxes"
         given = rec.get(field)
         if given is not None and not isinstance(given, dict):
             lines.append(((index,), str(_type_error(given, dict, f"{label}, {field}"))))
         given = given if isinstance(given, dict) else {}
-        walked.append((index, label, image_id, verb, verb_roles, width, height, annotated, field))
+        walked.append((index, label, image_id, verb, verb_roles, width, height, field))
         if field == "worker_boxes":
             for slot, role in enumerate(verb_roles, slots.starts[-1]):
                 listed = given.get(role)
@@ -297,8 +304,7 @@ def parse_dataset(source, lexicon: VerbLexicon, vocabulary: NounVocabulary,
                         listed, list, f"{label}, worker_boxes[{role!r}]"))))
             given = {}
         slots.queue(list(map(given.get, verb_roles)), label, verb_roles)
-    indices, labels, ids, verbs, roles, widths, heights, annotations, fields = (
-        zip(*walked) if walked else [()] * 9)
+    indices, labels, ids, verbs, roles, widths, heights, fields = zip(*walked) if walked else [()] * 8
     del walked  # the walk's tuples are read
     n_roles, starts, n_slots = list(map(len, roles)), slots.starts, slots.starts[-1]
     boxes, worker_rows = slots.rows(), workers.rows()
@@ -355,15 +361,17 @@ def parse_dataset(source, lexicon: VerbLexicon, vocabulary: NounVocabulary,
     lines.sort(key=itemgetter(0))  # stable, so a record's head lines keep their order
     faulty = {key[0] for key, _ in lines}
     keep = [index not in faulty for index in indices]
+    kept, (codes, table_nouns) = np.repeat(np.array(keep, dtype=bool), n_roles), slots.coded()
     table = DatasetTable(
         lexicon, vocabulary, list(compress(ids, keep)), list(compress(verbs, keep)),
-        list(zip(compress(widths, keep), compress(heights, keep))), list(compress(annotations, keep)),
-        [0, *accumulate(compress(n_roles, keep))], boxes[np.repeat(np.array(keep, dtype=bool), n_roles)])
+        list(zip(compress(widths, keep), compress(heights, keep))), codes.reshape(-1, 3)[kept], table_nouns,
+        [0, *accumulate(compress(n_roles, keep))], boxes[kept])
     return table, violations + [line for _, line in lines]
 
 
 def _frame_lines(label: str, frames, roles: tuple, nouns: frozenset, key: tuple, lines: list) -> tuple:
-    """Append (key, line) to `lines` per rule "frames" breaks; returns the noun tuples."""
+    """Append (key, line) to `lines` per rule "frames" breaks; returns the noun tuples if it breaks none."""
+    broken = len(lines)
     if not isinstance(frames, list):
         lines.append((key, str(_type_error(frames, list, f"{label}, frames"))))
         frames = []
@@ -384,7 +392,7 @@ def _frame_lines(label: str, frames, roles: tuple, nouns: frozenset, key: tuple,
                                    f"got {reprlib.repr(noun)}"))
             elif noun != NULL_NOUN and noun not in nouns:
                 lines.append((key, f"{label}, frames[{ann}][{role!r}]: unknown noun {noun!r}"))
-    return tuple(annotated)
+    return tuple(annotated) if len(lines) == broken else None
 
 
 def load_dataset(annotation_source, lexicon_source, vocabulary_source,
@@ -450,7 +458,8 @@ _CHUNK = 4096  # raw boxes a record walk queues per `_BoxQueue._judge` pass
 class _BoxQueue:
     """The raw boxes a record walk queues, judged by `_judge` in chunks of
     `_CHUNK` as the walk queues them: the queue keeps float64 rows, not the
-    decoded lists, and every bad box with its line, in `faults`.
+    decoded lists, and every bad box with its line, in `faults`; and the
+    walk's noun codes, given by `encode`.
 
     Boxes come in runs: `queue` adds a JSON array of boxes, box j named
     `<where><field>` with j in the field's "{}", and `read`, the one frame
@@ -467,7 +476,7 @@ class _BoxQueue:
 
     def __init__(self, nullable: bool = True):
         self.nullable = nullable
-        self.roles, self.nouns = [], []  # per frame `read`
+        self.roles, self.codes, self.code = [], [], {NULL_NOUN: -1}  # per `read`; per noun; noun -> code
         self.starts, self.unflagged = [0], []  # per run its first box, and one more start; boxes flagged false
         self.raws, self.blocks, self.judged = [], [], 0  # the boxes not yet judged; rows of the judged ones
         self.names, self.dropped = [], 0  # (where, roles or field) per run from the last judged; runs before
@@ -508,9 +517,17 @@ class _BoxQueue:
                 _check(grounded[role], bool, f"{where}, grounded[{role!r}]")
                 self.unflagged.append(box)
         self.roles.append(roles)
-        self.nouns.append(tuple(map(nouns.get, roles)))
+        self.encode(map(nouns.get, roles))
         self.starts.append(self.judged + len(self.raws))
-        return len(self.nouns) - 1
+        return len(self.roles) - 1
+
+    def encode(self, nouns):
+        """Append each noun's code to `codes`: a noun not read before gets the next code."""
+        self.codes.extend([self.code.setdefault(noun, len(self.code) - 1) for noun in nouns])
+
+    def coded(self) -> tuple:
+        """(`codes` as int32, the code table: code c's noun at c, the null noun last)."""
+        return np.array(self.codes, dtype=np.int32), [*self.code][1:] + [NULL_NOUN]
 
     def _judge(self):
         """Judge the queued boxes into a block of float64 rows, a NaN row for
@@ -601,7 +618,7 @@ def load_predictions(source, lexicon: VerbLexicon) -> PredictionTable:
         frames.append(verb_rows)
 
     ids, boxes = _by_id(source, "prediction", parse, rows)
-    return PredictionTable(list(ids), rankings, frames, rows.roles, rows.nouns, rows.starts, boxes)
+    return PredictionTable(list(ids), rankings, frames, rows.roles, rows.starts, *rows.coded(), boxes)
 
 
 def load_detection_sets(source) -> tuple:
@@ -650,7 +667,7 @@ def load_object_detections(source) -> DetectionTable:
 
 def load_situations(source) -> SituationTable:
     """Parse top-5 situation predictions (retrieval) into a SituationTable."""
-    verbs, entities, starts, queue = [], [], [], _BoxQueue()
+    verbs, starts, queue = [], [], _BoxQueue()
 
     def parse(rec, where):
         top5 = _strings(rec.get("verbs"), f"{where}, verbs")
@@ -660,12 +677,12 @@ def load_situations(source) -> SituationTable:
         firsts = tuple(queue.queue(_check(row, list, f"{where}, boxes[{a}]"), where, f", boxes[{a}][{{}}]")
                        for a, row in enumerate(ranks))
         SituationPrediction.check(top5, nouns, ranks)
+        queue.encode(chain.from_iterable(nouns))
         verbs.append(top5)
-        entities.append(nouns)
-        starts.append(firsts)
+        starts.append((*firsts, queue.starts[-1]))
 
     ids, boxes = _by_id(source, "situation", parse, queue)
-    return SituationTable({image_id: r for r, image_id in enumerate(ids)}, verbs, entities, starts, boxes)
+    return SituationTable(dict(zip(ids, range(len(verbs)))), verbs, starts, *queue.coded(), boxes)
 
 
 def load_chain_nodes(source) -> NodeTable:
@@ -686,7 +703,7 @@ def load_chain_nodes(source) -> NodeTable:
     queried = np.array(rows.starts[1::2], dtype=np.intp)  # each node's query box: the run after its frame
     query_boxes = [None if box[0] != box[0] else box for box in boxes[queried].tolist()]  # a NaN row: None
     starts = [start - k for k, start in enumerate(rows.starts[::2])]  # node k comes after k query boxes
-    return NodeTable(verbs, rows.roles, rows.nouns, starts, np.delete(boxes, queried, axis=0), query_boxes)
+    return NodeTable(verbs, rows.roles, starts, *rows.coded(), np.delete(boxes, queried, axis=0), query_boxes)
 
 
 def load_boxes(source) -> np.ndarray:
@@ -707,39 +724,39 @@ def compute_stats(table: DatasetTable) -> dict:
     """
     roles = list(map(table.lexicon.roles, table.verbs))  # per image
     n_roles = list(map(len, roles))
-    boxed = (~np.isnan(table.boxes[:, 0])).tolist()  # per role slot
-    # per noun slot, in (image, annotator, role) order
-    slot_roles = list(chain.from_iterable(r * 3 for r in roles))
-    slot_nouns = list(chain.from_iterable(chain.from_iterable(table.annotations)))
-    named = list(map(bool, slot_nouns))  # the null noun "" is falsy
-    grounded = list(map(and_, named, chain.from_iterable(
-        boxed[s:e] * 3 for s, e in zip(table.starts, table.starts[1:]))))
-    role_total, role_grounded = Counter(slot_roles), Counter(compress(slot_roles, grounded))
-    non_null_slots, grounded_slots = sum(named), sum(grounded)
+    slot_roles = list(chain.from_iterable(roles))  # per role slot
+    boxed = ~np.isnan(table.boxes[:, 0])  # per role slot
+    # per noun slot, one row per role slot and one column per annotator
+    named = table.annotations >= 0  # the null noun's code is -1
+    grounded = named & boxed[:, None]
+    role_total = Counter(slot_roles)  # role slots, each three noun slots
+    role_grounded = Counter(chain.from_iterable(map(repeat, slot_roles, grounded.sum(axis=1).tolist())))
+    non_null_slots, grounded_slots = int(named.sum()), int(grounded.sum())
+    groundings = np.bincount(table.annotations[grounded], minlength=len(table.nouns) - 1).tolist()
 
     # per grounded role slot: the first annotator noun that is not null, and the box's shape
-    first_nouns = [a or b or c for annotated in table.annotations for a, b, c in zip(*annotated)]
+    first = table.annotations[np.arange(len(named)), named.argmax(axis=1)]  # all null: -1, ""
     verbs = chain.from_iterable(map(repeat, table.verbs, n_roles))
     box = table.boxes[boxed]
     size = np.repeat(np.array(table.sizes, dtype=np.float64).reshape(-1, 2), n_roles, axis=0)[boxed]
     w, h = box[:, 2] - box[:, 0], box[:, 3] - box[:, 1]
     samples = [{"noun": noun, "verb": verb, "role": role, "scale": scale, "aspect": aspect}
                for noun, verb, role, scale, aspect in zip(
-                   compress(first_nouns, boxed), compress(verbs, boxed),
-                   compress(chain.from_iterable(roles), boxed),
+                   map(table.nouns.__getitem__, first[boxed].tolist()), compress(verbs, boxed),
+                   compress(slot_roles, boxed),
                    np.maximum(w / size[:, 0], h / size[:, 1]).tolist(), (h / w).tolist())]
     n_images = len(table.ids)
     return {
         "total_images": n_images,
         "total_verbs": len(set(table.verbs)),
-        "total_noun_slots": len(slot_nouns),
+        "total_noun_slots": table.annotations.size,
         "non_null_slots": non_null_slots,
         "grounded_slots": grounded_slots,
         "grounded_fraction": round(grounded_slots / non_null_slots, 4) if non_null_slots else 0.0,
         "mean_frame_length": len(table.boxes) / n_images if n_images else 0.0,
-        "groundings_per_noun": dict(Counter(compress(slot_nouns, grounded))),
+        "groundings_per_noun": {noun: n for noun, n in zip(table.nouns, groundings) if n},
         "role_grounding_rate": {
-            role: role_grounded[role] / total for role, total in sorted(role_total.items())
+            role: role_grounded[role] / (3 * total) for role, total in sorted(role_total.items())
         },
         "scale_aspect_samples": samples,
     }

@@ -42,11 +42,6 @@ class ValueAllMode(enum.Enum):
     SINGLE_ANNOTATOR = "single-annotator"
 
 
-def score_noun(predicted: str, annotators) -> bool:
-    """Noun is correct when it equals at least one annotator's value."""
-    return predicted in annotators
-
-
 def score_grounding(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
     """Grounding is correct at IoU >= 0.5, or when both sides are ungrounded.
 
@@ -68,7 +63,8 @@ def evaluate(dataset: DatasetTable, predictions: PredictionTable, setting: VerbS
     images; the *_all metrics count whole images. Every dataset image must
     have a prediction, and every prediction must name a dataset image. A
     predicted frame for the image's verb must list the verb's roles in the
-    lexicon's order.
+    lexicon's order. A predicted noun is correct when it equals at least one
+    annotator's, the null noun included.
 
     Every image with a frame for its verb is scored in every setting; the setting only
     picks which earn credit: the verb first (top1), in the first five (top5), or all (gt).
@@ -91,12 +87,10 @@ def evaluate(dataset: DatasetTable, predictions: PredictionTable, setting: VerbS
         more = f" (and {len(stray) - 1} more)" if len(stray) > 1 else ""
         raise EvaluationError(f"prediction {stray[0]!r}: no such image in the dataset{more}")
 
-    single = value_all_mode is ValueAllMode.SINGLE_ANNOTATOR
     code = {}  # verb -> its column in the per-verb counts
-    verbs, rank, value_all = [], [], []  # per image
-    framed, starts, noun_ok = [], [], []  # per image with a frame: it and its first slot; per slot
-    for k, (image_id, verb, annotated) in enumerate(
-            zip(dataset.ids, dataset.verbs, dataset.annotations)):
+    verbs, rank = [], []  # per image
+    framed, starts = [], []  # per image with a frame: it and its first slot
+    for k, (image_id, verb) in enumerate(zip(dataset.ids, dataset.verbs)):
         r, roles = record_of[image_id], dataset.lexicon.roles(verb)
         row, ranking = predictions.frames[r].get(verb), predictions.rankings[r]
         if row is not None and predictions.roles[row] != roles:
@@ -104,27 +98,29 @@ def evaluate(dataset: DatasetTable, predictions: PredictionTable, setting: VerbS
                                   f"roles {predictions.roles[row]} differ from the verb's {roles}")
         verbs.append(code.setdefault(verb, len(code)))
         rank.append(ranking.index(verb) if verb in ranking else np.inf)  # its first position
-        if row is None:
-            value_all.append(False)
-            continue
-        predicted = predictions.nouns[row]
-        hits = list(map(score_noun, predicted, zip(*annotated)))
-        value_all.append(predicted in annotated if single else all(hits))
-        noun_ok += hits
-        framed.append(k)
-        starts.append(predictions.starts[row])
+        if row is not None:
+            framed.append(k)
+            starts.append(predictions.starts[row])
 
     gt_starts, framed = np.array(dataset.starts, dtype=np.intp), np.array(framed, dtype=np.intp)
     n_roles = np.diff(gt_starts)[framed]  # the frame's slots are the image's, in the same order
     owner = np.repeat(framed, n_roles)  # per slot: its image
     offset = np.arange(len(owner)) - np.repeat(np.cumsum(n_roles) - n_roles, n_roles)  # in the image
-    noun_ok = np.array(noun_ok, dtype=bool)
-    grounded_ok = noun_ok & score_grounding(
-        predictions.boxes[np.repeat(np.array(starts, dtype=np.intp), n_roles) + offset],
-        dataset.boxes[gt_starts[owner] + offset])
-    verbs, value_all = np.array(verbs), np.array(value_all)
+    pred_slots = np.repeat(np.array(starts, dtype=np.intp), n_roles) + offset
+    gt_slots = gt_starts[owner] + offset
+    # each predicted noun's code in the dataset's table, once per noun: -2 when no annotator named it
+    gt_code = dict(zip(dataset.nouns, range(len(dataset.nouns) - 1)))  # the null noun, last, is -1 in both
+    as_gt = np.array([gt_code.get(noun, -2) for noun in predictions.nouns[:-1]] + [-1], dtype=np.int32)
+    same = dataset.annotations[gt_slots] == as_gt[predictions.codes[pred_slots]][:, None]  # (slots, 3)
+    noun_ok = same.any(axis=1)
+    grounded_ok = noun_ok & score_grounding(predictions.boxes[pred_slots], dataset.boxes[gt_slots])
     nouns = np.bincount(owner[noun_ok], minlength=len(verbs))  # per image: its noun hits
     grounded = np.bincount(owner[grounded_ok], minlength=len(verbs))  # and its grounded hits
+    # a value-all hit: every slot a noun hit, or (single annotator) every slot one annotator's;
+    # an image with no frame has no hit, and every verb has a role
+    matched = ([np.bincount(owner[column], minlength=len(verbs)) for column in same.T]
+               if value_all_mode is ValueAllMode.SINGLE_ANNOTATOR else [nouns])
+    verbs, value_all = np.array(verbs), (np.array(matched) == np.diff(gt_starts)).any(axis=0)
     credited = np.array(rank) <= {VerbSetting.TOP1: 0, VerbSetting.TOP5: 4}.get(setting, np.inf)
     # a value-all hit is a noun hit in every slot, so it is grounded-all when every hit is grounded
     columns = {"verb_acc": credited, "value": nouns, "value_all": value_all,

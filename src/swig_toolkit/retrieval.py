@@ -89,8 +89,9 @@ class SituationTable:
 
     index: dict  # image id -> its record
     verbs: list  # per record: its 5 verbs, best first
-    entities: list  # per record: 5 tuples of nouns, one per role
-    starts: list  # per record: the first box row of each rank, one row per role
+    starts: list  # per record: the first row of each rank, one row per role, and the row after rank 5
+    codes: np.ndarray  # (n,) int32: per row its noun's code
+    nouns: list  # per code: its noun; code -1, the null noun, reads the last entry, ""
     boxes: np.ndarray  # (n, 4) float64, a NaN row for "no box"
 
 
@@ -333,9 +334,9 @@ class SitScorer:
     A rank pair can only score when both ranks have the same verb and role
     count, so the ranks of the search situations are grouped once by that
     key, as `ObjScorer` groups detections by class. Each group holds its
-    owner rows, 1-based ranks, an (m, n) array of nouns and an (m, n, 4)
-    array of boxes, NaN for "no box"; each query rank looks up its key, and
-    a group's arrays are built at its first lookup.
+    owner rows, 1-based ranks, and the (m, n) noun codes and (m, n, 4) boxes
+    (NaN for "no box") that one index gathers; each query rank looks up its
+    key, and a group's arrays are built at its first lookup.
     The float operations per (row, rank pair) are those of `_sit_max` in
     the same order, so scores equal the scalar ones bit for bit.
     """
@@ -344,13 +345,13 @@ class SitScorer:
         self._situations = situations
         self._grounded = grounded
         self._n = len(search_ids)
-        members = {}  # (verb, role count) -> [(owner row, rank, nouns, first box row)]
+        members = {}  # (verb, role count) -> [(owner row, rank, first row)]
         for row, sid in enumerate(search_ids):
             r = _lookup(situations.index, sid)
-            for rank, (verb, ents, start) in enumerate(
-                    zip(situations.verbs[r], situations.entities[r], situations.starts[r]), 1):
-                if ents:  # a rank without roles never scores, as in `_sit_max`
-                    members.setdefault((verb, len(ents)), []).append((row, rank, ents, start))
+            starts = situations.starts[r]
+            for rank, (verb, start, end) in enumerate(zip(situations.verbs[r], starts, starts[1:]), 1):
+                if end > start:  # a rank without roles never scores, as in `_sit_max`
+                    members.setdefault((verb, end - start), []).append((row, rank, start))
         self._members, self._groups = members, {}
 
     def _group(self, key):
@@ -358,33 +359,29 @@ class SitScorer:
         the first time a query looks the key up; None when there are none."""
         ranked = self._members.pop(key, None)
         if ranked is not None:
-            rows, ranks, nouns, starts = zip(*ranked)
-            boxes = self._situations.boxes[np.add.outer(starts, range(key[1]))] if self._grounded else None
+            rows, ranks, starts = zip(*ranked)
+            at = np.add.outer(starts, range(key[1]))  # (m, n) rows of the group's roles
+            boxes = self._situations.boxes[at] if self._grounded else None
             self._groups[key] = (np.array(rows, dtype=np.intp), np.array(ranks, dtype=np.intp),
-                                 np.array(nouns, dtype=object), boxes)
+                                 self._situations.codes[at], boxes)
         return self._groups.get(key)
 
     def __call__(self, query_id: str) -> np.ndarray:
         sits = self._situations
         r = _lookup(sits.index, query_id)
-        best = np.zeros(self._n)
-        for a, (verb, ents, start) in enumerate(zip(sits.verbs[r], sits.entities[r], sits.starts[r])):
-            group = self._group((verb, len(ents)))
+        best, starts = np.zeros(self._n), sits.starts[r]
+        for a, (verb, start, end) in enumerate(zip(sits.verbs[r], starts, starts[1:])):
+            group = self._group((verb, end - start))
             if group is None:
                 continue
-            rows, ranks, nouns, search_boxes = group
-            boxes = sits.boxes[start:start + len(ents)].tolist()
-            total = np.zeros(rows.size)
-            for k, (noun, box) in enumerate(zip(ents, boxes)):
-                match = nouns[:, k] == noun
-                if self._grounded:  # `_box_term`: an absent box is a NaN row, fmax makes its IoU 0
-                    column = search_boxes[:, k]
-                    term = (np.isnan(column[:, 0]) if box[0] != box[0]
-                            else np.fmax(geometry.iou(box, column), 0.0))
-                    total += np.where(match, 1.0 + term, 0.0)
-                else:
-                    total += match
-            np.maximum.at(best, rows, total / ((a + 1) * ranks * len(ents)))
+            rows, ranks, codes, search_boxes = group
+            match = codes == sits.codes[start:end]  # (m, n): each search rank's nouns against the query's
+            total = np.zeros(rows.size) if self._grounded else match.sum(axis=1)  # a count is exact
+            for k, box in enumerate(sits.boxes[start:end].tolist() if self._grounded else ()):
+                column = search_boxes[:, k]  # `_box_term`: an absent box is a NaN row, fmax makes its IoU 0
+                term = np.isnan(column[:, 0]) if box[0] != box[0] else np.fmax(geometry.iou(box, column), 0.0)
+                total += np.where(match[:, k], 1.0 + term, 0.0)
+            np.maximum.at(best, rows, total / ((a + 1) * ranks * (end - start)))
         return best
 
 

@@ -7,8 +7,9 @@ import math
 import re
 import tracemalloc
 import types
-from itertools import groupby
+from itertools import chain, groupby
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -66,11 +67,19 @@ def gt_boxes(table, k) -> dict:
                     boxes_of(table.boxes[table.starts[k]:table.starts[k + 1]])))
 
 
+def nouns_of(table, codes) -> tuple:
+    """The nouns of a table's noun codes, read through its code table."""
+    return tuple(table.nouns[c] for c in codes.tolist())
+
+
 def frames_of(table, r) -> dict:
     """Record r's {verb: GroundedFrame}, read from the PredictionTable's columns."""
-    return {verb: GroundedFrame(tuple(zip(table.roles[row], table.nouns[row])),
-                                boxes_of(table.boxes[table.starts[row]:table.starts[row + 1]]))
-            for verb, row in table.frames[r].items()}
+    frames = {}
+    for verb, row in table.frames[r].items():
+        slots = slice(table.starts[row], table.starts[row + 1])
+        frames[verb] = GroundedFrame(tuple(zip(table.roles[row], nouns_of(table, table.codes[slots]))),
+                                     boxes_of(table.boxes[slots]))
+    return frames
 
 
 def merged_box(*workers) -> list:
@@ -264,7 +273,8 @@ class TestLoadPredictions:
         assert any(b is not None for f in frames for b in f.groundings)  # with boxes
         for f in frames:
             table = load_chain_nodes([{"verb": "kneading", **frame_json(f)}])
-            assert (table.roles, table.nouns, boxes_of(table.boxes)) == ([f.roles], [f.nouns], f.groundings)
+            assert (table.roles, nouns_of(table, table.codes), boxes_of(table.boxes)) == (
+                [f.roles], f.nouns, f.groundings)
 
     def test_frame_serialization_round_trip(self, rng, lexicon, vocabulary):
         from conftest import frame_json, random_dataset, random_prediction
@@ -432,11 +442,12 @@ def dataset_file(draw):
 
 def plain(table):
     """A DatasetTable's images in the naive reader's form, each coordinate by its bits."""
-    return [(image_id, repr(width), repr(height), verb, annotated,
+    return [(image_id, repr(width), repr(height), verb,
+             tuple(nouns_of(table, column) for column in table.annotations[start:end].T),
              {r: None if b is None else tuple(float(c).hex() for c in b.as_list())
               for r, b in gt_boxes(table, k).items()})
-            for k, (image_id, verb, (width, height), annotated) in enumerate(
-                zip(table.ids, table.verbs, table.sizes, table.annotations))]
+            for k, (image_id, verb, (width, height), start, end) in enumerate(
+                zip(table.ids, table.verbs, table.sizes, table.starts, table.starts[1:]))]
 
 
 def naive_plain(image):
@@ -1346,3 +1357,64 @@ def test_loading_a_record_file_peaks_below_its_decoded_tree(tmp_path, rng, lexic
         text = (tmp_path / name).read_text()
         tree = traced_peak(lambda: json.loads(text))
         assert traced_peak(lambda: load(str(tmp_path / name))) < tree, name
+
+
+# ---- every coded loader: an int32 code per noun slot, and one code table -----
+
+NOUN = st.sampled_from(["", "man", "dough", "\u00e9", "e\u0301", "Agent", "kneading"]) | st.text(max_size=2)
+CODED_RECORDS = st.lists(st.tuples(st.sampled_from(sorted(LEXICON_JSON)),
+                                   st.lists(st.lists(NOUN, min_size=3, max_size=3), min_size=3, max_size=3)),
+                         max_size=5)
+CODED = ("load_chain_nodes", "load_dataset", "load_predictions", "load_situations")
+
+
+def coded_file(name: str, records: list) -> tuple:
+    """(file, its nouns in slot order) for loader `name`, from (verb, three annotators'
+    nouns) records: the first nouns of each, one per role of the verb."""
+    files, read = [], []
+    for k, (verb, annotated) in enumerate(records):
+        frames = [dict(zip(LEXICON_JSON[verb], nouns)) for nouns in annotated]
+        if name == "load_dataset":  # a dataset's slot holds the three annotators' nouns
+            files.append(image_record(f"i{k}", verb, frames=frames, boxes={}))
+            read += [frame[role] for role in LEXICON_JSON[verb] for frame in frames]
+        elif name == "load_predictions":
+            files.append({"id": f"i{k}", "verbs": [verb], "frames": {verb: {"nouns": frames[0]}}})
+            read += frames[0].values()
+        elif name == "load_situations":
+            entities = [list(frames[rank % 3].values()) for rank in range(5)]
+            files.append({"id": f"i{k}", "verbs": [verb] * 5, "entities": entities,
+                          "boxes": [[None] * len(nouns) for nouns in entities]})
+            read += chain.from_iterable(entities)
+        else:
+            files += [{"verb": verb, "nouns": frame} for frame in frames]
+            read += chain.from_iterable(frame.values() for frame in frames)
+    return files, read
+
+
+@pytest.mark.parametrize("name", CODED)
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(records=CODED_RECORDS)
+@example(records=[("kneading", [[""] * 3] * 3), ("jumping", [[""] * 3] * 3)])  # an all-null file
+@example(records=[("kneading", [["man", "dough", ""]] * 3),
+                  ("jumping", [["dough", "man", "man"]] * 3)])  # nouns repeated across records
+@example(records=[("kneading", [["\u00e9", "e\u0301", ""], ["e\u0301", "\u00e9", "\u00e9"],
+                                ["", "", "e\u0301"]])])  # the same letter, composed and decomposed
+@example(records=[("kneading", [["Agent", "kneading", "Place"], ["jumping", "", "Item"],
+                                ["man", "Agent", ""]])])  # nouns spelled like roles and verbs
+def test_every_loaded_table_codes_its_nouns_in_first_read_order(name, records):
+    """The codes read back as the file's nouns, in slot order ("\u00e9" and its
+    decomposed form "e\u0301" are two nouns; a noun spelled like a role or a
+    verb is a noun); the null noun is -1, exactly, and the others are 0, 1, ...
+    in the order they are first read, every code of the table used."""
+    files, read = coded_file(name, records)
+    if name == "load_dataset":  # every noun read is in the vocabulary
+        table = load_dataset(files, LEXICON_JSON, sorted(set(read) - {""}))
+        codes = table.annotations
+    else:
+        table = LOADERS[name][0](files)
+        codes = table.codes
+    assert codes.dtype == np.int32
+    codes, nouns = codes.ravel().tolist(), table.nouns
+    assert [nouns[c] for c in codes] == read
+    assert [c == -1 for c in codes] == [noun == "" for noun in read]
+    assert nouns[-1] == "" and list(dict.fromkeys(c for c in codes if c >= 0)) == list(range(len(nouns) - 1))

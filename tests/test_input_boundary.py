@@ -6,6 +6,7 @@ accepts exactly the datasets the loaders accept."""
 import builtins
 import contextlib
 import copy
+import errno
 import io
 import json
 import os
@@ -449,6 +450,21 @@ def test_an_out_that_cannot_be_written_is_one_error_naming_it_and_nothing_printe
     assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
+def join_reader(reader, fifo):
+    """Join `reader`, a thread that reads the FIFO `fifo`. A write that never
+    opened the FIFO leaves the reader waiting for a writer: an open for writing
+    that does not block, closed at once, ends the wait. It fails with ENXIO when
+    no reader has the FIFO open, as when the reader has read it and closed it
+    but not yet exited; a blocking open would then wait forever."""
+    if reader.is_alive():
+        try:
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        except OSError as e:
+            if e.errno != errno.ENXIO:
+                raise
+    reader.join(timeout=10)
+
+
 @pytest.mark.parametrize("items", [[], ['{"a":1}'], ['{"a":1}', "[2,3]", '"\u00e9"', "null"]],
                          ids=["empty", "one-item", "items"])
 @pytest.mark.parametrize("target", ["-", "file", "symlink", "fifo"])
@@ -466,10 +482,7 @@ def test_an_encoded_list_is_written_as_one_array_line(tmp_path, capsys, items, t
         write_output(items, "-" if target == "-" else str(path), encoded=True)
     finally:
         if target == "fifo":
-            if reader.is_alive():  # unblock the reader if the write never opened the FIFO
-                with open(path, "w"):
-                    pass
-            reader.join(timeout=10)
+            join_reader(reader, path)
     if target == "-":
         assert capsys.readouterr().out.encode("utf-8") == expected
         return
@@ -489,10 +502,7 @@ def test_write_output_writes_a_fifo_in_place(tmp_path):
     try:
         write_output({"a": 1}, str(fifo))
     finally:
-        if reader.is_alive():  # unblock the reader if the write never opened the FIFO
-            with open(fifo, "w"):
-                pass
-        reader.join(timeout=10)
+        join_reader(reader, fifo)
     assert not reader.is_alive()
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
     assert json.loads(received[0]) == {"a": 1}

@@ -14,7 +14,6 @@ from swig_toolkit import (
     evaluate,
     macro_average,
     score_grounding,
-    score_noun,
 )
 from swig_toolkit.dataset_io import DatasetError, compute_stats, load_dataset, load_predictions
 from swig_toolkit.geometry import box_array
@@ -36,15 +35,39 @@ from conftest import (
 from oracles import compute_stats_naive, evaluate_naive, iou_exact, load_dataset_naive
 
 
-class TestScoreNoun:
-    def test_matches_any_annotator(self):
-        assert score_noun("dough", ["dough", "dough", "bread"])
+# One image of "jumping" (Agent, Place): its three annotator frames, the predicted frame of
+# each verb in file order ("jumping" first in the ranking), and the share of the image's role
+# slots whose predicted noun is correct.
+NOUN_RULE = {
+    "any-annotator": ([("dough", "kitchen"), ("dough", "kitchen"), ("bread", "kitchen")],
+                      {"jumping": ("dough", "kitchen")}, 1.0),
+    "null-matches-null": ([("", "street"), ("sofa", ""), ("", "")], {"jumping": ("", "")}, 1.0),
+    "no-match": ([("dog", "kitchen"), ("dog", "kitchen"), ("bag", "kitchen")],
+                 {"jumping": ("cat", "kitchen")}, 0.5),
+    # "puppy" is in no annotator frame, nor in the vocabulary
+    "named-by-no-annotator": ([("man", ""), ("", ""), ("man", "")],
+                              {"jumping": ("puppy", "")}, 0.5),
+    # the prediction file reads "street", "woman", "kitchen" first; the dataset "man", "kitchen"
+    "another-first-read-order": ([("man", "kitchen"), ("woman", "street"), ("man", "")],
+                                 {"kneading": ("street", "woman", "kitchen"),
+                                  "jumping": ("woman", "street")}, 1.0),
+}
 
-    def test_null_matches_null(self):
-        assert score_noun("", ["", "sky", ""])
 
-    def test_no_match(self):
-        assert not score_noun("cat", ["dog", "dog", "puppy"])
+@pytest.mark.parametrize("annotated, predicted, value", NOUN_RULE.values(), ids=NOUN_RULE)
+def test_a_predicted_noun_is_correct_when_it_equals_an_annotators(lexicon, vocabulary, annotated,
+                                                                 predicted, value):
+    roles, gt = lexicon.roles("jumping"), VerbSetting.GROUND_TRUTH_VERB
+    image = Image("a.jpg", 100, 100, "jumping",
+                  tuple(GroundedFrame(tuple(zip(roles, nouns)), (None, None)) for nouns in annotated),
+                  dict.fromkeys(roles))
+    frames = {verb: GroundedFrame(tuple(zip(lexicon.roles(verb), nouns)), (None,) * len(nouns))
+              for verb, nouns in predicted.items()}
+    split, preds = Split(lexicon, vocabulary, (image,)), [Prediction("a.jpg", ("jumping", "kneading"), frames)]
+    for mode in ValueAllMode:
+        report = evaluate(load_split(split), load_preds(preds, lexicon), gt, mode)
+        assert report["per_verb"]["jumping"]["value"] == value
+        assert (report["macro"], report["per_verb"]) == evaluate_report(split, preds, gt, mode)
 
 
 class TestScoreGrounding:
