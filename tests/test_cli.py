@@ -116,6 +116,57 @@ DETECTIONS = [
 ]
 
 
+def fuse_pred(image_id="a", **frames):
+    """A prediction record ranking `frames`' verbs in order, each {role: noun}, no boxes."""
+    return {"id": image_id, "verbs": list(frames),
+            "frames": {verb: {"nouns": nouns, "boxes": {}} for verb, nouns in frames.items()}}
+
+
+def fuse_det(image_id="a", **overrides):
+    return {"id": image_id, "boxes": [[0, 0, 5, 5], [1, 1, 4, 4]], "nouns": ["man", "dough"],
+            "noun_scores": [[1.0, -9.0], [2.0, 3.0]], **overrides}
+
+
+KNEADING = {"Agent": "man", "Item": "dough", "Place": "kitchen"}
+NAN, HUGE = float("nan"), 10 ** 400  # json writes 10 ** 400 as its digits, too large for a float
+TWO_FAULTS = [  # (case, predictions, detections, the one error line: the first fault)
+    ("non-finite-logit-then-malformed-box-in-the-next-record",
+     [fuse_pred(kneading=KNEADING)],
+     [fuse_det(noun_scores=[[1.0, NAN], [2.0, 3.0]]), fuse_det("b", boxes=["x"])],
+     "detections 'a', noun_scores: must be finite"),
+    ("non-finite-logit-then-record-not-an-object",
+     [fuse_pred(kneading=KNEADING)], [fuse_det(noun_scores=[[1.0, 2.0], [NAN, 3.0]]), 7],
+     "detections 'a', noun_scores: must be finite"),
+    ("over-large-int-then-nan-in-one-record",
+     [fuse_pred(kneading=KNEADING)], [fuse_det(noun_scores=[[HUGE, NAN], [2.0, 3.0]])],
+     "detections 'a', noun_scores: int too large to convert to float"),
+    ("nan-then-over-large-int-in-one-record",
+     [fuse_pred(kneading=KNEADING)], [fuse_det(noun_scores=[[NAN, 1.0], [2.0, HUGE]])],
+     "detections 'a', noun_scores: int too large to convert to float"),
+    ("nan-then-over-large-int-in-the-next-record",
+     [fuse_pred(kneading=KNEADING)], [fuse_det(noun_scores=[[NAN, 1.0], [2.0, 3.0]]),
+                                      fuse_det("b", noun_scores=[[HUGE, 1.0], [2.0, 3.0]])],
+     "detections 'a', noun_scores: must be finite"),
+    ("prediction-fault-and-detection-fault",
+     [dict(fuse_pred(kneading=KNEADING), verbs=[])], [fuse_det(noun_scores=[[NAN, 1.0], [2.0, 3.0]])],
+     "prediction 'a', verbs: must be a non-empty list"),
+    ("absent-noun-then-record-without-detections",
+     [fuse_pred(kneading=dict(KNEADING, Item="bread")), fuse_pred("b", kneading=KNEADING)], [fuse_det()],
+     "image 'a', verb 'kneading', role 'Item': noun 'bread' absent from detection vocabulary"),
+    ("absent-noun-in-a-later-record",
+     [fuse_pred(kneading=KNEADING), fuse_pred("b", kneading=dict(KNEADING, Agent="cat"))],
+     [fuse_det(), fuse_det("b")],
+     "image 'b', verb 'kneading', role 'Agent': noun 'cat' absent from detection vocabulary"),
+    ("absent-nouns-in-two-verbs-sorted-verb-first",  # kneading comes first in the file and the ranking
+     [fuse_pred(kneading=dict(KNEADING, Agent="cat"), jumping={"Place": "street", "Agent": "dog"})],
+     [fuse_det()],
+     "image 'a', verb 'jumping', role 'Agent': noun 'dog' absent from detection vocabulary"),
+    ("absent-nouns-in-two-roles-lexicon-role-first",  # the file names Item before Agent
+     [fuse_pred(kneading={"Item": "bread", "Agent": "cat", "Place": "kitchen"})], [fuse_det()],
+     "image 'a', verb 'kneading', role 'Agent': noun 'cat' absent from detection vocabulary"),
+]
+
+
 class TestFuse:
     def test_boxes_assigned(self, workspace, capsys):
         (workspace / "dets.json").write_text(json.dumps(DETECTIONS))
@@ -160,6 +211,22 @@ class TestFuse:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == "error: no detections for image 'img2.jpg'\n"
         assert sorted(os.listdir(workspace)) == before  # no output file, and no temp file
+
+    @pytest.mark.parametrize("out", ["-", "fused.json"])
+    @pytest.mark.parametrize("preds,dets,error", [case[1:] for case in TWO_FAULTS],
+                             ids=[case[0] for case in TWO_FAULTS])
+    def test_a_file_with_two_faults_prints_the_first_and_writes_nothing(self, tmp_path, capsys,
+                                                                         preds, dets, error, out):
+        (tmp_path / "lexicon.json").write_text(json.dumps(LEXICON))
+        (tmp_path / "preds.json").write_text(json.dumps(preds))
+        (tmp_path / "dets.json").write_text(json.dumps(dets))  # a float NaN is written as NaN
+        before = sorted(os.listdir(tmp_path))
+        assert run(["fuse", "--frames", tmp_path / "preds.json", "--detections", tmp_path / "dets.json",
+                    "--lexicon", tmp_path / "lexicon.json",
+                    "--out", out if out == "-" else tmp_path / out]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {error}\n")
+        assert sorted(os.listdir(tmp_path)) == before
 
 
 class TestRetrieve:
