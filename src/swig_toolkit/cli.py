@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import argparse
 import errno
+import itertools
 import json
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
@@ -37,8 +39,8 @@ from .dataset_io import (
     parse_lexicon,
     parse_vocabulary,
 )
-from .frame_model import frame_to_json
-from .fusion import DEFAULT_FUSION_THRESHOLD, FusionError, ground_roles
+from .frame_model import PLACE_ROLE, frame_to_json
+from .fusion import DEFAULT_FUSION_THRESHOLD, absent_noun, ground
 from .geometry import cluster_aspect_ratios
 from .loss_kernels import FocalParams, SmoothingParams, focal_loss, l1_reg, smoothed_ce
 from .metrics import ValueAllMode, VerbSetting, evaluate, format_table
@@ -55,8 +57,8 @@ from .retrieval import (
 
 def write_output(payload, out: str, encoded: bool = False):
     """Write `payload` as one line of compact, key-sorted JSON; when `encoded`,
-    `payload` is a list of the items of a JSON array, each already encoded,
-    written one at a time between the array's "[", separators and "]"."""
+    `payload` is an iterable of the items of a JSON array, each already
+    encoded, written as it comes between the array's "[", separators and "]"."""
     text = _pieces(payload) if encoded else (_encode(payload) + "\n",)
     if out == "-":
         sys.stdout.writelines(text)
@@ -86,7 +88,7 @@ def write_output(payload, out: str, encoded: bool = False):
         raise
 
 
-def _pieces(items: list):
+def _pieces(items):
     """The text of the JSON array of encoded `items` and its newline, in pieces."""
     yield "["
     for k, item in enumerate(items):
@@ -146,24 +148,51 @@ def cmd_fuse(args) -> int:
     if not np.isfinite(args.fusion_threshold):
         raise ValueError(f"--fusion-threshold must be finite, got {args.fusion_threshold}")
     lexicon = parse_lexicon(args.lexicon)
-    table = load_predictions(args.frames, lexicon)
-    boxes, detections = load_detection_sets(args.detections)
+    # the predicted boxes are replaced, never read: they die before the detections are read
+    table = replace(load_predictions(args.frames, lexicon), boxes=None)
+    dets = load_detection_sets(args.detections)
+    # per slot: its record, the image its record names (-1: none), its noun's detection code
+    record = np.repeat(np.arange(len(table.ids)), list(map(len, table.frames)))[
+        np.repeat(np.arange(len(table.roles)), np.diff(table.starts))]
+    images = np.fromiter(map(dets.index.get, table.ids, itertools.repeat(-1)), dtype=np.intp,
+                         count=len(table.ids))
+    image = images[record]
+    code = {noun: c for c, noun in enumerate(dets.nouns[:-1])}
+    codes = np.array([code.get(noun, -2) for noun in table.nouns[:-1]] + [-1], dtype=np.intp)[table.codes]
+    place = np.fromiter(map(PLACE_ROLE.__eq__, itertools.chain.from_iterable(table.roles)),
+                        dtype=bool, count=len(image))
+    eligible = (table.codes >= 0) & ~place & np.append(np.diff(dets.starts) > 0, False)[image]
+    # one gather: each eligible slot's column, by its (image, code) key among the columns' sorted keys
+    width, find = len(dets.nouns), eligible & (codes >= 0)  # code -2: a noun no image lists
+    keys = np.repeat(np.arange(len(dets.columns) - 1) * width, np.diff(dets.columns)) + dets.codes
+    wanted, order = image[find] * width + codes[find], np.argsort(keys)
+    at = order[np.searchsorted(keys, wanted, sorter=order).clip(max=len(keys) - 1)]
+    columns = np.full(len(image), -1, dtype=np.intp)
+    columns[find] = np.where(keys[at] == wanted, at, -1)
+    grounded, absent = ground(eligible, columns, dets.rows, dets.logits, args.fusion_threshold)
+    faulty = np.concatenate([np.flatnonzero(images < 0), record[absent]])
+    if faulty.size:  # the first fault: by record, then sorted verb, then role
+        r = int(faulty.min())
+        if images[r] < 0:
+            raise DatasetError(f"no detections for image {table.ids[r]!r}")
+        verb, row, s = min((verb, row, s) for verb, row in table.frames[r].items()
+                           for s in range(table.starts[row], table.starts[row + 1]) if absent[s])
+        role = table.roles[row][s - table.starts[row]]
+        raise DatasetError(f"image {table.ids[r]!r}, verb {verb!r}, "
+                           f"{absent_noun(role, table.nouns[table.codes[s]])}")
     nouns = list(map(table.nouns.__getitem__, table.codes.tolist()))  # per slot, one str per noun
-    out = []  # each record encoded as it is built, so the output is never one object tree
-    for image_id, ranking, rows in zip(table.ids, table.rankings, table.frames):
-        if image_id not in detections:
-            raise DatasetError(f"no detections for image {image_id!r}")
-        frames = {}
-        for verb, row in sorted(rows.items()):
-            role_values = tuple(zip(table.roles[row], nouns[table.starts[row]:table.starts[row + 1]]))
-            try:  # the predicted boxes are replaced, so they are never read
-                grounded = ground_roles(role_values, detections[image_id], args.fusion_threshold)
-            except FusionError as e:
-                raise DatasetError(f"image {image_id!r}, verb {verb!r}, {e}") from e
-            frames[verb] = frame_to_json(role_values, [None if r is None else boxes[r].tolist()
-                                                       for r in grounded])
-        out.append(_encode({"id": image_id, "verbs": list(ranking), "frames": frames}))
-    write_output(out, args.out, encoded=True)
+    grounded, boxes = grounded.tolist(), dets.boxes
+
+    def records():  # each encoded as it is written, so the output is never one object tree
+        for image_id, ranking, rows in zip(table.ids, table.rankings, table.frames):
+            frames = {}
+            for verb, row in sorted(rows.items()):
+                lo, hi = table.starts[row], table.starts[row + 1]
+                frames[verb] = frame_to_json(tuple(zip(table.roles[row], nouns[lo:hi])),
+                                             [None if r < 0 else boxes[r].tolist() for r in grounded[lo:hi]])
+            yield _encode({"id": image_id, "verbs": list(ranking), "frames": frames})
+
+    write_output(records(), args.out, encoded=True)
     return 0
 
 

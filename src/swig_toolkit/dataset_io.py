@@ -13,7 +13,8 @@ mean or a clamped box is judged on its row). The walk's faults, its boxes'
 and its own, are one list keyed (run, kind, box); a loader raises the least,
 and every error names the record and the field: "<record>, <field>: <rule>".
 The walk also codes the nouns it reads, in first-read order, the null noun -1:
-a loaded table holds an int32 code per noun slot and a `nouns` list, code to noun.
+a loaded table holds an int32 code per noun slot and a `nouns` list, code to noun,
+and one str per distinct verb, however often the file names it.
 
 Canonical file formats (UTF-8 JSON):
 
@@ -32,7 +33,8 @@ Canonical file formats (UTF-8 JSON):
   predictions: [{"id", "verbs": [verb, ...], "frames": {verb: frame}}, ...]
                (also the `fuse` output); read into a `PredictionTable`
   detections:  [{"id", "boxes": [box, ...], "nouns": [noun, ...],
-                 "noun_scores": [[logit per noun] per box]}, ...]  (fusion)
+                 "noun_scores": [[logit per noun] per box]}, ...]  (fusion;
+               read into a `fusion.FusionTable`)
                [{"id", "classes": [noun, ...], "boxes": [box, ...]}, ...]
                (object retrieval; read into a `retrieval.DetectionTable`)
   situations:  [{"id", "verbs": [verb x5], "entities": [[noun per role] x5],
@@ -74,7 +76,7 @@ from .frame_model import (
     NounVocabulary,
     VerbLexicon,
 )
-from .fusion import FusionError, best_rows
+from .fusion import FusionError, FusionTable, best_boxes
 from .retrieval import DetectionList, DetectionTable, RetrievalError, SituationPrediction, SituationTable
 
 SENTINEL_BOX = [-1, -1, -1, -1]
@@ -248,7 +250,7 @@ def parse_dataset(source, lexicon: VerbLexicon, vocabulary: NounVocabulary,
     if records is None:
         records, violations = [], ["dataset file must be a JSON array of image records"]
     entries, nouns, largest = lexicon.entries, vocabulary.ids, sys.float_info.max
-    walked = []  # per record with a known verb: its columns
+    walked, spelled = [], {}  # per record with a known verb: its columns; verb -> its one str
     slots, workers, worker_slots = _BoxQueue(), _BoxQueue(), []  # slots: a null box for a worker role
     lines, seen = [], set()  # lines: (key, line); key (record index[, phase, slot, order]) orders them
     for index, rec in enumerate(records):
@@ -292,7 +294,8 @@ def parse_dataset(source, lexicon: VerbLexicon, vocabulary: NounVocabulary,
         if given is not None and not isinstance(given, dict):
             lines.append(((index,), str(_type_error(given, dict, f"{label}, {field}"))))
         given = given if isinstance(given, dict) else {}
-        walked.append((index, label, image_id, verb, verb_roles, width, height, field))
+        walked.append((index, label, image_id, spelled.setdefault(verb, verb), verb_roles, width, height,
+                       field))
         if field == "worker_boxes":
             for slot, role in enumerate(verb_roles, slots.starts[-1]):
                 listed = given.get(role)
@@ -413,8 +416,9 @@ def load_dataset(annotation_source, lexicon_source, vocabulary_source,
 
 
 @_gc_paused
-def _records(source, kind: str, queue: _BoxQueue, visit) -> np.ndarray:
-    """visit(index, record) over a JSON array of objects, read by `_items`;
+def _records(source, kind: str, queue: _BoxQueue, visit, close=None) -> np.ndarray:
+    """visit(index, record) over a JSON array of objects, read by `_items`,
+    then close(), if given, which keys the faults the walk deferred;
     returns `queue.boxes()`. A fault `visit` raises ends the visits and is
     keyed after every box queued before it; the rest of the file still
     decodes, so a decode error anywhere comes first, as in a whole decode."""
@@ -428,13 +432,15 @@ def _records(source, kind: str, queue: _BoxQueue, visit) -> np.ndarray:
             queue.faults.append(((len(queue.starts) - 1, 2, queue.judged + len(queue.raws)), e))
             break
     deque(items, maxlen=0)  # decodes the rest, which may raise first
+    if close is not None:
+        close()
     return queue.boxes()
 
 
-def _by_id(source, kind: str, parse, queue: _BoxQueue) -> tuple:
+def _by_id(source, kind: str, parse, queue: _BoxQueue, close=None) -> tuple:
     """({id: parse(rec, where)}, `queue.boxes()`) over records whose "id" is a
-    string, unique in the file; `where` names the record, and so does every
-    error. `parse` queues the record's boxes on `queue`."""
+    string, unique in the file, by `_records` with `close`; `where` names the
+    record, and so does every error. `parse` queues the record's boxes on `queue`."""
     out = {}
 
     def visit(index, rec):
@@ -446,13 +452,13 @@ def _by_id(source, kind: str, parse, queue: _BoxQueue) -> tuple:
             raise DatasetError(f"{where}: duplicate id (record #{index})")
         try:
             out[image_id] = parse(rec, where)
-        except (FusionError, RetrievalError) as e:
+        except RetrievalError as e:
             raise DatasetError(f"{where}, {e}") from e  # the type's message names the field
 
-    return out, _records(source, kind, queue, visit)
+    return out, _records(source, kind, queue, visit, close)
 
 
-_CHUNK = 4096  # raw boxes a record walk queues per `_BoxQueue._judge` pass
+_CHUNK = 4096  # raw boxes a record walk queues per `_BoxQueue._judge` pass; least logits per reduction
 
 
 class _BoxQueue:
@@ -469,9 +475,10 @@ class _BoxQueue:
     boxes are judged, and a box is named only when it is a fault. Each
     fault is keyed (run, kind, box), and `boxes()` raises the least: kind 0
     is a bad box, 1 a null or sentinel box when not `nullable`, 2 the walk's
-    own fault, which `_records` keys at the open run's next box. So a
-    malformed box beats an earlier null of its run, and a walk fault comes
-    after every box queued before it.
+    own fault, which `_records` keys at the open run's next box, and 3 a
+    fault the walk found after its run, keyed (run, 3, 0). So a malformed
+    box beats an earlier null of its run, and a walk fault comes after every
+    box queued before it.
     """
 
     def __init__(self, nullable: bool = True):
@@ -587,7 +594,7 @@ class _BoxQueue:
         rows = self.rows()
         if self.faults:
             (_, kind, _), fault = min(self.faults, key=itemgetter(0))
-            raise fault if kind == 2 else DatasetError(fault)
+            raise fault if kind >= 2 else DatasetError(fault)
         return rows
 
     def where_of(self, i: int) -> tuple:
@@ -600,17 +607,18 @@ class _BoxQueue:
 def load_predictions(source, lexicon: VerbLexicon) -> PredictionTable:
     """Parse a prediction file into a PredictionTable; every frame is checked,
     and an error names the first fault in file order."""
-    rankings, frames, rows = [], [], _BoxQueue()
+    rankings, frames, rows, spelled = [], [], _BoxQueue(), {}  # spelled: verb -> its one str
 
     def parse(rec, where):
         verbs = _strings(rec.get("verbs"), f"{where}, verbs")
         if not verbs:
             raise DatasetError(f"{where}, verbs: must be a non-empty list")
-        verb_rows = {}
+        verbs, verb_rows = tuple(map(spelled.setdefault, verbs, verbs)), {}
         for verb, raw in _get(rec, "frames", dict, where, {}).items():
             if verb not in lexicon:
                 raise DatasetError(f"{where}, frames[{verb!r}]: unknown verb")
-            verb_rows[verb] = rows.read(raw, lexicon.roles(verb), f"{where}, frames[{verb!r}]")
+            verb_rows[spelled.setdefault(verb, verb)] = rows.read(raw, lexicon.roles(verb),
+                                                                  f"{where}, frames[{verb!r}]")
         for verb in verb_rows:
             if verb not in verbs:
                 raise DatasetError(f"{where}, frames[{verb!r}]: verb not in the ranking")
@@ -621,34 +629,72 @@ def load_predictions(source, lexicon: VerbLexicon) -> PredictionTable:
     return PredictionTable(list(ids), rankings, frames, rows.roles, rows.starts, *rows.coded(), boxes)
 
 
-def load_detection_sets(source) -> tuple:
-    """Parse late-fusion detector output into (boxes, {image id: best}): the
-    file's (n, 4) float64 box rows, and per image each noun's first row of
-    highest logit and that logit, as `fusion.best_rows` reduces them; None
-    for an image with no boxes."""
-    queue = _BoxQueue(nullable=False)
+def load_detection_sets(source) -> FusionTable:
+    """Parse late-fusion detector output into a FusionTable. `fusion.best_boxes`
+    reduces the logits of whole records in passes of at least `_CHUNK`; a
+    record's int too big for a float, else its non-finite logit, is a fault
+    keyed after the record's boxes and before the next record's."""
+    queue, columns = _BoxQueue(nullable=False), [0]
+    pending, wheres, rows, logits = [], [], [], []  # logits and names of the records not reduced
 
     def parse(rec, where):
         raws = _check(rec.get("boxes"), list, f"{where}, boxes")
-        first = queue.queue(raws, where)
+        queue.queue(raws, where)
         nouns = _strings(rec.get("nouns"), f"{where}, nouns")
         if len(set(nouns)) != len(nouns):
             raise DatasetError(f"{where}, nouns: must be distinct, got {reprlib.repr(list(nouns))}")
-        rows, shape = _get(rec, "noun_scores", list, where), (len(raws), len(nouns))
-        if not (len(rows) == shape[0] and {list}.issuperset(map(type, rows))
-                and {shape[1]}.issuperset(map(len, rows))):
+        scores, shape = _get(rec, "noun_scores", list, where), (len(raws), len(nouns))
+        if not (len(scores) == shape[0] and {list}.issuperset(map(type, scores))
+                and {shape[1]}.issuperset(map(len, scores))):
             raise DatasetError(f"{where}, noun_scores: must be a {shape[0]}x{shape[1]} array "
                                "of numbers, one row per box and one column per noun")
-        if not _JSON_NUMBER_TYPES.issuperset(map(type, chain.from_iterable(rows))):
-            raise DatasetError(f"{where}, noun_scores: logits must be JSON numbers, got {reprlib.repr(rows)}")
-        try:
-            scores = np.array(rows, dtype=np.float64).reshape(shape)
-        except OverflowError as e:  # an int too big for a float
-            raise DatasetError(f"{where}, noun_scores: {e}") from e
-        return best_rows(scores, {n: i for i, n in enumerate(nouns)}, first)
+        if not _JSON_NUMBER_TYPES.issuperset(map(type, chain.from_iterable(scores))):
+            raise DatasetError(f"{where}, noun_scores: logits must be JSON numbers, "
+                               f"got {reprlib.repr(scores)}")
+        queue.encode(nouns)
+        columns.append(columns[-1] + len(nouns))
+        wheres.append(where)
+        pending.extend(chain.from_iterable(scores))
+        if len(pending) >= _CHUNK:
+            reduce()
+        return len(columns) - 2  # the record's image
 
-    best, boxes = _by_id(source, "detections", parse, queue)
-    return boxes, best
+    def reduce():
+        """Reduce the records not yet reduced, or key the first one's fault."""
+        first, end = len(columns) - 1 - len(wheres), len(columns) - 1  # their images
+        n, m = np.diff(queue.starts[first:end + 1]), np.diff(columns[first:end + 1])
+        try:
+            block = np.array(pending, dtype=np.float64)
+        except OverflowError:  # an int too big for a float
+            block = None
+        if block is None or not np.isfinite(block).all():
+            ends = np.cumsum(n * m).tolist()
+            faults = map(_logit_fault, map(pending.__getitem__, map(slice, [0] + ends, ends)), wheres)
+            queue.faults.append(next(((k, 3, 0), f) for k, f in enumerate(faults, first) if f is not None))
+        else:
+            best, top = best_boxes(block, n, m)
+            rows.append(np.where(best < 0, -1, best + np.repeat(queue.starts[first:end], m)))
+            logits.append(top)
+        pending.clear()
+        wheres.clear()
+
+    index, boxes = _by_id(source, "detections", parse, queue, reduce)
+    return FusionTable(index, queue.starts, boxes, columns, *queue.coded(),
+                       np.concatenate(rows), np.concatenate(logits))
+
+
+def _logit_fault(values: list, where: str) -> Optional[DatasetError]:
+    """The fault in one record's logits that its walk raises, or None: an
+    int too big for a float, else a non-finite logit."""
+    try:
+        if np.isfinite(np.array(values, dtype=np.float64)).all():
+            return None
+        cause = FusionError("must be finite")
+    except OverflowError as e:
+        cause = e
+    fault = DatasetError(f"{where}, noun_scores: {cause}")
+    fault.__cause__ = cause  # as `raise ... from cause` sets it
+    return fault
 
 
 def load_object_detections(source) -> DetectionTable:
@@ -667,7 +713,7 @@ def load_object_detections(source) -> DetectionTable:
 
 def load_situations(source) -> SituationTable:
     """Parse top-5 situation predictions (retrieval) into a SituationTable."""
-    verbs, starts, queue = [], [], _BoxQueue()
+    verbs, starts, queue, spelled = [], [], _BoxQueue(), {}  # spelled: verb -> its one str
 
     def parse(rec, where):
         top5 = _strings(rec.get("verbs"), f"{where}, verbs")
@@ -678,7 +724,7 @@ def load_situations(source) -> SituationTable:
                        for a, row in enumerate(ranks))
         SituationPrediction.check(top5, nouns, ranks)
         queue.encode(chain.from_iterable(nouns))
-        verbs.append(top5)
+        verbs.append(tuple(map(spelled.setdefault, top5, top5)))
         starts.append((*firsts, queue.starts[-1]))
 
     ids, boxes = _by_id(source, "situation", parse, queue)
@@ -691,11 +737,12 @@ def load_chain_nodes(source) -> NodeTable:
     A node's roles are the keys of its "nouns" object, in file order. Its
     query box is queued as a run of its own, after the node's role boxes.
     """
-    verbs, rows = [], _BoxQueue()
+    verbs, rows, spelled = [], _BoxQueue(), {}  # spelled: verb -> its one str
 
     def visit(index, rec):
         where = f"situation #{index}"
-        verbs.append(_get(rec, "verb", str, where))
+        verb = _get(rec, "verb", str, where)
+        verbs.append(spelled.setdefault(verb, verb))
         rows.read(rec, tuple(_get(rec, "nouns", dict, where)), where)
         rows.queue([rec.get("query_box")], where, ", query_box")
 

@@ -206,6 +206,46 @@ def chain_naive(frames, spatial_iou):
     return edges
 
 
+
+def fuse_naive(predictions, detections, lexicon, threshold):
+    """Late fusion by its definition, over the parsed JSON of well-formed
+    prediction and detection files: (the fused records, None), or (None,
+    the first fault's line). A detection file with a non-finite logit fails
+    at its first such record; then each prediction record in order, its
+    frames by sorted verb and its roles in lexicon order, fails when its
+    image has no detection record, or when a non-null, non-Place role's
+    noun is not among the nouns of an image with boxes. Such a role gets
+    the first box of highest logit for its noun when that logit reaches
+    the threshold; no other role gets a box."""
+    for det in detections:
+        if not all(math.isfinite(logit) for row in det["noun_scores"] for logit in row):
+            return None, f"detections {det['id']!r}, noun_scores: must be finite"
+    by_id = {det["id"]: det for det in detections}
+    fused = []
+    for rec in predictions:
+        det = by_id.get(rec["id"])
+        if det is None:
+            return None, f"no detections for image {rec['id']!r}"
+        frames = {}
+        for verb in sorted(rec["frames"]):
+            named = rec["frames"][verb]["nouns"]
+            boxes = {}
+            for role in lexicon[verb]:
+                noun, boxes[role] = named[role], None
+                if noun == "" or role == "Place" or not det["boxes"]:
+                    continue
+                if noun not in det["nouns"]:
+                    return None, (f"image {rec['id']!r}, verb {verb!r}, role {role!r}: "
+                                  f"noun {noun!r} absent from detection vocabulary")
+                column = [row[det["nouns"].index(noun)] for row in det["noun_scores"]]
+                best = max(column)
+                if best >= threshold:
+                    first = min(i for i, logit in enumerate(column) if logit == best)
+                    boxes[role] = [float(c) for c in det["boxes"][first]]
+            frames[verb] = {"nouns": {role: named[role] for role in lexicon[verb]}, "boxes": boxes}
+        fused.append({"id": rec["id"], "verbs": rec["verbs"], "frames": frames})
+    return fused, None
+
 def load_dataset_naive(records, lexicon, vocabulary):
     """Plain record-by-record reading of a dataset file's parsed JSON.
 

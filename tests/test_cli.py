@@ -184,10 +184,9 @@ class TestFuse:
     def test_the_collector_is_paused_while_fusing_and_restored(self, workspace, monkeypatch,
                                                                enabled):
         (workspace / "dets.json").write_text(json.dumps(DETECTIONS))
-        during = []
-        ground = cli.ground_roles
-        monkeypatch.setattr(cli, "ground_roles",
-                            lambda *a: (during.append(gc.isenabled()), ground(*a))[1])
+        during = []  # the collector's state as each record is encoded, while it is written
+        encode = cli._encode
+        monkeypatch.setattr(cli, "_encode", lambda *a: (during.append(gc.isenabled()), encode(*a))[1])
         was = gc.isenabled()
         (gc.enable if enabled else gc.disable)()
         try:

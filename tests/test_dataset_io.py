@@ -946,8 +946,10 @@ def test_valid_detection_situation_and_box_files_build_no_box(monkeypatch):
     built = []
     monkeypatch.setattr(BoundingBox, "__post_init__",
                         lambda self, check=BoundingBox.__post_init__: (built.append(self), check(self)))
-    boxes, sets = load_detection_sets([fuse_rec(boxes=[[0, 0, 5, 5], [1, 1, 4, 4]], noun_scores=[[1.0], [2.0]])])
-    assert boxes.tolist() == [[0, 0, 5, 5], [1, 1, 4, 4]] and sets == {"a": {"man": (1, 2.0)}}
+    sets = load_detection_sets([fuse_rec(boxes=[[0, 0, 5, 5], [1, 1, 4, 4]], noun_scores=[[1.0], [2.0]])])
+    assert sets.boxes.tolist() == [[0, 0, 5, 5], [1, 1, 4, 4]] and sets.index == {"a": 0}
+    columns = (sets.nouns, sets.codes.tolist(), sets.rows.tolist(), sets.logits.tolist())
+    assert columns == (["man", ""], [0], [1], [2.0])
     assert load_object_detections([object_rec()]).boxes.tolist() == [[0, 0, 5, 5]]
     assert load_situations([top5_rec()]).boxes.shape == (10, 4)
     assert load_boxes([[0, 0, 5, 5], [0, 0, 1, 2]]).tolist() == [[0, 0, 5, 5], [0, 0, 1, 2]]
@@ -1418,3 +1420,53 @@ def test_every_loaded_table_codes_its_nouns_in_first_read_order(name, records):
     assert [nouns[c] for c in codes] == read
     assert [c == -1 for c in codes] == [noun == "" for noun in read]
     assert nouns[-1] == "" and list(dict.fromkeys(c for c in codes if c >= 0)) == list(range(len(nouns) - 1))
+
+
+# ---- every loader that keeps verbs: one str per distinct verb -----------------
+
+VERB_RECORDS = st.lists(st.tuples(st.sampled_from(sorted(LEXICON_JSON)),
+                                  st.lists(st.sampled_from([*sorted(LEXICON_JSON), "zz"]), max_size=4)),
+                        max_size=5)
+
+
+def verb_file(name: str, records: list) -> list:
+    """A file for loader `name` from (verb, ranked verbs) records: the verb is framed,
+    and ranked after it (a situation's five ranks cycle through them); "zz" has no frame."""
+    files = []
+    for k, (verb, ranked) in enumerate(records):
+        nouns = {role: "man" for role in LEXICON_JSON[verb]}
+        ranking = [verb, *ranked]
+        if name == "load_dataset":
+            files.append(image_record(f"i{k}", verb, frames=[nouns] * 3, boxes={}))
+        elif name == "load_predictions":
+            files.append({"id": f"i{k}", "verbs": ranking, "frames": {verb: {"nouns": nouns}}})
+        elif name == "load_situations":
+            top5 = [ranking[rank % len(ranking)] for rank in range(5)]
+            files.append({"id": f"i{k}", "verbs": top5, "entities": [["man"]] * 5, "boxes": [[None]] * 5})
+        else:
+            files.append({"verb": verb, "nouns": nouns})
+    return files
+
+
+def held_verbs(name: str, table) -> list:
+    """Every verb string `table` holds."""
+    if name == "load_predictions":
+        return [*chain.from_iterable(table.rankings), *chain.from_iterable(table.frames)]
+    return list(chain.from_iterable(table.verbs)) if name == "load_situations" else table.verbs
+
+
+@pytest.mark.parametrize("name", CODED)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(records=VERB_RECORDS)
+@example(records=[("kneading", ["jumping"]), ("kneading", []), ("jumping", ["kneading", "kneading"])])
+@example(records=[("jumping", ["zz", "kneading"]), ("kneading", ["zz"])])  # ranked, never framed
+def test_every_table_holds_one_str_per_verb(name, records):
+    """Decoded from JSON text, where every occurrence of a verb is a str of its own."""
+    text = io.StringIO(json.dumps(verb_file(name, records)))
+    if name == "load_dataset":
+        table = load_dataset(text, LEXICON_JSON, VOCAB_JSON)
+    else:
+        table = LOADERS[name][0](text)
+    verbs = held_verbs(name, table)
+    assert len(verbs) >= len(records)
+    assert len({id(verb) for verb in verbs}) == len(set(verbs))
