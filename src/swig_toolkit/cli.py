@@ -39,8 +39,8 @@ from .dataset_io import (
     parse_lexicon,
     parse_vocabulary,
 )
-from .frame_model import PLACE_ROLE, frame_to_json
-from .fusion import DEFAULT_FUSION_THRESHOLD, absent_noun, ground
+from .frame_model import frame_to_json
+from .fusion import DEFAULT_FUSION_THRESHOLD, absent_noun, fuse
 from .geometry import cluster_aspect_ratios
 from .loss_kernels import FocalParams, SmoothingParams, focal_loss, l1_reg, smoothed_ce
 from .metrics import ValueAllMode, VerbSetting, evaluate, format_table
@@ -151,25 +151,13 @@ def cmd_fuse(args) -> int:
     # the predicted boxes are replaced, never read: they die before the detections are read
     table = replace(load_predictions(args.frames, lexicon), boxes=None)
     dets = load_detection_sets(args.detections)
-    # per slot: its record, the image its record names (-1: none), its noun's detection code
+    # per slot its record; per record the image it names (-1: none)
     record = np.repeat(np.arange(len(table.ids)), list(map(len, table.frames)))[
         np.repeat(np.arange(len(table.roles)), np.diff(table.starts))]
     images = np.fromiter(map(dets.index.get, table.ids, itertools.repeat(-1)), dtype=np.intp,
                          count=len(table.ids))
-    image = images[record]
-    code = {noun: c for c, noun in enumerate(dets.nouns[:-1])}
-    codes = np.array([code.get(noun, -2) for noun in table.nouns[:-1]] + [-1], dtype=np.intp)[table.codes]
-    place = np.fromiter(map(PLACE_ROLE.__eq__, itertools.chain.from_iterable(table.roles)),
-                        dtype=bool, count=len(image))
-    eligible = (table.codes >= 0) & ~place & np.append(np.diff(dets.starts) > 0, False)[image]
-    # one gather: each eligible slot's column, by its (image, code) key among the columns' sorted keys
-    width, find = len(dets.nouns), eligible & (codes >= 0)  # code -2: a noun no image lists
-    keys = np.repeat(np.arange(len(dets.columns) - 1) * width, np.diff(dets.columns)) + dets.codes
-    wanted, order = image[find] * width + codes[find], np.argsort(keys)
-    at = order[np.searchsorted(keys, wanted, sorter=order).clip(max=len(keys) - 1)]
-    columns = np.full(len(image), -1, dtype=np.intp)
-    columns[find] = np.where(keys[at] == wanted, at, -1)
-    grounded, absent = ground(eligible, columns, dets.rows, dets.logits, args.fusion_threshold)
+    grounded, absent = fuse(dets, images[record], itertools.chain.from_iterable(table.roles), table.codes,
+                            table.nouns, args.fusion_threshold)
     faulty = np.concatenate([np.flatnonzero(images < 0), record[absent]])
     if faulty.size:  # the first fault: by record, then sorted verb, then role
         r = int(faulty.min())

@@ -7,9 +7,10 @@ ungrounded. The same box may serve multiple roles.
 
 Both steps run in columns, over any number of images and role slots at
 once: `best_boxes` reduces each (image, noun) column of logits to its
-first row of highest logit, and `ground` applies the rule to role slots.
-`swig fuse` runs them over a whole file (a `FusionTable`); `DetectionSet`
-and `assign_groundings` are the same two steps on one image and one frame.
+first row of highest logit, and `fuse`, the one implementation of the
+rule, grounds role slots from a `FusionTable`'s columns. `swig fuse` runs
+it over a whole file; `assign_groundings` runs it on one frame, over a
+`DetectionSet`'s one-image table.
 """
 
 from __future__ import annotations
@@ -65,19 +66,30 @@ def best_boxes(logits: np.ndarray, boxes, nouns) -> tuple:
     return rows, maxima
 
 
-def ground(eligible: np.ndarray, columns: np.ndarray, rows: np.ndarray, logits: np.ndarray,
-           threshold: float) -> tuple:
-    """The fusion rule over role slots: (per slot its box row or -1, the
-    slots whose noun is absent). A slot is eligible when its noun is not
-    null, its role is not Place and its image has boxes; no other slot is
-    grounded or checked. An eligible slot reads detection column
-    `columns[s]` (-1: its noun is not among its image's nouns) and gets the
-    column's row in `rows` when its logit in `logits` is >= threshold."""
-    absent = eligible & (columns < 0)
-    read = eligible & ~absent
-    grounded = np.full(len(columns), -1, dtype=np.intp)
-    grounded[read] = np.where(logits[columns[read]] >= threshold, rows[columns[read]], -1)
-    return grounded, absent
+def fuse(detections: FusionTable, image: np.ndarray, roles, codes: np.ndarray, nouns: list,
+         threshold: float) -> tuple:
+    """The fusion rule over role slots: (per slot its box row or -1, the slots
+    whose noun is absent). Slot s has role `roles[s]` and noun `nouns[codes[s]]`
+    (code -1: null) in image `image[s]` (-1: no detection record). A slot is
+    eligible when its noun is not null, its role is not Place and its image has
+    boxes; its noun is absent when its image has no column for it, else it gets
+    the column's row when the column's logit is >= threshold."""
+    code = {noun: c for c, noun in enumerate(detections.nouns[:-1])}
+    # per slot its noun's detection code: -1 the null noun, -2 a noun no image lists
+    mapped = np.array([code.get(noun, -2) for noun in nouns[:-1]] + [-1], dtype=np.intp)[codes]
+    place = np.fromiter(map(PLACE_ROLE.__eq__, roles), dtype=bool, count=len(image))
+    eligible = (codes >= 0) & ~place & np.append(np.diff(detections.starts) > 0, False)[image]
+    # one gather: each eligible slot's column, by its (image, code) key among the columns' sorted keys
+    width, find = len(detections.nouns), np.flatnonzero(eligible & (mapped >= 0))
+    keys = np.repeat(np.arange(len(detections.columns) - 1) * width, np.diff(detections.columns)) + detections.codes
+    wanted, order = image[find] * width + mapped[find], np.argsort(keys)
+    at = order[np.searchsorted(keys, wanted, sorter=order).clip(max=len(keys) - 1)]
+    hit = keys[at] == wanted
+    absent = eligible & (mapped == -2)
+    absent[find[~hit]] = True
+    rows, at = np.full(len(image), -1, dtype=np.intp), at[hit]
+    rows[find[hit]] = np.where(detections.logits[at] >= threshold, detections.rows[at], -1)
+    return rows, absent
 
 
 def absent_noun(role: str, noun: str) -> FusionError:
@@ -85,14 +97,11 @@ def absent_noun(role: str, noun: str) -> FusionError:
 
 
 class DetectionSet:
-    """Post-NMS detector output of one image, reduced once by `best_boxes`.
+    """Post-NMS detector output of one image: its `boxes` and `table`, a one-image
+    `FusionTable` with one column per `noun_index` entry (noun id -> its column of
+    noun_scores, one row per box), reduced once by `best_boxes`."""
 
-    noun_scores has one row per box and one column per noun; noun_index
-    maps noun id to its column. The scores are not kept: `rows` and
-    `logits` hold each column's first box of highest logit and that logit.
-    """
-
-    __slots__ = ("boxes", "noun_index", "rows", "logits")
+    __slots__ = ("boxes", "table")
 
     def __init__(self, boxes: tuple, noun_scores: np.ndarray, noun_index: dict):
         if noun_scores.ndim != 2:
@@ -105,18 +114,20 @@ class DetectionSet:
                                   f"{noun_scores.shape[1]} noun_scores columns")
         if not np.all(np.isfinite(noun_scores)):
             raise FusionError("noun_scores: must be finite")
-        self.boxes, self.noun_index = boxes, noun_index  # boxes: of BoundingBox
-        self.rows, self.logits = best_boxes(noun_scores.ravel(), [len(boxes)], [noun_scores.shape[1]])
+        rows, logits = best_boxes(noun_scores.ravel(), [len(boxes)], [noun_scores.shape[1]])
+        cols = np.fromiter(noun_index.values(), dtype=np.intp, count=len(noun_index))
+        self.boxes, self.table = boxes, FusionTable(  # boxes: of BoundingBox; the image has no id
+            {None: 0}, [0, len(boxes)], np.array([b.as_list() for b in boxes], dtype=np.float64).reshape(-1, 4),
+            [0, len(cols)], np.arange(len(cols), dtype=np.int32), [*noun_index, NULL_NOUN], rows[cols], logits[cols])
 
 
 def assign_groundings(frame: GroundedFrame, detections: DetectionSet,
                       threshold: float = DEFAULT_FUSION_THRESHOLD) -> GroundedFrame:
-    """A copy of `frame` grounded from `detections` by `ground`, a batch of one frame."""
-    eligible = np.array([noun != NULL_NOUN and role != PLACE_ROLE and len(detections.boxes) > 0
-                         for role, noun in frame.role_values], dtype=bool)
-    columns = np.array([detections.noun_index.get(noun, -1) for noun in frame.nouns], dtype=np.intp)
-    grounded, absent = ground(eligible, columns, detections.rows, detections.logits, threshold)
+    """A copy of `frame` grounded from `detections` by `fuse`, on one image."""
+    codes = np.array([-1 if noun == NULL_NOUN else k for k, noun in enumerate(frame.nouns)], dtype=np.intp)
+    rows, absent = fuse(detections.table, np.zeros(len(codes), dtype=np.intp), frame.roles, codes,
+                        [*frame.nouns, NULL_NOUN], threshold)
     if absent.any():
         raise absent_noun(*frame.role_values[absent.argmax()])
     return GroundedFrame(frame.role_values, tuple(None if r < 0 else detections.boxes[r]
-                                                  for r in grounded.tolist()))
+                                                  for r in rows.tolist()))

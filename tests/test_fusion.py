@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from oracles import fuse_naive
 from swig_toolkit import BoundingBox, DetectionSet, GroundedFrame, assign_groundings
 from swig_toolkit.cli import main
-from swig_toolkit.fusion import FusionError
+from swig_toolkit.dataset_io import load_detection_sets
+from swig_toolkit.fusion import FusionError, fuse
 from conftest import make_box
 
 NOUN_INDEX = {"man": 0, "dough": 1, "sofa": 2}
@@ -239,3 +240,80 @@ def test_fuse_writes_the_oracles_fusion_or_its_first_fault(files):
         assert out.getvalue() == json.dumps(fused, sort_keys=True, separators=(",", ":")) + "\n"
     else:
         assert (status, out.getvalue(), err.getvalue()) == (1, "", f"error: {error}\n")
+
+
+# ---- the library form against `swig fuse` --------------------------------------
+
+def fuse_cli(preds, dets, threshold):
+    """(status, stdout, stderr) of `swig fuse` on the files of `preds` and `dets`."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as d:
+        paths = [os.path.join(d, name) for name in ("preds.json", "dets.json", "lexicon.json")]
+        for path, value in zip(paths, (preds, dets, FUSE_LEXICON)):
+            with open(path, "w", encoding="utf-8") as f:
+                json.dump(value, f)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = main(["fuse", "--frames", paths[0], "--detections", paths[1], "--lexicon", paths[2],
+                           "--fusion-threshold", repr(threshold), "--out", "-"])
+    return status, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def one_image_cases(draw):
+    """(verb, {role: noun}, detection record, order, threshold): one frame and one
+    image; `order` is the order in which `noun_index` lists the image's nouns."""
+    verb = draw(st.sampled_from(sorted(FUSE_LEXICON)))
+    nouns = {role: draw(st.sampled_from(DETECTED * 2 + ["", "cat"])) for role in FUSE_LEXICON[verb]}
+    boxes = [draw(st.sampled_from(BOXES)) for _ in range(draw(st.sampled_from([0, 1, 2, 3])))]
+    listed = draw(st.permutations(DETECTED))[:draw(st.sampled_from([1, 2, 3, 4]))]
+    scores = [[draw(st.sampled_from(GRID)) for _ in listed] for _ in boxes]
+    order = draw(st.permutations(range(len(listed))))
+    return verb, nouns, det(boxes=boxes, nouns=listed, scores=scores), order, draw(st.sampled_from(GRID))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=one_image_cases())
+@example(case=("kneading", KNEAD, det(scores=[[-0.0, 2.0], [0.0, 2.0]]), [0, 1], 0.0))  # -0.0 ties 0.0
+@example(case=("kneading", KNEAD, det(scores=[[-4.0, -4.000001], [-5.0, -6.0]]), [1, 0],
+               -4.0))  # a logit equal to the threshold grounds
+@example(case=("kneading", {"Agent": "", "Item": "dough", "Place": "man"}, det(), [0, 1],
+               -4.0))  # a null noun, and Place with a detected noun
+@example(case=("kneading", {"Agent": "cat", "Item": "sofa", "Place": ""}, det(boxes=[], scores=[]), [1, 0],
+               -4.0))  # no boxes: the absent nouns leave their roles ungrounded and raise nothing
+@example(case=("carrying", {"Agent": "man", "Item": "cat", "Tool": "sofa"}, det(), [0, 1],
+               -4.0))  # two absent nouns: the first role's is named
+def test_assign_groundings_grounds_as_swig_fuse_on_one_image(case):
+    verb, nouns, record, order, threshold = case
+    frame = GroundedFrame(tuple((role, nouns[role]) for role in FUSE_LEXICON[verb]),
+                          (None,) * len(FUSE_LEXICON[verb]))
+    detections = DetectionSet(tuple(BoundingBox(*box) for box in record["boxes"]),
+                              np.array(record["noun_scores"], dtype=float).reshape(len(record["boxes"]), len(order)),
+                              {record["nouns"][k]: k for k in order})
+    status, out, err = fuse_cli([pred(**{verb: nouns})], [record], threshold)
+    try:
+        fused = assign_groundings(frame, detections, threshold)
+    except FusionError as e:
+        assert (status, out, err) == (1, "", f"error: image 'a', verb {verb!r}, {e}\n")
+    else:
+        assert (status, err) == (0, "")
+        boxes = json.loads(out)[0]["frames"][verb]["boxes"]
+        assert boxes == {role: box and box.as_list() for (role, _), box in zip(frame.role_values, fused.groundings)}
+
+
+DETECTION_RECORDS = [det(boxes=BOXES[:2], scores=[[1.0, -9.0], [2.0, 3.0]]),
+                     det("b", boxes=[], nouns=["man", "dough", "sofa"], scores=[])]
+
+
+@pytest.mark.parametrize("image,noun,row,absent", [
+    (-1, "man", -1, False),  # its record has no detection record
+    (1, "man", -1, False),  # its image lists nouns but has no boxes
+    (1, "cat", -1, False),
+    (0, "cat", -1, True),  # in an image with boxes, a noun no image lists (code -2) is absent
+    (0, "sofa", -1, True),  # a noun another image lists
+    (0, "dough", 1, False),
+], ids=["no-detection-record", "no-boxes", "no-boxes-unlisted-noun", "unlisted-noun", "noun-of-another-image",
+        "grounded"])
+def test_fuse_grounds_or_finds_absent_only_in_an_image_with_boxes(image, noun, row, absent):
+    rows, absents = fuse(load_detection_sets(DETECTION_RECORDS), np.array([image]), ["Agent"],
+                         np.array([0], dtype=np.int32), [noun, ""], -4.0)
+    assert (rows.tolist(), absents.tolist()) == ([row], [absent])

@@ -90,7 +90,7 @@ def test_every_private_name_is_read():
 
 PERFBENCH = SOURCE.parent.parent / "perfbench"
 # names the benchmark still wraps that are gone on purpose: their spans read 0 until spans
-# move into the toolkit (`swig fuse` grounds every slot in one `fusion.ground` call)
+# move into the toolkit (`swig fuse` grounds every slot in one `fusion.fuse` call)
 GONE = {("swig_toolkit.cli", "assign_groundings")}
 
 
